@@ -1,0 +1,57 @@
+"""Golden lock: a small three-seed run's outputs, pinned byte for byte.
+
+The config derives from configs/two_site.yaml: both sites cut to 300
+examples, plus a third, tagging-only site, so two of three clients take
+part per round and one site declares an uneven task set.  Any change to
+training, aggregation, evaluation, accounting or serialization that moves a
+single bit of results.csv, transcript.json or comm.csv fails here.
+"""
+
+import hashlib
+import os
+
+import yaml
+
+from fedlora.cli import main
+
+CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "two_site.yaml")
+
+GOLDEN = {
+    "results.csv": "900fdc5d1105df7d50b780c36beefbcc0c69563012edc19a2b11380f487141ab",
+    "transcript.json": "a6f0b7ae1619b7207cb39c1c384d977afd4f7756eefd78684b043086f3a6a1c2",
+    "comm.csv": "ef6b3195852081a756837a52adbfc2d3c1a3099e385c3eedf8ae555d34b31ad2",
+}
+
+
+def golden_config() -> dict:
+    with open(CONFIG, encoding="utf-8") as handle:
+        raw = yaml.safe_load(handle)
+    for site in raw["sites"]:
+        site["n_examples"] = 300
+    raw["sites"].append(
+        {
+            "site_id": "site_c",
+            "n_examples": 200,
+            "dirichlet_alpha": 2.0,
+            "noise_rate": 0.05,
+            "token_shift": 1,
+            "tasks": ["tagging"],
+        }
+    )
+    raw["federation"]["rounds"] = 3
+    raw["baselines"] = ["zero_shot", "single_site", "fedavg", "centralized", "share_a"]
+    raw["eval"] = {"test_size": 100, "bootstrap": {"sample_size": 100, "reps": 10, "level": 0.95}}
+    return raw
+
+
+def test_golden_outputs_unchanged(tmp_path):
+    raw = golden_config()
+    assert raw["federation"]["clients_per_round"] == 2 < len(raw["sites"])
+    config = tmp_path / "golden.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out-dir", str(out), "--seeds", "1,2,3"]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN
+    }
+    assert digests == GOLDEN
