@@ -32,15 +32,12 @@ from .federation import (
     Strategy,
     run_federation,
     sample_clients,
-    uneven_task_run,
 )
 from .lora import (
     AdapterPair,
     AdapterSet,
-    BackboneWeights,
     deserialize_adapters,
     init_adapter_set,
-    merge,
     param_counts,
     serialize_adapters,
 )
@@ -49,7 +46,6 @@ from .metrics import (
     RelationInstance,
     Scheme,
     Span,
-    bootstrap_ci,
     decode_bio,
     lenient_f1,
     relation_f1,

@@ -4,7 +4,7 @@ Subcommands:
     run          train the configured strategy plus baselines, evaluate,
                  write results.csv / transcript.json / comm.csv
     scale-study  shard the pooled data into k sites for each k in a list
-    uneven       like run, for sites whose declared task sets differ
+    uneven       alias of run; per-site task subsets need no special command
     compare      per-key rank-sum significance between two results files
     comm-report  headline communication table for a parameter-count preset
 
@@ -26,12 +26,7 @@ from .comm import PRESETS, entries_from_transcripts, preset_summary
 from .config import ConfigError, ExperimentConfig, load_config
 from .datasim import generate_site, make_validation_set, shard
 from .evaluate import MetricRow, evaluate_result, make_test_split
-from .federation import (
-    FederationResult,
-    Strategy,
-    run_federation,
-    uneven_task_run,
-)
+from .federation import FederationResult, Strategy, run_federation
 from .metrics import wilcoxon_rank_sum
 from .model import Backbone
 from .seeding import derive_seed
@@ -127,7 +122,7 @@ def _transcript_json(result: FederationResult) -> list[dict]:
     return rounds
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None, uneven: bool):
+def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None):
     cfg = config.with_seed(seed)
     rule = cfg.rule()
     backbone = Backbone.build(cfg.model)
@@ -141,10 +136,9 @@ def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None, unev
     rows = []
     run_records = []
     comm_rows = []
-    runner = uneven_task_run if uneven else run_federation
     for strategy in cfg.strategies():
         fed_cfg = replace(cfg.federation, strategy=strategy)
-        result = runner(fed_cfg, sites, val, backbone, max_workers=threads)
+        result = run_federation(fed_cfg, sites, val, backbone, max_workers=threads)
         metric_rows = evaluate_result(
             result, backbone, rule, tests, cfg.eval.bootstrap, seed=cfg.seed
         )
@@ -173,12 +167,12 @@ def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None, unev
 
 
 def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int],
-            threads: int | None, uneven: bool = False) -> int:
+            threads: int | None) -> int:
     all_rows = []
     all_runs = []
     all_comm = []
     for seed in seeds:
-        rows, runs, comm_rows = _run_one_seed(config, seed, threads, uneven)
+        rows, runs, comm_rows = _run_one_seed(config, seed, threads)
         all_rows.extend(rows)
         all_runs.extend(runs)
         all_comm.extend(comm_rows)
@@ -190,9 +184,10 @@ def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int],
     _write_csv(os.path.join(out_dir, "comm.csv"), COMM_FIELDS, all_comm)
     if config.comm.preset:
         preset = PRESETS[config.comm.preset]
+        # only the clients sampled in a round move adapters
         summary = preset_summary(
             preset, rounds=config.federation.rounds,
-            site_counts=(len(config.sites),),
+            site_counts=(config.federation.clients_per_round,),
         )
         _write_csv(
             os.path.join(out_dir, "comm_preset.csv"), sorted(summary[0]), summary
@@ -320,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", default=None, help="comma-separated master seeds")
         p.add_argument("--threads", type=int, default=None, help="parallel local updates")
 
-    add_common(sub.add_parser("run", help="train + evaluate the configured strategies"))
-    add_common(sub.add_parser("uneven", help="run with per-site task subsets"))
+    add_common(sub.add_parser(
+        "run", aliases=["uneven"], help="train + evaluate the configured strategies"
+    ))
     scale = sub.add_parser("scale-study", help="metric-vs-k shard curves")
     add_common(scale)
     scale.add_argument("--k", default="1,2,3,4,6,8,10", help="comma-separated shard counts")
@@ -352,10 +348,8 @@ def main(argv: list[str] | None = None) -> int:
 
         config = load_config(args.config)
         seeds = _parse_int_list(args.seeds) if args.seeds else [config.seed]
-        if args.command == "run":
+        if args.command in ("run", "uneven"):
             return cmd_run(config, args.out_dir, seeds, args.threads)
-        if args.command == "uneven":
-            return cmd_run(config, args.out_dir, seeds, args.threads, uneven=True)
         if args.command == "scale-study":
             return cmd_scale_study(
                 config, args.out_dir, seeds, _parse_int_list(args.k), args.threads

@@ -35,19 +35,6 @@ class CommEntry:
 
 
 @dataclass(frozen=True)
-class CommReport:
-    bytes_per_param: int
-    total_params: int
-    total_bytes: int
-    full_params: int | None = None
-    full_total_bytes: int | None = None
-    reduction: float | None = None
-
-    def total_gib(self) -> float:
-        return self.total_bytes / GIB
-
-
-@dataclass(frozen=True)
 class CommPreset:
     name: str
     full_params: int
@@ -103,34 +90,6 @@ def entries_from_transcripts(
                     )
                 )
     return entries
-
-
-def record(
-    transcripts: list[RoundTranscript],
-    bytes_per_param: int = DEFAULT_BYTES_PER_PARAM,
-    full_params: int | None = None,
-) -> tuple[list[CommEntry], CommReport]:
-    """Ledger plus totals for a completed run's transcript stream."""
-    entries = entries_from_transcripts(transcripts, bytes_per_param)
-    total_params = sum(e.params for e in entries)
-    total_bytes = sum(e.nbytes for e in entries)
-    full_total = None
-    reduction = None
-    if full_params is not None:
-        # the same movement pattern at full-model size
-        moves = len(entries)
-        full_total = moves * full_params * bytes_per_param
-        lora_per_move = total_params // moves if moves else 0
-        reduction = reduction_pct(full_params, lora_per_move)
-    report = CommReport(
-        bytes_per_param=bytes_per_param,
-        total_params=total_params,
-        total_bytes=total_bytes,
-        full_params=full_params,
-        full_total_bytes=full_total,
-        reduction=reduction,
-    )
-    return entries, report
 
 
 def full_model_comparison(

@@ -8,6 +8,7 @@ from its id, so adding a site never reshuffles another site's data.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import yaml
@@ -75,6 +76,8 @@ class ExperimentConfig:
     validation_examples: int
     eval: EvalConfig
     comm: CommConfig
+    # the mapping this config was parsed from, re-parsed by with_seed
+    _raw: dict = field(repr=False, compare=False)
 
     def rule(self) -> PlantedRule:
         return PlantedRule(self.model.vocab_size)
@@ -87,8 +90,9 @@ class ExperimentConfig:
         return ordered
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        """Re-derive every component seed from a new master seed."""
-        return _assemble(_raw_parts(self), seed)
+        """Re-derive every component seed the config leaves implicit from a
+        new master seed; explicit ``seed`` keys are kept."""
+        return parse_config({**self._raw, "seed": seed})
 
 
 def _parse_sgd(node, path) -> SgdConfig:
@@ -304,6 +308,7 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
         validation_examples=validation_examples,
         eval=eval_cfg,
         comm=comm,
+        _raw=copy.deepcopy(raw),
     )
 
 
@@ -316,69 +321,3 @@ def load_config(path: str) -> ExperimentConfig:
             where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown position"
             raise ConfigError(path, f"YAML parse error at {where}: {err}") from err
     return parse_config(raw, path)
-
-
-def _raw_parts(config: ExperimentConfig) -> dict:
-    """Config as re-parseable raw dict (used for master-seed refanning)."""
-    return {
-        "seed": config.seed,
-        "model": {
-            "vocab_size": config.model.vocab_size,
-            "hidden": config.model.hidden,
-            "rank": config.model.rank,
-            "alpha": config.model.alpha,
-        },
-        "sites": [
-            {
-                "site_id": s.site_id,
-                "n_examples": s.n_examples,
-                "dirichlet_alpha": s.dirichlet_alpha,
-                "noise_rate": s.noise_rate,
-                "tasks": [t.value for t in s.tasks],
-                "token_shift": s.token_shift,
-            }
-            for s in config.sites
-        ],
-        "external_sites": [
-            {
-                "site_id": s.site_id,
-                "n_examples": s.n_examples,
-                "dirichlet_alpha": s.dirichlet_alpha,
-                "noise_rate": s.noise_rate,
-                "tasks": [t.value for t in s.tasks],
-                "token_shift": s.token_shift,
-            }
-            for s in config.external_sites
-        ],
-        "federation": {
-            "strategy": config.federation.strategy.value,
-            "rounds": config.federation.rounds,
-            "clients_per_round": config.federation.clients_per_round,
-            "weight_mode": config.federation.weight_mode.value,
-            "sgd": {
-                "learning_rate": config.federation.sgd.learning_rate,
-                "epochs": config.federation.sgd.epochs,
-                "batch_size": config.federation.sgd.batch_size,
-            },
-        },
-        "baselines": [s.value for s in config.baselines],
-        "validation": {"n_examples": config.validation_examples},
-        "eval": {
-            "test_size": config.eval.test_size,
-            "bootstrap": {
-                "sample_size": config.eval.bootstrap.sample_size,
-                "reps": config.eval.bootstrap.reps,
-                "level": config.eval.bootstrap.level,
-            },
-        },
-        "comm": {
-            "bytes_per_param": config.comm.bytes_per_param,
-            **({"preset": config.comm.preset} if config.comm.preset else {}),
-        },
-    }
-
-
-def _assemble(raw: dict, seed: int) -> ExperimentConfig:
-    raw = dict(raw)
-    raw["seed"] = seed
-    return parse_config(raw)

@@ -16,7 +16,6 @@ Sites differ only in their input distribution, through four orthogonal knobs:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -293,76 +292,3 @@ def shard(pool: SiteDataset, k: int, seed: int) -> list[SiteDataset]:
         clean = [pool.clean_examples[j] for j in idx] if pool.clean_examples else []
         shards.append(SiteDataset(spec, examples, clean))
     return shards
-
-
-# ---------------------------------------------------------------------------
-# Line-delimited dump/load.  Field order per record:
-#   task, tokens, tags (tagging) | head, tail, relation (relation),
-# with the clean-label record nested under "clean" when it differs.
-# ---------------------------------------------------------------------------
-
-
-def _example_record(ex: Example) -> dict:
-    rec: dict = {"task": ex.task.value, "tokens": ex.tokens.tolist()}
-    if ex.task is Task.TAGGING:
-        rec["tags"] = ex.tags.tolist()
-    else:
-        rec["head"] = ex.head
-        rec["tail"] = ex.tail
-        rec["relation"] = ex.relation
-    return rec
-
-
-def _example_from_record(rec: dict) -> Example:
-    task = Task(rec["task"])
-    if task is Task.TAGGING:
-        return Example(task, rec["tokens"], tags=rec["tags"])
-    return Example(
-        task, rec["tokens"], head=rec["head"], tail=rec["tail"], relation=rec["relation"]
-    )
-
-
-def dump_site(dataset: SiteDataset) -> str:
-    lines = [
-        json.dumps(
-            {
-                "site_id": dataset.spec.site_id,
-                "n_examples": dataset.spec.n_examples,
-                "dirichlet_alpha": dataset.spec.dirichlet_alpha,
-                "noise_rate": dataset.spec.noise_rate,
-                "tasks": [t.value for t in dataset.spec.tasks],
-                "token_shift": dataset.spec.token_shift,
-                "seed": dataset.spec.seed,
-            },
-            sort_keys=True,
-        )
-    ]
-    clean = dataset.clean_examples or dataset.examples
-    for ex, clean_ex in zip(dataset.examples, clean):
-        rec = _example_record(ex)
-        if clean_ex is not ex and _example_record(clean_ex) != rec:
-            rec["clean"] = _example_record(clean_ex)
-        lines.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-def load_site(text: str) -> SiteDataset:
-    lines = [line for line in text.splitlines() if line.strip()]
-    header = json.loads(lines[0])
-    spec = SiteSpec(
-        site_id=header["site_id"],
-        n_examples=header["n_examples"],
-        dirichlet_alpha=header["dirichlet_alpha"],
-        noise_rate=header["noise_rate"],
-        tasks=tuple(Task(t) for t in header["tasks"]),
-        token_shift=header["token_shift"],
-        seed=header["seed"],
-    )
-    examples = []
-    clean = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        ex = _example_from_record(rec)
-        examples.append(ex)
-        clean.append(_example_from_record(rec["clean"]) if "clean" in rec else ex)
-    return SiteDataset(spec, examples, clean)

@@ -27,7 +27,7 @@ from .aggregation import (
     validation_loss,
 )
 from .datasim import SiteDataset, SiteSpec
-from .lora import AdapterSet, serialize_adapters, serialized_a_size
+from .lora import AdapterSet, serialized_a_size, serialized_size
 from .model import Backbone, Example, SgdConfig, Task, ToyModel, local_update
 from .seeding import derive_seed
 
@@ -132,7 +132,7 @@ def _fan_out(jobs: dict[str, tuple[ToyModel, list[Example]]], sgd: SgdConfig,
 def _comm_volume(adapters: AdapterSet, rule: AggregationRule) -> CommVolume:
     if rule is AggregationRule.A_ONLY:
         return CommVolume(adapters.a_param_count(), serialized_a_size(adapters))
-    return CommVolume(adapters.param_count(), len(serialize_adapters(adapters)))
+    return CommVolume(adapters.param_count(), serialized_size(adapters))
 
 
 def _with_client_b(global_adapters: AdapterSet, client_set: AdapterSet) -> AdapterSet:
@@ -290,24 +290,3 @@ def run_federation(
         return FederationResult(config, None, [], client_adapters)
 
     return _run_protocol(config, sites, val_set, backbone, initial, max_workers)
-
-
-def uneven_task_run(
-    config: FederationConfig,
-    sites: list[SiteDataset],
-    val_set: list[Example] | None,
-    backbone: Backbone,
-    max_workers: int | None = None,
-) -> FederationResult:
-    """run_federation over sites whose declared task sets differ.
-
-    The protocol is identical: a client's local loss only ever touches the
-    tasks its data contains, and evaluation still reports all tasks.
-    """
-    for site in sites:
-        for ex in site.examples:
-            if ex.task not in site.spec.tasks:
-                raise ValueError(
-                    f"site {site.spec.site_id!r} holds an example of undeclared task {ex.task}"
-                )
-    return run_federation(config, sites, val_set, backbone, max_workers)

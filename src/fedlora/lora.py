@@ -144,21 +144,6 @@ class AdapterSet:
         """Parameters in the A-matrices alone (the share-A payload)."""
         return sum(p.rank * p.l for p in self.layers.values())
 
-    def compatible_with(self, other: "AdapterSet") -> bool:
-        """True iff both sets can enter the same weighted aggregation."""
-        if self.layers.keys() != other.layers.keys():
-            return False
-        for key, mine in self.layers.items():
-            theirs = other.layers[key]
-            if (mine.d, mine.l, mine.rank, mine.alpha) != (
-                theirs.d,
-                theirs.l,
-                theirs.rank,
-                theirs.alpha,
-            ):
-                return False
-        return True
-
     def checksum(self) -> str:
         return hashlib.sha256(serialize_adapters(self)).hexdigest()
 
@@ -177,70 +162,6 @@ def init_adapter_set(
         a = rng.uniform(-INIT_SPAN, INIT_SPAN, size=(rank, l))
         layers[key] = AdapterPair(key, b, a, rank, alpha)
     return AdapterSet(layers)
-
-
-def zero_like(adapters: AdapterSet) -> AdapterSet:
-    layers = {
-        key: pair.with_factors(np.zeros_like(pair.b), np.zeros_like(pair.a))
-        for key, pair in adapters.items()
-    }
-    return AdapterSet(layers)
-
-
-@dataclass(frozen=True)
-class BackboneWeights:
-    """Frozen base weights per layer plus non-adapted parameters.
-
-    Immutable for the lifetime of a federation run; ``fingerprint`` lets
-    tests assert nothing ever touched it.
-    """
-
-    layers: dict[str, np.ndarray]
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "layers",
-            {k: _as_matrix(v, k) for k, v in self.layers.items()},
-        )
-        frozen_extras = {}
-        for k, v in self.extras.items():
-            arr = np.ascontiguousarray(np.asarray(v, dtype=np.float64))
-            arr.flags.writeable = False
-            frozen_extras[k] = arr
-        object.__setattr__(self, "extras", frozen_extras)
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for k in sorted(self.layers):
-            h.update(k.encode())
-            h.update(self.layers[k].tobytes())
-        for k in sorted(self.extras):
-            h.update(k.encode())
-            h.update(self.extras[k].tobytes())
-        return h.hexdigest()
-
-
-def merge(backbone: BackboneWeights, adapters: AdapterSet) -> dict[str, np.ndarray]:
-    """Effective weights: W0 + (alpha/rank) * B @ A per adapted layer.
-
-    Non-adapted backbone layers pass through unchanged.  The backbone itself
-    is never modified.
-    """
-    for key, pair in adapters.items():
-        if key not in backbone.layers:
-            raise DimensionMismatch(key, ("<layer present>",), ("<layer missing>",))
-        w0 = backbone.layers[key]
-        if w0.shape != (pair.d, pair.l):
-            raise DimensionMismatch(key, w0.shape, (pair.d, pair.l))
-    out = {}
-    for key, w0 in backbone.layers.items():
-        if key in adapters.keys():
-            out[key] = w0 + adapters[key].delta()
-        else:
-            out[key] = w0.copy()
-    return out
 
 
 def param_counts(d: int, l: int, r: int) -> tuple[int, int]:

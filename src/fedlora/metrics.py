@@ -64,19 +64,6 @@ class EvalReport:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r else 0.0
 
-    def to_record(self) -> dict:
-        return {
-            "task": self.task,
-            "scheme": self.scheme.value,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "p": self.precision,
-            "r": self.recall,
-            "f1": self.f1,
-            "ci_lo": self.ci[0] if self.ci else None,
-            "ci_hi": self.ci[1] if self.ci else None,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +218,6 @@ def bootstrap_metric_ci(
     return (
         float(np.percentile(values, lo_q)),
         float(np.percentile(values, 100 - lo_q)),
-    )
-
-
-def bootstrap_ci(
-    scores,
-    sample_size: int = 200,
-    reps: int = 30,
-    level: float = 0.95,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile CI of the mean of instance-level correctness scores."""
-    scores = [float(s) for s in scores]
-    return bootstrap_metric_ci(
-        scores, lambda xs: float(np.mean(xs)), sample_size, reps, level, seed
     )
 
 

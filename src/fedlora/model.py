@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lora import AdapterSet, BackboneWeights, init_adapter_set
+from .lora import AdapterSet, DimensionMismatch, init_adapter_set
 
 ADAPTED_LAYERS = ("trunk", "tag_head", "rel_head")
 
@@ -145,12 +145,6 @@ class Backbone:
             self.adapter_shapes(), self.config.rank, self.config.alpha, seed
         )
 
-    def as_backbone_weights(self) -> BackboneWeights:
-        return BackboneWeights(
-            layers={"trunk": self.trunk, "tag_head": self.tag_head, "rel_head": self.rel_head},
-            extras={"embedding": self.embedding},
-        )
-
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         for arr in (self.embedding, self.trunk, self.tag_head, self.rel_head):
@@ -167,6 +161,12 @@ class ToyModel:
         missing = set(ADAPTED_LAYERS) - set(self.adapters.keys())
         if missing:
             raise ValueError(f"adapters missing layers: {sorted(missing)}")
+        shapes = self.frozen.adapter_shapes()
+        for key, pair in self.adapters.items():
+            if key not in shapes:
+                raise DimensionMismatch(key, ("<layer present>",), ("<layer missing>",))
+            if (pair.d, pair.l) != shapes[key]:
+                raise DimensionMismatch(key, shapes[key], (pair.d, pair.l))
 
     @classmethod
     def build(cls, config: ModelConfig, adapter_seed: int | None = None) -> "ToyModel":
@@ -292,6 +292,16 @@ def _batch_weight_grads(frozen: Backbone, eff: _Effective, batch: list[Example])
     return {"trunk": d_trunk, "tag_head": d_tag, "rel_head": d_rel}
 
 
+def _factor_grads(weight_grads, factors, scales):
+    """Chain rule through W = W0 + s * B @ A: dB = s * dW A^T, dA = s * B^T dW."""
+    out = {}
+    for key, (b, a) in factors.items():
+        dw = weight_grads[key]
+        s = scales[key]
+        out[key] = (s * (dw @ a.T), s * (b.T @ dw))
+    return out
+
+
 def grad(model: ToyModel, batch: list[Example]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Analytic gradients of loss(model, batch) w.r.t. each adapter's (B, A).
 
@@ -302,13 +312,7 @@ def grad(model: ToyModel, batch: list[Example]) -> dict[str, tuple[np.ndarray, n
     factors = _factors(model.adapters)
     scales = _scales(model.adapters)
     eff = _effective(model.frozen, factors, scales)
-    weight_grads = _batch_weight_grads(model.frozen, eff, batch)
-    out = {}
-    for key, (b, a) in factors.items():
-        dw = weight_grads[key]
-        s = scales[key]
-        out[key] = (s * (dw @ a.T), s * (b.T @ dw))
-    return out
+    return _factor_grads(_batch_weight_grads(model.frozen, eff, batch), factors, scales)
 
 
 def local_update(
@@ -337,12 +341,9 @@ def local_update(
             idx = np.sort(order[start : start + sgd.batch_size])
             batch = [dataset[i] for i in idx]
             eff = _effective(frozen, factors, scales)
-            weight_grads = _batch_weight_grads(frozen, eff, batch)
+            grads = _factor_grads(_batch_weight_grads(frozen, eff, batch), factors, scales)
             for key, (b, a) in factors.items():
-                dw = weight_grads[key]
-                s = scales[key]
-                db = s * (dw @ a.T)
-                da = s * (b.T @ dw)
+                db, da = grads[key]
                 b -= eta * db
                 a -= eta * da
     layers = {

@@ -15,7 +15,7 @@ from fedlora.cli import main
 from fedlora.comm import PRESETS, preset_summary
 from fedlora.datasim import PlantedRule, SiteSpec, generate_site, make_validation_set, shard
 from fedlora.evaluate import evaluate_result, make_test_split
-from fedlora.federation import FederationConfig, Strategy, run_federation, uneven_task_run
+from fedlora.federation import FederationConfig, Strategy, run_federation
 from fedlora.lora import AdapterPair, AdapterSet
 from fedlora.metrics import (
     RelationInstance,
@@ -182,9 +182,9 @@ def backbone60(seed):
     )
 
 
-def run_and_score(strategy, sites, tests, val, backbone, seed, rounds=2, runner=run_federation):
+def run_and_score(strategy, sites, tests, val, backbone, seed, rounds=2):
     cfg = FederationConfig(strategy, len(sites), len(sites), rounds, SGD, seed=seed)
-    result = runner(cfg, sites, val, backbone)
+    result = run_federation(cfg, sites, val, backbone)
     return evaluate_result(result, backbone, RULE60, tests)
 
 
@@ -308,13 +308,11 @@ def test_08_uneven_tasks():
         full_sites = [generate_site(spec0, RULE60), generate_site(spec1_full, RULE60)]
         uneven_sites = [generate_site(spec0, RULE60), generate_site(spec1_ner, RULE60)]
         full_scores.append(strict_mean(
-            run_and_score(Strategy.INFLUENCE, full_sites, tests, val, backbone, seed,
-                          runner=uneven_task_run),
+            run_and_score(Strategy.INFLUENCE, full_sites, tests, val, backbone, seed),
             "relation",
         ))
         uneven_scores.append(strict_mean(
-            run_and_score(Strategy.INFLUENCE, uneven_sites, tests, val, backbone, seed,
-                          runner=uneven_task_run),
+            run_and_score(Strategy.INFLUENCE, uneven_sites, tests, val, backbone, seed),
             "relation",
         ))
         zero_scores.append(strict_mean(

@@ -46,9 +46,7 @@ class TestValidationLoss:
         direct = validation_loss(model, adapters, val)
 
         # oracle: fold the adapter deltas into a fresh backbone, keep adapters zero
-        from fedlora.lora import merge
-
-        merged = merge(model.frozen.as_backbone_weights(), adapters)
+        merged = {key: getattr(model.frozen, key) + pair.delta() for key, pair in adapters.items()}
         folded = Backbone(
             CFG, model.frozen.embedding, merged["trunk"], merged["tag_head"], merged["rel_head"]
         )

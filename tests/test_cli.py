@@ -123,6 +123,30 @@ class TestCmdUneven:
         rows = read_csv(out / "results.csv")
         tasks = {(r["testset"], r["task"]) for r in rows}
         assert ("site_b", "relation") in tasks  # evaluated even without training data
+        # uneven is an alias of run: same outputs, byte for byte
+        out_run = tmp_path / "out_run"
+        assert main(["run", "--config", config, "--out-dir", str(out_run)]) == 0
+        for name in ("results.csv", "transcript.json", "comm.csv"):
+            assert (out / name).read_bytes() == (out_run / name).read_bytes()
+
+
+class TestCommPreset:
+    def test_preset_counts_clients_per_round(self, tmp_path):
+        raw = json_roundtrip(BASE_CONFIG)
+        raw["sites"].append({"site_id": "site_c", "n_examples": 40})
+        raw["federation"]["clients_per_round"] = 2
+        raw["baselines"] = []
+        raw["comm"] = {"preset": "llama3_8b"}
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out-dir", str(out)]) == 0
+        rows = read_csv(out / "comm_preset.csv")
+        assert [row["sites"] for row in rows] == ["2"]
+        # two sampled clients move adapters each round, one site stays idle
+        comm = read_csv(out / "comm.csv")
+        for rnd in range(raw["federation"]["rounds"]):
+            clients = {r["client"] for r in comm if r["round"] == str(rnd)}
+            assert len(clients) == 2
 
 
 class TestCmdScaleStudy:

@@ -6,7 +6,6 @@ from fedlora.comm import (
     format_gb,
     full_model_comparison,
     preset_summary,
-    record,
     reduction_pct,
 )
 from fedlora.datasim import PlantedRule, SiteSpec, generate_site
@@ -79,24 +78,25 @@ class TestLedgerFromTranscripts:
 
     def test_ledger_conservation(self):
         result = self.make_run()
-        entries, report = record(result.transcripts, bytes_per_param=4)
-        assert report.total_bytes == sum(e.nbytes for e in entries)
-        assert report.total_params == sum(e.params for e in entries)
-        # 2 rounds x 2 clients x 2 directions
+        entries = entries_from_transcripts(result.transcripts, bytes_per_param=4)
+        # 2 rounds x 2 clients x 2 directions, each moving the whole adapter set
         assert len(entries) == 8
         per_move = result.adapters.param_count()
-        assert report.total_params == 8 * per_move
+        assert sum(e.params for e in entries) == 8 * per_move
+        assert sum(e.nbytes for e in entries) == 8 * per_move * 4
 
     def test_zero_rounds_zero_bytes(self):
-        entries, report = record([], bytes_per_param=4)
-        assert entries == []
-        assert report.total_bytes == 0
+        assert entries_from_transcripts([], bytes_per_param=4) == []
 
     def test_full_model_reference(self):
+        # the same movement pattern at full-model size
         result = self.make_run()
-        _, report = record(result.transcripts, bytes_per_param=4, full_params=10_000)
-        assert report.full_total_bytes == 8 * 10_000 * 4
-        assert report.reduction == reduction_pct(10_000, result.adapters.param_count())
+        entries = entries_from_transcripts(result.transcripts, bytes_per_param=4)
+        full = full_model_comparison(10_000, 4, rounds=2, clients=2)
+        assert full["run_total_bytes"] == len(entries) * 10_000 * 4
+        assert reduction_pct(10_000, entries[0].params) == reduction_pct(
+            10_000, result.adapters.param_count()
+        )
 
 
 class TestFormatGb:

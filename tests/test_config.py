@@ -76,6 +76,24 @@ class TestParse:
         assert other.model.seed != cfg.model.seed
         assert other.federation.sgd == cfg.federation.sgd
 
+    @pytest.mark.parametrize("master", [7, 99])
+    def test_with_seed_keeps_explicit_seeds(self, master):
+        cfg = parse_config(
+            clone({"model.seed": 999, "sites.0.seed": 12345, "federation.seed": 777})
+        )
+        assert (cfg.model.seed, cfg.sites[0].seed, cfg.federation.seed) == (999, 12345, 777)
+        other = cfg.with_seed(master)
+        assert other.seed == master
+        assert other.model.seed == 999
+        assert other.sites[0].seed == 12345
+        assert other.federation.seed == 777
+        # a site without a seed key still derives its seed from the master
+        assert other.sites[1].seed == parse_config(clone({"seed": master})).sites[1].seed
+
+    def test_with_seed_is_identity_at_the_master_seed(self):
+        cfg = parse_config(clone())
+        assert cfg.with_seed(cfg.seed) == cfg
+
     def test_unknown_top_level_key_fatal(self):
         with pytest.raises(ConfigError) as err:
             parse_config(clone({"bogus": 1}))

@@ -8,9 +8,7 @@ from fedlora.datasim import (
     PlantedRule,
     SiteDataset,
     SiteSpec,
-    dump_site,
     generate_site,
-    load_site,
     make_validation_set,
     shard,
 )
@@ -218,16 +216,3 @@ class TestShard:
             assert list(map(example_key, s1.examples)) == list(
                 map(example_key, s2.examples)
             )
-
-
-class TestDumpLoad:
-    def test_round_trip(self):
-        data = generate_site(SiteSpec("a", 60, noise_rate=0.25, seed=21), RULE)
-        back = load_site(dump_site(data))
-        assert back.spec == data.spec
-        assert list(map(example_key, back.examples)) == list(
-            map(example_key, data.examples)
-        )
-        assert list(map(example_key, back.clean_examples)) == list(
-            map(example_key, data.clean_examples)
-        )

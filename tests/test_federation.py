@@ -1,17 +1,34 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedlora.aggregation import WeightMode
-from fedlora.datasim import PlantedRule, SiteSpec, generate_site, make_validation_set
+from fedlora.datasim import (
+    PlantedRule,
+    SiteDataset,
+    SiteSpec,
+    generate_site,
+    make_validation_set,
+)
 from fedlora.federation import (
     FederationConfig,
     Strategy,
     run_federation,
     sample_clients,
-    uneven_task_run,
 )
-from fedlora.lora import merge, serialize_adapters, serialized_a_size
-from fedlora.model import Backbone, ModelConfig, SgdConfig, Task, ToyModel, local_update
+from fedlora.lora import serialize_adapters, serialized_a_size
+from fedlora.model import (
+    Backbone,
+    ModelConfig,
+    SgdConfig,
+    Task,
+    ToyModel,
+    _effective,
+    _factors,
+    _scales,
+    local_update,
+)
 from fedlora.seeding import derive_seed
 
 RULE = PlantedRule(vocab_size=60)
@@ -104,9 +121,9 @@ class TestDegeneracies:
         config = fed_config(Strategy.ZERO_SHOT, 2)
         backbone = Backbone.build(MODEL_CFG)
         result = run_federation(config, sites, None, backbone)
-        merged = merge(backbone.as_backbone_weights(), result.adapters)
-        for key, w0 in backbone.as_backbone_weights().layers.items():
-            assert np.array_equal(merged[key], w0)
+        merged = _effective(backbone, _factors(result.adapters), _scales(result.adapters))
+        for key in result.adapters.keys():
+            assert np.array_equal(getattr(merged, key), getattr(backbone, key))
         assert result.transcripts == []
 
     def test_centralized_equals_single_shard_federation(self):
@@ -256,12 +273,19 @@ class TestSingleSite:
 
 class TestUnevenTasks:
     def test_all_tasks_everywhere_matches_plain_run(self):
-        sites = make_sites(2, seed=600)
+        # a declared task set only gates which examples a site may hold;
+        # declaring every task on a tagging-only site changes nothing
+        sites = make_sites(2, seed=600, tasks=(Task.TAGGING,))
+        declared_all = [
+            SiteDataset(replace(site.spec, tasks=(Task.TAGGING, Task.RELATION)),
+                        site.examples, site.clean_examples)
+            for site in sites
+        ]
         backbone = Backbone.build(MODEL_CFG)
         config = fed_config(Strategy.FEDAVG, 2)
         plain = run_federation(config, sites, None, backbone)
-        uneven = uneven_task_run(config, sites, None, backbone)
-        assert adapters_equal(plain.adapters, uneven.adapters)
+        everywhere = run_federation(config, declared_all, None, backbone)
+        assert adapters_equal(plain.adapters, everywhere.adapters)
 
     def test_tagging_only_site_still_contributes_to_relation_head(self):
         full = make_sites(1, n_examples=40, seed=610)[0]
@@ -271,7 +295,7 @@ class TestUnevenTasks:
         )
         backbone = Backbone.build(MODEL_CFG)
         config = fed_config(Strategy.FEDAVG, 2)
-        result = uneven_task_run(config, [full, tagging_only], None, backbone)
+        result = run_federation(config, [full, tagging_only], None, backbone)
         # the tagging-only client never gets a relation-head gradient, so the
         # aggregate relation head is the weighted mix of one updated and one
         # unchanged copy; it must still differ from the initial adapters
@@ -282,9 +306,6 @@ class TestUnevenTasks:
 
     def test_undeclared_task_rejected(self):
         site = make_sites(1, seed=620)[0]
-        from fedlora.datasim import SiteDataset
-        from dataclasses import replace
-
         bad_spec = replace(site.spec, tasks=(Task.TAGGING,))
         with pytest.raises(ValueError):
             SiteDataset(bad_spec, site.examples, site.clean_examples)

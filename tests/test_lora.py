@@ -5,7 +5,6 @@ from fedlora.lora import (
     LLAMA3_8B_FULL_PARAMS,
     AdapterPair,
     AdapterSet,
-    BackboneWeights,
     BadMagic,
     DimensionMismatch,
     TruncatedPayload,
@@ -13,16 +12,25 @@ from fedlora.lora import (
     deserialize_adapters,
     init_adapter_set,
     llama3_8b_lora_params,
-    merge,
     param_counts,
     serialize_adapters,
     serialized_size,
-    zero_like,
+)
+from fedlora.model import (
+    Backbone,
+    Example,
+    ModelConfig,
+    Task,
+    ToyModel,
+    _effective,
+    _example_logits,
+    _factors,
+    _scales,
 )
 
 
 def naive_matmul(x, y):
-    """Triple-loop product, the independent oracle for merge."""
+    """Triple-loop product, the independent oracle for the merged weights."""
     rows, inner = x.shape
     inner2, cols = y.shape
     assert inner == inner2
@@ -45,75 +53,110 @@ def make_set(rng, shapes, rank, alpha):
     return AdapterSet(layers)
 
 
+def square_backbone(rng, hidden):
+    """Random backbone whose trunk and tag head are hidden x hidden."""
+    cfg = ModelConfig(
+        vocab_size=10, hidden=hidden, tag_classes=hidden, relation_classes=hidden,
+        rank=1, alpha=1.0,
+    )
+    return Backbone(
+        cfg,
+        rng.standard_normal((10, hidden)),
+        rng.standard_normal((hidden, hidden)),
+        rng.standard_normal((hidden, hidden)),
+        rng.standard_normal((2 * hidden, hidden)),
+    )
+
+
+def merged_weights(backbone: Backbone, adapters: AdapterSet) -> dict[str, np.ndarray]:
+    """Effective weights through the model's merge path, after its shape check."""
+    model = ToyModel(backbone, adapters)
+    eff = _effective(model.frozen, _factors(model.adapters), _scales(model.adapters))
+    return {key: getattr(eff, key) for key in adapters.keys()}
+
+
 class TestMerge:
     def test_zero_b_returns_backbone_exactly(self):
-        rng = np.random.default_rng(0)
-        w0 = rng.standard_normal((4, 4))
-        backbone = BackboneWeights({"layer": w0})
-        adapters = init_adapter_set({"layer": (4, 4)}, rank=2, alpha=4.0, seed=7)
-        merged = merge(backbone, adapters)
-        assert np.array_equal(merged["layer"], w0)
+        backbone = square_backbone(np.random.default_rng(0), 4)
+        adapters = init_adapter_set(backbone.adapter_shapes(), rank=2, alpha=4.0, seed=7)
+        merged = merged_weights(backbone, adapters)
+        for key in adapters.keys():
+            assert np.array_equal(merged[key], getattr(backbone, key))
 
     def test_one_by_one(self):
-        backbone = BackboneWeights({"w": np.array([[2.0]])})
-        pair = AdapterPair("w", np.array([[3.0]]), np.array([[4.0]]), 1, 1.0)
-        merged = merge(backbone, AdapterSet({"w": pair}))
-        assert merged["w"][0, 0] == 14.0
+        cfg = ModelConfig(10, 1, 1, 1, rank=1, alpha=1.0)
+        backbone = Backbone(
+            cfg, np.ones((10, 1)), np.array([[2.0]]), np.zeros((1, 1)), np.zeros((2, 1))
+        )
+        adapters = init_adapter_set(backbone.adapter_shapes(), rank=1, alpha=1.0, seed=0)
+        pair = AdapterPair("trunk", np.array([[3.0]]), np.array([[4.0]]), 1, 1.0)
+        merged = merged_weights(backbone, AdapterSet({**adapters.layers, "trunk": pair}))
+        assert merged["trunk"][0, 0] == 14.0
 
     def test_random_4x4_rank2_alpha4_matches_naive_product(self):
         rng = np.random.default_rng(42)
-        w0 = rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 2))
-        a = rng.standard_normal((2, 4))
-        backbone = BackboneWeights({"w": w0})
-        merged = merge(backbone, AdapterSet({"w": AdapterPair("w", b, a, 2, 4.0)}))
-        expected = w0 + 2.0 * naive_matmul(b, a)
-        np.testing.assert_allclose(merged["w"], expected, rtol=0, atol=1e-12)
+        backbone = square_backbone(rng, 4)
+        adapters = make_set(rng, backbone.adapter_shapes(), rank=2, alpha=4.0)
+        merged = merged_weights(backbone, adapters)
+        for key, pair in adapters.items():
+            expected = getattr(backbone, key) + 2.0 * naive_matmul(pair.b, pair.a)
+            np.testing.assert_allclose(merged[key], expected, rtol=0, atol=1e-12)
 
     def test_non_adapted_layers_pass_through(self):
+        # the embedding carries no adapter: the forward pass reads it unmerged
         rng = np.random.default_rng(1)
-        backbone = BackboneWeights(
-            {"adapted": rng.standard_normal((3, 3)), "plain": rng.standard_normal((2, 5))}
-        )
-        adapters = init_adapter_set({"adapted": (3, 3)}, rank=1, alpha=1.0, seed=0)
-        merged = merge(backbone, adapters)
-        assert np.array_equal(merged["plain"], backbone.layers["plain"])
+        backbone = square_backbone(rng, 3)
+        adapters = make_set(rng, backbone.adapter_shapes(), rank=1, alpha=1.0)
+        eff = _effective(backbone, _factors(adapters), _scales(adapters))
+        example = Example(Task.TAGGING, [1, 4, 9], tags=[0, 1, 2])
+        _, (x, _, _) = _example_logits(backbone, eff, example)
+        assert np.array_equal(x, backbone.embedding[example.tokens])
 
     def test_dimension_mismatch_names_layer_and_shapes(self):
-        backbone = BackboneWeights({"w": np.zeros((3, 3))})
-        pair = AdapterPair("w", np.zeros((4, 2)), np.zeros((2, 4)), 2, 1.0)
+        backbone = square_backbone(np.random.default_rng(2), 3)
+        adapters = init_adapter_set(backbone.adapter_shapes(), rank=2, alpha=1.0, seed=0)
+        pair = AdapterPair("trunk", np.zeros((4, 2)), np.zeros((2, 4)), 2, 1.0)
         with pytest.raises(DimensionMismatch) as err:
-            merge(backbone, AdapterSet({"w": pair}))
-        assert err.value.layer_key == "w"
+            ToyModel(backbone, AdapterSet({**adapters.layers, "trunk": pair}))
+        assert err.value.layer_key == "trunk"
         assert err.value.expected == (3, 3)
         assert err.value.actual == (4, 4)
 
     def test_backbone_not_modified(self):
         rng = np.random.default_rng(2)
-        w0 = rng.standard_normal((3, 3))
-        snapshot = w0.copy()
-        backbone = BackboneWeights({"w": w0})
-        merge(backbone, make_set(rng, {"w": (3, 3)}, rank=2, alpha=2.0))
-        assert np.array_equal(backbone.layers["w"], snapshot)
+        backbone = square_backbone(rng, 3)
+        before = backbone.fingerprint()
+        merged_weights(backbone, make_set(rng, backbone.adapter_shapes(), rank=2, alpha=2.0))
+        assert backbone.fingerprint() == before
 
     def test_weighted_factor_sum_expands_as_product_of_sums(self):
         # merging summed factors gives W0 + s * (sum w_i B_i) @ (sum w_j A_j),
         # checked against the brute-force double-sum expansion.
         rng = np.random.default_rng(3)
-        w0 = rng.standard_normal((3, 3))
+        backbone = square_backbone(rng, 3)
+        shapes = backbone.adapter_shapes()
         weights = [0.2, 0.3, 0.5]
-        sets = [make_set(rng, {"w": (3, 3)}, rank=2, alpha=2.0) for _ in weights]
-        b_sum = sum(w * s["w"].b for w, s in zip(weights, sets))
-        a_sum = sum(w * s["w"].a for w, s in zip(weights, sets))
-        combined = AdapterSet({"w": sets[0]["w"].with_factors(b_sum, a_sum)})
-        merged = merge(BackboneWeights({"w": w0}), combined)
+        sets = [make_set(rng, shapes, rank=2, alpha=2.0) for _ in weights]
+        combined = AdapterSet(
+            {
+                key: sets[0][key].with_factors(
+                    sum(w * s[key].b for w, s in zip(weights, sets)),
+                    sum(w * s[key].a for w, s in zip(weights, sets)),
+                )
+                for key in shapes
+            }
+        )
+        merged = merged_weights(backbone, combined)
 
         scale = 2.0 / 2
-        expansion = np.zeros((3, 3))
-        for wi, si in zip(weights, sets):
-            for wj, sj in zip(weights, sets):
-                expansion += wi * wj * naive_matmul(si["w"].b, sj["w"].a)
-        np.testing.assert_allclose(merged["w"], w0 + scale * expansion, atol=1e-12)
+        for key in shapes:
+            expansion = np.zeros(shapes[key])
+            for wi, si in zip(weights, sets):
+                for wj, sj in zip(weights, sets):
+                    expansion += wi * wj * naive_matmul(si[key].b, sj[key].a)
+            np.testing.assert_allclose(
+                merged[key], getattr(backbone, key) + scale * expansion, atol=1e-12
+            )
 
     def test_factor_average_is_not_product_average(self):
         # Averaging (B, A) factors is not the same as averaging B @ A products;
@@ -172,8 +215,9 @@ class TestSerialization:
         rng = np.random.default_rng(6)
         adapters = make_set(rng, {"q": (8, 4), "v": (8, 4)}, rank=2, alpha=16.0)
         back = deserialize_adapters(serialize_adapters(adapters))
-        assert back.compatible_with(adapters)
+        assert back.keys() == adapters.keys()
         for key, pair in adapters.items():
+            assert (back[key].rank, back[key].alpha) == (pair.rank, pair.alpha)
             assert np.array_equal(back[key].b, pair.b)
             assert np.array_equal(back[key].a, pair.a)
 
@@ -221,13 +265,6 @@ class TestAdapterSet:
         assert np.array_equal(one["w"].a, two["w"].a)
         assert not np.array_equal(one["w"].a, other["w"].a)
 
-    def test_zero_like(self):
-        rng = np.random.default_rng(9)
-        adapters = make_set(rng, {"w": (4, 4)}, rank=2, alpha=2.0)
-        zeroed = zero_like(adapters)
-        assert zeroed.compatible_with(adapters)
-        assert np.array_equal(zeroed["w"].a, np.zeros((2, 4)))
-
     def test_rank_cannot_exceed_min_dim(self):
         with pytest.raises(ValueError):
             AdapterPair("w", np.zeros((2, 3)), np.zeros((3, 2)), 3, 1.0)
@@ -241,7 +278,8 @@ class TestAdapterSet:
         rng = np.random.default_rng(10)
         adapters = make_set(rng, {"w": (4, 4)}, rank=2, alpha=2.0)
         assert adapters.checksum() == adapters.checksum()
-        assert adapters.checksum() != zero_like(adapters).checksum()
+        zeroed = adapters["w"].with_factors(np.zeros((4, 2)), adapters["w"].a)
+        assert adapters.checksum() != AdapterSet({"w": zeroed}).checksum()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

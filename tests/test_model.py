@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedlora.lora import AdapterPair, AdapterSet
+from fedlora.lora import AdapterPair, AdapterSet, DimensionMismatch
 from fedlora.model import (
     Backbone,
     EmptyBatchError,
@@ -56,6 +56,26 @@ def mixed_batch(seed, n=8, cfg=SMALL):
         else:
             batch.append(relation_example(rng, cfg.vocab_size, cfg.relation_classes))
     return batch
+
+
+class TestToyModel:
+    def test_adapter_shape_must_match_backbone_layer(self):
+        # a rank-1 A of shape 1x1 would broadcast into every trunk column
+        model = ToyModel.build(SMALL)
+        trunk = AdapterPair("trunk", np.zeros((SMALL.hidden, 1)), np.ones((1, 1)), 1, 1.0)
+        adapters = AdapterSet({**model.adapters.layers, "trunk": trunk})
+        with pytest.raises(DimensionMismatch) as err:
+            ToyModel(model.frozen, adapters)
+        assert err.value.layer_key == "trunk"
+        assert err.value.expected == (SMALL.hidden, SMALL.hidden)
+        assert err.value.actual == (SMALL.hidden, 1)
+
+    def test_adapter_for_unknown_layer_rejected(self):
+        model = ToyModel.build(SMALL)
+        extra = AdapterPair("extra", np.zeros((3, 2)), np.ones((2, 3)), 2, 1.0)
+        with pytest.raises(DimensionMismatch) as err:
+            ToyModel(model.frozen, AdapterSet({**model.adapters.layers, "extra": extra}))
+        assert err.value.layer_key == "extra"
 
 
 class TestForward:
