@@ -4,7 +4,8 @@ The config derives from configs/two_site.yaml: both sites cut to 300
 examples, plus a third, tagging-only site, so two of three clients take
 part per round and one site declares an uneven task set.  Any change to
 training, aggregation, evaluation, accounting or serialization that moves a
-single bit of results.csv, transcript.json or comm.csv fails here.
+single bit of results.csv, transcript.json, comm.csv, comm_preset.csv or a
+two-point scale.csv fails here.
 """
 
 import hashlib
@@ -20,7 +21,9 @@ GOLDEN = {
     "results.csv": "900fdc5d1105df7d50b780c36beefbcc0c69563012edc19a2b11380f487141ab",
     "transcript.json": "a6f0b7ae1619b7207cb39c1c384d977afd4f7756eefd78684b043086f3a6a1c2",
     "comm.csv": "ef6b3195852081a756837a52adbfc2d3c1a3099e385c3eedf8ae555d34b31ad2",
+    "comm_preset.csv": "9d32d2f89edd98e124f7ae41b7e9cf3e01f6067b429cf696b3d1901854b62a99",
 }
+SCALE_GOLDEN = "9188474d12f0cc06b7ec9192292dff557409b3d5fb3fd810c45c5adf6c2feba4"
 
 
 def golden_config() -> dict:
@@ -44,14 +47,29 @@ def golden_config() -> dict:
     return raw
 
 
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_config(tmp_path, raw):
+    config = tmp_path / "golden.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    return config
+
+
 def test_golden_outputs_unchanged(tmp_path):
     raw = golden_config()
     assert raw["federation"]["clients_per_round"] == 2 < len(raw["sites"])
-    config = tmp_path / "golden.yaml"
-    config.write_text(yaml.safe_dump(raw))
+    config = _write_config(tmp_path, raw)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out-dir", str(out), "--seeds", "1,2,3"]) == 0
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN
-    }
-    assert digests == GOLDEN
+    assert {name: _digest(out / name) for name in GOLDEN} == GOLDEN
+
+
+def test_golden_scale_study_unchanged(tmp_path):
+    config = _write_config(tmp_path, golden_config())
+    out = tmp_path / "out"
+    argv = ["scale-study", "--config", str(config), "--out-dir", str(out),
+            "--seeds", "1", "--k", "1,3"]
+    assert main(argv) == 0
+    assert _digest(out / "scale.csv") == SCALE_GOLDEN
