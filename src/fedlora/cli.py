@@ -20,22 +20,19 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
-from .comm import PRESETS, entries_from_transcripts, preset_summary
+from .comm import PRESETS, CommEntry, entries_from_transcripts, preset_summary
 from .config import ConfigError, ExperimentConfig, load_config
 from .datasim import generate_site, make_validation_set, shard
 from .evaluate import MetricRow, evaluate_result, make_test_split
-from .federation import FederationResult, Strategy, run_federation
+from .federation import Strategy, run_federation
 from .metrics import wilcoxon_rank_sum
 from .model import Backbone
 from .seeding import derive_seed
 
-RESULT_FIELDS = [
-    "strategy", "testset", "task", "scheme",
-    "precision", "recall", "f1", "ci_lo", "ci_hi", "seed",
-]
-COMM_FIELDS = ["seed", "strategy", "round", "client", "direction", "params", "bytes"]
+RESULT_FIELDS = [f.name for f in fields(MetricRow)] + ["seed"]
+COMM_FIELDS = ["seed", "strategy"] + [f.name for f in fields(CommEntry)]
 SCALE_FIELDS = ["k"] + RESULT_FIELDS
 COMPARE_FIELDS = ["strategy", "testset", "task", "scheme", "n_a", "n_b", "p_value"]
 
@@ -73,55 +70,6 @@ def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     _atomic_write(path, buffer.getvalue())
 
 
-def _metric_row_dict(row: MetricRow, seed: int, extra: dict | None = None) -> dict:
-    out = {
-        "strategy": row.strategy,
-        "testset": row.testset,
-        "task": row.task,
-        "scheme": row.scheme,
-        "precision": row.precision,
-        "recall": row.recall,
-        "f1": row.f1,
-        "ci_lo": row.ci_lo,
-        "ci_hi": row.ci_hi,
-        "seed": seed,
-    }
-    if extra:
-        out.update(extra)
-    return out
-
-
-def _transcript_json(result: FederationResult) -> list[dict]:
-    rounds = []
-    for t in result.transcripts:
-        entry = {
-            "round": t.round_index,
-            "sampled": list(t.sampled),
-            "weights": {k: t.weights[k] for k in sorted(t.weights)},
-            "uploads": {
-                k: {"params": v.params, "bytes": v.payload_bytes}
-                for k, v in sorted(t.uploads.items())
-            },
-            "downloads": {
-                k: {"params": v.params, "bytes": v.payload_bytes}
-                for k, v in sorted(t.downloads.items())
-            },
-            "checksum": t.global_checksum,
-        }
-        if t.val_losses is not None:
-            entry["val_losses"] = {k: t.val_losses[k] for k in sorted(t.val_losses)}
-        if t.influence is not None:
-            entry["influence"] = {
-                "client_ids": list(t.influence.client_ids),
-                "val_losses": list(t.influence.val_losses),
-                "influences": list(t.influence.influences),
-                "weights": list(t.influence.weights),
-                "stability_shift": t.influence.stability_shift,
-            }
-        rounds.append(entry)
-    return rounds
-
-
 def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None):
     cfg = config.with_seed(seed)
     rule = cfg.rule()
@@ -130,7 +78,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None):
     tests = [make_test_split(spec, cfg.eval.test_size, rule) for spec in cfg.sites]
     tests += [make_test_split(spec, cfg.eval.test_size, rule) for spec in cfg.external_sites]
     val = make_validation_set(
-        rule, cfg.validation_examples, derive_seed(cfg.seed, "validation")
+        rule, cfg.validation.n_examples, derive_seed(cfg.seed, "validation")
     ).examples
 
     rows = []
@@ -142,27 +90,23 @@ def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None):
         metric_rows = evaluate_result(
             result, backbone, rule, tests, cfg.eval.bootstrap, seed=cfg.seed
         )
-        rows.extend(_metric_row_dict(r, seed) for r in metric_rows)
+        rows.extend({**asdict(r), "seed": seed} for r in metric_rows)
         run_records.append(
             {
                 "seed": seed,
                 "strategy": strategy.value,
-                "rounds": _transcript_json(result),
+                # sort_keys orders every nested mapping when the transcript is written
+                "rounds": [
+                    {k: v for k, v in asdict(t).items() if v is not None}
+                    for t in result.transcripts
+                ],
                 "final_checksum": result.adapters.checksum() if result.adapters else None,
             }
         )
-        for entry in entries_from_transcripts(result.transcripts, cfg.comm.bytes_per_param):
-            comm_rows.append(
-                {
-                    "seed": seed,
-                    "strategy": strategy.value,
-                    "round": entry.round_index,
-                    "client": entry.client_id,
-                    "direction": entry.direction,
-                    "params": entry.params,
-                    "bytes": entry.nbytes,
-                }
-            )
+        comm_rows.extend(
+            {"seed": seed, "strategy": strategy.value, **asdict(entry)}
+            for entry in entries_from_transcripts(result.transcripts, cfg.comm.bytes_per_param)
+        )
     return rows, run_records, comm_rows
 
 
@@ -212,7 +156,7 @@ def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
         pool = pool_sites(sites) if len(sites) > 1 else sites[0]
         tests = [make_test_split(spec, cfg.eval.test_size, rule) for spec in cfg.sites]
         val = make_validation_set(
-            rule, cfg.validation_examples, derive_seed(cfg.seed, "validation")
+            rule, cfg.validation.n_examples, derive_seed(cfg.seed, "validation")
         ).examples
         for k in k_list:
             shards = shard(pool, k, derive_seed(cfg.seed, "shard", k))
@@ -225,7 +169,7 @@ def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
                 metric_rows = evaluate_result(
                     result, backbone, rule, tests, cfg.eval.bootstrap, seed=cfg.seed
                 )
-                rows.extend(_metric_row_dict(r, seed, {"k": k}) for r in metric_rows)
+                rows.extend({"k": k, **asdict(r), "seed": seed} for r in metric_rows)
     _write_csv(os.path.join(out_dir, "scale.csv"), SCALE_FIELDS, rows)
     print(f"wrote {len(rows)} scale rows to {os.path.join(out_dir, 'scale.csv')}")
     return 0

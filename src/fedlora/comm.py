@@ -27,11 +27,14 @@ DEFAULT_BYTES_PER_PARAM = 4
 
 @dataclass(frozen=True)
 class CommEntry:
-    round_index: int
-    client_id: str
+    """One comm.csv row after its seed and strategy: ``bytes`` is
+    ``params * bytes_per_param``, not the serialized size."""
+
+    round: int
+    client: str
     direction: str  # "upload" | "download"
     params: int
-    nbytes: int
+    bytes: int
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,10 @@ def entries_from_transcripts(
             ("upload", transcript.uploads),
             ("download", transcript.downloads),
         ):
-            for client_id in sorted(volumes):
-                params = volumes[client_id].params
+            for client in sorted(volumes):
+                params = volumes[client].params
                 entries.append(
-                    CommEntry(
-                        transcript.round_index,
-                        client_id,
-                        direction,
-                        params,
-                        params * bytes_per_param,
-                    )
+                    CommEntry(transcript.round, client, direction, params, params * bytes_per_param)
                 )
     return entries
 

@@ -9,21 +9,27 @@ from its id, so adding a site never reshuffles another site's data.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import enum
+import functools
+import math
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .aggregation import WeightMode
+from .comm import DEFAULT_BYTES_PER_PARAM, PRESETS
 from .datasim import PlantedRule, SiteSpec
 from .evaluate import BootstrapConfig
 from .federation import FederationConfig, Strategy
-from .model import ModelConfig, SgdConfig, Task
+from .model import ModelConfig
 from .seeding import derive_seed
 
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 
@@ -42,15 +48,72 @@ def _check_keys(node: dict, path: str, required: set[str], optional: set[str] = 
         raise ConfigError(path, f"missing keys: {sorted(missing)}")
 
 
-def _get(node, path, key, kind, default=None):
-    if key not in node:
-        return default
-    value = node[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
+def _value(value, path: str, kind):
+    """Check one YAML value against a dataclass field's type and convert it."""
+    origin = get_origin(kind)
+    if origin in (list, tuple):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, f"expected a non-empty list, got {value!r}")
+        return origin(_value(v, f"{path}[{i}]", get_args(kind)[0]) for i, v in enumerate(value))
+    if origin in (Union, types.UnionType):
+        # an optional field: null is never written, the key is left out
+        (kind,) = [k for k in get_args(kind) if k is not type(None)]
+    if is_dataclass(kind):
+        return _section(value, path, kind)
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+        name = _value(value, path, str)
+        try:
+            return kind(name)
+        except ValueError:
+            valid = [e.value for e in kind]
+            raise ConfigError(path, f"unknown value {name!r}, expected one of {valid}")
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {value!r}")
+        raise ConfigError(path, f"expected {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    # every seed feeds numpy's SeedSequence, which takes no negative entropy
+    if path.endswith(".seed") and value < 0:
+        raise ConfigError(path, f"expected a non-negative integer, got {value!r}")
     return value
+
+
+# resolving string annotations costs ten times the rest of a parse
+_field_types = functools.cache(get_type_hints)
+
+
+def _section(node, path: str, cls, defaults=None, fixed=None):
+    """Map the YAML mapping ``node`` onto dataclass ``cls``.
+
+    The keys are the fields of ``cls`` outside ``fixed``, each checked
+    against its field's type.  A key left out takes its value from
+    ``defaults`` if named there, else the dataclass's own default.
+    ``defaults`` and ``fixed`` map field names to functions of the checked
+    keys.  A ``ValueError`` from those functions or from ``cls`` becomes a
+    ``ConfigError`` at ``path``; a ``ConfigError`` from ``cls`` names a
+    field below ``path``.
+    """
+    defaults, fixed = defaults or {}, fixed or {}
+    node = _require_mapping(node, path)
+    keys = {f.name for f in fields(cls)} - set(fixed)
+    required = {
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    } - set(fixed) - set(defaults)
+    _check_keys(node, path, required, keys)
+    hints = _field_types(cls)
+    values = {key: _value(value, f"{path}.{key}", hints[key]) for key, value in node.items()}
+    try:
+        derived = {**defaults, **fixed}
+        return cls(**values, **{k: f(values) for k, f in derived.items() if k not in values})
+    except ConfigError as err:
+        raise ConfigError(f"{path}.{err.path}", err.message) from err
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from err
 
 
 @dataclass(frozen=True)
@@ -58,11 +121,32 @@ class EvalConfig:
     test_size: int = 250
     bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
 
+    def __post_init__(self):
+        if self.test_size < 1:
+            raise ConfigError("test_size", "must be >= 1")
+
 
 @dataclass(frozen=True)
 class CommConfig:
-    bytes_per_param: int = 4
+    bytes_per_param: int = DEFAULT_BYTES_PER_PARAM
     preset: str | None = None
+
+    def __post_init__(self):
+        if self.bytes_per_param < 1:
+            raise ConfigError("bytes_per_param", "must be >= 1")
+        if self.preset is not None and self.preset not in PRESETS:
+            raise ConfigError("preset", f"unknown preset, expected one of {sorted(PRESETS)}")
+
+
+@dataclass(frozen=True)
+class ValidationConfig:
+    """The server-held validation set that influence weighting scores on."""
+
+    n_examples: int
+
+    def __post_init__(self):
+        if self.n_examples < 1:
+            raise ConfigError("n_examples", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,7 +157,7 @@ class ExperimentConfig:
     external_sites: list[SiteSpec]
     federation: FederationConfig
     baselines: list[Strategy]
-    validation_examples: int
+    validation: ValidationConfig
     eval: EvalConfig
     comm: CommConfig
     # the mapping this config was parsed from, re-parsed by with_seed
@@ -95,68 +179,23 @@ class ExperimentConfig:
         return parse_config({**self._raw, "seed": seed})
 
 
-def _parse_sgd(node, path) -> SgdConfig:
-    node = _require_mapping(node, path)
-    _check_keys(node, path, {"learning_rate", "epochs", "batch_size"})
-    try:
-        return SgdConfig(
-            learning_rate=_get(node, path, "learning_rate", float),
-            epochs=_get(node, path, "epochs", int),
-            batch_size=_get(node, path, "batch_size", int),
-        )
-    except ValueError as err:
-        raise ConfigError(path, str(err)) from err
+def _list(raw: dict, path: str, key: str) -> list:
+    """A top-level list; left out or null reads as empty."""
+    value = raw.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}.{key}", f"expected a list, got {value!r}")
+    return value
 
 
-def _parse_tasks(node, path) -> tuple[Task, ...]:
-    if not isinstance(node, list) or not node:
-        raise ConfigError(path, "expected a non-empty list of task names")
-    tasks = []
-    for i, name in enumerate(node):
-        try:
-            tasks.append(Task(name))
-        except ValueError:
-            valid = [t.value for t in Task]
-            raise ConfigError(f"{path}[{i}]", f"unknown task {name!r}, expected one of {valid}")
-    return tuple(tasks)
-
-
-def _parse_site(node, path, master_seed: int) -> SiteSpec:
-    node = _require_mapping(node, path)
-    _check_keys(
-        node,
-        path,
-        {"site_id", "n_examples"},
-        {"dirichlet_alpha", "noise_rate", "tasks", "token_shift", "seed"},
-    )
-    site_id = _get(node, path, "site_id", str)
-    try:
-        return SiteSpec(
-            site_id=site_id,
-            n_examples=_get(node, path, "n_examples", int),
-            dirichlet_alpha=_get(node, path, "dirichlet_alpha", float, 1e6),
-            noise_rate=_get(node, path, "noise_rate", float, 0.0),
-            tasks=_parse_tasks(node["tasks"], f"{path}.tasks")
-            if "tasks" in node
-            else (Task.TAGGING, Task.RELATION),
-            token_shift=_get(node, path, "token_shift", int, 0),
-            seed=_get(node, path, "seed", int, derive_seed(master_seed, "site", site_id)),
-        )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(path, str(err)) from err
-
-
-def _parse_enum(node, path, key, enum_cls, default):
-    if key not in node:
-        return default
-    name = _get(node, path, key, str)
-    try:
-        return enum_cls(name)
-    except ValueError:
-        valid = [e.value for e in enum_cls]
-        raise ConfigError(f"{path}.{key}", f"unknown value {name!r}, expected one of {valid}")
+def _sites(raw: dict, path: str, key: str, master_seed: int) -> list[SiteSpec]:
+    # a site's seed derives from its id, so adding a site leaves the others be
+    seed = {"seed": lambda v: derive_seed(master_seed, "site", v["site_id"])}
+    return [
+        _section(node, f"{path}.{key}[{i}]", SiteSpec, seed)
+        for i, node in enumerate(_list(raw, path, key))
+    ]
 
 
 def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
@@ -167,136 +206,50 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
         {"seed", "model", "sites", "federation"},
         {"external_sites", "baselines", "validation", "eval", "comm"},
     )
-    master_seed = _get(raw, path, "seed", int)
+    master_seed = _value(raw["seed"], f"{path}.seed", int)
 
-    model_node = _require_mapping(raw["model"], f"{path}.model")
-    _check_keys(
-        model_node, f"{path}.model", {"vocab_size", "hidden", "rank", "alpha"}, {"seed"}
+    model = _section(
+        raw["model"],
+        f"{path}.model",
+        ModelConfig,
+        defaults={"seed": lambda v: derive_seed(master_seed, "model")},
+        fixed={
+            "tag_classes": lambda v: PlantedRule(v["vocab_size"]).num_tags,
+            "relation_classes": lambda v: PlantedRule(v["vocab_size"]).num_relations,
+        },
     )
-    vocab = _get(model_node, f"{path}.model", "vocab_size", int)
-    try:
-        rule = PlantedRule(vocab)
-        model = ModelConfig(
-            vocab_size=vocab,
-            hidden=_get(model_node, f"{path}.model", "hidden", int),
-            tag_classes=rule.num_tags,
-            relation_classes=rule.num_relations,
-            rank=_get(model_node, f"{path}.model", "rank", int),
-            alpha=_get(model_node, f"{path}.model", "alpha", float),
-            seed=_get(model_node, f"{path}.model", "seed", int, derive_seed(master_seed, "model")),
+    if model.rank > model.tag_classes:
+        raise ConfigError(
+            f"{path}.model", f"rank {model.rank} exceeds the tag-head width {model.tag_classes}"
         )
-        if model.rank > rule.num_tags:
-            raise ValueError(
-                f"rank {model.rank} exceeds the tag-head width {rule.num_tags}"
-            )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"{path}.model", str(err)) from err
 
-    if not isinstance(raw["sites"], list) or not raw["sites"]:
+    sites = _sites(raw, path, "sites", master_seed)
+    if not sites:
         raise ConfigError(f"{path}.sites", "expected a non-empty list")
-    sites = [
-        _parse_site(node, f"{path}.sites[{i}]", master_seed)
-        for i, node in enumerate(raw["sites"])
-    ]
     ids = [s.site_id for s in sites]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{path}.sites", f"duplicate site ids in {ids}")
-
-    external = [
-        _parse_site(node, f"{path}.external_sites[{i}]", master_seed)
-        for i, node in enumerate(raw.get("external_sites", []) or [])
-    ]
+    external = _sites(raw, path, "external_sites", master_seed)
     for spec in external:
         if spec.site_id in ids:
             raise ConfigError(
                 f"{path}.external_sites", f"external site {spec.site_id!r} shadows a training site"
             )
 
-    fed_node = _require_mapping(raw["federation"], f"{path}.federation")
-    _check_keys(
-        fed_node,
+    federation = _section(
+        raw["federation"],
         f"{path}.federation",
-        {"strategy", "rounds", "sgd"},
-        {"clients_per_round", "weight_mode", "seed"},
+        FederationConfig,
+        defaults={
+            "clients_per_round": lambda v: len(sites),
+            "seed": lambda v: derive_seed(master_seed, "federation"),
+        },
+        fixed={"total_clients": lambda v: len(sites)},
     )
-    strategy = _parse_enum(fed_node, f"{path}.federation", "strategy", Strategy, None)
-    if strategy is None:
-        raise ConfigError(f"{path}.federation.strategy", "is required")
-    try:
-        federation = FederationConfig(
-            strategy=strategy,
-            total_clients=len(sites),
-            clients_per_round=_get(
-                fed_node, f"{path}.federation", "clients_per_round", int, len(sites)
-            ),
-            rounds=_get(fed_node, f"{path}.federation", "rounds", int),
-            sgd=_parse_sgd(fed_node["sgd"], f"{path}.federation.sgd"),
-            weight_mode=_parse_enum(
-                fed_node, f"{path}.federation", "weight_mode", WeightMode, WeightMode.NORMALIZED
-            ),
-            seed=_get(
-                fed_node, f"{path}.federation", "seed", int, derive_seed(master_seed, "federation")
-            ),
-        )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"{path}.federation", str(err)) from err
-
-    baselines = []
-    for i, name in enumerate(raw.get("baselines", []) or []):
-        try:
-            baselines.append(Strategy(name))
-        except ValueError:
-            valid = [s.value for s in Strategy]
-            raise ConfigError(
-                f"{path}.baselines[{i}]", f"unknown strategy {name!r}, expected one of {valid}"
-            )
-
-    val_node = _require_mapping(raw.get("validation", {"n_examples": 40}), f"{path}.validation")
-    _check_keys(val_node, f"{path}.validation", {"n_examples"})
-    validation_examples = _get(val_node, f"{path}.validation", "n_examples", int)
-    if validation_examples < 1:
-        raise ConfigError(f"{path}.validation.n_examples", "must be >= 1")
-
-    eval_node = _require_mapping(raw.get("eval", {}), f"{path}.eval")
-    _check_keys(eval_node, f"{path}.eval", set(), {"test_size", "bootstrap"})
-    bootstrap = BootstrapConfig()
-    if "bootstrap" in eval_node:
-        bs_node = _require_mapping(eval_node["bootstrap"], f"{path}.eval.bootstrap")
-        _check_keys(bs_node, f"{path}.eval.bootstrap", set(), {"sample_size", "reps", "level"})
-        try:
-            bootstrap = BootstrapConfig(
-                sample_size=_get(bs_node, f"{path}.eval.bootstrap", "sample_size", int, 200),
-                reps=_get(bs_node, f"{path}.eval.bootstrap", "reps", int, 30),
-                level=_get(bs_node, f"{path}.eval.bootstrap", "level", float, 0.95),
-            )
-        except ValueError as err:
-            raise ConfigError(f"{path}.eval.bootstrap", str(err)) from err
-    eval_cfg = EvalConfig(
-        test_size=_get(eval_node, f"{path}.eval", "test_size", int, 250),
-        bootstrap=bootstrap,
-    )
-    if eval_cfg.test_size < 1:
-        raise ConfigError(f"{path}.eval.test_size", "must be >= 1")
-
-    comm_node = _require_mapping(raw.get("comm", {}), f"{path}.comm")
-    _check_keys(comm_node, f"{path}.comm", set(), {"bytes_per_param", "preset"})
-    comm = CommConfig(
-        bytes_per_param=_get(comm_node, f"{path}.comm", "bytes_per_param", int, 4),
-        preset=_get(comm_node, f"{path}.comm", "preset", str, None),
-    )
-    if comm.bytes_per_param < 1:
-        raise ConfigError(f"{path}.comm.bytes_per_param", "must be >= 1")
-    if comm.preset is not None:
-        from .comm import PRESETS
-
-        if comm.preset not in PRESETS:
-            raise ConfigError(
-                f"{path}.comm.preset", f"unknown preset, expected one of {sorted(PRESETS)}"
-            )
+    baselines = [
+        _value(name, f"{path}.baselines[{i}]", Strategy)
+        for i, name in enumerate(_list(raw, path, "baselines"))
+    ]
 
     return ExperimentConfig(
         seed=master_seed,
@@ -305,9 +258,11 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
         external_sites=external,
         federation=federation,
         baselines=baselines,
-        validation_examples=validation_examples,
-        eval=eval_cfg,
-        comm=comm,
+        validation=_section(
+            raw.get("validation", {"n_examples": 40}), f"{path}.validation", ValidationConfig
+        ),
+        eval=_section(raw.get("eval", {}), f"{path}.eval", EvalConfig),
+        comm=_section(raw.get("comm", {}), f"{path}.comm", CommConfig),
         _raw=copy.deepcopy(raw),
     )
 

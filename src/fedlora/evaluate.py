@@ -29,7 +29,7 @@ from .metrics import (
     relation_counts,
     span_counts,
 )
-from .model import Backbone, Example, Task, ToyModel, forward
+from .model import Backbone, Task, ToyModel, forward
 from .seeding import derive_seed
 
 AVERAGED_STRATEGIES = (Strategy.SINGLE_SITE, Strategy.SHARE_A)
@@ -74,35 +74,28 @@ def make_test_split(spec: SiteSpec, test_size: int, rule: PlantedRule) -> SiteDa
     return generate_site(test_spec, rule)
 
 
-def predict_tags(model: ToyModel, example: Example) -> np.ndarray:
-    return forward(model, example).argmax(axis=1)
-
-
-def predict_relation(model: ToyModel, example: Example) -> int:
-    return int(forward(model, example).argmax())
-
-
 def _marked_span(rule: PlantedRule, tokens: np.ndarray, pos: int) -> Span:
     return Span(pos, pos + 1, rule.group(int(tokens[pos])))
 
 
-def _doc_counts(model: ToyModel, rule: PlantedRule, test: SiteDataset,
-                task: Task, scheme: Scheme) -> list[tuple[int, int, int]]:
-    counts = []
-    gold_source = test.clean_examples or test.examples
-    for ex in gold_source:
-        if ex.task is not task:
-            continue
-        if task is Task.TAGGING:
-            gold = decode_bio(ex.tags)
-            pred = decode_bio(predict_tags(model, ex))
-            counts.append(span_counts(gold, pred, scheme))
+def _doc_counts(model: ToyModel, rule: PlantedRule,
+                test: SiteDataset) -> dict[tuple[Task, Scheme], list[tuple[int, int, int]]]:
+    """Per-document match counts under every (task, scheme), from one
+    forward pass and one decode per document."""
+    counts = {(task, scheme): [] for task in Task for scheme in Scheme}
+    for ex in test.clean_examples or test.examples:
+        logits = forward(model, ex)
+        if ex.task is Task.TAGGING:
+            gold, pred = decode_bio(ex.tags), decode_bio(logits.argmax(axis=1))
+            count = span_counts
         else:
             head = _marked_span(rule, ex.tokens, ex.head)
             tail = _marked_span(rule, ex.tokens, ex.tail)
             gold = [RelationInstance(head, tail, ex.relation)]
-            pred = [RelationInstance(head, tail, predict_relation(model, ex))]
-            counts.append(relation_counts(gold, pred, scheme))
+            pred = [RelationInstance(head, tail, int(logits.argmax()))]
+            count = relation_counts
+        for scheme in Scheme:
+            counts[(ex.task, scheme)].append(count(gold, pred, scheme))
     return counts
 
 
@@ -115,24 +108,22 @@ def evaluate_model(
 ) -> dict[tuple[Task, Scheme], EvalReport]:
     """Micro P/R/F1 per (task, scheme) over one test set, with optional CI."""
     reports = {}
-    for task in (Task.TAGGING, Task.RELATION):
-        for scheme in Scheme:
-            counts = _doc_counts(model, rule, test, task, scheme)
-            if not counts:
-                continue
-            report = micro_report(counts, task.value, scheme)
-            if bootstrap is not None:
-                ci = bootstrap_metric_ci(
-                    counts,
-                    lambda cs, t=task, s=scheme: micro_report(cs, t.value, s).f1,
-                    sample_size=bootstrap.sample_size,
-                    reps=bootstrap.reps,
-                    level=bootstrap.level,
-                    seed=derive_seed(seed, test.spec.site_id, task.value, scheme.value),
-                )
-                report = EvalReport(report.task, report.scheme, report.tp, report.fp,
-                                    report.fn, ci=ci)
-            reports[(task, scheme)] = report
+    for (task, scheme), counts in _doc_counts(model, rule, test).items():
+        if not counts:
+            continue
+        report = micro_report(counts, task.value, scheme)
+        if bootstrap is not None:
+            ci = bootstrap_metric_ci(
+                counts,
+                lambda cs, t=task, s=scheme: micro_report(cs, t.value, s).f1,
+                sample_size=bootstrap.sample_size,
+                reps=bootstrap.reps,
+                level=bootstrap.level,
+                seed=derive_seed(seed, test.spec.site_id, task.value, scheme.value),
+            )
+            report = EvalReport(report.task, report.scheme, report.tp, report.fp,
+                                report.fn, ci=ci)
+        reports[(task, scheme)] = report
     return reports
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,18 +63,24 @@ class FederationConfig:
 
 @dataclass(frozen=True)
 class CommVolume:
+    """One client's adapter payload in one direction: ``bytes`` is the
+    serialized size on the wire, not ``params * bytes_per_param``."""
+
     params: int
-    payload_bytes: int
+    bytes: int
 
 
 @dataclass(frozen=True)
 class RoundTranscript:
-    round_index: int
+    """One round as transcript.json records it, field for field; ``checksum``
+    is the aggregated global set's."""
+
+    round: int
     sampled: tuple[str, ...]
     weights: dict[str, float]
     uploads: dict[str, CommVolume]
     downloads: dict[str, CommVolume]
-    global_checksum: str
+    checksum: str
     val_losses: dict[str, float] | None = None
     influence: InfluenceReport | None = None
 
@@ -204,12 +210,12 @@ def _run_protocol(
         download = {cid: _comm_volume(global_adapters, rule) for cid in sampled}
         transcripts.append(
             RoundTranscript(
-                round_index=t,
+                round=t,
                 sampled=tuple(sampled),
                 weights=dict(weights),
                 uploads=upload,
                 downloads=download,
-                global_checksum=global_adapters.checksum(),
+                checksum=global_adapters.checksum(),
                 val_losses=val_losses,
                 influence=report,
             )
@@ -260,32 +266,16 @@ def run_federation(
     if config.strategy is Strategy.ZERO_SHOT:
         return FederationResult(config, initial, [])
 
+    # the pooled data and each lone site run the round loop as one client
+    solo = replace(config, total_clients=1, clients_per_round=1)
     if config.strategy is Strategy.CENTRALIZED:
         pooled = pool_sites(sites)
-        sub = FederationConfig(
-            strategy=Strategy.CENTRALIZED,
-            total_clients=1,
-            clients_per_round=1,
-            rounds=config.rounds,
-            sgd=config.sgd,
-            weight_mode=config.weight_mode,
-            seed=config.seed,
-        )
-        return _run_protocol(sub, [pooled], val_set, backbone, initial, max_workers)
+        return _run_protocol(solo, [pooled], val_set, backbone, initial, max_workers)
 
     if config.strategy is Strategy.SINGLE_SITE:
         client_adapters = {}
         for site in sites:
-            sub = FederationConfig(
-                strategy=Strategy.SINGLE_SITE,
-                total_clients=1,
-                clients_per_round=1,
-                rounds=config.rounds,
-                sgd=config.sgd,
-                weight_mode=config.weight_mode,
-                seed=config.seed,
-            )
-            result = _run_protocol(sub, [site], val_set, backbone, initial, max_workers)
+            result = _run_protocol(solo, [site], val_set, backbone, initial, max_workers)
             client_adapters[site.spec.site_id] = result.adapters
         return FederationResult(config, None, [], client_adapters)
 

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import pytest
 import yaml
 
 from fedlora.cli import main
@@ -105,6 +106,29 @@ class TestCmdRun:
         raw["federation"]["strategy"] = "sgd"
         config = write_config(tmp_path, raw)
         assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("baselines", 5),
+            ("external_sites", 5),
+            ("federation.sgd.learning_rate", float("nan")),
+            ("model.alpha", float("inf")),
+            ("sites[0].dirichlet_alpha", float("nan")),
+            ("model.seed", -5),
+            ("sites[0].seed", -1),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_field(self, tmp_path, capsys, field, value):
+        raw = json_roundtrip(BASE_CONFIG)
+        *parents, key = field.replace("[0]", ".0").split(".")
+        node = raw
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[key] = value
+        config = write_config(tmp_path, raw)
+        assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{config}.{field}: " in capsys.readouterr().err
 
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(

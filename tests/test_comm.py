@@ -74,7 +74,7 @@ class TestLedgerFromTranscripts:
         result = self.make_run()
         entries = entries_from_transcripts(result.transcripts, bytes_per_param=4)
         for entry in entries:
-            assert entry.nbytes == entry.params * 4
+            assert entry.bytes == entry.params * 4
 
     def test_ledger_conservation(self):
         result = self.make_run()
@@ -83,7 +83,7 @@ class TestLedgerFromTranscripts:
         assert len(entries) == 8
         per_move = result.adapters.param_count()
         assert sum(e.params for e in entries) == 8 * per_move
-        assert sum(e.nbytes for e in entries) == 8 * per_move * 4
+        assert sum(e.bytes for e in entries) == 8 * per_move * 4
 
     def test_zero_rounds_zero_bytes(self):
         assert entries_from_transcripts([], bytes_per_param=4) == []

@@ -1,5 +1,7 @@
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlora.config import ConfigError, load_config, parse_config
 from fedlora.federation import Strategy
@@ -155,3 +157,60 @@ class TestLoadFile:
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
         assert "line" in str(err.value)
+
+
+# GOOD's keys by what a malformed value must be refused for
+REQUIRED = [
+    "seed", "model", "sites", "federation",
+    "model.vocab_size", "model.hidden", "model.rank", "model.alpha",
+    "sites.0.site_id", "sites.0.n_examples", "sites.1.site_id", "sites.1.n_examples",
+    "federation.strategy", "federation.rounds", "federation.sgd",
+    "federation.sgd.learning_rate", "federation.sgd.epochs", "federation.sgd.batch_size",
+    "validation.n_examples",
+]
+INT_LEAVES = [
+    "seed", "model.vocab_size", "model.hidden", "model.rank",
+    "sites.0.n_examples", "sites.1.n_examples", "sites.1.token_shift",
+    "federation.rounds", "federation.sgd.epochs", "federation.sgd.batch_size",
+    "validation.n_examples", "eval.test_size", "eval.bootstrap.sample_size",
+    "eval.bootstrap.reps", "comm.bytes_per_param",
+]
+FLOAT_LEAVES = [
+    "model.alpha", "sites.0.dirichlet_alpha", "sites.0.noise_rate",
+    "federation.sgd.learning_rate",
+]
+STR_LEAVES = ["sites.0.site_id", "sites.1.site_id", "federation.strategy", "comm.preset"]
+SEEDS = ["seed", "model.seed", "sites.0.seed", "sites.1.seed", "federation.seed"]
+LISTS = ["sites", "baselines", "sites.1.tasks"]
+DROP = object()
+
+MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(REQUIRED), st.just(DROP)),
+    st.tuples(
+        st.sampled_from(INT_LEAVES),
+        st.sampled_from(["seven", True, False, 2.5, None, [1], {"n": 1}]),
+    ),
+    st.tuples(st.sampled_from(FLOAT_LEAVES), st.sampled_from(["fast", True, None, [0.1]])),
+    st.tuples(st.sampled_from(STR_LEAVES), st.sampled_from([5, True, 1.5, None, ["a"]])),
+    st.tuples(
+        st.sampled_from(FLOAT_LEAVES),
+        # 10**400 overflows a float
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400]),
+    ),
+    st.tuples(st.sampled_from(SEEDS), st.integers(max_value=-1)),
+    st.tuples(
+        st.sampled_from(LISTS),
+        st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=8)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MUTATIONS)
+def test_any_malformed_config_is_a_config_error_naming_the_key(mutation):
+    path, value = mutation
+    raw = clone(drop=[path]) if value is DROP else clone({path: value})
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    key = [part for part in path.split(".") if not part.isdigit()][-1]
+    assert key in str(err.value)

@@ -7,12 +7,10 @@ from fedlora.evaluate import (
     evaluate_model,
     evaluate_result,
     make_test_split,
-    predict_relation,
-    predict_tags,
 )
 from fedlora.federation import FederationConfig, Strategy, run_federation
 from fedlora.metrics import Scheme
-from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel
+from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel, forward
 
 RULE = PlantedRule(vocab_size=60)
 CFG = ModelConfig(60, 16, 9, 16, rank=4, alpha=8.0, seed=2)
@@ -36,12 +34,12 @@ class TestPredictions:
         model = gold_tagging_model()
         site = generate_site(SiteSpec("a", 50, seed=3, tasks=(Task.TAGGING,)), RULE)
         for ex in site.examples:
-            assert np.array_equal(predict_tags(model, ex), ex.tags)
+            assert np.array_equal(forward(model, ex).argmax(axis=1), ex.tags)
 
     def test_predict_relation_returns_class_index(self):
         model = ToyModel.build(CFG)
         ex = Example(Task.RELATION, [0, 1, 2, 3], head=0, tail=2, relation=5)
-        assert 0 <= predict_relation(model, ex) < RULE.num_relations
+        assert 0 <= int(forward(model, ex).argmax()) < RULE.num_relations
 
 
 class TestMakeTestSplit:
@@ -92,6 +90,22 @@ class TestEvaluateModel:
             lo, hi = one[key].ci
             assert lo <= one[key].f1 + 1e-9
             assert hi >= one[key].f1 - 1e-9
+
+
+    def test_one_forward_pass_per_document(self, monkeypatch):
+        import fedlora.evaluate
+
+        calls = []
+
+        def counting_forward(model, example):
+            calls.append(example)
+            return forward(model, example)
+
+        monkeypatch.setattr(fedlora.evaluate, "forward", counting_forward)
+        test = make_test_split(SiteSpec("a", 40, seed=10), 40, RULE)
+        reports = evaluate_model(ToyModel.build(CFG), RULE, test)
+        assert len(reports) == 4
+        assert len(calls) == len(test.examples) == 40
 
 
 class TestEvaluateResult:

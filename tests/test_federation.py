@@ -184,8 +184,8 @@ class TestDeterminismAndIsolation:
         one = run_federation(config, sites, val, backbone)
         two = run_federation(config, sites, val, backbone)
         assert adapters_equal(one.adapters, two.adapters)
-        assert [t.global_checksum for t in one.transcripts] == [
-            t.global_checksum for t in two.transcripts
+        assert [t.checksum for t in one.transcripts] == [
+            t.checksum for t in two.transcripts
         ]
 
     def test_result_independent_of_thread_count(self):
@@ -214,7 +214,7 @@ class TestDeterminismAndIsolation:
             for volume in list(transcript.uploads.values()) + list(
                 transcript.downloads.values()
             ):
-                assert volume.payload_bytes == expected_bytes
+                assert volume.bytes == expected_bytes
                 assert volume.params == expected_params
 
 
@@ -249,7 +249,7 @@ class TestShareA:
         expected_bytes = serialized_a_size(result.adapters)
         volume = result.transcripts[0].uploads["site0"]
         assert volume.params == expected_params
-        assert volume.payload_bytes == expected_bytes
+        assert volume.bytes == expected_bytes
 
 
 class TestSingleSite:
