@@ -141,14 +141,14 @@ def influence_report(client_ids, sizes, val_losses) -> InfluenceReport:
 def size_weights(
     sizes: dict[str, int],
     participants: list[str],
-    total_size: int | None = None,
     mode: WeightMode = WeightMode.NORMALIZED,
 ) -> AggregationWeights:
     """Per-client size weights over the participating set.
 
     NORMALIZED: w_k = n_k / sum of participating sizes (sums to 1).
-    LITERAL: w_k = (1/m) * n_k / N with N the global total, exactly as the
-    printed update rule has it; under full participation these sum to 1/m.
+    LITERAL: w_k = (1/m) * n_k / N with N the total over every client in
+    ``sizes``, exactly as the printed update rule has it; under full
+    participation these sum to 1/m.
     """
     if not participants:
         raise ValueError("participant set is empty")
@@ -157,7 +157,7 @@ def size_weights(
         denom = math.fsum(float(sizes[c]) for c in ordered)
         values = {c: sizes[c] / denom for c in ordered}
     else:
-        n_global = float(total_size if total_size is not None else sum(sizes.values()))
+        n_global = float(sum(sizes.values()))
         m = len(ordered)
         values = {c: sizes[c] / n_global / m for c in ordered}
     return AggregationWeights(values, mode)

@@ -26,9 +26,9 @@ from .comm import PRESETS, CommEntry, entries_from_transcripts, preset_summary
 from .config import ConfigError, ExperimentConfig, load_config
 from .datasim import generate_site, make_validation_set, shard
 from .evaluate import MetricRow, evaluate_result, make_test_split
-from .federation import Strategy, run_federation
+from .federation import FederationConfig, Strategy, pool_sites, run_federation
 from .metrics import wilcoxon_rank_sum
-from .model import Backbone
+from .model import Backbone, Diverged
 from .seeding import derive_seed
 
 RESULT_FIELDS = [f.name for f in fields(MetricRow)] + ["seed"]
@@ -70,26 +70,40 @@ def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     _atomic_write(path, buffer.getvalue())
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None):
+def _seed_run(config: ExperimentConfig, seed: int, threads: int | None):
+    """One master seed's set-up, shared by ``run`` and ``scale-study``: the
+    re-seeded config, its training sites, and a function that trains one
+    strategy on given sites and scores it on every test split (external
+    sites included)."""
     cfg = config.with_seed(seed)
     rule = cfg.rule()
     backbone = Backbone.build(cfg.model)
     sites = [generate_site(spec, rule) for spec in cfg.sites]
-    tests = [make_test_split(spec, cfg.eval.test_size, rule) for spec in cfg.sites]
-    tests += [make_test_split(spec, cfg.eval.test_size, rule) for spec in cfg.external_sites]
-    val = make_validation_set(
-        rule, cfg.validation.n_examples, derive_seed(cfg.seed, "validation")
-    ).examples
+    specs = cfg.sites + cfg.external_sites
+    tests = [make_test_split(spec, cfg.eval.test_size, rule) for spec in specs]
+    val = make_validation_set(rule, cfg.validation.n_examples, derive_seed(cfg.seed, "validation"))
 
+    def train_and_score(fed_cfg: FederationConfig, train_sites):
+        try:
+            result = run_federation(fed_cfg, train_sites, val.examples, backbone,
+                                    max_workers=threads)
+        except Diverged as err:
+            raise Diverged(f"seed {seed}, strategy {fed_cfg.strategy.value}, {err}") from None
+        return result, evaluate_result(
+            result, backbone, rule, tests, cfg.eval.bootstrap, seed=cfg.seed
+        )
+
+    return cfg, sites, train_and_score
+
+
+def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None):
+    cfg, sites, train_and_score = _seed_run(config, seed, threads)
     rows = []
     run_records = []
     comm_rows = []
     for strategy in cfg.strategies():
         fed_cfg = replace(cfg.federation, strategy=strategy)
-        result = run_federation(fed_cfg, sites, val, backbone, max_workers=threads)
-        metric_rows = evaluate_result(
-            result, backbone, rule, tests, cfg.eval.bootstrap, seed=cfg.seed
-        )
+        result, metric_rows = train_and_score(fed_cfg, sites)
         rows.extend({**asdict(r), "seed": seed} for r in metric_rows)
         run_records.append(
             {
@@ -145,19 +159,10 @@ SCALE_STRATEGIES = (Strategy.INFLUENCE, Strategy.SINGLE_SITE, Strategy.CENTRALIZ
 
 def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
                     k_list: list[int], threads: int | None) -> int:
-    from .federation import pool_sites
-
     rows = []
     for seed in seeds:
-        cfg = config.with_seed(seed)
-        rule = cfg.rule()
-        backbone = Backbone.build(cfg.model)
-        sites = [generate_site(spec, rule) for spec in cfg.sites]
+        cfg, sites, train_and_score = _seed_run(config, seed, threads)
         pool = pool_sites(sites) if len(sites) > 1 else sites[0]
-        tests = [make_test_split(spec, cfg.eval.test_size, rule) for spec in cfg.sites]
-        val = make_validation_set(
-            rule, cfg.validation.n_examples, derive_seed(cfg.seed, "validation")
-        ).examples
         for k in k_list:
             shards = shard(pool, k, derive_seed(cfg.seed, "shard", k))
             for strategy in SCALE_STRATEGIES:
@@ -165,10 +170,7 @@ def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
                 fed_cfg = replace(
                     cfg.federation, strategy=strategy, total_clients=k, clients_per_round=k
                 )
-                result = run_federation(fed_cfg, shards, val, backbone, max_workers=threads)
-                metric_rows = evaluate_result(
-                    result, backbone, rule, tests, cfg.eval.bootstrap, seed=cfg.seed
-                )
+                _, metric_rows = train_and_score(fed_cfg, shards)
                 rows.extend({"k": k, **asdict(r), "seed": seed} for r in metric_rows)
     _write_csv(os.path.join(out_dir, "scale.csv"), SCALE_FIELDS, rows)
     print(f"wrote {len(rows)} scale rows to {os.path.join(out_dir, 'scale.csv')}")
@@ -196,20 +198,11 @@ def cmd_compare(path_a: str, path_b: str, out_dir: str) -> int:
             f"result keys differ; missing in {path_b}: {missing_in_b}; "
             f"missing in {path_a}: {missing_in_a}"
         )
-    rows = []
-    for key in sorted(a):
-        samples_a, samples_b = a[key], b[key]
-        rows.append(
-            {
-                "strategy": key[0],
-                "testset": key[1],
-                "task": key[2],
-                "scheme": key[3],
-                "n_a": len(samples_a),
-                "n_b": len(samples_b),
-                "p_value": wilcoxon_rank_sum(samples_a, samples_b),
-            }
-        )
+    rows = [
+        dict(zip(COMPARE_FIELDS, (*key, len(a[key]), len(b[key]),
+                                  wilcoxon_rank_sum(a[key], b[key]))))
+        for key in sorted(a)
+    ]
     _write_csv(os.path.join(out_dir, "compare.csv"), COMPARE_FIELDS, rows)
     for row in rows:
         print(

@@ -8,15 +8,15 @@ Sites differ only in their input distribution, through four orthogonal knobs:
   per site from Dirichlet(alpha); small alpha means strong skew.
 * ``n_examples`` — site size.
 * ``noise_rate`` — fraction of gold labels flipped uniformly at random
-  (training-annotation quality; the pre-noise labels ride along for
-  diagnostics and held-out scoring).
+  (training-annotation quality; the gold label stays a pure function of
+  the tokens through the rule).
 * ``token_shift`` — each site samples from a rotated half-window of every
   token group, modeling site-specific vocabulary/documentation style.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,13 +118,10 @@ class SiteSpec:
 class SiteDataset:
     spec: SiteSpec
     examples: list[Example]
-    clean_examples: list[Example] = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.examples) != self.spec.n_examples:
             raise ValueError("example count does not match spec")
-        if self.clean_examples and len(self.clean_examples) != len(self.examples):
-            raise ValueError("clean_examples must parallel examples")
         for ex in self.examples:
             if ex.task not in self.spec.tasks:
                 raise ValueError(f"task {ex.task} not declared by site {self.spec.site_id}")
@@ -214,15 +211,14 @@ def generate_site(spec: SiteSpec, rule: PlantedRule) -> SiteDataset:
     rng = np.random.default_rng(spec.seed)
     sampler = _SiteSampler(rule, spec, rng)
     tasks = list(spec.tasks)
-    clean: list[Example] = []
+    gold: list[Example] = []
     for i in range(spec.n_examples):
         task = tasks[i % len(tasks)]
         if task is Task.TAGGING:
-            clean.append(_make_tagging(rule, sampler, rng))
+            gold.append(_make_tagging(rule, sampler, rng))
         else:
-            clean.append(_make_relation(rule, sampler, rng))
-    noisy = [_flip_labels(rule, ex, spec.noise_rate, rng) for ex in clean]
-    return SiteDataset(spec, noisy, clean)
+            gold.append(_make_relation(rule, sampler, rng))
+    return SiteDataset(spec, [_flip_labels(rule, ex, spec.noise_rate, rng) for ex in gold])
 
 
 def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
@@ -265,7 +261,7 @@ def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
             examples.append(
                 Example(Task.RELATION, tokens, head=head, tail=tail, relation=label)
             )
-    return SiteDataset(spec, examples, list(examples))
+    return SiteDataset(spec, examples)
 
 
 def _token_with_tag(rule: PlantedRule, tag: int) -> int:
@@ -288,7 +284,5 @@ def shard(pool: SiteDataset, k: int, seed: int) -> list[SiteDataset]:
     shards = []
     for i, idx in enumerate(parts):
         spec = replace(pool.spec, site_id=f"{pool.spec.site_id}_shard{i}", n_examples=len(idx))
-        examples = [pool.examples[j] for j in idx]
-        clean = [pool.clean_examples[j] for j in idx] if pool.clean_examples else []
-        shards.append(SiteDataset(spec, examples, clean))
+        shards.append(SiteDataset(spec, [pool.examples[j] for j in idx]))
     return shards

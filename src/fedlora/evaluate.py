@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasim import PlantedRule, SiteDataset, SiteSpec, generate_site
-from .federation import FederationResult, Strategy
+from .federation import FederationResult
 from .metrics import (
     EvalReport,
     RelationInstance,
@@ -31,8 +31,6 @@ from .metrics import (
 )
 from .model import Backbone, Task, ToyModel, forward
 from .seeding import derive_seed
-
-AVERAGED_STRATEGIES = (Strategy.SINGLE_SITE, Strategy.SHARE_A)
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ def _doc_counts(model: ToyModel, rule: PlantedRule,
     """Per-document match counts under every (task, scheme), from one
     forward pass and one decode per document."""
     counts = {(task, scheme): [] for task in Task for scheme in Scheme}
-    for ex in test.clean_examples or test.examples:
+    for ex in test.examples:
         logits = forward(model, ex)
         if ex.task is Task.TAGGING:
             gold, pred = decode_bio(ex.tags), decode_bio(logits.argmax(axis=1))
@@ -128,7 +126,7 @@ def evaluate_model(
 
 
 def _models_for_result(result: FederationResult, backbone: Backbone) -> list[ToyModel]:
-    if result.config.strategy in AVERAGED_STRATEGIES and result.client_adapters:
+    if result.client_adapters:  # single_site and share_a: one model per site
         return [
             ToyModel(backbone, result.client_adapters[cid])
             for cid in sorted(result.client_adapters)

@@ -28,7 +28,7 @@ from .aggregation import (
 )
 from .datasim import SiteDataset, SiteSpec
 from .lora import AdapterSet, serialized_a_size, serialized_size
-from .model import Backbone, Example, SgdConfig, Task, ToyModel, local_update
+from .model import Backbone, Diverged, Example, SgdConfig, Task, ToyModel, local_update
 from .seeding import derive_seed
 
 
@@ -103,12 +103,13 @@ def sample_clients(total: int, per_round: int, seed: int, round_index: int) -> l
 
 
 def pool_sites(sites: list[SiteDataset]) -> SiteDataset:
+    """All sites' examples as one dataset, in ascending site id like the
+    round loop, so the order ``sites`` come in never matters."""
+    sites = sorted(sites, key=lambda site: site.spec.site_id)
     examples: list[Example] = []
-    clean: list[Example] = []
     tasks: list[Task] = []
     for site in sites:
         examples.extend(site.examples)
-        clean.extend(site.clean_examples or site.examples)
         for task in site.spec.tasks:
             if task not in tasks:
                 tasks.append(task)
@@ -118,20 +119,21 @@ def pool_sites(sites: list[SiteDataset]) -> SiteDataset:
         tasks=tuple(tasks),
         seed=sites[0].spec.seed,
     )
-    return SiteDataset(spec, examples, clean)
+    return SiteDataset(spec, examples)
 
 
 def _fan_out(jobs: dict[str, tuple[ToyModel, list[Example]]], sgd: SgdConfig,
              seed: int, max_workers: int | None) -> dict[str, AdapterSet]:
+    def train(cid, model, data):
+        try:
+            return local_update(model, data, sgd, seed)
+        except Diverged as err:
+            raise Diverged(f"client {cid!r}, {err}") from None
+
     if max_workers is None or max_workers <= 1 or len(jobs) == 1:
-        return {
-            cid: local_update(model, data, sgd, seed) for cid, (model, data) in jobs.items()
-        }
+        return {cid: train(cid, *job) for cid, job in jobs.items()}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {
-            cid: pool.submit(local_update, model, data, sgd, seed)
-            for cid, (model, data) in jobs.items()
-        }
+        futures = {cid: pool.submit(train, cid, *job) for cid, job in jobs.items()}
         return {cid: fut.result() for cid, fut in futures.items()}
 
 
@@ -165,7 +167,6 @@ def _run_protocol(
     by_id = {site.spec.site_id: site for site in sites}
     ids = sorted(by_id)
     sizes = {cid: len(by_id[cid]) for cid in ids}
-    total_size = sum(sizes.values())
     model = ToyModel(backbone, initial)
 
     global_adapters = initial
@@ -185,7 +186,10 @@ def _run_protocol(
             if rule is AggregationRule.A_ONLY:
                 start = _with_client_b(global_adapters, retained_b[cid])
             jobs[cid] = (model.with_adapters(start), by_id[cid].examples)
-        updated = _fan_out(jobs, config.sgd, local_seed, max_workers)
+        try:
+            updated = _fan_out(jobs, config.sgd, local_seed, max_workers)
+        except Diverged as err:
+            raise Diverged(f"round {t}, {err}") from None
 
         val_losses = None
         report = None
@@ -198,9 +202,7 @@ def _run_protocol(
             )
             weights = report.as_weight_map()
         else:
-            weights = size_weights(
-                sizes, sampled, total_size=total_size, mode=config.weight_mode
-            ).values
+            weights = size_weights(sizes, sampled, mode=config.weight_mode).values
 
         global_adapters, retained = aggregate(updated, weights, rule)
         if rule is AggregationRule.A_ONLY:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,11 @@ class TokenRangeError(ValueError):
 
 class EmptyBatchError(ValueError):
     pass
+
+
+class Diverged(FloatingPointError):
+    """Local training drove an adapter factor to inf or NaN.  The message
+    starts at the step; each caller that knows more prefixes where it ran."""
 
 
 @dataclass(frozen=True)
@@ -177,30 +183,25 @@ class ToyModel:
     def with_adapters(self, adapters: AdapterSet) -> "ToyModel":
         return ToyModel(self.frozen, adapters)
 
+    @cached_property
+    def merged(self) -> dict[str, np.ndarray]:
+        """The adapted dense weights W0 + s * B A per layer, merged on first
+        use; the model is frozen and its factor arrays read-only, so the
+        cache cannot go stale."""
+        return _effective(self.frozen, _factors(self.adapters), _scales(self.adapters))
+
 
 # ---------------------------------------------------------------------------
-# Forward / loss / gradients.  _Effective caches the merged dense weights so
-# the training loop can refresh them from raw factor arrays without rebuilding
-# frozen dataclasses each step.
+# Forward / loss / gradients.  A model merges its weights once (``merged``);
+# the training loop re-merges from its raw factor arrays every step.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Effective:
-    trunk: np.ndarray
-    tag_head: np.ndarray
-    rel_head: np.ndarray
 
 
 def _effective(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]],
-               scales: dict[str, float]) -> _Effective:
-    return _Effective(
-        trunk=frozen.trunk + scales["trunk"] * (factors["trunk"][0] @ factors["trunk"][1]),
-        tag_head=frozen.tag_head
-        + scales["tag_head"] * (factors["tag_head"][0] @ factors["tag_head"][1]),
-        rel_head=frozen.rel_head
-        + scales["rel_head"] * (factors["rel_head"][0] @ factors["rel_head"][1]),
-    )
+               scales: dict[str, float]) -> dict[str, np.ndarray]:
+    return {
+        key: getattr(frozen, key) + scales[key] * (b @ a) for key, (b, a) in factors.items()
+    }
 
 
 def _factors(adapters: AdapterSet) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -224,29 +225,28 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _example_logits(frozen: Backbone, eff: _Effective, example: Example):
+def _example_logits(frozen: Backbone, eff: dict[str, np.ndarray], example: Example):
     _check_tokens(example.tokens, frozen.config.vocab_size)
     if example.task is Task.TAGGING:
         x = frozen.embedding[example.tokens]  # n x h
-        u = x @ eff.trunk
+        u = x @ eff["trunk"]
         z = np.maximum(u, 0.0)
-        return z @ eff.tag_head, (x, u, z)
+        return z @ eff["tag_head"], (x, u, z)
     marked = np.array([example.head, example.tail])
     x = frozen.embedding[example.tokens[marked]]  # 2 x h
-    u = x @ eff.trunk
+    u = x @ eff["trunk"]
     z = np.maximum(u, 0.0)
     zcat = z.reshape(-1)  # 2h
-    return zcat @ eff.rel_head, (x, u, z)
+    return zcat @ eff["rel_head"], (x, u, z)
 
 
 def forward(model: ToyModel, example: Example) -> np.ndarray:
     """Class probability distributions: (n, C_tag) for tagging, (C_rel,) for a pair."""
-    eff = _effective(model.frozen, _factors(model.adapters), _scales(model.adapters))
-    logits, _ = _example_logits(model.frozen, eff, example)
+    logits, _ = _example_logits(model.frozen, model.merged, example)
     return np.exp(_log_softmax(logits))
 
 
-def _example_loss(frozen: Backbone, eff: _Effective, example: Example) -> float:
+def _example_loss(frozen: Backbone, eff: dict[str, np.ndarray], example: Example) -> float:
     logits, _ = _example_logits(frozen, eff, example)
     logp = _log_softmax(logits)
     if example.task is Task.TAGGING:
@@ -258,15 +258,14 @@ def loss(model: ToyModel, batch: list[Example]) -> float:
     """Mean over the batch of per-example mean negative log-likelihood."""
     if not batch:
         raise EmptyBatchError("loss of an empty batch is undefined")
-    eff = _effective(model.frozen, _factors(model.adapters), _scales(model.adapters))
-    return sum(_example_loss(model.frozen, eff, ex) for ex in batch) / len(batch)
+    return sum(_example_loss(model.frozen, model.merged, ex) for ex in batch) / len(batch)
 
 
-def _batch_weight_grads(frozen: Backbone, eff: _Effective, batch: list[Example]):
+def _batch_weight_grads(frozen: Backbone, eff: dict[str, np.ndarray], batch: list[Example]):
     """Gradients of the batch loss w.r.t. the three effective weight matrices."""
-    d_trunk = np.zeros_like(eff.trunk)
-    d_tag = np.zeros_like(eff.tag_head)
-    d_rel = np.zeros_like(eff.rel_head)
+    d_trunk = np.zeros_like(eff["trunk"])
+    d_tag = np.zeros_like(eff["tag_head"])
+    d_rel = np.zeros_like(eff["rel_head"])
     inv_b = 1.0 / len(batch)
     for ex in batch:
         logits, (x, u, z) = _example_logits(frozen, eff, ex)
@@ -277,7 +276,7 @@ def _batch_weight_grads(frozen: Backbone, eff: _Effective, batch: list[Example])
             dlogits[np.arange(n), ex.tags] -= 1.0
             dlogits *= inv_b / n
             d_tag += z.T @ dlogits
-            dz = dlogits @ eff.tag_head.T
+            dz = dlogits @ eff["tag_head"].T
             du = dz * (u > 0)
             d_trunk += x.T @ du
         else:
@@ -286,7 +285,7 @@ def _batch_weight_grads(frozen: Backbone, eff: _Effective, batch: list[Example])
             dlogits *= inv_b
             zcat = z.reshape(-1)
             d_rel += np.outer(zcat, dlogits)
-            dzcat = eff.rel_head @ dlogits
+            dzcat = eff["rel_head"] @ dlogits
             du = dzcat.reshape(2, -1) * (u > 0)
             d_trunk += x.T @ du
     return {"trunk": d_trunk, "tag_head": d_tag, "rel_head": d_rel}
@@ -309,10 +308,8 @@ def grad(model: ToyModel, batch: list[Example]) -> dict[str, tuple[np.ndarray, n
     """
     if not batch:
         raise EmptyBatchError("gradient of an empty batch is undefined")
-    factors = _factors(model.adapters)
-    scales = _scales(model.adapters)
-    eff = _effective(model.frozen, factors, scales)
-    return _factor_grads(_batch_weight_grads(model.frozen, eff, batch), factors, scales)
+    weight_grads = _batch_weight_grads(model.frozen, model.merged, batch)
+    return _factor_grads(weight_grads, _factors(model.adapters), _scales(model.adapters))
 
 
 def local_update(
@@ -321,7 +318,8 @@ def local_update(
     """Seeded mini-batch SGD on the adapters only; returns new adapters.
 
     The input model is left untouched.  Identical (model, dataset, sgd, seed)
-    give bit-identical results.
+    give bit-identical results.  A step that leaves a factor non-finite
+    raises ``Diverged`` at once.
     """
     if not dataset:
         raise EmptyBatchError("cannot train on an empty dataset")
@@ -333,6 +331,7 @@ def local_update(
     rng = np.random.default_rng(seed)
     n = len(dataset)
     eta = sgd.learning_rate
+    step = 0
     for _ in range(sgd.epochs):
         order = rng.permutation(n)
         for start in range(0, n, sgd.batch_size):
@@ -346,6 +345,9 @@ def local_update(
                 db, da = grads[key]
                 b -= eta * db
                 a -= eta * da
+                if not (np.isfinite(b).all() and np.isfinite(a).all()):
+                    raise Diverged(f"step {step}: layer {key!r} has non-finite adapter factors")
+            step += 1
     layers = {
         key: model.adapters[key].with_factors(b, a) for key, (b, a) in factors.items()
     }

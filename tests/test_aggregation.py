@@ -168,7 +168,7 @@ class TestSizeWeights:
 
     def test_literal_mode_reproduces_printed_formula(self):
         sizes = {"a": 1, "b": 1}
-        weights = size_weights(sizes, ["a", "b"], total_size=2, mode=WeightMode.LITERAL)
+        weights = size_weights(sizes, ["a", "b"], mode=WeightMode.LITERAL)
         assert weights["a"] == pytest.approx(0.25)
         assert weights["b"] == pytest.approx(0.25)
         assert sum(weights.values.values()) == pytest.approx(0.5)

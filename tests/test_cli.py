@@ -1,6 +1,8 @@
 import csv
+import itertools
 import json
 import os
+import re
 
 import pytest
 import yaml
@@ -130,6 +132,39 @@ class TestCmdRun:
         assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
         assert f"{config}.{field}: " in capsys.readouterr().err
 
+    def test_site_order_never_matters(self, tmp_path):
+        raw = json_roundtrip(BASE_CONFIG)
+        raw["sites"].append({"site_id": "site_c", "n_examples": 30, "tasks": ["tagging"]})
+        raw["federation"]["clients_per_round"] = 2
+        raw["baselines"] = ["zero_shot", "single_site", "fedavg", "centralized", "share_a"]
+        outputs = []
+        for i, order in enumerate(itertools.permutations(raw["sites"])):
+            config = write_config(tmp_path, dict(raw, sites=list(order)), name=f"{i}.yaml")
+            out = tmp_path / str(i)
+            assert main(["run", "--config", config, "--out-dir", str(out)]) == 0
+            outputs.append((
+                (out / "transcript.json").read_bytes(),
+                (out / "comm.csv").read_bytes(),
+                sorted(tuple(row.items()) for row in read_csv(out / "results.csv")),
+            ))
+        assert len(outputs) == 6
+        assert all(output == outputs[0] for output in outputs)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_divergence_exits_3_naming_where(self, tmp_path, capsys):
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", "two_site.yaml")) as f:
+            raw = yaml.safe_load(f)
+        for site in raw["sites"]:
+            site["n_examples"] = 200
+        raw["federation"]["sgd"]["learning_rate"] = 500
+        raw["eval"]["test_size"] = 20
+        config = write_config(tmp_path, raw)
+        assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        pattern = r"seed 1, strategy influence, round 0, client 'site_a', step \d+: layer '\w+'"
+        assert re.search(pattern, err), err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(
             ["run", "--config", str(tmp_path / "nope.yaml"), "--out-dir", str(tmp_path)]
@@ -190,6 +225,20 @@ class TestCmdScaleStudy:
         # k in {1,2} x 3 strategies x 1 testset x 2 tasks x 2 schemes
         assert len(rows) == 24
         assert {r["k"] for r in rows} == {"1", "2"}
+
+    def test_external_sites_scored(self, tmp_path):
+        raw = json_roundtrip(BASE_CONFIG)
+        raw["external_sites"] = [{"site_id": "ext", "n_examples": 40, "token_shift": 5}]
+        raw["eval"]["test_size"] = 20
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        argv = ["scale-study", "--config", config, "--out-dir", str(out), "--k", "1,2",
+                "--seeds", "1"]
+        assert main(argv) == 0
+        rows = read_csv(out / "scale.csv")
+        # k in {1,2} x 3 strategies x 3 testsets x 2 tasks x 2 schemes
+        assert len(rows) == 72
+        assert sum(r["testset"] == "ext" for r in rows) == 24
 
     def test_k1_influence_equals_centralized(self, tmp_path):
         raw = json_roundtrip(BASE_CONFIG)

@@ -23,6 +23,20 @@ def example_key(ex):
     return ("r", tuple(ex.tokens), ex.head, ex.tail, ex.relation)
 
 
+def label(ex):
+    return ex.tags if ex.task is Task.TAGGING else ex.relation
+
+
+def gold_label(ex):
+    """The planted rule's label for ex's tokens (and marked pair), before noise."""
+    if ex.task is Task.TAGGING:
+        return RULE.tags_of(ex.tokens)
+    parity = (ex.tail - ex.head) % 2
+    return RULE.relation_of(
+        RULE.group(int(ex.tokens[ex.head])), RULE.group(int(ex.tokens[ex.tail])), parity
+    )
+
+
 class TestPlantedRule:
     def test_tag_structure(self):
         assert RULE.num_tags == 9
@@ -47,8 +61,8 @@ class TestGenerateSite:
     def test_zero_noise_means_clean_equals_noisy(self):
         spec = SiteSpec("a", 200, noise_rate=0.0, seed=1)
         data = generate_site(spec, RULE)
-        for noisy, clean in zip(data.examples, data.clean_examples):
-            assert example_key(noisy) == example_key(clean)
+        for ex in data.examples:
+            assert np.array_equal(label(ex), gold_label(ex))
 
     def test_huge_alpha_approaches_uniform_group_frequencies(self):
         spec = SiteSpec("a", 1500, dirichlet_alpha=1e6, seed=2, tasks=(Task.TAGGING,))
@@ -100,18 +114,15 @@ class TestGenerateSite:
             data = generate_site(spec, RULE)
             flipped = 0
             total = 0
-            for noisy, clean in zip(data.examples, data.clean_examples):
-                flipped += int((noisy.tags != clean.tags).sum())
-                total += len(noisy.tags)
+            for ex in data.examples:
+                flipped += int((ex.tags != RULE.tags_of(ex.tokens)).sum())
+                total += len(ex.tags)
             assert abs(flipped / total - rate) < 0.03
 
     def test_relation_noise_flips_labels(self):
         spec = SiteSpec("a", 2000, noise_rate=0.3, seed=7, tasks=(Task.RELATION,))
         data = generate_site(spec, RULE)
-        flipped = sum(
-            noisy.relation != clean.relation
-            for noisy, clean in zip(data.examples, data.clean_examples)
-        )
+        flipped = sum(ex.relation != gold_label(ex) for ex in data.examples)
         assert abs(flipped / len(data) - 0.3) < 0.03
 
     def test_task_filter_is_exhaustive(self):
@@ -120,19 +131,18 @@ class TestGenerateSite:
         assert all(ex.task is Task.TAGGING for ex in data.examples)
 
     def test_gold_labels_follow_rule_before_noise(self):
+        # noise draws come after every example is drawn, so the same site
+        # without noise holds the same inputs with the pre-noise labels
         spec = SiteSpec("a", 200, noise_rate=0.5, seed=9)
-        data = generate_site(spec, RULE)
-        for clean in data.clean_examples:
-            if clean.task is Task.TAGGING:
-                assert np.array_equal(clean.tags, RULE.tags_of(clean.tokens))
-            else:
-                parity = (clean.tail - clean.head) % 2
-                expected = RULE.relation_of(
-                    RULE.group(int(clean.tokens[clean.head])),
-                    RULE.group(int(clean.tokens[clean.tail])),
-                    parity,
-                )
-                assert clean.relation == expected
+        noisy = generate_site(spec, RULE)
+        clean = generate_site(replace(spec, noise_rate=0.0), RULE)
+        flipped = 0
+        for n, c in zip(noisy.examples, clean.examples):
+            inputs = (n.task, tuple(n.tokens), n.head, n.tail)
+            assert inputs == (c.task, tuple(c.tokens), c.head, c.tail)
+            assert np.array_equal(label(c), gold_label(c))
+            flipped += not np.array_equal(label(n), gold_label(n))
+        assert flipped > 0
 
     def test_token_shift_changes_vocabulary_slice(self):
         one = generate_site(SiteSpec("a", 400, seed=10, token_shift=0), RULE)
@@ -155,8 +165,8 @@ class TestValidationSet:
 
     def test_noise_free(self):
         val = make_validation_set(RULE, 20, seed=12)
-        for noisy, clean in zip(val.examples, val.clean_examples):
-            assert example_key(noisy) == example_key(clean)
+        for ex in val.examples:
+            assert np.array_equal(label(ex), gold_label(ex))
 
     def test_every_class_appears_for_large_enough_set(self):
         n_v = 4 * RULE.num_tags

@@ -48,9 +48,13 @@ class TestMakeTestSplit:
         test = make_test_split(spec, 100, RULE)
         assert len(test) == 100
         assert {ex.task for ex in test.examples} == {Task.TAGGING, Task.RELATION}
-        for noisy, clean in zip(test.examples, test.clean_examples):
-            if noisy.task is Task.TAGGING:
-                assert np.array_equal(noisy.tags, clean.tags)
+        for ex in test.examples:
+            if ex.task is Task.TAGGING:
+                assert np.array_equal(ex.tags, RULE.tags_of(ex.tokens))
+            else:
+                parity = (ex.tail - ex.head) % 2
+                groups = RULE.group(int(ex.tokens[ex.head])), RULE.group(int(ex.tokens[ex.tail]))
+                assert ex.relation == RULE.relation_of(*groups, parity)
 
     def test_disjoint_from_training_seed(self):
         spec = SiteSpec("a", 100, seed=5)
@@ -154,6 +158,28 @@ class TestEvaluateResult:
             [m[(Task.TAGGING, Scheme.STRICT)].f1 for m in per_model]
         )
         assert row.f1 == pytest.approx(expected, abs=1e-12)
+
+    def test_one_merge_per_scored_model(self, monkeypatch):
+        # single_site scores one model per site; each merges its weights once,
+        # however many test sets and documents it is scored on
+        import fedlora.model
+
+        sites = self.make_sites()
+        backbone = Backbone.build(CFG)
+        config = FederationConfig(Strategy.SINGLE_SITE, 2, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
+        result = run_federation(config, sites, None, backbone)
+        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        merges = []
+
+        def counting_effective(*args):
+            merges.append(args)
+            return effective(*args)
+
+        effective = fedlora.model._effective
+        monkeypatch.setattr(fedlora.model, "_effective", counting_effective)
+        rows = evaluate_result(result, backbone, RULE, tests)
+        assert len(rows) == 8
+        assert len(merges) == len(result.client_adapters) == 2
 
     def test_zero_shot_rows_have_low_f1(self):
         sites = self.make_sites()

@@ -24,9 +24,6 @@ from fedlora.model import (
     SgdConfig,
     Task,
     ToyModel,
-    _effective,
-    _factors,
-    _scales,
     local_update,
 )
 from fedlora.seeding import derive_seed
@@ -121,9 +118,9 @@ class TestDegeneracies:
         config = fed_config(Strategy.ZERO_SHOT, 2)
         backbone = Backbone.build(MODEL_CFG)
         result = run_federation(config, sites, None, backbone)
-        merged = _effective(backbone, _factors(result.adapters), _scales(result.adapters))
+        merged = ToyModel(backbone, result.adapters).merged
         for key in result.adapters.keys():
-            assert np.array_equal(getattr(merged, key), getattr(backbone, key))
+            assert np.array_equal(merged[key], getattr(backbone, key))
         assert result.transcripts == []
 
     def test_centralized_equals_single_shard_federation(self):
@@ -144,9 +141,9 @@ class TestInfluenceReduction:
         from dataclasses import replace
 
         twin_spec = replace(site.spec, site_id="site1")
-        twin = SiteDataset(twin_spec, site.examples, site.clean_examples)
+        twin = SiteDataset(twin_spec, site.examples)
         base_spec = replace(site.spec, site_id="site0")
-        base = SiteDataset(base_spec, site.examples, site.clean_examples)
+        base = SiteDataset(base_spec, site.examples)
 
         backbone = Backbone.build(MODEL_CFG)
         val = make_validation_set(RULE, 10, seed=5).examples
@@ -278,7 +275,7 @@ class TestUnevenTasks:
         sites = make_sites(2, seed=600, tasks=(Task.TAGGING,))
         declared_all = [
             SiteDataset(replace(site.spec, tasks=(Task.TAGGING, Task.RELATION)),
-                        site.examples, site.clean_examples)
+                        site.examples)
             for site in sites
         ]
         backbone = Backbone.build(MODEL_CFG)
@@ -308,7 +305,7 @@ class TestUnevenTasks:
         site = make_sites(1, seed=620)[0]
         bad_spec = replace(site.spec, tasks=(Task.TAGGING,))
         with pytest.raises(ValueError):
-            SiteDataset(bad_spec, site.examples, site.clean_examples)
+            SiteDataset(bad_spec, site.examples)
 
 
 class TestValidationErrors:

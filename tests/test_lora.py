@@ -22,10 +22,7 @@ from fedlora.model import (
     ModelConfig,
     Task,
     ToyModel,
-    _effective,
     _example_logits,
-    _factors,
-    _scales,
 )
 
 
@@ -70,9 +67,7 @@ def square_backbone(rng, hidden):
 
 def merged_weights(backbone: Backbone, adapters: AdapterSet) -> dict[str, np.ndarray]:
     """Effective weights through the model's merge path, after its shape check."""
-    model = ToyModel(backbone, adapters)
-    eff = _effective(model.frozen, _factors(model.adapters), _scales(model.adapters))
-    return {key: getattr(eff, key) for key in adapters.keys()}
+    return ToyModel(backbone, adapters).merged
 
 
 class TestMerge:
@@ -107,9 +102,8 @@ class TestMerge:
         rng = np.random.default_rng(1)
         backbone = square_backbone(rng, 3)
         adapters = make_set(rng, backbone.adapter_shapes(), rank=1, alpha=1.0)
-        eff = _effective(backbone, _factors(adapters), _scales(adapters))
         example = Example(Task.TAGGING, [1, 4, 9], tags=[0, 1, 2])
-        _, (x, _, _) = _example_logits(backbone, eff, example)
+        _, (x, _, _) = _example_logits(backbone, merged_weights(backbone, adapters), example)
         assert np.array_equal(x, backbone.embedding[example.tokens])
 
     def test_dimension_mismatch_names_layer_and_shapes(self):
