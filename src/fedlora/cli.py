@@ -70,7 +70,7 @@ def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     _atomic_write(path, buffer.getvalue())
 
 
-def _seed_run(config: ExperimentConfig, seed: int, threads: int | None):
+def _seed_run(config: ExperimentConfig, seed: int):
     """One master seed's set-up, shared by ``run`` and ``scale-study``: the
     re-seeded config, its training sites, and a function that trains one
     strategy on given sites and scores it on every test split (external
@@ -85,8 +85,7 @@ def _seed_run(config: ExperimentConfig, seed: int, threads: int | None):
 
     def train_and_score(fed_cfg: FederationConfig, train_sites):
         try:
-            result = run_federation(fed_cfg, train_sites, val.examples, backbone,
-                                    max_workers=threads)
+            result = run_federation(fed_cfg, train_sites, val.examples, backbone)
         except Diverged as err:
             raise Diverged(f"seed {seed}, strategy {fed_cfg.strategy.value}, {err}") from None
         return result, evaluate_result(
@@ -96,8 +95,8 @@ def _seed_run(config: ExperimentConfig, seed: int, threads: int | None):
     return cfg, sites, train_and_score
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None):
-    cfg, sites, train_and_score = _seed_run(config, seed, threads)
+def _run_one_seed(config: ExperimentConfig, seed: int):
+    cfg, sites, train_and_score = _seed_run(config, seed)
     rows = []
     run_records = []
     comm_rows = []
@@ -124,13 +123,12 @@ def _run_one_seed(config: ExperimentConfig, seed: int, threads: int | None):
     return rows, run_records, comm_rows
 
 
-def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int],
-            threads: int | None) -> int:
+def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int]) -> int:
     all_rows = []
     all_runs = []
     all_comm = []
     for seed in seeds:
-        rows, runs, comm_rows = _run_one_seed(config, seed, threads)
+        rows, runs, comm_rows = _run_one_seed(config, seed)
         all_rows.extend(rows)
         all_runs.extend(runs)
         all_comm.extend(comm_rows)
@@ -158,10 +156,10 @@ SCALE_STRATEGIES = (Strategy.INFLUENCE, Strategy.SINGLE_SITE, Strategy.CENTRALIZ
 
 
 def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
-                    k_list: list[int], threads: int | None) -> int:
+                    k_list: list[int]) -> int:
     rows = []
     for seed in seeds:
-        cfg, sites, train_and_score = _seed_run(config, seed, threads)
+        cfg, sites, train_and_score = _seed_run(config, seed)
         pool = pool_sites(sites) if len(sites) > 1 else sites[0]
         for k in k_list:
             shards = shard(pool, k, derive_seed(cfg.seed, "shard", k))
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="YAML experiment config")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--seeds", default=None, help="comma-separated master seeds")
-        p.add_argument("--threads", type=int, default=None, help="parallel local updates")
 
     add_common(sub.add_parser(
         "run", aliases=["uneven"], help="train + evaluate the configured strategies"
@@ -286,11 +283,9 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         seeds = _parse_int_list(args.seeds) if args.seeds else [config.seed]
         if args.command in ("run", "uneven"):
-            return cmd_run(config, args.out_dir, seeds, args.threads)
+            return cmd_run(config, args.out_dir, seeds)
         if args.command == "scale-study":
-            return cmd_scale_study(
-                config, args.out_dir, seeds, _parse_int_list(args.k), args.threads
-            )
+            return cmd_scale_study(config, args.out_dir, seeds, _parse_int_list(args.k))
         parser.error(f"unknown command {args.command}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""The communication-round protocol: sampling, local-update fan-out,
+"""The communication-round protocol: sampling, serial local updates,
 server aggregation, and the baseline strategies.
 
 Only adapter sets ever cross the client boundary; the per-round transcript
@@ -12,7 +12,6 @@ client-id order.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -122,21 +121,6 @@ def pool_sites(sites: list[SiteDataset]) -> SiteDataset:
     return SiteDataset(spec, examples)
 
 
-def _fan_out(jobs: dict[str, tuple[ToyModel, list[Example]]], sgd: SgdConfig,
-             seed: int, max_workers: int | None) -> dict[str, AdapterSet]:
-    def train(cid, model, data):
-        try:
-            return local_update(model, data, sgd, seed)
-        except Diverged as err:
-            raise Diverged(f"client {cid!r}, {err}") from None
-
-    if max_workers is None or max_workers <= 1 or len(jobs) == 1:
-        return {cid: train(cid, *job) for cid, job in jobs.items()}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {cid: pool.submit(train, cid, *job) for cid, job in jobs.items()}
-        return {cid: fut.result() for cid, fut in futures.items()}
-
-
 def _comm_volume(adapters: AdapterSet, rule: AggregationRule) -> CommVolume:
     if rule is AggregationRule.A_ONLY:
         return CommVolume(adapters.a_param_count(), serialized_a_size(adapters))
@@ -157,7 +141,6 @@ def _run_protocol(
     val_set: list[Example] | None,
     backbone: Backbone,
     initial: AdapterSet,
-    max_workers: int | None,
 ) -> FederationResult:
     rule = (
         AggregationRule.A_ONLY
@@ -180,16 +163,17 @@ def _run_protocol(
         sampled = [ids[i] for i in sampled_idx]
         local_seed = derive_seed(config.seed, "local", t)
 
-        jobs = {}
+        updated = {}
         for cid in sampled:
             start = global_adapters
             if rule is AggregationRule.A_ONLY:
                 start = _with_client_b(global_adapters, retained_b[cid])
-            jobs[cid] = (model.with_adapters(start), by_id[cid].examples)
-        try:
-            updated = _fan_out(jobs, config.sgd, local_seed, max_workers)
-        except Diverged as err:
-            raise Diverged(f"round {t}, {err}") from None
+            try:
+                updated[cid] = local_update(
+                    model.with_adapters(start), by_id[cid].examples, config.sgd, local_seed
+                )
+            except Diverged as err:
+                raise Diverged(f"round {t}, client {cid!r}, {err}") from None
 
         val_losses = None
         report = None
@@ -237,7 +221,6 @@ def run_federation(
     sites: list[SiteDataset],
     val_set: list[Example] | None,
     backbone: Backbone,
-    max_workers: int | None = None,
 ) -> FederationResult:
     """Execute the configured strategy over the given sites.
 
@@ -272,13 +255,13 @@ def run_federation(
     solo = replace(config, total_clients=1, clients_per_round=1)
     if config.strategy is Strategy.CENTRALIZED:
         pooled = pool_sites(sites)
-        return _run_protocol(solo, [pooled], val_set, backbone, initial, max_workers)
+        return _run_protocol(solo, [pooled], val_set, backbone, initial)
 
     if config.strategy is Strategy.SINGLE_SITE:
         client_adapters = {}
         for site in sites:
-            result = _run_protocol(solo, [site], val_set, backbone, initial, max_workers)
+            result = _run_protocol(solo, [site], val_set, backbone, initial)
             client_adapters[site.spec.site_id] = result.adapters
         return FederationResult(config, None, [], client_adapters)
 
-    return _run_protocol(config, sites, val_set, backbone, initial, max_workers)
+    return _run_protocol(config, sites, val_set, backbone, initial)

@@ -4,7 +4,8 @@ Matrices are plain float64 2-D numpy arrays (row-major, finite entries).
 An adapter pair (B, A) for a frozen d-by-l weight contributes the effective
 update ``(alpha / rank) * B @ A``; B is d-by-r and A is r-by-l.  Adapter
 sets are the unit of communication between clients and server, so they also
-carry a versioned bit-exact binary format.
+carry a versioned bit-exact binary layout: the bytes a client would ship,
+which ``checksum`` hashes and ``serialized_size`` counts.
 """
 
 from __future__ import annotations
@@ -33,22 +34,6 @@ class DimensionMismatch(ValueError):
         super().__init__(
             f"layer {layer_key!r}: expected shape {expected}, got {actual}"
         )
-
-
-class AdapterFormatError(ValueError):
-    """Base class for adapter (de)serialization failures."""
-
-
-class TruncatedPayload(AdapterFormatError):
-    pass
-
-
-class BadMagic(AdapterFormatError):
-    pass
-
-
-class VersionMismatch(AdapterFormatError):
-    pass
 
 
 def _as_matrix(arr, name: str) -> np.ndarray:
@@ -225,12 +210,7 @@ def serialized_size(adapters: AdapterSet) -> int:
 
 def serialized_a_size(adapters: AdapterSet) -> int:
     """Byte length of an A-only payload (same format, B blocks omitted)."""
-    total = len(MAGIC) + 1 + _U64.size
-    for key, pair in adapters.items():
-        total += _U64.size + len(key.encode("utf-8"))
-        total += 3 * _U64.size + _F64.size
-        total += 8 * (pair.rank * pair.l)
-    return total
+    return serialized_size(adapters) - sum(8 * p.d * p.rank for p in adapters.layers.values())
 
 
 def serialize_adapters(adapters: AdapterSet) -> bytes:
@@ -246,51 +226,3 @@ def serialize_adapters(adapters: AdapterSet) -> bytes:
         chunks.append(pair.b.astype("<f8").tobytes(order="C"))
         chunks.append(pair.a.astype("<f8").tobytes(order="C"))
     return b"".join(chunks)
-
-
-class _Reader:
-    def __init__(self, payload: bytes):
-        self.payload = payload
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.payload):
-            raise TruncatedPayload(
-                f"needed {n} bytes at offset {self.pos}, "
-                f"have {len(self.payload) - self.pos}"
-            )
-        out = self.payload[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(_U64.size))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(_F64.size))[0]
-
-
-def deserialize_adapters(payload: bytes) -> AdapterSet:
-    reader = _Reader(payload)
-    magic = reader.take(len(MAGIC))
-    if magic != MAGIC:
-        raise BadMagic(f"bad magic {magic!r}")
-    version = reader.take(1)[0]
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"format version {version}, expected {FORMAT_VERSION}")
-    count = reader.u64()
-    layers = {}
-    for _ in range(count):
-        key = reader.take(reader.u64()).decode("utf-8")
-        d = reader.u64()
-        l = reader.u64()
-        r = reader.u64()
-        alpha = reader.f64()
-        b = np.frombuffer(reader.take(8 * d * r), dtype="<f8").reshape(d, r)
-        a = np.frombuffer(reader.take(8 * r * l), dtype="<f8").reshape(r, l)
-        layers[key] = AdapterPair(key, b, a, r, alpha)
-    if reader.pos != len(payload):
-        raise TruncatedPayload(
-            f"{len(payload) - reader.pos} trailing bytes after last entry"
-        )
-    return AdapterSet(layers)

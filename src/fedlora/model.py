@@ -332,22 +332,25 @@ def local_update(
     n = len(dataset)
     eta = sgd.learning_rate
     step = 0
-    for _ in range(sgd.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, sgd.batch_size):
-            # batch membership is shuffled; summation order inside a batch is
-            # canonical so the result is independent of how members were drawn
-            idx = np.sort(order[start : start + sgd.batch_size])
-            batch = [dataset[i] for i in idx]
-            eff = _effective(frozen, factors, scales)
-            grads = _factor_grads(_batch_weight_grads(frozen, eff, batch), factors, scales)
-            for key, (b, a) in factors.items():
-                db, da = grads[key]
-                b -= eta * db
-                a -= eta * da
-                if not (np.isfinite(b).all() and np.isfinite(a).all()):
-                    raise Diverged(f"step {step}: layer {key!r} has non-finite adapter factors")
-            step += 1
+    # a diverging step overflows before its factors turn non-finite; the
+    # isfinite check below is what reports it, so numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(sgd.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, sgd.batch_size):
+                # batch membership is shuffled; summation order inside a batch is
+                # canonical so the result is independent of how members were drawn
+                idx = np.sort(order[start : start + sgd.batch_size])
+                batch = [dataset[i] for i in idx]
+                eff = _effective(frozen, factors, scales)
+                grads = _factor_grads(_batch_weight_grads(frozen, eff, batch), factors, scales)
+                for key, (b, a) in factors.items():
+                    db, da = grads[key]
+                    b -= eta * db
+                    a -= eta * da
+                    if not (np.isfinite(b).all() and np.isfinite(a).all()):
+                        raise Diverged(f"step {step}: layer {key!r} has non-finite adapter factors")
+                step += 1
     layers = {
         key: model.adapters[key].with_factors(b, a) for key, (b, a) in factors.items()
     }
