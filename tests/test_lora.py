@@ -188,6 +188,15 @@ class TestParamCounts:
 
 
 class TestSerialization:
+    def test_empty_set_round_trips(self):
+        # With no reader left, the empty set's payload is pinned as exactly
+        # the header and a zero entry count, and its size as that length.
+        adapters = AdapterSet({})
+        payload = serialize_adapters(adapters)
+        assert payload == b"ADPTSET1" + bytes([1]) + struct.pack("<Q", 0)
+        assert len(payload) == serialized_size(adapters)
+        assert serialized_a_size(adapters) == len(payload)
+
     def test_single_adapter_payload_matches_hand_packed_bytes(self):
         pair = AdapterPair(
             "w", np.array([[1.5], [-2.25]]), np.array([[0.125, 3.0]]), 1, 64.0
