@@ -4,8 +4,8 @@ Weighting comes in two families: size-based (classic federated averaging)
 and influence-aware, where each client's updated model is scored on a small
 server-held validation set and the softmax of the negated losses scales its
 contribution.  When all influences are equal the influence-aware weights
-reduce to plain size weights; that reduction is implemented exactly (same
-arithmetic path), so the two strategies then aggregate bit-identically.
+reduce to plain size weights: both call one normalization on the same sizes,
+so the two strategies then aggregate bit-identically.
 
 Summation order is fixed by ascending client id, which makes aggregation
 bit-deterministic regardless of scheduling.
@@ -56,23 +56,6 @@ class InfluenceReport:
         return dict(zip(self.client_ids, self.weights))
 
 
-@dataclass(frozen=True)
-class AggregationWeights:
-    values: dict[str, float]
-    mode: WeightMode
-
-    def __post_init__(self):
-        if any(w < 0 for w in self.values.values()):
-            raise ValueError("weights must be non-negative")
-        if self.mode is WeightMode.NORMALIZED:
-            total = math.fsum(self.values.values())
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"normalized weights sum to {total}, not 1")
-
-    def __getitem__(self, client_id: str) -> float:
-        return self.values[client_id]
-
-
 def validation_loss(model: ToyModel, adapters: AdapterSet, val_set: list[Example]) -> float:
     """Mean cross-entropy of the merged (backbone + adapters) model on D_v."""
     if not val_set:
@@ -98,11 +81,16 @@ def influence_scores(val_losses) -> tuple[list[float], float]:
     return [e / total for e in exps], shift
 
 
+def _normalized(values: list[float]) -> list[float]:
+    total = math.fsum(values)
+    return [v / total for v in values]
+
+
 def data_aware_weights(sizes, influences) -> list[float]:
     """Combine dataset sizes with influences: w_k proportional to n_k * I_k.
 
     When every influence is bit-equal this reduces exactly to normalized
-    size weights — literally the same arithmetic — so equal validation
+    size weights — the same call on the same floats — so equal validation
     losses reproduce plain size-weighted averaging down to the last bit.
     """
     sizes = [float(n) for n in sizes]
@@ -112,13 +100,11 @@ def data_aware_weights(sizes, influences) -> list[float]:
     if any(n <= 0 for n in sizes):
         raise ValueError("sizes must be positive")
     if max(influences) == min(influences):
-        total = math.fsum(sizes)
-        return [n / total for n in sizes]
+        return _normalized(sizes)
     products = [n * i for n, i in zip(sizes, influences)]
-    total = math.fsum(products)
-    if total <= 0:
+    if math.fsum(products) <= 0:
         raise ValueError("all size-influence products vanished")
-    return [p / total for p in products]
+    return _normalized(products)
 
 
 def influence_report(client_ids, sizes, val_losses) -> InfluenceReport:
@@ -142,7 +128,7 @@ def size_weights(
     sizes: dict[str, int],
     participants: list[str],
     mode: WeightMode = WeightMode.NORMALIZED,
-) -> AggregationWeights:
+) -> dict[str, float]:
     """Per-client size weights over the participating set.
 
     NORMALIZED: w_k = n_k / sum of participating sizes (sums to 1).
@@ -154,13 +140,10 @@ def size_weights(
         raise ValueError("participant set is empty")
     ordered = sorted(participants)
     if mode is WeightMode.NORMALIZED:
-        denom = math.fsum(float(sizes[c]) for c in ordered)
-        values = {c: sizes[c] / denom for c in ordered}
-    else:
-        n_global = float(sum(sizes.values()))
-        m = len(ordered)
-        values = {c: sizes[c] / n_global / m for c in ordered}
-    return AggregationWeights(values, mode)
+        return dict(zip(ordered, _normalized([float(sizes[c]) for c in ordered])))
+    n_global = float(sum(sizes.values()))
+    m = len(ordered)
+    return {c: sizes[c] / n_global / m for c in ordered}
 
 
 def _check_compatible(clients: dict[str, AdapterSet]) -> None:
@@ -183,21 +166,21 @@ def _check_compatible(clients: dict[str, AdapterSet]) -> None:
 
 def aggregate(
     clients: dict[str, AdapterSet],
-    weights: AggregationWeights | dict[str, float],
+    weights: dict[str, float],
     rule: AggregationRule = AggregationRule.BOTH_FACTORS,
-) -> tuple[AdapterSet, dict[str, AdapterSet]]:
-    """Weighted aggregation of client adapter sets.
+) -> AdapterSet:
+    """Weighted aggregation of client adapter sets into the global set.
 
     BOTH_FACTORS: per layer, global B = sum of w_k B_k and global A = sum of
-    w_k A_k.  A_ONLY: only the A factors aggregate; each client's B is
-    returned unchanged in the retained map and the global set carries zero
-    B factors (the aggregated A travels, B stays local).
+    w_k A_k.  A_ONLY: only the A factors aggregate and the global set carries
+    zero B factors (the aggregated A travels; each client keeps its own B).
     """
     if not clients:
         raise ValueError("no clients to aggregate")
-    values = weights.values if isinstance(weights, AggregationWeights) else dict(weights)
-    if set(values) != set(clients):
+    if set(weights) != set(clients):
         raise ValueError("weights must cover exactly the given clients")
+    if any(w < 0 for w in weights.values()):
+        raise ValueError("weights must be non-negative")
     _check_compatible(clients)
     ids = sorted(clients)
     reference = clients[ids[0]]
@@ -207,12 +190,9 @@ def aggregate(
         a_sum = np.zeros_like(ref_pair.a)
         for cid in ids:
             pair = clients[cid][key]
-            w = values[cid]
+            w = weights[cid]
             if rule is AggregationRule.BOTH_FACTORS:
                 b_sum += w * pair.b
             a_sum += w * pair.a
         layers[key] = ref_pair.with_factors(b_sum, a_sum)
-    retained = {}
-    if rule is AggregationRule.A_ONLY:
-        retained = {cid: clients[cid] for cid in ids}
-    return AdapterSet(layers), retained
+    return AdapterSet(layers)

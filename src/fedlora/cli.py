@@ -165,9 +165,7 @@ def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
             shards = shard(pool, k, derive_seed(cfg.seed, "shard", k))
             for strategy in SCALE_STRATEGIES:
                 # shards always run full participation
-                fed_cfg = replace(
-                    cfg.federation, strategy=strategy, total_clients=k, clients_per_round=k
-                )
+                fed_cfg = replace(cfg.federation, strategy=strategy, clients_per_round=k)
                 _, metric_rows = train_and_score(fed_cfg, shards)
                 rows.extend({"k": k, **asdict(r), "seed": seed} for r in metric_rows)
     _write_csv(os.path.join(out_dir, "scale.csv"), SCALE_FIELDS, rows)

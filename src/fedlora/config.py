@@ -244,8 +244,12 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
             "clients_per_round": lambda v: len(sites),
             "seed": lambda v: derive_seed(master_seed, "federation"),
         },
-        fixed={"total_clients": lambda v: len(sites)},
     )
+    if federation.clients_per_round > len(sites):
+        raise ConfigError(
+            f"{path}.federation.clients_per_round",
+            f"{federation.clients_per_round} exceeds the {len(sites)} sites",
+        )
     baselines = [
         _value(name, f"{path}.baselines[{i}]", Strategy)
         for i, name in enumerate(_list(raw, path, "baselines"))

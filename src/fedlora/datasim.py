@@ -195,14 +195,10 @@ def _flip_labels(rule: PlantedRule, example: Example, noise_rate: float, rng) ->
         for i in np.nonzero(flips)[0]:
             offset = int(rng.integers(1, rule.num_tags))
             tags[i] = (tags[i] + offset) % rule.num_tags
-        return Example(Task.TAGGING, example.tokens, tags=tags)
+        return replace(example, tags=tags)
     if rng.random() < noise_rate:
         offset = int(rng.integers(1, rule.num_relations))
-        label = (example.relation + offset) % rule.num_relations
-        return Example(
-            Task.RELATION, example.tokens, head=example.head, tail=example.tail,
-            relation=label,
-        )
+        return replace(example, relation=(example.relation + offset) % rule.num_relations)
     return example
 
 
@@ -241,16 +237,14 @@ def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
     pair_cycle = 0
     e = rule.num_entity_types
     for i in range(n_v):
+        length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
+        tokens = sampler.draw_tokens(length)
         if i % 2 == 0:
-            ex = _make_tagging(rule, sampler, rng)
-            tokens = ex.tokens.copy()
             target_tag = tag_cycle % rule.num_tags
             tag_cycle += 1
             tokens[0] = _token_with_tag(rule, target_tag)
             examples.append(Example(Task.TAGGING, tokens, tags=rule.tags_of(tokens)))
         else:
-            length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
-            tokens = sampler.draw_tokens(length)
             head_group = (pair_cycle // e) % e + 1
             tail_group = pair_cycle % e + 1
             pair_cycle += 1

@@ -63,7 +63,6 @@ def make_test_split(spec: SiteSpec, test_size: int, rule: PlantedRule) -> SiteDa
     """Noise-free, all-task held-out split with the site's input distribution."""
     test_spec = replace(
         spec,
-        site_id=f"{spec.site_id}",
         n_examples=test_size,
         noise_rate=0.0,
         tasks=(Task.TAGGING, Task.RELATION),
@@ -119,8 +118,7 @@ def evaluate_model(
                 level=bootstrap.level,
                 seed=derive_seed(seed, test.spec.site_id, task.value, scheme.value),
             )
-            report = EvalReport(report.task, report.scheme, report.tp, report.fp,
-                                report.fn, ci=ci)
+            report = replace(report, ci=ci)
         reports[(task, scheme)] = report
     return reports
 

@@ -40,13 +40,9 @@ class Strategy(enum.Enum):
     SHARE_A = "share_a"  # aggregate A factors only, B stays client-local
 
 
-FEDERATED_STRATEGIES = (Strategy.FEDAVG, Strategy.INFLUENCE, Strategy.SHARE_A)
-
-
 @dataclass(frozen=True)
 class FederationConfig:
     strategy: Strategy
-    total_clients: int
     clients_per_round: int
     rounds: int
     sgd: SgdConfig
@@ -54,8 +50,8 @@ class FederationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.clients_per_round <= self.total_clients:
-            raise ValueError("need 1 <= clients_per_round <= total_clients")
+        if self.clients_per_round < 1:
+            raise ValueError("clients_per_round must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
 
@@ -186,11 +182,11 @@ def _run_protocol(
             )
             weights = report.as_weight_map()
         else:
-            weights = size_weights(sizes, sampled, mode=config.weight_mode).values
+            weights = size_weights(sizes, sampled, mode=config.weight_mode)
 
-        global_adapters, retained = aggregate(updated, weights, rule)
+        global_adapters = aggregate(updated, weights, rule)
         if rule is AggregationRule.A_ONLY:
-            retained_b.update(retained)
+            retained_b.update(updated)
 
         upload = {cid: _comm_volume(updated[cid], rule) for cid in sampled}
         download = {cid: _comm_volume(global_adapters, rule) for cid in sampled}
@@ -198,7 +194,7 @@ def _run_protocol(
             RoundTranscript(
                 round=t,
                 sampled=tuple(sampled),
-                weights=dict(weights),
+                weights=weights,
                 uploads=upload,
                 downloads=download,
                 checksum=global_adapters.checksum(),
@@ -239,10 +235,6 @@ def run_federation(
     for site in sites:
         if len(site) == 0:
             raise ValueError(f"site {site.spec.site_id!r} is empty")
-    if config.strategy in FEDERATED_STRATEGIES and len(sites) != config.total_clients:
-        raise ValueError(
-            f"config declares {config.total_clients} clients but got {len(sites)} sites"
-        )
     if config.strategy is Strategy.INFLUENCE and not val_set:
         raise ValueError("influence-weighted aggregation requires a validation set")
 
@@ -252,7 +244,7 @@ def run_federation(
         return FederationResult(config, initial, [])
 
     # the pooled data and each lone site run the round loop as one client
-    solo = replace(config, total_clients=1, clients_per_round=1)
+    solo = replace(config, clients_per_round=1)
     if config.strategy is Strategy.CENTRALIZED:
         pooled = pool_sites(sites)
         return _run_protocol(solo, [pooled], val_set, backbone, initial)

@@ -227,17 +227,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _example_logits(frozen: Backbone, eff: dict[str, np.ndarray], example: Example):
     _check_tokens(example.tokens, frozen.config.vocab_size)
-    if example.task is Task.TAGGING:
-        x = frozen.embedding[example.tokens]  # n x h
-        u = x @ eff["trunk"]
-        z = np.maximum(u, 0.0)
-        return z @ eff["tag_head"], (x, u, z)
-    marked = np.array([example.head, example.tail])
-    x = frozen.embedding[example.tokens[marked]]  # 2 x h
+    tagging = example.task is Task.TAGGING
+    tokens = example.tokens if tagging else example.tokens[[example.head, example.tail]]
+    x = frozen.embedding[tokens]  # n x h, or 2 x h for a pair
     u = x @ eff["trunk"]
     z = np.maximum(u, 0.0)
-    zcat = z.reshape(-1)  # 2h
-    return zcat @ eff["rel_head"], (x, u, z)
+    if tagging:
+        return z @ eff["tag_head"], (x, u, z)
+    return z.reshape(-1) @ eff["rel_head"], (x, u, z)  # [z_head ; z_tail]
 
 
 def forward(model: ToyModel, example: Example) -> np.ndarray:
@@ -269,25 +266,19 @@ def _batch_weight_grads(frozen: Backbone, eff: dict[str, np.ndarray], batch: lis
     inv_b = 1.0 / len(batch)
     for ex in batch:
         logits, (x, u, z) = _example_logits(frozen, eff, ex)
-        probs = np.exp(_log_softmax(logits))
+        dlogits = np.exp(_log_softmax(logits))
         if ex.task is Task.TAGGING:
             n = len(ex.tags)
-            dlogits = probs
             dlogits[np.arange(n), ex.tags] -= 1.0
             dlogits *= inv_b / n
             d_tag += z.T @ dlogits
             dz = dlogits @ eff["tag_head"].T
-            du = dz * (u > 0)
-            d_trunk += x.T @ du
         else:
-            dlogits = probs
             dlogits[ex.relation] -= 1.0
             dlogits *= inv_b
-            zcat = z.reshape(-1)
-            d_rel += np.outer(zcat, dlogits)
-            dzcat = eff["rel_head"] @ dlogits
-            du = dzcat.reshape(2, -1) * (u > 0)
-            d_trunk += x.T @ du
+            d_rel += np.outer(z.reshape(-1), dlogits)
+            dz = (eff["rel_head"] @ dlogits).reshape(2, -1)
+        d_trunk += x.T @ (dz * (u > 0))
     return {"trunk": d_trunk, "tag_head": d_tag, "rel_head": d_rel}
 
 

@@ -85,8 +85,8 @@ def test_02_fedavg_reduction_identity():
         plain = size_weights(sizes, list(clients))
         for c in clients:
             assert abs(report.as_weight_map()[c] - plain[c]) <= 1e-12
-        agg_plus, _ = aggregate(clients, report.as_weight_map())
-        agg_plain, _ = aggregate(clients, plain)
+        agg_plus = aggregate(clients, report.as_weight_map())
+        agg_plain = aggregate(clients, plain)
         for key in shapes:
             assert np.array_equal(agg_plus[key].b, agg_plain[key].b)
             assert np.array_equal(agg_plus[key].a, agg_plain[key].a)
@@ -183,7 +183,7 @@ def backbone60(seed):
 
 
 def run_and_score(strategy, sites, tests, val, backbone, seed, rounds=2):
-    cfg = FederationConfig(strategy, len(sites), len(sites), rounds, SGD, seed=seed)
+    cfg = FederationConfig(strategy, len(sites), rounds, SGD, seed=seed)
     result = run_federation(cfg, sites, val, backbone)
     return evaluate_result(result, backbone, RULE60, tests)
 
@@ -270,7 +270,7 @@ def test_07_scalability():
                 shards = shard(pool, k, seed=seed * 19)
                 tests = [make_test_split(pool_spec, 300, rule)]
                 val = make_validation_set(rule, 40, seed=seed * 19 + 5).examples
-                cfg = FederationConfig(strategy, k, k, 6, sgd, seed=seed)
+                cfg = FederationConfig(strategy, k, 6, sgd, seed=seed)
                 result = run_federation(cfg, shards, val, backbone)
                 rows = evaluate_result(result, backbone, rule, tests)
                 per_seed.append(strict_mean(rows, "tagging"))

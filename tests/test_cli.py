@@ -109,6 +109,7 @@ class TestCmdRun:
             ("sites[0].dirichlet_alpha", float("nan")),
             ("model.seed", -5),
             ("sites[0].seed", -1),
+            ("federation.clients_per_round", 3),
         ],
     )
     def test_malformed_value_exits_2_naming_field(self, tmp_path, capsys, field, value):

@@ -66,7 +66,7 @@ class TestLedgerFromTranscripts:
             generate_site(SiteSpec(f"s{i}", 20, seed=40 + i), rule) for i in range(2)
         ]
         config = FederationConfig(
-            Strategy.FEDAVG, 2, 2, rounds, SgdConfig(0.1, 1, 8), seed=5
+            Strategy.FEDAVG, 2, rounds, SgdConfig(0.1, 1, 8), seed=5
         )
         return run_federation(config, sites, None, Backbone.build(cfg))
 

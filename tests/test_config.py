@@ -56,7 +56,6 @@ class TestParse:
         assert cfg.model.tag_classes == 9
         assert cfg.model.relation_classes == 16
         assert cfg.federation.strategy is Strategy.INFLUENCE
-        assert cfg.federation.total_clients == 2
         assert cfg.sites[1].tasks == (Task.TAGGING,)
         assert cfg.strategies() == [
             Strategy.INFLUENCE, Strategy.ZERO_SHOT, Strategy.CENTRALIZED,

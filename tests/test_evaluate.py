@@ -122,7 +122,7 @@ class TestEvaluateResult:
     def test_row_schema(self):
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
-        config = FederationConfig(Strategy.FEDAVG, 2, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
+        config = FederationConfig(Strategy.FEDAVG, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_federation(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
         rows = evaluate_result(result, backbone, RULE, tests)
@@ -137,7 +137,7 @@ class TestEvaluateResult:
     def test_single_site_rows_average_client_models(self):
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
-        config = FederationConfig(Strategy.SINGLE_SITE, 2, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
+        config = FederationConfig(Strategy.SINGLE_SITE, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_federation(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
         rows = evaluate_result(result, backbone, RULE, tests)
@@ -166,7 +166,7 @@ class TestEvaluateResult:
 
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
-        config = FederationConfig(Strategy.SINGLE_SITE, 2, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
+        config = FederationConfig(Strategy.SINGLE_SITE, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_federation(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
         merges = []
@@ -184,7 +184,7 @@ class TestEvaluateResult:
     def test_zero_shot_rows_have_low_f1(self):
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
-        config = FederationConfig(Strategy.ZERO_SHOT, 2, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
+        config = FederationConfig(Strategy.ZERO_SHOT, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_federation(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
         rows = evaluate_result(result, backbone, RULE, tests)

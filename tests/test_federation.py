@@ -45,11 +45,10 @@ def make_sites(n_sites, n_examples=40, seed=100, **spec_kw):
     return sites
 
 
-def fed_config(strategy, k, rounds=2, m=None, seed=11):
+def fed_config(strategy, k, rounds=2, seed=11):
     return FederationConfig(
         strategy=strategy,
-        total_clients=k,
-        clients_per_round=k if m is None else m,
+        clients_per_round=k,
         rounds=rounds,
         sgd=SGD,
         seed=seed,
@@ -320,7 +319,6 @@ class TestValidationErrors:
         backbone = Backbone.build(MODEL_CFG)
         literal_config = FederationConfig(
             strategy=Strategy.FEDAVG,
-            total_clients=2,
             clients_per_round=2,
             rounds=1,
             sgd=SGD,
