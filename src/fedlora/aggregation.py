@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lora import AdapterSet
-from .model import Example, ToyModel, loss
+from .model import Example, Pack, ToyModel, loss
 
 
 class WeightMode(enum.Enum):
@@ -56,7 +56,9 @@ class InfluenceReport:
         return dict(zip(self.client_ids, self.weights))
 
 
-def validation_loss(model: ToyModel, adapters: AdapterSet, val_set: list[Example]) -> float:
+def validation_loss(
+    model: ToyModel, adapters: AdapterSet, val_set: Pack | list[Example]
+) -> float:
     """Mean cross-entropy of the merged (backbone + adapters) model on D_v."""
     if not val_set:
         raise ValueError("validation set is empty")

@@ -82,10 +82,13 @@ def _seed_run(config: ExperimentConfig, seed: int):
     specs = cfg.sites + cfg.external_sites
     tests = [make_test_split(spec, cfg.eval.test_size, rule) for spec in specs]
     val = make_validation_set(rule, cfg.validation.n_examples, derive_seed(cfg.seed, "validation"))
+    # every split is packed and range-checked here, before any training step
+    for split in (*sites, val, *tests):
+        backbone.check_tokens(split.packed)
 
     def train_and_score(fed_cfg: FederationConfig, train_sites):
         try:
-            result = run_federation(fed_cfg, train_sites, val.examples, backbone)
+            result = run_federation(fed_cfg, train_sites, val.packed, backbone)
         except Diverged as err:
             raise Diverged(f"seed {seed}, strategy {fed_cfg.strategy.value}, {err}") from None
         return result, evaluate_result(

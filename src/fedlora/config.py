@@ -22,7 +22,7 @@ from .comm import DEFAULT_BYTES_PER_PARAM, PRESETS
 from .datasim import PlantedRule, SiteSpec
 from .evaluate import BootstrapConfig
 from .federation import FederationConfig, Strategy
-from .model import ModelConfig
+from .model import FieldError, ModelConfig
 from .seeding import derive_seed
 
 
@@ -93,9 +93,9 @@ def _section(node, path: str, cls, defaults=None, fixed=None):
     against its field's type.  A key left out takes its value from
     ``defaults`` if named there, else the dataclass's own default.
     ``defaults`` and ``fixed`` map field names to functions of the checked
-    keys.  A ``ValueError`` from those functions or from ``cls`` becomes a
-    ``ConfigError`` at ``path``; a ``ConfigError`` from ``cls`` names a
-    field below ``path``.
+    keys.  A ``FieldError`` from those functions or from ``cls`` becomes a
+    ``ConfigError`` at the field it names below ``path``; any other
+    ``ValueError`` becomes one at ``path``.
     """
     defaults, fixed = defaults or {}, fixed or {}
     node = _require_mapping(node, path)
@@ -110,8 +110,8 @@ def _section(node, path: str, cls, defaults=None, fixed=None):
     try:
         derived = {**defaults, **fixed}
         return cls(**values, **{k: f(values) for k, f in derived.items() if k not in values})
-    except ConfigError as err:
-        raise ConfigError(f"{path}.{err.path}", err.message) from err
+    except FieldError as err:
+        raise ConfigError(f"{path}.{err.field}", err.message) from err
     except ValueError as err:
         raise ConfigError(path, str(err)) from err
 
@@ -123,7 +123,7 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.test_size < 1:
-            raise ConfigError("test_size", "must be >= 1")
+            raise FieldError("test_size", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,9 @@ class CommConfig:
 
     def __post_init__(self):
         if self.bytes_per_param < 1:
-            raise ConfigError("bytes_per_param", "must be >= 1")
+            raise FieldError("bytes_per_param", "must be >= 1")
         if self.preset is not None and self.preset not in PRESETS:
-            raise ConfigError("preset", f"unknown preset, expected one of {sorted(PRESETS)}")
+            raise FieldError("preset", f"unknown preset, expected one of {sorted(PRESETS)}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class ValidationConfig:
 
     def __post_init__(self):
         if self.n_examples < 1:
-            raise ConfigError("n_examples", "must be >= 1")
+            raise FieldError("n_examples", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
     )
     if model.rank > model.tag_classes:
         raise ConfigError(
-            f"{path}.model", f"rank {model.rank} exceeds the tag-head width {model.tag_classes}"
+            f"{path}.model.rank", f"{model.rank} exceeds the tag-head width {model.tag_classes}"
         )
 
     sites = _sites(raw, path, "sites", master_seed)

@@ -17,10 +17,11 @@ Sites differ only in their input distribution, through four orthogonal knobs:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .model import Example, Task
+from .model import Example, FieldError, Pack, Task
 
 MIN_LEN = 6
 MAX_LEN = 12
@@ -49,9 +50,9 @@ class PlantedRule:
     def __post_init__(self):
         groups = self.num_entity_types + 1
         if self.vocab_size < 2 * groups:
-            raise ValueError("vocab too small for the planted rule")
+            raise FieldError("vocab_size", "too small for the planted rule")
         if self.vocab_size % groups != 0:
-            raise ValueError(f"vocab_size must be a multiple of {groups}")
+            raise FieldError("vocab_size", f"must be a multiple of {groups}")
 
     @property
     def num_groups(self) -> int:
@@ -104,13 +105,13 @@ class SiteSpec:
 
     def __post_init__(self):
         if self.n_examples < 1:
-            raise ValueError("n_examples must be >= 1")
+            raise FieldError("n_examples", "must be >= 1")
         if not self.tasks:
-            raise ValueError("tasks must be non-empty")
+            raise FieldError("tasks", "must be non-empty")
         if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError("noise_rate must lie in [0, 1]")
+            raise FieldError("noise_rate", "must lie in [0, 1]")
         if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be positive")
+            raise FieldError("dirichlet_alpha", "must be positive")
         object.__setattr__(self, "tasks", tuple(self.tasks))
 
 
@@ -128,6 +129,12 @@ class SiteDataset:
 
     def __len__(self) -> int:
         return len(self.examples)
+
+    @cached_property
+    def packed(self) -> Pack:
+        """The examples as flat arrays, packed on first use; the pack lives
+        and dies with the dataset."""
+        return Pack.of(self.examples)
 
 
 class _SiteSampler:

@@ -29,7 +29,7 @@ from .metrics import (
     relation_counts,
     span_counts,
 )
-from .model import Backbone, Task, ToyModel, forward
+from .model import Backbone, FieldError, Task, ToyModel, forward
 from .seeding import derive_seed
 
 
@@ -40,10 +40,11 @@ class BootstrapConfig:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.sample_size < 1 or self.reps < 1:
-            raise ValueError("sample_size and reps must be >= 1")
+        for name in ("sample_size", "reps"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, "must be >= 1")
         if not 0 < self.level < 1:
-            raise ValueError("level must lie in (0, 1)")
+            raise FieldError("level", "must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,21 @@ def _marked_span(rule: PlantedRule, tokens: np.ndarray, pos: int) -> Span:
 def _doc_counts(model: ToyModel, rule: PlantedRule,
                 test: SiteDataset) -> dict[tuple[Task, Scheme], list[tuple[int, int, int]]]:
     """Per-document match counts under every (task, scheme), from one
-    forward pass and one decode per document."""
+    forward pass over the whole split and one decode per document."""
     counts = {(task, scheme): [] for task in Task for scheme in Scheme}
-    for ex in test.examples:
-        logits = forward(model, ex)
+    pack = test.packed
+    tag_probs, rel_probs = forward(model, pack)
+    tag_pred, rel_pred = tag_probs.argmax(axis=1), rel_probs.argmax(axis=1)
+    for ex, row in zip(test.examples, pack.row):
         if ex.task is Task.TAGGING:
-            gold, pred = decode_bio(ex.tags), decode_bio(logits.argmax(axis=1))
+            pred_tags = tag_pred[pack.starts[row] : pack.starts[row + 1]]
+            gold, pred = decode_bio(ex.tags), decode_bio(pred_tags)
             count = span_counts
         else:
             head = _marked_span(rule, ex.tokens, ex.head)
             tail = _marked_span(rule, ex.tokens, ex.tail)
             gold = [RelationInstance(head, tail, ex.relation)]
-            pred = [RelationInstance(head, tail, int(logits.argmax()))]
+            pred = [RelationInstance(head, tail, int(rel_pred[row]))]
             count = relation_counts
         for scheme in Scheme:
             counts[(ex.task, scheme)].append(count(gold, pred, scheme))

@@ -27,7 +27,17 @@ from .aggregation import (
 )
 from .datasim import SiteDataset, SiteSpec
 from .lora import AdapterSet, serialized_a_size, serialized_size
-from .model import Backbone, Diverged, Example, SgdConfig, Task, ToyModel, local_update
+from .model import (
+    Backbone,
+    Diverged,
+    Example,
+    FieldError,
+    Pack,
+    SgdConfig,
+    Task,
+    ToyModel,
+    local_update,
+)
 from .seeding import derive_seed
 
 
@@ -50,10 +60,9 @@ class FederationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.clients_per_round < 1:
-            raise ValueError("clients_per_round must be >= 1")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        for name in ("clients_per_round", "rounds"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,7 @@ def _with_client_b(global_adapters: AdapterSet, client_set: AdapterSet) -> Adapt
 def _run_protocol(
     config: FederationConfig,
     sites: list[SiteDataset],
-    val_set: list[Example] | None,
+    val_set: Pack | None,
     backbone: Backbone,
     initial: AdapterSet,
 ) -> FederationResult:
@@ -166,7 +175,7 @@ def _run_protocol(
                 start = _with_client_b(global_adapters, retained_b[cid])
             try:
                 updated[cid] = local_update(
-                    model.with_adapters(start), by_id[cid].examples, config.sgd, local_seed
+                    model.with_adapters(start), by_id[cid].packed, config.sgd, local_seed
                 )
             except Diverged as err:
                 raise Diverged(f"round {t}, client {cid!r}, {err}") from None
@@ -215,7 +224,7 @@ def _run_protocol(
 def run_federation(
     config: FederationConfig,
     sites: list[SiteDataset],
-    val_set: list[Example] | None,
+    val_set: Pack | list[Example] | None,
     backbone: Backbone,
 ) -> FederationResult:
     """Execute the configured strategy over the given sites.
@@ -237,6 +246,7 @@ def run_federation(
             raise ValueError(f"site {site.spec.site_id!r} is empty")
     if config.strategy is Strategy.INFLUENCE and not val_set:
         raise ValueError("influence-weighted aggregation requires a validation set")
+    val_set = Pack.of(val_set) if val_set else None  # packed once, scored every round
 
     initial = backbone.init_adapters(derive_seed(config.seed, "adapter_init"))
 

@@ -3,11 +3,17 @@ import itertools
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from fedlora.cli import main
+import fedlora.cli
+import fedlora.federation
+from fedlora.cli import cmd_run, main
+from fedlora.config import parse_config
+from fedlora.datasim import SiteDataset
+from fedlora.model import TokenRangeError
 
 BASE_CONFIG = {
     "seed": 3,
@@ -110,6 +116,25 @@ class TestCmdRun:
             ("model.seed", -5),
             ("sites[0].seed", -1),
             ("federation.clients_per_round", 3),
+            # range checks inside the config dataclasses
+            ("federation.clients_per_round", 0),
+            ("federation.rounds", 0),
+            ("federation.sgd.batch_size", 0),
+            ("federation.sgd.epochs", 0),
+            ("federation.sgd.learning_rate", -0.1),
+            ("model.hidden", 0),
+            ("model.rank", 0),
+            ("model.rank", 40),
+            ("model.alpha", -1.0),
+            ("model.vocab_size", 5),
+            ("sites[0].n_examples", 0),
+            ("sites[0].noise_rate", 1.5),
+            ("sites[0].dirichlet_alpha", 0.0),
+            ("validation.n_examples", 0),
+            ("eval.test_size", 0),
+            ("eval.bootstrap.sample_size", 0),
+            ("eval.bootstrap.reps", 0),
+            ("eval.bootstrap.level", 1.0),
         ],
     )
     def test_malformed_value_exits_2_naming_field(self, tmp_path, capsys, field, value):
@@ -161,6 +186,44 @@ class TestCmdRun:
         assert main(
             ["run", "--config", str(tmp_path / "nope.yaml"), "--out-dir", str(tmp_path)]
         ) == 3
+
+
+class TestTokenRange:
+    @pytest.mark.parametrize(
+        "maker", ["generate_site", "make_validation_set", "make_test_split"]
+    )
+    def test_out_of_range_token_fails_before_any_training_step(
+        self, tmp_path, monkeypatch, maker
+    ):
+        # one token past the vocabulary in the first training site, the
+        # validation set or the first test split
+        vocab = BASE_CONFIG["model"]["vocab_size"]
+        make = getattr(fedlora.cli, maker)
+        corrupted = []
+
+        def make_with_bad_token(*args, **kwargs):
+            split = make(*args, **kwargs)
+            if corrupted:
+                return split
+            first = split.examples[0]
+            tokens = first.tokens.copy()
+            tokens[-1] = vocab
+            corrupted.append(split.spec.site_id)
+            return SiteDataset(split.spec, [replace(first, tokens=tokens), *split.examples[1:]])
+
+        steps = []
+        train = fedlora.federation.local_update
+
+        def recording_update(*args, **kwargs):
+            steps.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(fedlora.cli, maker, make_with_bad_token)
+        monkeypatch.setattr(fedlora.federation, "local_update", recording_update)
+        config = parse_config(json_roundtrip(BASE_CONFIG))
+        with pytest.raises(TokenRangeError, match=f"token id {vocab} out of range"):
+            cmd_run(config, str(tmp_path / "out"), [config.seed])
+        assert corrupted and steps == []
 
 
 class TestCmdUneven:

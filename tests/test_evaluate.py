@@ -33,13 +33,15 @@ class TestPredictions:
     def test_gold_model_predicts_gold_tags(self):
         model = gold_tagging_model()
         site = generate_site(SiteSpec("a", 50, seed=3, tasks=(Task.TAGGING,)), RULE)
-        for ex in site.examples:
-            assert np.array_equal(forward(model, ex).argmax(axis=1), ex.tags)
+        tag_probs, _ = forward(model, site.packed)
+        gold = np.concatenate([ex.tags for ex in site.examples])
+        assert np.array_equal(tag_probs.argmax(axis=1), gold)
 
     def test_predict_relation_returns_class_index(self):
         model = ToyModel.build(CFG)
         ex = Example(Task.RELATION, [0, 1, 2, 3], head=0, tail=2, relation=5)
-        assert 0 <= int(forward(model, ex).argmax()) < RULE.num_relations
+        _, rel_probs = forward(model, [ex])
+        assert 0 <= int(rel_probs.argmax()) < RULE.num_relations
 
 
 class TestMakeTestSplit:
@@ -96,20 +98,20 @@ class TestEvaluateModel:
             assert hi >= one[key].f1 - 1e-9
 
 
-    def test_one_forward_pass_per_document(self, monkeypatch):
+    def test_one_forward_pass_per_split(self, monkeypatch):
         import fedlora.evaluate
 
         calls = []
 
-        def counting_forward(model, example):
-            calls.append(example)
-            return forward(model, example)
+        def counting_forward(model, data):
+            calls.append(data)
+            return forward(model, data)
 
         monkeypatch.setattr(fedlora.evaluate, "forward", counting_forward)
         test = make_test_split(SiteSpec("a", 40, seed=10), 40, RULE)
         reports = evaluate_model(ToyModel.build(CFG), RULE, test)
         assert len(reports) == 4
-        assert len(calls) == len(test.examples) == 40
+        assert calls == [test.packed]
 
 
 class TestEvaluateResult:

@@ -15,14 +15,7 @@ from fedlora.lora import (
     serialized_a_size,
     serialized_size,
 )
-from fedlora.model import (
-    Backbone,
-    Example,
-    ModelConfig,
-    Task,
-    ToyModel,
-    _example_logits,
-)
+from fedlora.model import Backbone, Example, ModelConfig, Task, ToyModel, forward
 
 
 def naive_matmul(x, y):
@@ -102,8 +95,12 @@ class TestMerge:
         backbone = square_backbone(rng, 3)
         adapters = make_set(rng, backbone.adapter_shapes(), rank=1, alpha=1.0)
         example = Example(Task.TAGGING, [1, 4, 9], tags=[0, 1, 2])
-        _, (x, _, _) = _example_logits(backbone, merged_weights(backbone, adapters), example)
-        assert np.array_equal(x, backbone.embedding[example.tokens])
+        merged = merged_weights(backbone, adapters)
+        z = np.maximum(backbone.embedding[example.tokens] @ merged["trunk"], 0.0)
+        logits = z @ merged["tag_head"]
+        expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        probs, _ = forward(ToyModel(backbone, adapters), [example])
+        np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch_names_layer_and_shapes(self):
         backbone = square_backbone(np.random.default_rng(2), 3)

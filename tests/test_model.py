@@ -91,10 +91,12 @@ class TestForward:
             rel_head=np.ones((4, 5)),
         )
         model = ToyModel(frozen, frozen.init_adapters(0))
-        probs = forward(model, Example(Task.TAGGING, [0, 1], tags=[0, 0]))
+        probs, rel = forward(model, [
+            Example(Task.TAGGING, [0, 1], tags=[0, 0]),
+            Example(Task.RELATION, [0, 1], head=0, tail=1, relation=0),
+        ])
         np.testing.assert_allclose(probs, np.full((2, 4), 0.25), atol=1e-15)
-        rel = forward(model, Example(Task.RELATION, [0, 1], head=0, tail=1, relation=0))
-        np.testing.assert_allclose(rel, np.full(5, 0.2), atol=1e-15)
+        np.testing.assert_allclose(rel, np.full((1, 5), 0.2), atol=1e-15)
 
     def test_distributions_sum_to_one(self):
         model = ToyModel.build(SMALL)
@@ -102,10 +104,10 @@ class TestForward:
         rng = np.random.default_rng(2)
         for _ in range(100):
             ex = tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes)
-            probs = forward(model, ex)
-            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             rex = relation_example(rng, SMALL.vocab_size, SMALL.relation_classes)
-            np.testing.assert_allclose(forward(model, rex).sum(), 1.0, atol=1e-12)
+            probs, rel = forward(model, [ex, rex])
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(rel.sum(axis=1), 1.0, atol=1e-12)
 
     def test_hand_sized_instance_matches_scalar_recomputation(self):
         # V=3, h=2, 2 tokens: recompute every number with explicit loops.
@@ -130,7 +132,7 @@ class TestForward:
             }
         )
         model = ToyModel(frozen, adapters)
-        got = forward(model, Example(Task.TAGGING, [0, 2], tags=[0, 1]))
+        got, _ = forward(model, [Example(Task.TAGGING, [0, 2], tags=[0, 1])])
 
         # independent scalar recomputation (scale alpha/rank = 2)
         trunk_eff = [[0.0] * 2 for _ in range(2)]
@@ -154,7 +156,7 @@ class TestForward:
     def test_out_of_range_token_rejected(self):
         model = ToyModel.build(SMALL)
         with pytest.raises(TokenRangeError):
-            forward(model, Example(Task.TAGGING, [0, 99], tags=[0, 0]))
+            forward(model, [Example(Task.TAGGING, [0, 99], tags=[0, 0])])
 
 
 class TestLoss:
@@ -189,13 +191,13 @@ class TestLoss:
         batch = mixed_batch(6)
         expected = 0.0
         for ex in batch:
-            probs = forward(model, ex)
+            tag_probs, rel_probs = forward(model, [ex])
             if ex.task is Task.TAGGING:
                 expected += -np.mean(
-                    [math.log(probs[i, t]) for i, t in enumerate(ex.tags)]
+                    [math.log(tag_probs[i, t]) for i, t in enumerate(ex.tags)]
                 )
             else:
-                expected += -math.log(probs[ex.relation])
+                expected += -math.log(rel_probs[0, ex.relation])
         expected /= len(batch)
         assert loss(model, batch) == pytest.approx(expected, abs=1e-10)
 
@@ -274,6 +276,107 @@ class TestGrad:
             grad(model, [])
 
 
+# ---------------------------------------------------------------------------
+# Per-example oracle: the model run one example at a time, with the weight
+# gradients accumulated example by example.  The batched kernel must agree.
+# ---------------------------------------------------------------------------
+
+
+def oracle_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def oracle_logits(model: ToyModel, ex: Example):
+    eff = model.merged
+    tagging = ex.task is Task.TAGGING
+    tokens = ex.tokens if tagging else ex.tokens[[ex.head, ex.tail]]
+    x = model.frozen.embedding[tokens]  # n x h, or 2 x h for a pair
+    u = x @ eff["trunk"]
+    z = np.maximum(u, 0.0)
+    if tagging:
+        return z @ eff["tag_head"], (x, u, z)
+    return z.reshape(-1) @ eff["rel_head"], (x, u, z)  # [z_head ; z_tail]
+
+
+def oracle_loss(model: ToyModel, batch) -> float:
+    total = 0.0
+    for ex in batch:
+        logp = oracle_log_softmax(oracle_logits(model, ex)[0])
+        if ex.task is Task.TAGGING:
+            total += float(-logp[np.arange(len(ex.tags)), ex.tags].mean())
+        else:
+            total += float(-logp[ex.relation])
+    return total / len(batch)
+
+
+def oracle_grad(model: ToyModel, batch):
+    eff = model.merged
+    d_w = {key: np.zeros_like(w) for key, w in eff.items()}
+    inv_b = 1.0 / len(batch)
+    for ex in batch:
+        logits, (x, u, z) = oracle_logits(model, ex)
+        dlogits = np.exp(oracle_log_softmax(logits))
+        if ex.task is Task.TAGGING:
+            n = len(ex.tags)
+            dlogits[np.arange(n), ex.tags] -= 1.0
+            dlogits *= inv_b / n
+            d_w["tag_head"] += z.T @ dlogits
+            dz = dlogits @ eff["tag_head"].T
+        else:
+            dlogits[ex.relation] -= 1.0
+            dlogits *= inv_b
+            d_w["rel_head"] += np.outer(z.reshape(-1), dlogits)
+            dz = (eff["rel_head"] @ dlogits).reshape(2, -1)
+        d_w["trunk"] += x.T @ (dz * (u > 0))
+    # chain rule through W = W0 + s * B A
+    return {
+        key: (pair.scale * (d_w[key] @ pair.a.T), pair.scale * (pair.b.T @ d_w[key]))
+        for key, pair in model.adapters.items()
+    }
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    """|got - want| within rtol of the largest |want| of the array (exact
+    equality where the oracle is all zeros)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rtol * np.abs(want).max(initial=0.0)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        adapter_seed=st.integers(0, 2**32 - 1),
+        tasks=st.lists(st.sampled_from(list(Task)), min_size=1, max_size=12),
+        length=st.integers(2, 9),
+    )
+    def test_grad_loss_and_forward_match_per_example_oracle(
+        self, data_seed, adapter_seed, tasks, length
+    ):
+        model = ToyModel.build(SMALL)
+        model = model.with_adapters(randomized_adapters(model, adapter_seed, scale=0.3))
+        rng = np.random.default_rng(data_seed)
+        batch = [
+            tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes, length)
+            if task is Task.TAGGING
+            else relation_example(rng, SMALL.vocab_size, SMALL.relation_classes, length)
+            for task in tasks
+        ]
+        assert_close_relative(loss(model, batch), oracle_loss(model, batch))
+        got, want = grad(model, batch), oracle_grad(model, batch)
+        for key in want:
+            for got_factor, want_factor in zip(got[key], want[key]):
+                assert_close_relative(got_factor, want_factor)
+        tag_probs, rel_probs = forward(model, batch)
+        logits = [oracle_logits(model, ex)[0] for ex in batch]
+        tagged = [np.exp(oracle_log_softmax(l)) for l, t in zip(logits, tasks) if t is Task.TAGGING]
+        marked = [np.exp(oracle_log_softmax(l)) for l, t in zip(logits, tasks) if t is Task.RELATION]
+        assert_close_relative(tag_probs, np.concatenate(tagged or [np.zeros((0, SMALL.tag_classes))]))
+        assert_close_relative(rel_probs, np.array(marked).reshape(-1, SMALL.relation_classes))
+
+
 class TestLocalUpdate:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -301,6 +404,35 @@ class TestLocalUpdate:
             db, da = grads[key]
             assert np.array_equal(out[key].b, pair.b - eta * db)
             assert np.array_equal(out[key].a, pair.a - eta * da)
+
+    def test_multi_batch_epochs_replay_the_shuffle_through_grad(self):
+        # one permutation per epoch, batches cut in order and sorted: each
+        # step is a grad() on those examples, bit for bit
+        model = ToyModel.build(SMALL)
+        model = model.with_adapters(randomized_adapters(model, 31))
+        data = mixed_batch(32, n=11)
+        sgd = SgdConfig(0.05, 2, 4)
+        out = local_update(model, data, sgd, seed=33)
+        rng = np.random.default_rng(33)
+        steps = 0
+        for _ in range(sgd.epochs):
+            order = rng.permutation(len(data))
+            for start in range(0, len(data), sgd.batch_size):
+                idx = np.sort(order[start : start + sgd.batch_size])
+                grads = grad(model, [data[i] for i in idx])
+                layers = {
+                    key: pair.with_factors(
+                        pair.b - sgd.learning_rate * grads[key][0],
+                        pair.a - sgd.learning_rate * grads[key][1],
+                    )
+                    for key, pair in model.adapters.items()
+                }
+                model = model.with_adapters(AdapterSet(layers))
+                steps += 1
+        assert steps == 6
+        for key, pair in model.adapters.items():
+            assert np.array_equal(out[key].b, pair.b)
+            assert np.array_equal(out[key].a, pair.a)
 
     def test_deterministic_under_seed(self):
         model = ToyModel.build(SMALL)
