@@ -59,9 +59,8 @@ class InfluenceReport:
 def validation_loss(
     model: ToyModel, adapters: AdapterSet, val_set: Pack | list[Example]
 ) -> float:
-    """Mean cross-entropy of the merged (backbone + adapters) model on D_v."""
-    if not val_set:
-        raise ValueError("validation set is empty")
+    """Mean cross-entropy of the merged (backbone + adapters) model on D_v;
+    an empty set fails to pack (``EmptyBatchError``)."""
     return loss(model.with_adapters(adapters), val_set)
 
 

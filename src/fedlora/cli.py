@@ -235,8 +235,16 @@ def cmd_comm_report(preset_name: str, rounds: int, site_counts: list[int], out_d
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _flag_ints(flag: str, text: str, minimum: int) -> list[int]:
+    """The comma-separated integers given to ``flag``; an empty list, a
+    non-integer or a value below ``minimum`` is a config error naming it."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        values = []
+    if not values or min(values) < minimum:
+        raise ConfigError(flag, f"expected comma-separated integers >= {minimum}, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,18 +283,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "comm-report":
-            return cmd_comm_report(
-                args.preset, args.rounds, _parse_int_list(args.sites), args.out_dir
-            )
+            if args.rounds < 1:
+                raise ConfigError("--rounds", f"must be >= 1, got {args.rounds}")
+            sites = _flag_ints("--sites", args.sites, 1)
+            return cmd_comm_report(args.preset, args.rounds, sites, args.out_dir)
         if args.command == "compare":
             return cmd_compare(args.results_a, args.results_b, args.out_dir)
 
         config = load_config(args.config)
-        seeds = _parse_int_list(args.seeds) if args.seeds else [config.seed]
+        # master seeds feed numpy's SeedSequence, which takes no negative entropy
+        seeds = [config.seed] if args.seeds is None else _flag_ints("--seeds", args.seeds, 0)
         if args.command in ("run", "uneven"):
             return cmd_run(config, args.out_dir, seeds)
         if args.command == "scale-study":
-            return cmd_scale_study(config, args.out_dir, seeds, _parse_int_list(args.k))
+            k_list = _flag_ints("--k", args.k, 1)
+            return cmd_scale_study(config, args.out_dir, seeds, k_list)
         parser.error(f"unknown command {args.command}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

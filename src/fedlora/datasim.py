@@ -231,8 +231,6 @@ def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
     target tag class, relation examples cycle through the group-pair table,
     so every class appears once the set is large enough.
     """
-    if n_v < 1:
-        raise ValueError("n_v must be >= 1")
     spec = SiteSpec(
         site_id="validation", n_examples=n_v, dirichlet_alpha=1e6, noise_rate=0.0,
         tasks=(Task.TAGGING, Task.RELATION), seed=seed,

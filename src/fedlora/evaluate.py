@@ -25,7 +25,6 @@ from .metrics import (
     Span,
     bootstrap_metric_ci,
     decode_bio,
-    micro_report,
     relation_counts,
     span_counts,
 )
@@ -77,10 +76,11 @@ def _marked_span(rule: PlantedRule, tokens: np.ndarray, pos: int) -> Span:
 
 
 def _doc_counts(model: ToyModel, rule: PlantedRule,
-                test: SiteDataset) -> dict[tuple[Task, Scheme], list[tuple[int, int, int]]]:
-    """Per-document match counts under every (task, scheme), from one
-    forward pass over the whole split and one decode per document."""
-    counts = {(task, scheme): [] for task in Task for scheme in Scheme}
+                test: SiteDataset) -> dict[tuple[Task, Scheme], np.ndarray]:
+    """Per-document (tp, fp, fn) count tables, shape (docs, 3), under every
+    (task, scheme) the split holds, from one forward pass over the whole
+    split and one decode per document."""
+    tables = {(task, scheme): [] for task in Task for scheme in Scheme}
     pack = test.packed
     tag_probs, rel_probs = forward(model, pack)
     tag_pred, rel_pred = tag_probs.argmax(axis=1), rel_probs.argmax(axis=1)
@@ -96,8 +96,8 @@ def _doc_counts(model: ToyModel, rule: PlantedRule,
             pred = [RelationInstance(head, tail, int(rel_pred[row]))]
             count = relation_counts
         for scheme in Scheme:
-            counts[(ex.task, scheme)].append(count(gold, pred, scheme))
-    return counts
+            tables[(ex.task, scheme)].append(count(gold, pred, scheme))
+    return {key: np.array(table, dtype=np.int64) for key, table in tables.items() if table}
 
 
 def evaluate_model(
@@ -110,20 +110,17 @@ def evaluate_model(
     """Micro P/R/F1 per (task, scheme) over one test set, with optional CI."""
     reports = {}
     for (task, scheme), counts in _doc_counts(model, rule, test).items():
-        if not counts:
-            continue
-        report = micro_report(counts, task.value, scheme)
+        ci = None
         if bootstrap is not None:
             ci = bootstrap_metric_ci(
                 counts,
-                lambda cs, t=task, s=scheme: micro_report(cs, t.value, s).f1,
                 sample_size=bootstrap.sample_size,
                 reps=bootstrap.reps,
                 level=bootstrap.level,
                 seed=derive_seed(seed, test.spec.site_id, task.value, scheme.value),
             )
-            report = replace(report, ci=ci)
-        reports[(task, scheme)] = report
+        tp, fp, fn = counts.sum(axis=0).tolist()
+        reports[(task, scheme)] = EvalReport(task.value, scheme, tp, fp, fn, ci)
     return reports
 
 

@@ -241,9 +241,6 @@ def run_federation(
     ids = [site.spec.site_id for site in sites]
     if len(set(ids)) != len(ids):
         raise ValueError("site ids must be unique")
-    for site in sites:
-        if len(site) == 0:
-            raise ValueError(f"site {site.spec.site_id!r} is empty")
     if config.strategy is Strategy.INFLUENCE and not val_set:
         raise ValueError("influence-weighted aggregation requires a validation set")
     val_set = Pack.of(val_set) if val_set else None  # packed once, scored every round

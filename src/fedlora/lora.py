@@ -204,7 +204,7 @@ def serialized_size(adapters: AdapterSet) -> int:
     for key, pair in adapters.items():
         total += _U64.size + len(key.encode("utf-8"))
         total += 3 * _U64.size + _F64.size
-        total += 8 * (pair.d * pair.rank + pair.rank * pair.l)
+        total += 8 * pair.param_count()
     return total
 
 

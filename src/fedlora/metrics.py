@@ -42,6 +42,15 @@ class RelationInstance:
     relation_type: int
 
 
+def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Micro precision, recall and F1 of pooled counts; a zero denominator
+    scores 0 (conservative)."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 @dataclass(frozen=True)
 class EvalReport:
     task: str
@@ -53,17 +62,15 @@ class EvalReport:
 
     @property
     def precision(self) -> float:
-        return self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
+        return precision_recall_f1(self.tp, self.fp, self.fn)[0]
 
     @property
     def recall(self) -> float:
-        return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
+        return precision_recall_f1(self.tp, self.fp, self.fn)[1]
 
     @property
     def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
-
+        return precision_recall_f1(self.tp, self.fp, self.fn)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -183,37 +190,27 @@ def relation_f1(
     return EvalReport("relation", scheme, tp, fp, fn)
 
 
-def micro_report(
-    doc_counts: list[tuple[int, int, int]], task: str, scheme: Scheme
-) -> EvalReport:
-    """Pool per-document (tp, fp, fn) counts before computing the ratios."""
-    tp = sum(c[0] for c in doc_counts)
-    fp = sum(c[1] for c in doc_counts)
-    fn = sum(c[2] for c in doc_counts)
-    return EvalReport(task, scheme, tp, fp, fn)
-
-
 # ---------------------------------------------------------------------------
 # Bootstrap confidence interval.
 # ---------------------------------------------------------------------------
 
 
 def bootstrap_metric_ci(
-    items: list,
-    metric,
+    counts: np.ndarray,
     sample_size: int = 200,
     reps: int = 30,
     level: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile CI of ``metric`` over ``reps`` resamples with replacement."""
-    if not items:
+    """Percentile CI of micro F1 over ``reps`` resamples, with replacement,
+    of the rows of a per-document (tp, fp, fn) count table."""
+    if not len(counts):
         raise ValueError("need at least one instance")
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(reps):
-        idx = rng.integers(0, len(items), size=sample_size)
-        values.append(metric([items[i] for i in idx]))
+        idx = rng.integers(0, len(counts), size=sample_size)
+        values.append(precision_recall_f1(*counts[idx].sum(axis=0).tolist())[2])
     lo_q = 100 * (1 - level) / 2
     return (
         float(np.percentile(values, lo_q)),

@@ -391,5 +391,32 @@ class TestCmdCommReport:
         assert main(["comm-report", "--preset", "nope"]) == 2
 
 
+class TestListFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--seeds", ","], "--seeds"),
+            (["run", "--seeds", "a"], "--seeds"),
+            (["run", "--seeds", "1,-1"], "--seeds"),
+            (["scale-study", "--k", ","], "--k"),
+            (["scale-study", "--k", "0"], "--k"),
+            (["scale-study", "--k", "1,x"], "--k"),
+            (["comm-report", "--sites", ","], "--sites"),
+            (["comm-report", "--sites", "2,x"], "--sites"),
+            (["comm-report", "--sites", "0,2"], "--sites"),
+            (["comm-report", "--rounds", "0"], "--rounds"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o"
+        if argv[0] != "comm-report":
+            argv = argv + ["--config", write_config(tmp_path, BASE_CONFIG)]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {flag}: " in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def json_roundtrip(raw):
     return json.loads(json.dumps(raw))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedlora.datasim import PlantedRule, SiteSpec
+from fedlora.evaluate import evaluate_model, make_test_split
 from fedlora.metrics import (
     EvalReport,
     RelationInstance,
@@ -14,13 +16,13 @@ from fedlora.metrics import (
     decode_bio,
     encode_spans,
     lenient_f1,
-    micro_report,
     relation_counts,
     relation_f1,
     span_counts,
     strict_f1,
     wilcoxon_rank_sum,
 )
+from fedlora.model import ModelConfig, Task, ToyModel, forward
 
 
 def exhaustive_matching(gold, pred, compatible):
@@ -160,13 +162,20 @@ class TestSpanF1:
             assert lenient_f1(gold, pred).f1 >= strict_f1(gold, pred).f1
 
     def test_micro_pooling_is_exact_integer_identity(self):
-        rng = np.random.default_rng(3)
-        docs = [(random_spans(rng), random_spans(rng)) for _ in range(20)]
-        counts = [span_counts(g, p, Scheme.STRICT) for g, p in docs]
-        pooled = micro_report(counts, "tagging", Scheme.STRICT)
-        assert pooled.tp == sum(c[0] for c in counts)
-        assert pooled.fp == sum(c[1] for c in counts)
-        assert pooled.fn == sum(c[2] for c in counts)
+        rule = PlantedRule(vocab_size=60)
+        model = ToyModel.build(ModelConfig(60, 16, 9, 16, rank=4, alpha=8.0, seed=2))
+        test = make_test_split(SiteSpec("a", 30, seed=3), 30, rule)
+        reports = evaluate_model(model, rule, test)
+        docs = [ex for ex in test.examples if ex.task is Task.TAGGING]
+        for scheme in Scheme:
+            counts = []
+            for ex in docs:  # each document forwarded and decoded on its own
+                tag_probs, _ = forward(model, [ex])
+                pred = decode_bio(tag_probs.argmax(axis=1))
+                counts.append(span_counts(decode_bio(ex.tags), pred, scheme))
+            pooled = reports[(Task.TAGGING, scheme)]
+            assert (pooled.tp, pooled.fp, pooled.fn) == tuple(map(sum, zip(*counts)))
+            assert pooled.tp + pooled.fp + pooled.fn > 0
 
 
 class TestRelationF1:
@@ -245,33 +254,74 @@ class TestEvalReport:
         assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
 
 
-def mean_ci(scores, **kw):
-    return bootstrap_metric_ci(scores, lambda xs: float(np.mean(xs)), **kw)
+def oracle_bootstrap_ci(rows, sample_size, reps, level, seed):
+    """The list-based bootstrap the count table replaced: each replicate
+    lists the picked (tp, fp, fn) tuples, pools them with three sums and
+    takes micro F1 of the pooled counts."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for _ in range(reps):
+        idx = rng.integers(0, len(rows), size=sample_size)
+        picked = [rows[i] for i in idx]
+        tp = sum(c[0] for c in picked)
+        fp = sum(c[1] for c in picked)
+        fn = sum(c[2] for c in picked)
+        p = tp / (tp + fp) if tp + fp else 0.0
+        r = tp / (tp + fn) if tp + fn else 0.0
+        values.append(2 * p * r / (p + r) if p + r else 0.0)
+    lo_q = 100 * (1 - level) / 2
+    return float(np.percentile(values, lo_q)), float(np.percentile(values, 100 - lo_q))
+
+
+def table(rows):
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 class TestBootstrap:
     def test_constant_scores_give_degenerate_interval(self):
-        lo, hi = mean_ci([0.7] * 50, seed=0)
-        assert lo == hi == 0.7
+        lo, hi = bootstrap_metric_ci(table([(3, 1, 2)] * 50), seed=0)
+        assert lo == hi == EvalReport("tagging", Scheme.STRICT, 3, 1, 2).f1
 
     def test_single_rep(self):
-        lo, hi = mean_ci([0.0, 1.0, 1.0], reps=1, sample_size=10, seed=1)
+        counts = table([(0, 1, 1), (1, 0, 0), (1, 0, 0)])
+        lo, hi = bootstrap_metric_ci(counts, reps=1, sample_size=10, seed=1)
         assert lo == hi
 
     def test_deterministic_under_seed(self):
-        scores = list(np.random.default_rng(2).random(100))
-        assert mean_ci(scores, seed=3) == mean_ci(scores, seed=3)
-        assert mean_ci(scores, seed=3) != mean_ci(scores, seed=4)
+        counts = np.random.default_rng(2).integers(0, 5, size=(100, 3))
+        assert bootstrap_metric_ci(counts, seed=3) == bootstrap_metric_ci(counts, seed=3)
+        assert bootstrap_metric_ci(counts, seed=3) != bootstrap_metric_ci(counts, seed=4)
 
     def test_coverage_on_known_bernoulli_population(self):
+        # a correct document is (1, 0, 0), a wrong one (0, 1, 1): the micro F1
+        # of a resample is its share of correct documents, 0.8 in the population
         rng = np.random.default_rng(5)
-        population = (rng.random(10_000) < 0.8).astype(float).tolist()
+        correct = rng.random(10_000) < 0.8
+        counts = np.where(correct[:, None], [1, 0, 0], [0, 1, 1])
         covered = 0
         for trial in range(30):
-            lo, hi = mean_ci(population, sample_size=200, reps=30, seed=trial)
+            lo, hi = bootstrap_metric_ci(counts, sample_size=200, reps=30, seed=trial)
             if lo <= 0.8 <= hi:
                 covered += 1
         assert covered >= 27
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError):
+            bootstrap_metric_ci(table([]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(*[st.integers(0, 30)] * 3), min_size=1, max_size=50),
+        sample_size=st.integers(1, 300),
+        reps=st.integers(1, 20),
+        level=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_list_based_oracle_bit_for_bit(self, rows, sample_size, reps, level, seed):
+        got = bootstrap_metric_ci(
+            table(rows), sample_size=sample_size, reps=reps, level=level, seed=seed
+        )
+        assert got == oracle_bootstrap_ci(rows, sample_size, reps, level, seed)
 
 
 class TestWilcoxon:
