@@ -22,7 +22,7 @@ import sys
 import tempfile
 from dataclasses import asdict, fields, replace
 
-from .comm import PRESETS, CommEntry, entries_from_transcripts, preset_summary
+from .comm import PRESETS, CommEntry, PresetRow, entries_from_transcripts, preset_summary
 from .config import ConfigError, ExperimentConfig, load_config
 from .datasim import generate_site, make_validation_set, shard
 from .evaluate import MetricRow, evaluate_result, make_test_split
@@ -33,6 +33,7 @@ from .seeding import derive_seed
 
 RESULT_FIELDS = [f.name for f in fields(MetricRow)] + ["seed"]
 COMM_FIELDS = ["seed", "strategy"] + [f.name for f in fields(CommEntry)]
+PRESET_FIELDS = sorted(f.name for f in fields(PresetRow))
 SCALE_FIELDS = ["k"] + RESULT_FIELDS
 COMPARE_FIELDS = ["strategy", "testset", "task", "scheme", "n_a", "n_b", "p_value"]
 
@@ -148,9 +149,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int]) -> int:
             preset, rounds=config.federation.rounds,
             site_counts=(config.federation.clients_per_round,),
         )
-        _write_csv(
-            os.path.join(out_dir, "comm_preset.csv"), sorted(summary[0]), summary
-        )
+        _write_csv(os.path.join(out_dir, "comm_preset.csv"), PRESET_FIELDS, summary)
     print(f"wrote {len(all_rows)} result rows to {os.path.join(out_dir, 'results.csv')}")
     return 0
 
@@ -231,7 +230,7 @@ def cmd_comm_report(preset_name: str, rounds: int, site_counts: list[int], out_d
             f"adapters {row['lora_total_gb']} GB, full model {row['full_total_gb']} GB"
         )
     if out_dir:
-        _write_csv(os.path.join(out_dir, "comm_report.csv"), sorted(rows[0]), rows)
+        _write_csv(os.path.join(out_dir, "comm_report.csv"), PRESET_FIELDS, rows)
     return 0
 
 

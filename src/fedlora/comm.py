@@ -15,7 +15,7 @@ other accounting conventions for the same model class will differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .federation import RoundTranscript
@@ -105,27 +105,45 @@ def full_model_comparison(
     }
 
 
+@dataclass(frozen=True)
+class PresetRow:
+    """One comm_preset.csv row: a preset's adapter and full-model traffic
+    for one site count; the ``_gb`` fields are display strings."""
+
+    sites: int
+    rounds: int
+    lora_params: int
+    full_params: int
+    lora_total_bytes: int
+    full_total_bytes: int
+    full_per_site_round_bytes: int
+    lora_total_gb: str
+    full_total_gb: str
+    full_per_site_round_gb: str
+    reduction_pct: float
+
+
 def preset_summary(
     preset: CommPreset, rounds: int = 2, site_counts: tuple[int, ...] = (2, 3)
 ) -> list[dict]:
-    """Headline table for a named preset: adapter vs full-model traffic."""
+    """Headline table for a named preset: adapter vs full-model traffic, one
+    ``asdict(PresetRow)`` per site count."""
     rows = []
     for clients in site_counts:
         full = full_model_comparison(preset.full_params, preset.bytes_per_param, rounds, clients)
         lora_total = rounds * clients * 2 * preset.lora_params * preset.bytes_per_param
-        rows.append(
-            {
-                "sites": clients,
-                "rounds": rounds,
-                "lora_params": preset.lora_params,
-                "full_params": preset.full_params,
-                "lora_total_bytes": lora_total,
-                "full_total_bytes": full["run_total_bytes"],
-                "full_per_site_round_bytes": full["per_site_round_bytes"],
-                "lora_total_gb": format_gb(lora_total, 2),
-                "full_total_gb": format_gb(full["run_total_bytes"], 0),
-                "full_per_site_round_gb": format_gb(full["per_site_round_bytes"], 2),
-                "reduction_pct": reduction_pct(preset.full_params, preset.lora_params),
-            }
+        row = PresetRow(
+            sites=clients,
+            rounds=rounds,
+            lora_params=preset.lora_params,
+            full_params=preset.full_params,
+            lora_total_bytes=lora_total,
+            full_total_bytes=full["run_total_bytes"],
+            full_per_site_round_bytes=full["per_site_round_bytes"],
+            lora_total_gb=format_gb(lora_total, 2),
+            full_total_gb=format_gb(full["run_total_bytes"], 0),
+            full_per_site_round_gb=format_gb(full["per_site_round_bytes"], 2),
+            reduction_pct=reduction_pct(preset.full_params, preset.lora_params),
         )
+        rows.append(asdict(row))
     return rows

@@ -76,15 +76,10 @@ class PlantedRule:
     def token_id(self, group: int, index: int) -> int:
         return index * self.num_groups + group
 
-    def tag_of(self, token: int) -> int:
-        g = self.group(token)
-        if g == 0:
-            return 0
-        role = (token // self.num_groups) % 2  # 0 opens a span, 1 continues
-        return 1 + 2 * (g - 1) + role
-
     def tags_of(self, tokens: np.ndarray) -> np.ndarray:
-        return np.array([self.tag_of(int(t)) for t in tokens], dtype=np.int64)
+        g = tokens % self.num_groups
+        role = (tokens // self.num_groups) % 2  # 0 opens a span, 1 continues
+        return np.where(g == 0, 0, 1 + 2 * (g - 1) + role).astype(np.int64)
 
     def relation_of(self, head_group: int, tail_group: int, parity: int) -> int:
         e = self.num_entity_types
@@ -138,52 +133,52 @@ class SiteDataset:
 
 
 class _SiteSampler:
-    """Seeded token sampler for one site's tilted distribution."""
+    """Seeded token sampler for one site's tilted distribution.
+
+    It consumes the generator exactly as per-token ``Generator.choice``
+    calls would: one double per group, searched in the normalized CDF, and
+    one bounded integer per window index.
+    """
 
     def __init__(self, rule: PlantedRule, spec: SiteSpec, rng: np.random.Generator,
                  full_window: bool = False):
         self.rule = rule
         self.rng = rng
-        self.group_probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
-        per_group = rule.tokens_per_group
-        if full_window:
-            window = per_group
-        else:
-            window = max(2, per_group // 2)
-        self.windows = {
-            g: (np.arange(window) + spec.token_shift) % per_group
-            for g in range(rule.num_groups)
-        }
+        self.probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
+        self.cdf = self.probs.cumsum()
+        self.cdf /= self.cdf[-1]
+        self.window = rule.tokens_per_group if full_window else max(2, rule.tokens_per_group // 2)
+        self.shift = spec.token_shift
 
-    def draw_token(self, group: int) -> int:
-        index = int(self.rng.choice(self.windows[group]))
-        return self.rule.token_id(group, index)
+    @cached_property
+    def entity_cdf(self) -> np.ndarray:
+        if not self.probs[1:].any():  # a tiny alpha can put all mass on group 0
+            raise FieldError("dirichlet_alpha", "left no entity group to mark a relation pair")
+        cdf = (self.probs[1:] / self.probs[1:].sum()).cumsum()
+        return cdf / cdf[-1]
 
     def draw_groups(self, n: int, entity_only: bool = False) -> np.ndarray:
-        probs = self.group_probs
         if entity_only:
-            probs = probs[1:] / probs[1:].sum()
-            return self.rng.choice(np.arange(1, self.rule.num_groups), size=n, p=probs)
-        return self.rng.choice(self.rule.num_groups, size=n, p=probs)
+            return self.entity_cdf.searchsorted(self.rng.random(n), side="right") + 1
+        return self.cdf.searchsorted(self.rng.random(n), side="right")
 
-    def draw_tokens(self, n: int) -> np.ndarray:
-        groups = self.draw_groups(n)
-        return np.array([self.draw_token(int(g)) for g in groups], dtype=np.int64)
+    def draw_tokens(self, groups: np.ndarray) -> np.ndarray:
+        """One token of each group, from the site's shifted window."""
+        index = self.rng.integers(0, self.window, size=len(groups)) + self.shift
+        return self.rule.token_id(groups, index % self.rule.tokens_per_group)
 
-
-def _make_tagging(rule: PlantedRule, sampler: _SiteSampler, rng) -> Example:
-    length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
-    tokens = sampler.draw_tokens(length)
-    return Example(Task.TAGGING, tokens, tags=rule.tags_of(tokens))
+    def draw_sequence(self) -> np.ndarray:
+        length = int(self.rng.integers(MIN_LEN, MAX_LEN + 1))
+        return self.draw_tokens(self.draw_groups(length))
 
 
-def _make_relation(rule: PlantedRule, sampler: _SiteSampler, rng) -> Example:
-    length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
-    tokens = sampler.draw_tokens(length)
-    head, tail = sorted(int(i) for i in rng.choice(length, size=2, replace=False))
-    for pos in (head, tail):
-        group = int(sampler.draw_groups(1, entity_only=True)[0])
-        tokens[pos] = sampler.draw_token(group)
+def _make_example(rule: PlantedRule, sampler: _SiteSampler, rng, task: Task) -> Example:
+    tokens = sampler.draw_sequence()
+    if task is Task.TAGGING:
+        return Example(Task.TAGGING, tokens, tags=rule.tags_of(tokens))
+    head, tail = sorted(int(i) for i in rng.choice(len(tokens), size=2, replace=False))
+    for pos in (head, tail):  # one at a time: a batch would reorder the stream
+        tokens[pos] = sampler.draw_tokens(sampler.draw_groups(1, entity_only=True))[0]
     parity = (tail - head) % 2
     label = rule.relation_of(
         rule.group(int(tokens[head])), rule.group(int(tokens[tail])), parity
@@ -198,10 +193,9 @@ def _flip_labels(rule: PlantedRule, example: Example, noise_rate: float, rng) ->
         return example
     if example.task is Task.TAGGING:
         tags = example.tags.copy()
-        flips = rng.random(len(tags)) < noise_rate
-        for i in np.nonzero(flips)[0]:
-            offset = int(rng.integers(1, rule.num_tags))
-            tags[i] = (tags[i] + offset) % rule.num_tags
+        flips = np.nonzero(rng.random(len(tags)) < noise_rate)[0]
+        offsets = rng.integers(1, rule.num_tags, size=len(flips))
+        tags[flips] = (tags[flips] + offsets) % rule.num_tags
         return replace(example, tags=tags)
     if rng.random() < noise_rate:
         offset = int(rng.integers(1, rule.num_relations))
@@ -213,14 +207,8 @@ def generate_site(spec: SiteSpec, rule: PlantedRule) -> SiteDataset:
     """One site's local dataset, deterministic given spec.seed."""
     rng = np.random.default_rng(spec.seed)
     sampler = _SiteSampler(rule, spec, rng)
-    tasks = list(spec.tasks)
-    gold: list[Example] = []
-    for i in range(spec.n_examples):
-        task = tasks[i % len(tasks)]
-        if task is Task.TAGGING:
-            gold.append(_make_tagging(rule, sampler, rng))
-        else:
-            gold.append(_make_relation(rule, sampler, rng))
+    gold = [_make_example(rule, sampler, rng, spec.tasks[i % len(spec.tasks)])
+            for i in range(spec.n_examples)]
     return SiteDataset(spec, [_flip_labels(rule, ex, spec.noise_rate, rng) for ex in gold])
 
 
@@ -238,21 +226,16 @@ def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
     rng = np.random.default_rng(seed)
     sampler = _SiteSampler(rule, spec, rng, full_window=True)
     examples: list[Example] = []
-    tag_cycle = 0
-    pair_cycle = 0
     e = rule.num_entity_types
     for i in range(n_v):
-        length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
-        tokens = sampler.draw_tokens(length)
+        tokens = sampler.draw_sequence()
+        cycle = i // 2  # the example's place among those of its task
         if i % 2 == 0:
-            target_tag = tag_cycle % rule.num_tags
-            tag_cycle += 1
-            tokens[0] = _token_with_tag(rule, target_tag)
+            tokens[0] = _token_with_tag(rule, cycle % rule.num_tags)
             examples.append(Example(Task.TAGGING, tokens, tags=rule.tags_of(tokens)))
         else:
-            head_group = (pair_cycle // e) % e + 1
-            tail_group = pair_cycle % e + 1
-            pair_cycle += 1
+            head_group = (cycle // e) % e + 1
+            tail_group = cycle % e + 1
             head, tail = 0, 2  # even distance so the parity cell stays canonical
             tokens[head] = rule.token_id(head_group, 0)
             tokens[tail] = rule.token_id(tail_group, 0)

@@ -3,8 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlora.datasim import (
+    MAX_LEN,
+    MIN_LEN,
     PlantedRule,
     SiteDataset,
     SiteSpec,
@@ -12,7 +16,7 @@ from fedlora.datasim import (
     make_validation_set,
     shard,
 )
-from fedlora.model import Task
+from fedlora.model import Example, FieldError, Task
 
 RULE = PlantedRule(vocab_size=60)
 
@@ -41,10 +45,8 @@ class TestPlantedRule:
     def test_tag_structure(self):
         assert RULE.num_tags == 9
         assert RULE.num_relations == 16
-        assert RULE.tag_of(0) == 0  # group 0 is outside
-        assert RULE.tag_of(1) == 1  # entity type 1, opening role
-        assert RULE.tag_of(6) == 2  # same type, continuation role
-        assert RULE.tag_of(2) == 3
+        # token 0 is outside (group 0); 1 opens entity type 1, 6 continues it
+        assert RULE.tags_of(np.array([0, 1, 6, 2])).tolist() == [0, 1, 2, 3]
 
     def test_relation_rule_uses_parity_only_on_last_cell(self):
         assert RULE.relation_of(1, 1, 0) == RULE.relation_of(1, 1, 1) == 0
@@ -155,6 +157,140 @@ class TestGenerateSite:
             return seen
 
         assert vocab(one) != vocab(two)
+
+
+class OracleSampler:
+    """The per-token sampler the generator used to run: one ``rng.choice``
+    per window index and per call for groups, ``p`` renormalized each time.
+    The vectorized sampler must consume the generator draw for draw alike."""
+
+    def __init__(self, rule, spec, rng, full_window=False):
+        self.rule = rule
+        self.rng = rng
+        self.group_probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
+        per_group = rule.tokens_per_group
+        window = per_group if full_window else max(2, per_group // 2)
+        self.windows = {
+            g: (np.arange(window) + spec.token_shift) % per_group for g in range(rule.num_groups)
+        }
+
+    def draw_token(self, group):
+        return self.rule.token_id(group, int(self.rng.choice(self.windows[group])))
+
+    def draw_groups(self, n, entity_only=False):
+        probs = self.group_probs
+        if entity_only:
+            probs = probs[1:] / probs[1:].sum()
+            return self.rng.choice(np.arange(1, self.rule.num_groups), size=n, p=probs)
+        return self.rng.choice(self.rule.num_groups, size=n, p=probs)
+
+    def draw_tokens(self, n):
+        return np.array([self.draw_token(int(g)) for g in self.draw_groups(n)], dtype=np.int64)
+
+
+def oracle_tag(rule, token):
+    group = rule.group(token)
+    role = (token // rule.num_groups) % 2
+    return 0 if group == 0 else 1 + 2 * (group - 1) + role
+
+
+def oracle_tags(rule, tokens):
+    return np.array([oracle_tag(rule, int(t)) for t in tokens], dtype=np.int64)
+
+
+def oracle_site(spec, rule):
+    rng = np.random.default_rng(spec.seed)
+    sampler = OracleSampler(rule, spec, rng)
+    gold = []
+    for i in range(spec.n_examples):
+        tokens = sampler.draw_tokens(int(rng.integers(MIN_LEN, MAX_LEN + 1)))
+        if spec.tasks[i % len(spec.tasks)] is Task.TAGGING:
+            gold.append(Example(Task.TAGGING, tokens, tags=oracle_tags(rule, tokens)))
+            continue
+        head, tail = sorted(int(j) for j in rng.choice(len(tokens), size=2, replace=False))
+        for pos in (head, tail):
+            tokens[pos] = sampler.draw_token(int(sampler.draw_groups(1, entity_only=True)[0]))
+        groups = rule.group(int(tokens[head])), rule.group(int(tokens[tail]))
+        label = rule.relation_of(*groups, (tail - head) % 2)
+        gold.append(Example(Task.RELATION, tokens, head=head, tail=tail, relation=label))
+    if spec.noise_rate <= 0.0:
+        return gold
+    noisy = []
+    for ex in gold:
+        if ex.task is Task.TAGGING:
+            tags = ex.tags.copy()
+            for i in np.nonzero(rng.random(len(tags)) < spec.noise_rate)[0]:
+                tags[i] = (tags[i] + int(rng.integers(1, rule.num_tags))) % rule.num_tags
+            noisy.append(replace(ex, tags=tags))
+        elif rng.random() < spec.noise_rate:
+            offset = int(rng.integers(1, rule.num_relations))
+            noisy.append(replace(ex, relation=(ex.relation + offset) % rule.num_relations))
+        else:
+            noisy.append(ex)
+    return noisy
+
+
+def oracle_validation_set(rule, n_v, seed):
+    spec = SiteSpec("validation", n_v, seed=seed)
+    rng = np.random.default_rng(seed)
+    sampler = OracleSampler(rule, spec, rng, full_window=True)
+    e = rule.num_entity_types
+    examples = []
+    for i in range(n_v):
+        tokens = sampler.draw_tokens(int(rng.integers(MIN_LEN, MAX_LEN + 1)))
+        if i % 2 == 0:
+            tag = (i // 2) % rule.num_tags
+            group, role = (0, 0) if tag == 0 else ((tag - 1) // 2 + 1, (tag - 1) % 2)
+            tokens[0] = rule.token_id(group, role)
+            examples.append(Example(Task.TAGGING, tokens, tags=oracle_tags(rule, tokens)))
+        else:
+            k = i // 2
+            head_group, tail_group = (k // e) % e + 1, k % e + 1
+            tokens[0], tokens[2] = rule.token_id(head_group, 0), rule.token_id(tail_group, 0)
+            label = rule.relation_of(head_group, tail_group, 0)
+            examples.append(Example(Task.RELATION, tokens, head=0, tail=2, relation=label))
+    return examples
+
+
+def assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.task, g.head, g.tail, g.relation) == (w.task, w.head, w.tail, w.relation)
+        for a, b in ((g.tokens, w.tokens), (g.tags, w.tags)):
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestPerTokenOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        groups_of_five=st.integers(2, 24),
+        n_examples=st.integers(1, 60),
+        alpha=st.floats(0.05, 1e6),
+        noise_rate=st.floats(0.0, 1.0),
+        token_shift=st.integers(0, 20),
+        tasks=st.lists(st.sampled_from(list(Task)), min_size=1, max_size=2, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vectorized_draws_match_per_token_sampler(
+        self, groups_of_five, n_examples, alpha, noise_rate, token_shift, tasks, seed
+    ):
+        rule = PlantedRule(vocab_size=5 * groups_of_five)
+        spec = SiteSpec("a", n_examples, alpha, noise_rate, tuple(tasks), token_shift, seed)
+        assert_bitwise_equal(generate_site(spec, rule).examples, oracle_site(spec, rule))
+        assert_bitwise_equal(
+            make_validation_set(rule, n_examples, seed).examples,
+            oracle_validation_set(rule, n_examples, seed),
+        )
+
+    def test_site_without_entity_mass_cannot_mark_a_pair(self):
+        # at alpha 0.01, seed 31 draws all group mass onto group 0, outside
+        spec = SiteSpec("a", 5, dirichlet_alpha=0.01, tasks=(Task.TAGGING,), seed=31)
+        assert all(not ex.tags.any() for ex in generate_site(spec, RULE).examples)
+        with pytest.raises(FieldError, match="dirichlet_alpha"):
+            generate_site(replace(spec, tasks=(Task.RELATION,)), RULE)
 
 
 class TestValidationSet:

@@ -6,6 +6,13 @@ part per round and one site declares an uneven task set.  Any change to
 training, aggregation, evaluation, accounting or serialization that moves a
 single bit of results.csv, transcript.json, comm.csv, comm_preset.csv or a
 two-point scale.csv fails here.
+
+The pins were taken with numpy 2.4.6.  The synthetic data relies on two
+details of numpy's generator: ``Generator.choice(..., p=p)`` searches
+``cumsum(p) / cumsum(p)[-1]`` with one uniform double per draw, and PCG64
+buffers the 32-bit halves of its outputs across bounded-integer calls
+(``fedlora.datasim`` reproduces both with array draws).  A numpy upgrade
+that fails these pins points to ``datasim`` first.
 """
 
 import hashlib
