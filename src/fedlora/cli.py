@@ -85,7 +85,7 @@ def _seed_run(config: ExperimentConfig, seed: int):
     val = make_validation_set(rule, cfg.validation.n_examples, derive_seed(cfg.seed, "validation"))
     # every split is packed and range-checked here, before any training step
     for split in (*sites, val, *tests):
-        backbone.check_tokens(split.packed)
+        backbone.check_ranges(split.packed)
 
     def train_and_score(fed_cfg: FederationConfig, train_sites):
         try:

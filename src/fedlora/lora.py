@@ -88,10 +88,6 @@ class AdapterPair:
     def scale(self) -> float:
         return self.alpha / self.rank
 
-    def delta(self) -> np.ndarray:
-        """The effective weight update (alpha / rank) * B @ A."""
-        return self.scale * (self.b @ self.a)
-
     def with_factors(self, b: np.ndarray, a: np.ndarray) -> "AdapterPair":
         return AdapterPair(self.layer_key, b, a, self.rank, self.alpha)
 

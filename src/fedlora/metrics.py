@@ -109,16 +109,6 @@ def decode_bio(tags) -> list[Span]:
     return spans
 
 
-def encode_spans(spans: list[Span], length: int) -> list[int]:
-    """Inverse of decode_bio for well-formed span lists (no overlaps)."""
-    tags = [0] * length
-    for span in spans:
-        tags[span.start] = 1 + 2 * (span.entity_type - 1)
-        for i in range(span.start + 1, span.end):
-            tags[i] = 2 + 2 * (span.entity_type - 1)
-    return tags
-
-
 # ---------------------------------------------------------------------------
 # One-to-one matching.
 # ---------------------------------------------------------------------------
@@ -171,23 +161,6 @@ def relation_counts(
         len(gold), len(pred), lambda i, j: _relation_compatible(gold[i], pred[j], scheme)
     )
     return tp, len(pred) - tp, len(gold) - tp
-
-
-def strict_f1(gold: list[Span], pred: list[Span], task: str = "tagging") -> EvalReport:
-    tp, fp, fn = span_counts(gold, pred, Scheme.STRICT)
-    return EvalReport(task, Scheme.STRICT, tp, fp, fn)
-
-
-def lenient_f1(gold: list[Span], pred: list[Span], task: str = "tagging") -> EvalReport:
-    tp, fp, fn = span_counts(gold, pred, Scheme.LENIENT)
-    return EvalReport(task, Scheme.LENIENT, tp, fp, fn)
-
-
-def relation_f1(
-    gold: list[RelationInstance], pred: list[RelationInstance], scheme: Scheme
-) -> EvalReport:
-    tp, fp, fn = relation_counts(gold, pred, scheme)
-    return EvalReport("relation", scheme, tp, fp, fn)
 
 
 # ---------------------------------------------------------------------------

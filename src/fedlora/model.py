@@ -15,16 +15,17 @@ Per-token pipeline (no attention, tokens are independent):
 
 A list of examples is packed once into flat arrays (``Pack``).  Training
 (``local_update`` and ``grad``), scoring (``loss``) and evaluation
-(``forward``) all run one kernel on packed batches: as tokens are
-independent, it runs the trunk and the heads once per distinct token id a
-batch reads, and every row looks its token up.
+(``forward``) all run one kernel.  As tokens are independent, it runs the
+trunk and both heads over every token id of the vocabulary, and a
+mini-batch reaches it as its tagging loss weights per (token id, gold tag)
+plus its marked pairs (``Batch``): no batch needs its own gather, and a
+step's cost grows with V * h rather than with the tokens the batch reads.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -54,6 +55,11 @@ class FieldError(ValueError):
 class TokenRangeError(ValueError):
     def __init__(self, token: int, vocab_size: int):
         super().__init__(f"token id {token} out of range for vocab of {vocab_size}")
+
+
+class LabelRangeError(ValueError):
+    def __init__(self, kind: str, label: int, classes: int):
+        super().__init__(f"{kind} label {label} out of range for {classes} {kind} classes")
 
 
 class EmptyBatchError(ValueError):
@@ -131,12 +137,10 @@ class Example:
 
 
 class Batch(NamedTuple):
-    """Examples as the compute kernel reads them: the tagging tokens back to
-    back, and the marked pairs."""
+    """A mini-batch as the compute kernel reads it: its tagging loss weights
+    per (token id, gold tag), and its marked pairs."""
 
-    tokens: np.ndarray  # (T,) every tagging token, examples back to back
-    tags: np.ndarray  # (T,) their tags
-    lengths: np.ndarray  # (T,) length of each token's sequence, as a float
+    weights: np.ndarray  # (V, C_tag) summed 1/n_i of its tagging tokens with that id and tag
     heads: np.ndarray  # (R,) marked head token of each pair
     tails: np.ndarray  # (R,) marked tail token of each pair
     relations: np.ndarray  # (R,) relation labels
@@ -150,19 +154,21 @@ def _cat(arrays) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Pack:
-    """A list of examples packed once into flat arrays.
+    """A list of examples packed once into flat arrays, each task's in list
+    order.  Packing measures the range of the tokens, marked or not, and of
+    each present task's labels once, so checking a pack against a model
+    costs a few comparisons."""
 
-    ``whole`` holds every example, each task's in list order; ``take``
-    gathers a mini-batch from it.  Packing measures the token range once,
-    so checking a pack against a vocabulary costs two comparisons.
-    """
-
-    whole: Batch
+    tokens: np.ndarray  # (T,) every tagging token, examples back to back
+    tags: np.ndarray  # (T,) their gold tags
+    shares: np.ndarray  # (T,) 1/n_i, the loss weight of a token of an n_i-token example
+    heads: np.ndarray  # (R,) marked head token of each pair
+    tails: np.ndarray  # (R,) marked tail token of each pair
+    relations: np.ndarray  # (R,) relation labels
     tagging: np.ndarray  # (n,) whether example i is a tagging example
     row: np.ndarray  # (n,) example i's index among the examples of its task
-    starts: np.ndarray  # (n_tag + 1,) offset of each tagging example in whole.tokens
-    low: int  # smallest and largest token id, marked or not
-    high: int
+    starts: np.ndarray  # (n_tag + 1,) offset of each tagging example in tokens
+    ranges: dict[str, tuple[int, int]]  # (min, max) of "token", "tag", "relation"
 
     @classmethod
     def of(cls, examples: "Pack | Sequence[Example]") -> "Pack":
@@ -180,36 +186,49 @@ class Pack:
         counts = np.array([len(ex.tokens) for ex in tagged], dtype=np.int64)
         if (counts == 0).any():
             raise ValueError("empty token sequence")
-        every = _cat(ex.tokens for ex in examples)
-        whole = Batch(
+        tags = _cat(ex.tags for ex in tagged)
+        relations = np.array([ex.relation for ex in marked], dtype=np.int64)
+        measured = {"token": _cat(ex.tokens for ex in examples), "tag": tags,
+                    "relation": relations}
+        return cls(
             tokens=_cat(ex.tokens for ex in tagged),
-            tags=_cat(ex.tags for ex in tagged),
-            lengths=np.repeat(counts.astype(np.float64), counts),
+            tags=tags,
+            shares=np.repeat(1.0 / counts, counts),
             heads=np.array([ex.tokens[ex.head] for ex in marked], dtype=np.int64),
             tails=np.array([ex.tokens[ex.tail] for ex in marked], dtype=np.int64),
-            relations=np.array([ex.relation for ex in marked], dtype=np.int64),
-            size=len(examples),
+            relations=relations,
+            tagging=tagging,
+            row=row,
+            starts=np.concatenate([[0], np.cumsum(counts)]),
+            ranges={kind: (int(values.min()), int(values.max()))
+                    for kind, values in measured.items() if len(values)},
         )
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        return cls(whole, tagging, row, starts, int(every.min()), int(every.max()))
 
     def __len__(self) -> int:
-        return self.whole.size
+        return len(self.tagging)
 
-    def take(self, idx: np.ndarray) -> Batch:
-        """The examples at the ascending indices ``idx``."""
-        tagging = self.tagging[idx]
-        tagged = self.row[idx[tagging]]
-        marked = self.row[idx[~tagging]]
-        starts = self.starts[tagged]
-        counts = self.starts[tagged + 1] - starts
-        # positions in whole.tokens of each picked example's tokens, back to back
-        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        positions = np.arange(len(shift)) + shift
-        whole = self.whole
-        return Batch(whole.tokens[positions], whole.tags[positions], whole.lengths[positions],
-                     whole.heads[marked], whole.tails[marked], whole.relations[marked],
-                     len(idx))
+    def batches(self, step_of: np.ndarray, config: ModelConfig) -> Iterator[Batch]:
+        """The mini-batches that put example i in step ``step_of[i]``, in
+        step order.  One stable sort by step keeps each step's tokens and
+        pairs in list order, so a step's weights sum in the same order as
+        the same examples packed alone."""
+        v, c = config.vocab_size, config.tag_classes
+        steps = int(step_of.max()) + 1
+        token_step = np.repeat(step_of[self.tagging], np.diff(self.starts))
+        pair_step = step_of[~self.tagging]
+        by_token = np.argsort(token_step, kind="stable")
+        by_pair = np.argsort(pair_step, kind="stable")
+        keys, shares = (self.tokens * c + self.tags)[by_token], self.shares[by_token]
+        pairs = self.heads[by_pair], self.tails[by_pair], self.relations[by_pair]
+        sizes, token_counts, pair_counts = (
+            np.bincount(s, minlength=steps).tolist() for s in (step_of, token_step, pair_step)
+        )
+        t0 = p0 = 0
+        for size, t, p in zip(sizes, token_counts, pair_counts):
+            t1, p1 = t0 + t, p0 + p
+            weights = np.bincount(keys[t0:t1], weights=shares[t0:t1], minlength=v * c)
+            yield Batch(weights.reshape(v, c), *(a[p0:p1] for a in pairs), size)
+            t0, p0 = t1, p1
 
 
 @dataclass(frozen=True)
@@ -252,18 +271,17 @@ class Backbone:
             self.adapter_shapes(), self.config.rank, self.config.alpha, seed
         )
 
-    def check_tokens(self, pack: Pack) -> None:
-        """Raise ``TokenRangeError`` unless every token of ``pack`` is in the vocabulary."""
-        vocab = self.config.vocab_size
-        for token in (pack.low, pack.high):
-            if not 0 <= token < vocab:
-                raise TokenRangeError(token, vocab)
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for arr in (self.embedding, self.trunk, self.tag_head, self.rel_head):
-            h.update(arr.tobytes())
-        return h.hexdigest()
+    def check_ranges(self, pack: Pack) -> None:
+        """Raise ``TokenRangeError`` unless every token of ``pack`` is in the
+        vocabulary, and ``LabelRangeError`` unless every label is a class."""
+        cfg = self.config
+        limits = {"token": cfg.vocab_size, "tag": cfg.tag_classes,
+                  "relation": cfg.relation_classes}
+        for kind, bounds in pack.ranges.items():
+            for value in bounds:
+                if not 0 <= value < limits[kind]:
+                    raise (TokenRangeError(value, limits[kind]) if kind == "token"
+                           else LabelRangeError(kind, value, limits[kind]))
 
 
 @dataclass(frozen=True)
@@ -302,7 +320,7 @@ class ToyModel:
 # ---------------------------------------------------------------------------
 # Forward / loss / gradients.  A model merges its weights once (``merged``);
 # the training loop re-merges from its raw factor arrays every step.  One
-# kernel, ``_forward``, runs every packed batch: training, scoring and
+# kernel, ``_forward``, runs the whole vocabulary for training, scoring and
 # evaluation alike.
 # ---------------------------------------------------------------------------
 
@@ -324,7 +342,7 @@ def _scales(adapters: AdapterSet) -> dict[str, float]:
 
 def _packed(frozen: Backbone, data: Pack | Sequence[Example]) -> Pack:
     pack = Pack.of(data)
-    frozen.check_tokens(pack)
+    frozen.check_ranges(pack)
     return pack
 
 
@@ -333,54 +351,41 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-class _Reads(NamedTuple):
-    """The distinct token ids a batch reads, and each of its token arrays as
-    indices into them."""
-
-    ids: np.ndarray
-    tokens: np.ndarray
-    heads: np.ndarray
-    tails: np.ndarray
-
-
-def _forward(frozen: Backbone, eff: dict[str, np.ndarray], batch: Batch):
-    """One pass over a batch.  The trunk and the heads run once per distinct
-    token id the batch reads (``reads.ids``) and each row looks its token
-    up: ``tag_logp[reads.tokens]`` are the tagging rows' log-distributions,
-    and a pair's relation logits are the head half of the relation head
-    applied to its head token plus the tail half applied to its tail token."""
-    ids, index = np.unique(
-        np.concatenate([batch.tokens, batch.heads, batch.tails]), return_inverse=True
-    )
-    t, r = len(batch.tokens), len(batch.heads)
-    reads = _Reads(ids, index[:t], index[t : t + r], index[t + r :])
+def _forward(frozen: Backbone, eff: dict[str, np.ndarray], heads: np.ndarray,
+             tails: np.ndarray):
+    """One pass over the whole vocabulary: the hidden rows ``z`` (V, h) of
+    every token id, their tag log-distributions (V, C_tag), and the relation
+    log-distributions of the pairs ``heads``/``tails``, whose logits are the
+    head half of the relation head applied to the head token plus the tail
+    half applied to the tail token."""
     h = frozen.config.hidden
-    x = frozen.embedding[ids]
-    z = np.maximum(x @ eff["trunk"], 0.0)
+    z = np.maximum(frozen.embedding @ eff["trunk"], 0.0)
     rel = eff["rel_head"]
-    rel_logits = (z @ rel[:h])[reads.heads] + (z @ rel[h:])[reads.tails]
-    return (reads, x, z), _log_softmax(z @ eff["tag_head"]), _log_softmax(rel_logits)
+    rel_logits = (z @ rel[:h])[heads] + (z @ rel[h:])[tails]
+    return z, _log_softmax(z @ eff["tag_head"]), _log_softmax(rel_logits)
 
 
 def forward(model: ToyModel, data: Pack | Sequence[Example]) -> tuple[np.ndarray, np.ndarray]:
     """Class probability distributions in one pass: (T, C_tag) for the
     tagging tokens and (R, C_rel) for the marked pairs, each in list order."""
-    (reads, _, _), tag_logp, rel_logp = _forward(
-        model.frozen, model.merged, _packed(model.frozen, data).whole
-    )
-    return np.exp(tag_logp)[reads.tokens], np.exp(rel_logp)
+    pack = _packed(model.frozen, data)
+    _, tag_logp, rel_logp = _forward(model.frozen, model.merged, pack.heads, pack.tails)
+    return np.exp(tag_logp)[pack.tokens], np.exp(rel_logp)
 
 
-def _batch_loss(frozen: Backbone, eff: dict[str, np.ndarray], batch: Batch) -> float:
-    (reads, _, _), tag_logp, rel_logp = _forward(frozen, eff, batch)
-    tag_nll = -tag_logp[reads.tokens, batch.tags]
-    rel_nll = -rel_logp[np.arange(len(batch.relations)), batch.relations]
-    return float((tag_nll / batch.lengths).sum() + rel_nll.sum()) / batch.size
+def _whole(frozen: Backbone, data: Pack | Sequence[Example]) -> Batch:
+    """Every example of ``data`` as one mini-batch."""
+    pack = _packed(frozen, data)
+    (batch,) = pack.batches(np.zeros(len(pack), dtype=np.int64), frozen.config)
+    return batch
 
 
 def loss(model: ToyModel, batch: Pack | Sequence[Example]) -> float:
     """Mean over the batch of per-example mean negative log-likelihood."""
-    return _batch_loss(model.frozen, model.merged, _packed(model.frozen, batch).whole)
+    whole = _whole(model.frozen, batch)
+    _, tag_logp, rel_logp = _forward(model.frozen, model.merged, whole.heads, whole.tails)
+    rel_nll = -rel_logp[np.arange(len(whole.relations)), whole.relations]
+    return float(-(whole.weights * tag_logp).sum() + rel_nll.sum()) / whole.size
 
 
 def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -393,24 +398,24 @@ def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 def _weight_grads(frozen: Backbone, eff: dict[str, np.ndarray], batch: Batch):
     """Gradients of the batch loss w.r.t. the three effective weight matrices.
 
-    Each row's logit gradient is summed into its token's row first, so the
-    chain rule runs once per distinct token, like the forward pass."""
-    (reads, x, z), tag_logp, rel_logp = _forward(frozen, eff, batch)
+    The tag-logit gradient of token id v is (m_v softmax_v - weights_v) / B,
+    where m_v sums the row ``weights_v``; the pairs' logit gradients are
+    summed into their head and tail token rows.  The chain rule then runs
+    once per token id, like the forward pass."""
+    z, tag_logp, rel_logp = _forward(frozen, eff, batch.heads, batch.tails)
     inv_b = 1.0 / batch.size
-    d_tag = np.exp(tag_logp)[reads.tokens]
-    d_tag[np.arange(len(batch.tags)), batch.tags] -= 1.0
-    d_tag *= (inv_b / batch.lengths)[:, None]
+    weights = batch.weights
+    g_tag = (weights.sum(axis=1, keepdims=True) * np.exp(tag_logp) - weights) * inv_b
     d_rel = np.exp(rel_logp)
     d_rel[np.arange(len(batch.relations)), batch.relations] -= 1.0
     d_rel *= inv_b
-    n, h = len(reads.ids), frozen.config.hidden
-    g_tag = _by_token(reads.tokens, d_tag, n)
-    g_head = _by_token(reads.heads, d_rel, n)
-    g_tail = _by_token(reads.tails, d_rel, n)
+    v, h = frozen.config.vocab_size, frozen.config.hidden
+    g_head = _by_token(batch.heads, d_rel, v)
+    g_tail = _by_token(batch.tails, d_rel, v)
     rel = eff["rel_head"]
     dz = g_tag @ eff["tag_head"].T + g_head @ rel[:h].T + g_tail @ rel[h:].T
     return {
-        "trunk": x.T @ (dz * (z > 0)),
+        "trunk": frozen.embedding.T @ (dz * (z > 0)),
         "tag_head": z.T @ g_tag,
         "rel_head": np.concatenate([z.T @ g_head, z.T @ g_tail]),
     }
@@ -433,7 +438,7 @@ def grad(
 
     Frozen parameters receive no gradient by construction.
     """
-    weight_grads = _weight_grads(model.frozen, model.merged, _packed(model.frozen, batch).whole)
+    weight_grads = _weight_grads(model.frozen, model.merged, _whole(model.frozen, batch))
     return _factor_grads(weight_grads, _factors(model.adapters), _scales(model.adapters))
 
 
@@ -460,11 +465,11 @@ def local_update(
     # isfinite check below is what reports it, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(sgd.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, sgd.batch_size):
-                # batch membership is shuffled; summation order inside a batch is
-                # canonical so the result is independent of how members were drawn
-                batch = pack.take(np.sort(order[start : start + sgd.batch_size]))
+            # batch membership is shuffled; summation order inside a batch is
+            # list order, so the result is independent of how members were drawn
+            step_of = np.empty(n, dtype=np.int64)
+            step_of[rng.permutation(n)] = np.arange(n) // sgd.batch_size
+            for batch in pack.batches(step_of, frozen.config):
                 eff = _effective(frozen, factors, scales)
                 grads = _factor_grads(_weight_grads(frozen, eff, batch), factors, scales)
                 for key, (b, a) in factors.items():

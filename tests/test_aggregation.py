@@ -47,7 +47,10 @@ class TestValidationLoss:
         direct = validation_loss(model, adapters, val)
 
         # oracle: fold the adapter deltas into a fresh backbone, keep adapters zero
-        merged = {key: getattr(model.frozen, key) + pair.delta() for key, pair in adapters.items()}
+        merged = {
+            key: getattr(model.frozen, key) + pair.scale * (pair.b @ pair.a)
+            for key, pair in adapters.items()
+        }
         folded = Backbone(
             CFG, model.frozen.embedding, merged["trunk"], merged["tag_head"], merged["rel_head"]
         )

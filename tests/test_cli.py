@@ -13,7 +13,7 @@ import fedlora.federation
 from fedlora.cli import cmd_run, main
 from fedlora.config import parse_config
 from fedlora.datasim import SiteDataset
-from fedlora.model import TokenRangeError
+from fedlora.model import LabelRangeError, Task, TokenRangeError
 
 BASE_CONFIG = {
     "seed": 3,
@@ -188,40 +188,79 @@ class TestCmdRun:
         ) == 3
 
 
+def corrupt_first_split(monkeypatch, maker, edit):
+    """Make ``fedlora.cli``'s ``maker`` replace, in the first split it
+    returns, the first example that ``edit`` changes (``edit`` returns None
+    to pass one by), and record every local update.  Returns the list that
+    receives the corrupted split's site id and the list of local updates."""
+    make = getattr(fedlora.cli, maker)
+    corrupted, steps = [], []
+
+    def make_corrupted(*args, **kwargs):
+        split = make(*args, **kwargs)
+        if corrupted:
+            return split
+        examples = list(split.examples)
+        i, bad = next((i, bad) for i, ex in enumerate(examples) if (bad := edit(ex)) is not None)
+        examples[i] = bad
+        corrupted.append(split.spec.site_id)
+        return SiteDataset(split.spec, examples)
+
+    train = fedlora.federation.local_update
+
+    def recording_update(*args, **kwargs):
+        steps.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(fedlora.cli, maker, make_corrupted)
+    monkeypatch.setattr(fedlora.federation, "local_update", recording_update)
+    return corrupted, steps
+
+
+MAKERS = ["generate_site", "make_validation_set", "make_test_split"]
+
+
 class TestTokenRange:
-    @pytest.mark.parametrize(
-        "maker", ["generate_site", "make_validation_set", "make_test_split"]
-    )
+    @pytest.mark.parametrize("maker", MAKERS)
     def test_out_of_range_token_fails_before_any_training_step(
         self, tmp_path, monkeypatch, maker
     ):
         # one token past the vocabulary in the first training site, the
         # validation set or the first test split
         vocab = BASE_CONFIG["model"]["vocab_size"]
-        make = getattr(fedlora.cli, maker)
-        corrupted = []
 
-        def make_with_bad_token(*args, **kwargs):
-            split = make(*args, **kwargs)
-            if corrupted:
-                return split
-            first = split.examples[0]
-            tokens = first.tokens.copy()
+        def edit(ex):
+            tokens = ex.tokens.copy()
             tokens[-1] = vocab
-            corrupted.append(split.spec.site_id)
-            return SiteDataset(split.spec, [replace(first, tokens=tokens), *split.examples[1:]])
+            return replace(ex, tokens=tokens)
 
-        steps = []
-        train = fedlora.federation.local_update
-
-        def recording_update(*args, **kwargs):
-            steps.append(args)
-            return train(*args, **kwargs)
-
-        monkeypatch.setattr(fedlora.cli, maker, make_with_bad_token)
-        monkeypatch.setattr(fedlora.federation, "local_update", recording_update)
+        corrupted, steps = corrupt_first_split(monkeypatch, maker, edit)
         config = parse_config(json_roundtrip(BASE_CONFIG))
         with pytest.raises(TokenRangeError, match=f"token id {vocab} out of range"):
+            cmd_run(config, str(tmp_path / "out"), [config.seed])
+        assert corrupted and steps == []
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("kind", ["tag", "relation"])
+    def test_out_of_range_label_fails_before_any_training_step(
+        self, tmp_path, monkeypatch, maker, kind
+    ):
+        # one label past the model's classes; as a bincount key, a tag past
+        # the last class would land in the next token's row unnoticed
+        config = parse_config(json_roundtrip(BASE_CONFIG))
+        classes = getattr(config.model, f"{kind}_classes")
+
+        def edit(ex):
+            if kind == "tag" and ex.task is Task.TAGGING:
+                tags = ex.tags.copy()
+                tags[-1] = classes
+                return replace(ex, tags=tags)
+            if kind == "relation" and ex.task is Task.RELATION:
+                return replace(ex, relation=classes)
+            return None
+
+        corrupted, steps = corrupt_first_split(monkeypatch, maker, edit)
+        with pytest.raises(LabelRangeError, match=f"{kind} label {classes} out of range"):
             cmd_run(config, str(tmp_path / "out"), [config.seed])
         assert corrupted and steps == []
 

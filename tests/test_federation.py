@@ -184,12 +184,12 @@ class TestDeterminismAndIsolation:
             t.checksum for t in two.transcripts
         ]
 
-    def test_backbone_untouched_by_run(self):
+    def test_backbone_untouched_by_run(self, fingerprint):
         sites = make_sites(2, seed=320)
         backbone = Backbone.build(MODEL_CFG)
-        fingerprint = backbone.fingerprint()
+        before = fingerprint(backbone)
         run_federation(fed_config(Strategy.FEDAVG, 2), sites, None, backbone)
-        assert backbone.fingerprint() == fingerprint
+        assert fingerprint(backbone) == before
 
     def test_transcript_bytes_are_serialized_adapter_bytes(self):
         sites = make_sites(2, seed=330)

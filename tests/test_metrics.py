@@ -14,15 +14,26 @@ from fedlora.metrics import (
     Span,
     bootstrap_metric_ci,
     decode_bio,
-    encode_spans,
-    lenient_f1,
     relation_counts,
-    relation_f1,
     span_counts,
-    strict_f1,
     wilcoxon_rank_sum,
 )
 from fedlora.model import ModelConfig, Task, ToyModel, forward
+
+
+def report(count, gold, pred, scheme: Scheme) -> EvalReport:
+    """Micro P/R/F1 of one document's ``count(gold, pred, scheme)``."""
+    return EvalReport("test", scheme, *count(gold, pred, scheme))
+
+
+def encode_spans(spans: list[Span], length: int) -> list[int]:
+    """Inverse of decode_bio for well-formed span lists (no overlaps)."""
+    tags = [0] * length
+    for span in spans:
+        tags[span.start] = 1 + 2 * (span.entity_type - 1)
+        for i in range(span.start + 1, span.end):
+            tags[i] = 2 + 2 * (span.entity_type - 1)
+    return tags
 
 
 def exhaustive_matching(gold, pred, compatible):
@@ -101,27 +112,27 @@ def random_spans(rng, max_spans=6, max_pos=10, n_types=3):
 class TestSpanF1:
     def test_perfect_prediction(self):
         gold = [Span(0, 2, 1), Span(4, 6, 2)]
-        report = strict_f1(gold, list(gold))
-        assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
+        got = report(span_counts, gold, list(gold), Scheme.STRICT)
+        assert (got.precision, got.recall, got.f1) == (1.0, 1.0, 1.0)
 
     def test_empty_prediction(self):
-        report = strict_f1([Span(0, 2, 1)], [])
-        assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
+        got = report(span_counts, [Span(0, 2, 1)], [], Scheme.STRICT)
+        assert (got.precision, got.recall, got.f1) == (0.0, 0.0, 0.0)
 
     def test_hand_scored_instance(self):
         gold = [Span(0, 2, 1), Span(5, 7, 2)]
         pred = [Span(0, 2, 1), Span(5, 6, 2), Span(8, 9, 1)]
-        report = strict_f1(gold, pred)
-        assert (report.tp, report.fp, report.fn) == (1, 2, 1)
-        assert report.precision == pytest.approx(1 / 3)
-        assert report.recall == pytest.approx(1 / 2)
-        assert report.f1 == pytest.approx(0.4)
+        got = report(span_counts, gold, pred, Scheme.STRICT)
+        assert (got.tp, got.fp, got.fn) == (1, 2, 1)
+        assert got.precision == pytest.approx(1 / 3)
+        assert got.recall == pytest.approx(1 / 2)
+        assert got.f1 == pytest.approx(0.4)
 
     def test_lenient_overlap_counts(self):
-        assert lenient_f1([Span(0, 3, 1)], [Span(1, 2, 1)]).f1 == 1.0
+        assert report(span_counts, [Span(0, 3, 1)], [Span(1, 2, 1)], Scheme.LENIENT).f1 == 1.0
 
     def test_lenient_requires_matching_type(self):
-        assert lenient_f1([Span(0, 3, 1)], [Span(1, 2, 2)]).tp == 0
+        assert report(span_counts, [Span(0, 3, 1)], [Span(1, 2, 2)], Scheme.LENIENT).tp == 0
 
     def test_crossing_overlaps_match_exhaustive_oracle(self):
         gold = [Span(0, 4, 1), Span(2, 6, 1), Span(5, 8, 1), Span(7, 9, 1)]
@@ -159,7 +170,8 @@ class TestSpanF1:
         for _ in range(1000):
             gold = random_spans(rng)
             pred = random_spans(rng)
-            assert lenient_f1(gold, pred).f1 >= strict_f1(gold, pred).f1
+            lenient = report(span_counts, gold, pred, Scheme.LENIENT)
+            assert lenient.f1 >= report(span_counts, gold, pred, Scheme.STRICT).f1
 
     def test_micro_pooling_is_exact_integer_identity(self):
         rule = PlantedRule(vocab_size=60)
@@ -184,12 +196,12 @@ class TestRelationF1:
 
     def test_perfect(self):
         gold = [self.make_rel(0, 2, 4, 6, 3)]
-        assert relation_f1(gold, list(gold), Scheme.STRICT).f1 == 1.0
+        assert report(relation_counts, gold, list(gold), Scheme.STRICT).f1 == 1.0
 
     def test_wrong_type_is_miss(self):
         gold = [self.make_rel(0, 2, 4, 6, 3)]
         pred = [self.make_rel(0, 2, 4, 6, 5)]
-        assert relation_f1(gold, pred, Scheme.STRICT).tp == 0
+        assert report(relation_counts, gold, pred, Scheme.STRICT).tp == 0
 
     def test_hand_scored_three_relation_instance(self):
         gold = [
@@ -202,14 +214,14 @@ class TestRelationF1:
             self.make_rel(2, 3, 7, 8, 4),  # wrong relation type -> fp
             self.make_rel(5, 6, 9, 10, 3),  # wrong head span -> fp
         ]
-        report = relation_f1(gold, pred, Scheme.STRICT)
-        assert (report.tp, report.fp, report.fn) == (1, 2, 2)
+        got = report(relation_counts, gold, pred, Scheme.STRICT)
+        assert (got.tp, got.fp, got.fn) == (1, 2, 2)
 
     def test_lenient_overlapping_heads(self):
         gold = [self.make_rel(0, 3, 5, 8, 1)]
         pred = [self.make_rel(1, 2, 6, 7, 1)]
-        assert relation_f1(gold, pred, Scheme.LENIENT).f1 == 1.0
-        assert relation_f1(gold, pred, Scheme.STRICT).f1 == 0.0
+        assert report(relation_counts, gold, pred, Scheme.LENIENT).f1 == 1.0
+        assert report(relation_counts, gold, pred, Scheme.STRICT).f1 == 0.0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
@@ -388,7 +400,8 @@ class TestWilcoxon:
 def test_lenient_ge_strict_property(gold_tags, pred_tags):
     gold = decode_bio(gold_tags)
     pred = decode_bio(pred_tags)
-    assert lenient_f1(gold, pred).f1 >= strict_f1(gold, pred).f1
+    lenient = report(span_counts, gold, pred, Scheme.LENIENT)
+    assert lenient.f1 >= report(span_counts, gold, pred, Scheme.STRICT).f1
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ from fedlora.model import (
     Backbone,
     EmptyBatchError,
     Example,
+    LabelRangeError,
     ModelConfig,
     SgdConfig,
     Task,
@@ -158,6 +159,24 @@ class TestForward:
         with pytest.raises(TokenRangeError):
             forward(model, [Example(Task.TAGGING, [0, 99], tags=[0, 0])])
 
+    @pytest.mark.parametrize(
+        "kind,label", [("tag", -1), ("tag", 9), ("relation", -1), ("relation", 16)]
+    )
+    @pytest.mark.parametrize("call", ["forward", "loss", "grad", "local_update"])
+    def test_out_of_range_label_rejected_by_name(self, kind, label, call):
+        # a negative label would index from the last class, and a tag past
+        # the last class would weigh the next token id's row
+        model = ToyModel.build(SMALL)
+        bad = (
+            Example(Task.TAGGING, [0, 1], tags=[0, label])
+            if kind == "tag"
+            else Example(Task.RELATION, [0, 1], head=0, tail=1, relation=label)
+        )
+        run = {"forward": forward, "loss": loss, "grad": grad,
+               "local_update": lambda m, d: local_update(m, d, SgdConfig(0.1, 1, 2), seed=0)}
+        with pytest.raises(LabelRangeError, match=f"{kind} label {label} out of range"):
+            run[call](model, [*mixed_batch(40, n=4), bad])
+
 
 class TestLoss:
     def test_gold_revealing_model_has_zero_loss(self):
@@ -264,11 +283,11 @@ class TestGrad:
             assert np.allclose(analytic[key][1], 0.0)
         assert max_relative_error(analytic, numeric) < 1e-5
 
-    def test_only_adapters_receive_gradients(self):
+    def test_only_adapters_receive_gradients(self, fingerprint):
         model = ToyModel.build(SMALL)
-        before = model.frozen.fingerprint()
+        before = fingerprint(model.frozen)
         grad(model, mixed_batch(14))
-        assert model.frozen.fingerprint() == before
+        assert fingerprint(model.frozen) == before
 
     def test_empty_batch_raises(self):
         model = ToyModel.build(SMALL)
@@ -405,15 +424,33 @@ class TestLocalUpdate:
             assert np.array_equal(out[key].b, pair.b - eta * db)
             assert np.array_equal(out[key].a, pair.a - eta * da)
 
-    def test_multi_batch_epochs_replay_the_shuffle_through_grad(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        batch_size=st.integers(1, 14),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        mix=st.sampled_from([(Task.TAGGING,), (Task.RELATION,), tuple(Task)]),
+    )
+    def test_multi_batch_epochs_replay_the_shuffle_through_grad(
+        self, n, batch_size, epochs, seed, mix
+    ):
         # one permutation per epoch, batches cut in order and sorted: each
-        # step is a grad() on those examples, bit for bit
+        # step is a grad() on those examples, bit for bit, whether the last
+        # batch is partial or one batch holds every example
+        rng = np.random.default_rng(seed)
+        data = [
+            tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes, int(rng.integers(1, 9)))
+            if mix[rng.integers(len(mix))] is Task.TAGGING
+            else relation_example(rng, SMALL.vocab_size, SMALL.relation_classes,
+                                  int(rng.integers(2, 9)))
+            for _ in range(n)
+        ]
         model = ToyModel.build(SMALL)
-        model = model.with_adapters(randomized_adapters(model, 31))
-        data = mixed_batch(32, n=11)
-        sgd = SgdConfig(0.05, 2, 4)
-        out = local_update(model, data, sgd, seed=33)
-        rng = np.random.default_rng(33)
+        model = model.with_adapters(randomized_adapters(model, seed))
+        sgd = SgdConfig(0.05, epochs, batch_size)
+        out = local_update(model, data, sgd, seed=seed)
+        rng = np.random.default_rng(seed)
         steps = 0
         for _ in range(sgd.epochs):
             order = rng.permutation(len(data))
@@ -429,7 +466,7 @@ class TestLocalUpdate:
                 }
                 model = model.with_adapters(AdapterSet(layers))
                 steps += 1
-        assert steps == 6
+        assert steps == epochs * -(-n // batch_size)
         for key, pair in model.adapters.items():
             assert np.array_equal(out[key].b, pair.b)
             assert np.array_equal(out[key].a, pair.a)
@@ -448,12 +485,12 @@ class TestLocalUpdate:
             not np.array_equal(one[key].b, other[key].b) for key in one.keys()
         )
 
-    def test_input_model_unmodified_and_frozen_hash_stable(self):
+    def test_input_model_unmodified_and_frozen_hash_stable(self, fingerprint):
         model = ToyModel.build(SMALL)
         snapshot = {k: (p.b.copy(), p.a.copy()) for k, p in model.adapters.items()}
-        fingerprint = model.frozen.fingerprint()
+        before = fingerprint(model.frozen)
         local_update(model, mixed_batch(26), SgdConfig(0.1, 1, 4), seed=2)
-        assert model.frozen.fingerprint() == fingerprint
+        assert fingerprint(model.frozen) == before
         for key, (b, a) in snapshot.items():
             assert np.array_equal(model.adapters[key].b, b)
             assert np.array_equal(model.adapters[key].a, a)
