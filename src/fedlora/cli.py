@@ -92,9 +92,7 @@ def _seed_run(config: ExperimentConfig, seed: int):
             result = run_federation(fed_cfg, train_sites, val.packed, backbone)
         except Diverged as err:
             raise Diverged(f"seed {seed}, strategy {fed_cfg.strategy.value}, {err}") from None
-        return result, evaluate_result(
-            result, backbone, rule, tests, cfg.eval.bootstrap, seed=cfg.seed
-        )
+        return result, evaluate_result(result, backbone, tests, cfg.eval.bootstrap, seed=cfg.seed)
 
     return cfg, sites, train_and_score
 
@@ -162,7 +160,7 @@ def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
     rows = []
     for seed in seeds:
         cfg, sites, train_and_score = _seed_run(config, seed)
-        pool = pool_sites(sites) if len(sites) > 1 else sites[0]
+        pool = pool_sites(sites)
         for k in k_list:
             shards = shard(pool, k, derive_seed(cfg.seed, "shard", k))
             for strategy in SCALE_STRATEGIES:

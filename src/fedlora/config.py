@@ -230,11 +230,14 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{path}.sites", f"duplicate site ids in {ids}")
     external = _sites(raw, path, "external_sites", master_seed)
-    for spec in external:
-        if spec.site_id in ids:
+    external_ids = [s.site_id for s in external]
+    for i, site_id in enumerate(external_ids):
+        if site_id in ids:
             raise ConfigError(
-                f"{path}.external_sites", f"external site {spec.site_id!r} shadows a training site"
+                f"{path}.external_sites", f"external site {site_id!r} shadows a training site"
             )
+        if site_id in external_ids[:i]:
+            raise ConfigError(f"{path}.external_sites", f"duplicate external site id {site_id!r}")
 
     federation = _section(
         raw["federation"],

@@ -18,16 +18,7 @@ import numpy as np
 
 from .datasim import PlantedRule, SiteDataset, SiteSpec, generate_site
 from .federation import FederationResult
-from .metrics import (
-    EvalReport,
-    RelationInstance,
-    Scheme,
-    Span,
-    bootstrap_metric_ci,
-    decode_bio,
-    relation_counts,
-    span_counts,
-)
+from .metrics import EvalReport, Scheme, bootstrap_metric_ci, decode_bio, span_counts
 from .model import Backbone, FieldError, Task, ToyModel, forward
 from .seeding import derive_seed
 
@@ -71,45 +62,44 @@ def make_test_split(spec: SiteSpec, test_size: int, rule: PlantedRule) -> SiteDa
     return generate_site(test_spec, rule)
 
 
-def _marked_span(rule: PlantedRule, tokens: np.ndarray, pos: int) -> Span:
-    return Span(pos, pos + 1, rule.group(int(tokens[pos])))
-
-
-def _doc_counts(model: ToyModel, rule: PlantedRule,
-                test: SiteDataset) -> dict[tuple[Task, Scheme], np.ndarray]:
+def _doc_counts(model: ToyModel, test: SiteDataset) -> dict[tuple[Task, Scheme], np.ndarray]:
     """Per-document (tp, fp, fn) count tables, shape (docs, 3), under every
-    (task, scheme) the split holds, from one forward pass over the whole
-    split and one decode per document."""
-    tables = {(task, scheme): [] for task in Task for scheme in Scheme}
+    (task, scheme) the split holds, from one forward pass over its pack.
+
+    A tagging document decodes its gold and predicted tags once and matches
+    the spans under both schemes.  A relation document's gold and predicted
+    instances share its marked head and tail, so under both schemes it is
+    one true positive when the predicted label equals the gold one, else
+    one false positive and one false negative; the general matcher
+    ``relation_counts`` is not needed here."""
     pack = test.packed
     tag_probs, rel_probs = forward(model, pack)
     tag_pred, rel_pred = tag_probs.argmax(axis=1), rel_probs.argmax(axis=1)
-    for ex, row in zip(test.examples, pack.row):
-        if ex.task is Task.TAGGING:
-            pred_tags = tag_pred[pack.starts[row] : pack.starts[row + 1]]
-            gold, pred = decode_bio(ex.tags), decode_bio(pred_tags)
-            count = span_counts
-        else:
-            head = _marked_span(rule, ex.tokens, ex.head)
-            tail = _marked_span(rule, ex.tokens, ex.tail)
-            gold = [RelationInstance(head, tail, ex.relation)]
-            pred = [RelationInstance(head, tail, int(rel_pred[row]))]
-            count = relation_counts
+    tables = {}
+    if len(pack.tags):
+        rows = {scheme: [] for scheme in Scheme}
+        for lo, hi in zip(pack.starts[:-1], pack.starts[1:]):
+            gold, pred = decode_bio(pack.tags[lo:hi]), decode_bio(tag_pred[lo:hi])
+            for scheme in Scheme:
+                rows[scheme].append(span_counts(gold, pred, scheme))
         for scheme in Scheme:
-            tables[(ex.task, scheme)].append(count(gold, pred, scheme))
-    return {key: np.array(table, dtype=np.int64) for key, table in tables.items() if table}
+            tables[(Task.TAGGING, scheme)] = np.array(rows[scheme], dtype=np.int64)
+    if len(pack.relations):
+        miss = (rel_pred != pack.relations).astype(np.int64)
+        for scheme in Scheme:
+            tables[(Task.RELATION, scheme)] = np.stack([1 - miss, miss, miss], axis=1)
+    return tables
 
 
 def evaluate_model(
     model: ToyModel,
-    rule: PlantedRule,
     test: SiteDataset,
     bootstrap: BootstrapConfig | None = None,
     seed: int = 0,
 ) -> dict[tuple[Task, Scheme], EvalReport]:
     """Micro P/R/F1 per (task, scheme) over one test set, with optional CI."""
     reports = {}
-    for (task, scheme), counts in _doc_counts(model, rule, test).items():
+    for (task, scheme), counts in _doc_counts(model, test).items():
         ci = None
         if bootstrap is not None:
             ci = bootstrap_metric_ci(
@@ -136,7 +126,6 @@ def _models_for_result(result: FederationResult, backbone: Backbone) -> list[Toy
 def evaluate_result(
     result: FederationResult,
     backbone: Backbone,
-    rule: PlantedRule,
     test_sets: list[SiteDataset],
     bootstrap: BootstrapConfig | None = None,
     seed: int = 0,
@@ -145,9 +134,7 @@ def evaluate_result(
     models = _models_for_result(result, backbone)
     rows = []
     for test in test_sets:
-        per_model = [
-            evaluate_model(model, rule, test, bootstrap, seed) for model in models
-        ]
+        per_model = [evaluate_model(model, test, bootstrap, seed) for model in models]
         for key in per_model[0]:
             task, scheme = key
             reports = [m[key] for m in per_model]

@@ -166,7 +166,6 @@ class Pack:
     tails: np.ndarray  # (R,) marked tail token of each pair
     relations: np.ndarray  # (R,) relation labels
     tagging: np.ndarray  # (n,) whether example i is a tagging example
-    row: np.ndarray  # (n,) example i's index among the examples of its task
     starts: np.ndarray  # (n_tag + 1,) offset of each tagging example in tokens
     ranges: dict[str, tuple[int, int]]  # (min, max) of "token", "tag", "relation"
 
@@ -180,9 +179,6 @@ class Pack:
         tagging = np.array([ex.task is Task.TAGGING for ex in examples])
         tagged = [ex for ex in examples if ex.task is Task.TAGGING]
         marked = [ex for ex in examples if ex.task is not Task.TAGGING]
-        row = np.empty(len(examples), dtype=np.int64)
-        row[tagging] = np.arange(len(tagged))
-        row[~tagging] = np.arange(len(marked))
         counts = np.array([len(ex.tokens) for ex in tagged], dtype=np.int64)
         if (counts == 0).any():
             raise ValueError("empty token sequence")
@@ -198,7 +194,6 @@ class Pack:
             tails=np.array([ex.tokens[ex.tail] for ex in marked], dtype=np.int64),
             relations=relations,
             tagging=tagging,
-            row=row,
             starts=np.concatenate([[0], np.cumsum(counts)]),
             ranges={kind: (int(values.min()), int(values.max()))
                     for kind, values in measured.items() if len(values)},

@@ -185,7 +185,7 @@ def backbone60(seed):
 def run_and_score(strategy, sites, tests, val, backbone, seed, rounds=2):
     cfg = FederationConfig(strategy, len(sites), rounds, SGD, seed=seed)
     result = run_federation(cfg, sites, val, backbone)
-    return evaluate_result(result, backbone, RULE60, tests)
+    return evaluate_result(result, backbone, tests)
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_07_scalability():
                 val = make_validation_set(rule, 40, seed=seed * 19 + 5).examples
                 cfg = FederationConfig(strategy, k, 6, sgd, seed=seed)
                 result = run_federation(cfg, shards, val, backbone)
-                rows = evaluate_result(result, backbone, rule, tests)
+                rows = evaluate_result(result, backbone, tests)
                 per_seed.append(strict_mean(rows, "tagging"))
             scores[(strategy, k)] = float(np.mean(per_seed))
 

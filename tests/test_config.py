@@ -129,6 +129,17 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    def test_duplicate_external_site_ids_rejected(self):
+        raw = clone()
+        raw["external_sites"] = [
+            {"site_id": "ext", "n_examples": 40, "token_shift": 1},
+            {"site_id": "ext", "n_examples": 40, "token_shift": 5},
+        ]
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.path == "<config>.external_sites"
+        assert "'ext'" in err.value.message
+
     def test_vocab_misaligned_with_rule(self):
         with pytest.raises(ConfigError) as err:
             parse_config(clone({"model.vocab_size": 61}))

@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlora.datasim import PlantedRule, SiteSpec, generate_site
 from fedlora.evaluate import (
     BootstrapConfig,
+    _doc_counts,
     evaluate_model,
     evaluate_result,
     make_test_split,
 )
 from fedlora.federation import FederationConfig, Strategy, run_federation
-from fedlora.metrics import Scheme
+from fedlora.lora import AdapterSet
+from fedlora.metrics import (
+    RelationInstance,
+    Scheme,
+    Span,
+    decode_bio,
+    relation_counts,
+    span_counts,
+)
 from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel, forward
 
 RULE = PlantedRule(vocab_size=60)
@@ -26,6 +37,47 @@ def gold_tagging_model():
         cfg, np.eye(v), 50.0 * np.eye(v), tag_head, np.zeros((2 * v, RULE.num_relations))
     )
     return ToyModel(frozen, frozen.init_adapters(0))
+
+
+def oracle_doc_counts(model, rule, test):
+    """The count tables scored one example at a time: tagging documents by
+    span matching, relation documents by general relation matching on
+    instances whose arguments are the marked tokens typed by the rule."""
+
+    def marked_span(tokens, pos):
+        return Span(pos, pos + 1, rule.group(int(tokens[pos])))
+
+    tables = {(task, scheme): [] for task in Task for scheme in Scheme}
+    tag_probs, rel_probs = forward(model, test.packed)
+    tag_pred, rel_pred = tag_probs.argmax(axis=1), rel_probs.argmax(axis=1)
+    offset = pair = 0
+    for ex in test.examples:
+        if ex.task is Task.TAGGING:
+            pred_tags = tag_pred[offset : offset + len(ex.tokens)]
+            offset += len(ex.tokens)
+            gold, pred = decode_bio(ex.tags), decode_bio(pred_tags)
+            count = span_counts
+        else:
+            head = marked_span(ex.tokens, ex.head)
+            tail = marked_span(ex.tokens, ex.tail)
+            gold = [RelationInstance(head, tail, ex.relation)]
+            pred = [RelationInstance(head, tail, int(rel_pred[pair]))]
+            pair += 1
+            count = relation_counts
+        for scheme in Scheme:
+            tables[(ex.task, scheme)].append(count(gold, pred, scheme))
+    return {key: np.array(table, dtype=np.int64) for key, table in tables.items() if table}
+
+
+def random_b_model(seed: int, scale: float) -> ToyModel:
+    """A model whose adapters have nonzero B, so its predictions vary."""
+    model = ToyModel.build(CFG)
+    rng = np.random.default_rng(seed)
+    layers = {
+        key: pair.with_factors(rng.normal(0, scale, pair.b.shape), pair.a)
+        for key, pair in model.adapters.items()
+    }
+    return model.with_adapters(AdapterSet(layers))
 
 
 class TestPredictions:
@@ -70,7 +122,7 @@ class TestEvaluateModel:
     def test_gold_model_scores_one(self):
         model = gold_tagging_model()
         test = make_test_split(SiteSpec("a", 80, seed=6), 80, RULE)
-        reports = evaluate_model(model, RULE, test)
+        reports = evaluate_model(model, test)
         tag_strict = reports[(Task.TAGGING, Scheme.STRICT)]
         assert tag_strict.f1 == 1.0
         assert tag_strict.fp == 0 and tag_strict.fn == 0
@@ -78,7 +130,7 @@ class TestEvaluateModel:
     def test_lenient_dominates_strict(self):
         model = ToyModel.build(CFG)
         test = make_test_split(SiteSpec("a", 60, seed=7), 60, RULE)
-        reports = evaluate_model(model, RULE, test)
+        reports = evaluate_model(model, test)
         assert (
             reports[(Task.TAGGING, Scheme.LENIENT)].f1
             >= reports[(Task.TAGGING, Scheme.STRICT)].f1
@@ -88,8 +140,8 @@ class TestEvaluateModel:
         model = ToyModel.build(CFG)
         test = make_test_split(SiteSpec("a", 60, seed=8), 60, RULE)
         bs = BootstrapConfig(sample_size=50, reps=10)
-        one = evaluate_model(model, RULE, test, bs, seed=9)
-        two = evaluate_model(model, RULE, test, bs, seed=9)
+        one = evaluate_model(model, test, bs, seed=9)
+        two = evaluate_model(model, test, bs, seed=9)
         for key in one:
             assert one[key].ci == two[key].ci
             lo, hi = one[key].ci
@@ -108,9 +160,36 @@ class TestEvaluateModel:
 
         monkeypatch.setattr(fedlora.evaluate, "forward", counting_forward)
         test = make_test_split(SiteSpec("a", 40, seed=10), 40, RULE)
-        reports = evaluate_model(ToyModel.build(CFG), RULE, test)
+        reports = evaluate_model(ToyModel.build(CFG), test)
         assert len(reports) == 4
         assert calls == [test.packed]
+
+
+class TestDocCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 40),
+        tasks=st.sampled_from([(Task.TAGGING,), (Task.RELATION,), (Task.TAGGING, Task.RELATION)]),
+        data_seed=st.integers(0, 2**31),
+        model_seed=st.integers(0, 2**31),
+        scale=st.floats(0.05, 2.0),
+    )
+    def test_pack_scoring_equals_per_example_oracle(self, size, tasks, data_seed,
+                                                    model_seed, scale):
+        test = generate_site(SiteSpec("a", size, seed=data_seed, tasks=tasks), RULE)
+        model = random_b_model(model_seed, scale)
+        tables = _doc_counts(model, test)
+        expected = oracle_doc_counts(model, RULE, test)
+        assert list(tables) == list(expected)
+        for key, table in expected.items():
+            assert tables[key].dtype == np.int64
+            assert np.array_equal(tables[key], table)
+
+    def test_relation_labels_both_hit_and_miss(self):
+        # the property's models put some relation documents on each side
+        test = generate_site(SiteSpec("a", 400, seed=1, tasks=(Task.RELATION,)), RULE)
+        table = _doc_counts(random_b_model(2, 1.0), test)[(Task.RELATION, Scheme.STRICT)]
+        assert 0 < table[:, 0].sum() < len(table)
 
 
 class TestEvaluateResult:
@@ -126,7 +205,7 @@ class TestEvaluateResult:
         config = FederationConfig(Strategy.FEDAVG, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_federation(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
-        rows = evaluate_result(result, backbone, RULE, tests)
+        rows = evaluate_result(result, backbone, tests)
         # 2 testsets x 2 tasks x 2 schemes
         assert len(rows) == 8
         keys = {(r.testset, r.task, r.scheme) for r in rows}
@@ -141,7 +220,7 @@ class TestEvaluateResult:
         config = FederationConfig(Strategy.SINGLE_SITE, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_federation(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
-        rows = evaluate_result(result, backbone, RULE, tests)
+        rows = evaluate_result(result, backbone, tests)
         assert len(rows) == 8
 
         # oracle: average the two client models' separate evaluations
@@ -150,7 +229,7 @@ class TestEvaluateResult:
         per_model = []
         for cid in sorted(result.client_adapters):
             model = ToyModel(backbone, result.client_adapters[cid])
-            per_model.append(evaluate_model(model, RULE, tests[0]))
+            per_model.append(evaluate_model(model, tests[0]))
         row = next(
             r for r in rows
             if r.testset == "s0" and r.task == "tagging" and r.scheme == "strict"
@@ -178,7 +257,7 @@ class TestEvaluateResult:
 
         effective = fedlora.model._effective
         monkeypatch.setattr(fedlora.model, "_effective", counting_effective)
-        rows = evaluate_result(result, backbone, RULE, tests)
+        rows = evaluate_result(result, backbone, tests)
         assert len(rows) == 8
         assert len(merges) == len(result.client_adapters) == 2
 
@@ -188,6 +267,6 @@ class TestEvaluateResult:
         config = FederationConfig(Strategy.ZERO_SHOT, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_federation(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
-        rows = evaluate_result(result, backbone, RULE, tests)
+        rows = evaluate_result(result, backbone, tests)
         for row in rows:
             assert row.f1 < 0.6

@@ -177,7 +177,7 @@ class TestSpanF1:
         rule = PlantedRule(vocab_size=60)
         model = ToyModel.build(ModelConfig(60, 16, 9, 16, rank=4, alpha=8.0, seed=2))
         test = make_test_split(SiteSpec("a", 30, seed=3), 30, rule)
-        reports = evaluate_model(model, rule, test)
+        reports = evaluate_model(model, test)
         docs = [ex for ex in test.examples if ex.task is Task.TAGGING]
         for scheme in Scheme:
             counts = []

@@ -5,8 +5,9 @@ them up (``fedlora.cli.generate_site``, ``fedlora.federation.local_update``
 and so on).  A refactor that moves such a call into another namespace
 silently turns its metric into "missing"; this test runs a traced
 ``fedlora run`` on a tiny all-strategy config and requires every metric to
-read a value.  It runs in a subprocess so the patches never leak into other
-tests.
+read a value.  It also pins the wrapped names that no longer exist, so a
+name leaving its namespace is a deliberate edit here rather than a silent
+gap.  It runs in a subprocess so the patches never leak into other tests.
 """
 
 import json
@@ -28,7 +29,8 @@ spans.instrument(recorder)
 code = fedlora.cli.main(["run", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
 trace = spans.Trace({"spans": recorder.spans, "counters": recorder.counters,
                      "calls": recorder.calls})
-print(json.dumps({"exit": code, "values": spans.layer_values(trace)}))
+print(json.dumps({"exit": code, "values": spans.layer_values(trace),
+                  "unpatched": recorder.unpatched}))
 """
 
 CONFIG = {
@@ -64,3 +66,9 @@ def test_every_layer_metric_is_recorded(tmp_path):
     assert report["exit"] == 0
     missing = sorted(name for name, value in report["values"].items() if value is None)
     assert missing == []
+    # the round loop sizes payloads arithmetically without serializing, and
+    # relation documents score by label equality without the relation matcher
+    assert report["unpatched"] == [
+        "fedlora.federation.serialize_adapters",
+        "fedlora.evaluate.relation_counts",
+    ]
