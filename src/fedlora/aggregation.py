@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lora import AdapterSet
+from .lora import AdapterPair, AdapterSet
 from .model import Example, Pack, ToyModel, loss
 
 
@@ -150,19 +150,19 @@ def size_weights(
 def _check_compatible(clients: dict[str, AdapterSet]) -> None:
     ids = sorted(clients)
     reference = clients[ids[0]]
+    shapes = reference.shapes()
     for cid in ids[1:]:
         candidate = clients[cid]
-        if candidate.keys() != reference.keys():
+        if (candidate.rank, candidate.alpha) != (reference.rank, reference.alpha):
+            raise IncompatibleAdapters(
+                cid, "<set>", f"r={candidate.rank}, alpha={candidate.alpha} vs "
+                f"r={reference.rank}, alpha={reference.alpha}",
+            )
+        if candidate.layers.keys() != reference.layers.keys():
             raise IncompatibleAdapters(cid, "<keys>", "layer key sets differ")
-        for key, pair in candidate.items():
-            ref = reference[key]
-            if (pair.d, pair.l, pair.rank, pair.alpha) != (ref.d, ref.l, ref.rank, ref.alpha):
-                raise IncompatibleAdapters(
-                    cid,
-                    key,
-                    f"shape ({pair.d}, {pair.l}, r={pair.rank}, alpha={pair.alpha}) vs "
-                    f"({ref.d}, {ref.l}, r={ref.rank}, alpha={ref.alpha})",
-                )
+        for key, shape in candidate.shapes().items():
+            if shape != shapes[key]:
+                raise IncompatibleAdapters(cid, key, f"shape {shape} vs {shapes[key]}")
 
 
 def aggregate(
@@ -186,14 +186,14 @@ def aggregate(
     ids = sorted(clients)
     reference = clients[ids[0]]
     layers = {}
-    for key, ref_pair in reference.items():
-        b_sum = np.zeros_like(ref_pair.b)
-        a_sum = np.zeros_like(ref_pair.a)
+    for key, (ref_b, ref_a) in reference.layers.items():
+        b_sum = np.zeros_like(ref_b)
+        a_sum = np.zeros_like(ref_a)
         for cid in ids:
-            pair = clients[cid][key]
+            b, a = clients[cid].layers[key]
             w = weights[cid]
             if rule is AggregationRule.BOTH_FACTORS:
-                b_sum += w * pair.b
-            a_sum += w * pair.a
-        layers[key] = ref_pair.with_factors(b_sum, a_sum)
-    return AdapterSet(layers)
+                b_sum += w * b
+            a_sum += w * a
+        layers[key] = AdapterPair(b_sum, a_sum)
+    return reference.with_layers(layers)

@@ -176,7 +176,13 @@ def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
 def cmd_compare(path_a: str, path_b: str, out_dir: str) -> int:
     def read_rows(path):
         with open(path, newline="", encoding="utf-8") as handle:
-            return list(csv.DictReader(handle))
+            reader = csv.DictReader(handle)
+            # an empty file has no header, so it misses every column
+            header = reader.fieldnames or ()
+            missing = [c for c in (*COMPARE_FIELDS[:4], "f1") if c not in header]
+            if missing:
+                raise ConfigError(path, f"missing columns {missing}")
+            return list(reader)
 
     def group(rows):
         grouped: dict[tuple, list[float]] = {}
@@ -294,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(config, args.out_dir, seeds)
         if args.command == "scale-study":
             k_list = _flag_ints("--k", args.k, 1)
+            pooled = sum(spec.n_examples for spec in config.sites)
+            if max(k_list) > pooled:
+                raise ConfigError("--k", f"{max(k_list)} exceeds the {pooled} pooled examples")
             return cmd_scale_study(config, args.out_dir, seeds, k_list)
         parser.error(f"unknown command {args.command}")
     except ConfigError as err:

@@ -218,11 +218,6 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
             "relation_classes": lambda v: PlantedRule(v["vocab_size"]).num_relations,
         },
     )
-    if model.rank > model.tag_classes:
-        raise ConfigError(
-            f"{path}.model.rank", f"{model.rank} exceeds the tag-head width {model.tag_classes}"
-        )
-
     sites = _sites(raw, path, "sites", master_seed)
     if not sites:
         raise ConfigError(f"{path}.sites", "expected a non-empty list")

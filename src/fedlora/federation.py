@@ -133,11 +133,10 @@ def _comm_volume(adapters: AdapterSet, rule: AggregationRule) -> CommVolume:
 
 
 def _with_client_b(global_adapters: AdapterSet, client_set: AdapterSet) -> AdapterSet:
-    layers = {
-        key: pair.with_factors(client_set[key].b, pair.a)
-        for key, pair in global_adapters.items()
-    }
-    return AdapterSet(layers)
+    return global_adapters.with_layers({
+        key: pair._replace(b=client_set.layers[key].b)
+        for key, pair in global_adapters.layers.items()
+    })
 
 
 def _run_protocol(

@@ -2,17 +2,21 @@
 
 Matrices are plain float64 2-D numpy arrays (row-major, finite entries).
 An adapter pair (B, A) for a frozen d-by-l weight contributes the effective
-update ``(alpha / rank) * B @ A``; B is d-by-r and A is r-by-l.  Adapter
-sets are the unit of communication between clients and server, so they also
-carry a versioned bit-exact binary layout: the bytes a client would ship,
-which ``checksum`` hashes and ``serialized_size`` counts.
+update ``(alpha / rank) * B @ A``; B is d-by-r and A is r-by-l.  An adapter
+set holds one rank and one alpha for all of its layers, as in LoRA, so the
+scale alpha / rank is the set's.  Adapter sets are the unit of
+communication between clients and server, so they also carry a versioned
+bit-exact binary layout: the bytes a client would ship, which ``checksum``
+hashes and ``serialized_size`` counts.  Every entry of the layout repeats
+the set's rank and alpha.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,83 +51,61 @@ def _as_matrix(arr, name: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class AdapterPair:
+class AdapterPair(NamedTuple):
     """One layer's low-rank factors: B (d x r) and A (r x l)."""
 
-    layer_key: str
     b: np.ndarray
     a: np.ndarray
+
+
+@dataclass(frozen=True)
+class AdapterSet:
+    """Adapter pairs keyed by layer, all of one rank and one alpha, so every
+    layer's update carries the same scale alpha / rank.  ``layers`` may map
+    a key to any (B, A); the set keeps them as read-only ``AdapterPair``s."""
+
     rank: int
     alpha: float
+    layers: dict[str, AdapterPair]
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _as_matrix(self.b, f"{self.layer_key}.b"))
-        object.__setattr__(self, "a", _as_matrix(self.a, f"{self.layer_key}.a"))
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.b.shape[1] != self.rank or self.a.shape[0] != self.rank:
-            raise DimensionMismatch(
-                self.layer_key,
-                (self.b.shape[0], self.rank, self.a.shape[1]),
-                (self.b.shape[0], self.b.shape[1], self.a.shape[0], self.a.shape[1]),
-            )
-        if self.rank > min(self.d, self.l):
-            raise ValueError(
-                f"layer {self.layer_key!r}: rank {self.rank} exceeds min(d, l) "
-                f"= {min(self.d, self.l)}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def l(self) -> int:
-        return self.a.shape[1]
+        layers = {}
+        for key, (b, a) in self.layers.items():
+            b, a = _as_matrix(b, f"{key}.b"), _as_matrix(a, f"{key}.a")
+            if b.shape[1] != self.rank or a.shape[0] != self.rank:
+                raise DimensionMismatch(
+                    key, (b.shape[0], self.rank, a.shape[1]), (*b.shape, *a.shape)
+                )
+            if self.rank > min(b.shape[0], a.shape[1]):
+                raise ValueError(
+                    f"layer {key!r}: rank {self.rank} exceeds min(d, l) "
+                    f"= {min(b.shape[0], a.shape[1])}"
+                )
+            layers[key] = AdapterPair(b, a)
+        object.__setattr__(self, "layers", layers)
 
     @property
     def scale(self) -> float:
         return self.alpha / self.rank
 
-    def with_factors(self, b: np.ndarray, a: np.ndarray) -> "AdapterPair":
-        return AdapterPair(self.layer_key, b, a, self.rank, self.alpha)
+    def shapes(self) -> dict[str, tuple[int, int]]:
+        """(d, l) of the weight each layer's pair adapts."""
+        return {key: (b.shape[0], a.shape[1]) for key, (b, a) in self.layers.items()}
+
+    def with_layers(self, layers: dict[str, AdapterPair]) -> "AdapterSet":
+        """New factors of this set's rank and alpha."""
+        return AdapterSet(self.rank, self.alpha, layers)
 
     def param_count(self) -> int:
-        return self.d * self.rank + self.rank * self.l
-
-
-@dataclass(frozen=True)
-class AdapterSet:
-    """Ordered collection of adapter pairs keyed by layer."""
-
-    layers: dict[str, AdapterPair] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, pair in self.layers.items():
-            if key != pair.layer_key:
-                raise ValueError(f"key {key!r} does not match pair key {pair.layer_key!r}")
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, key: str) -> AdapterPair:
-        return self.layers[key]
-
-    def keys(self):
-        return self.layers.keys()
-
-    def items(self):
-        return self.layers.items()
-
-    def param_count(self) -> int:
-        return sum(p.param_count() for p in self.layers.values())
+        return sum(b.size + a.size for b, a in self.layers.values())
 
     def a_param_count(self) -> int:
         """Parameters in the A-matrices alone (the share-A payload)."""
-        return sum(p.rank * p.l for p in self.layers.values())
+        return sum(a.size for _, a in self.layers.values())
 
     def checksum(self) -> str:
         return hashlib.sha256(serialize_adapters(self)).hexdigest()
@@ -137,12 +119,11 @@ def init_adapter_set(
     With B at zero the merged model equals the backbone exactly.
     """
     rng = np.random.default_rng(seed)
-    layers = {}
-    for key, (d, l) in shapes.items():
-        b = np.zeros((d, rank))
-        a = rng.uniform(-INIT_SPAN, INIT_SPAN, size=(rank, l))
-        layers[key] = AdapterPair(key, b, a, rank, alpha)
-    return AdapterSet(layers)
+    layers = {
+        key: AdapterPair(np.zeros((d, rank)), rng.uniform(-INIT_SPAN, INIT_SPAN, size=(rank, l)))
+        for key, (d, l) in shapes.items()
+    }
+    return AdapterSet(rank, alpha, layers)
 
 
 def param_counts(d: int, l: int, r: int) -> tuple[int, int]:
@@ -191,34 +172,29 @@ def llama3_8b_lora_params(rank: int = 16) -> int:
 # ---------------------------------------------------------------------------
 
 _U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
+_ENTRY = struct.Struct("<3Qd")  # d, l, r, alpha
 
 
 def serialized_size(adapters: AdapterSet) -> int:
     """Exact byte length serialize_adapters will produce."""
-    total = len(MAGIC) + 1 + _U64.size
-    for key, pair in adapters.items():
-        total += _U64.size + len(key.encode("utf-8"))
-        total += 3 * _U64.size + _F64.size
-        total += 8 * pair.param_count()
+    total = len(MAGIC) + 1 + _U64.size + 8 * adapters.param_count()
+    for key in adapters.layers:
+        total += _U64.size + len(key.encode("utf-8")) + _ENTRY.size
     return total
 
 
 def serialized_a_size(adapters: AdapterSet) -> int:
     """Byte length of an A-only payload (same format, B blocks omitted)."""
-    return serialized_size(adapters) - sum(8 * p.d * p.rank for p in adapters.layers.values())
+    return serialized_size(adapters) - sum(8 * b.size for b, _ in adapters.layers.values())
 
 
 def serialize_adapters(adapters: AdapterSet) -> bytes:
-    chunks = [MAGIC, bytes([FORMAT_VERSION]), _U64.pack(len(adapters))]
-    for key, pair in adapters.items():
+    chunks = [MAGIC, bytes([FORMAT_VERSION]), _U64.pack(len(adapters.layers))]
+    for key, (b, a) in adapters.layers.items():
         raw_key = key.encode("utf-8")
         chunks.append(_U64.pack(len(raw_key)))
         chunks.append(raw_key)
-        chunks.append(_U64.pack(pair.d))
-        chunks.append(_U64.pack(pair.l))
-        chunks.append(_U64.pack(pair.rank))
-        chunks.append(_F64.pack(pair.alpha))
-        chunks.append(pair.b.astype("<f8").tobytes(order="C"))
-        chunks.append(pair.a.astype("<f8").tobytes(order="C"))
+        chunks.append(_ENTRY.pack(b.shape[0], a.shape[1], adapters.rank, adapters.alpha))
+        chunks.append(b.astype("<f8").tobytes(order="C"))
+        chunks.append(a.astype("<f8").tobytes(order="C"))
     return b"".join(chunks)

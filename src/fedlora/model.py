@@ -34,8 +34,6 @@ import numpy as np
 
 from .lora import AdapterSet, DimensionMismatch, init_adapter_set
 
-ADAPTED_LAYERS = ("trunk", "tag_head", "rel_head")
-
 
 class Task(enum.Enum):
     TAGGING = "tagging"
@@ -87,8 +85,12 @@ class ModelConfig:
                 raise FieldError(name, "must be positive")
         if self.alpha <= 0:
             raise FieldError("alpha", "must be positive")
-        if self.rank > self.hidden:
-            raise FieldError("rank", "must not exceed hidden width")
+        # the smallest dimension of the three adapted layers caps the rank
+        limit = min(self.hidden, self.tag_classes, self.relation_classes)
+        if self.rank > limit:
+            raise FieldError(
+                "rank", f"{self.rank} exceeds min(hidden, tag_classes, relation_classes) = {limit}"
+            )
 
 
 @dataclass(frozen=True)
@@ -285,15 +287,15 @@ class ToyModel:
     adapters: AdapterSet
 
     def __post_init__(self):
-        missing = set(ADAPTED_LAYERS) - set(self.adapters.keys())
+        expected, shapes = self.frozen.adapter_shapes(), self.adapters.shapes()
+        missing = expected.keys() - shapes.keys()
         if missing:
             raise ValueError(f"adapters missing layers: {sorted(missing)}")
-        shapes = self.frozen.adapter_shapes()
-        for key, pair in self.adapters.items():
-            if key not in shapes:
+        for key, shape in shapes.items():
+            if key not in expected:
                 raise DimensionMismatch(key, ("<layer present>",), ("<layer missing>",))
-            if (pair.d, pair.l) != shapes[key]:
-                raise DimensionMismatch(key, shapes[key], (pair.d, pair.l))
+            if shape != expected[key]:
+                raise DimensionMismatch(key, expected[key], shape)
 
     @classmethod
     def build(cls, config: ModelConfig, adapter_seed: int | None = None) -> "ToyModel":
@@ -309,7 +311,7 @@ class ToyModel:
         """The adapted dense weights W0 + s * B A per layer, merged on first
         use; the model is frozen and its factor arrays read-only, so the
         cache cannot go stale."""
-        return _effective(self.frozen, _factors(self.adapters), _scales(self.adapters))
+        return _effective(self.frozen, self.adapters.layers, self.adapters.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +323,8 @@ class ToyModel:
 
 
 def _effective(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]],
-               scales: dict[str, float]) -> dict[str, np.ndarray]:
-    return {
-        key: getattr(frozen, key) + scales[key] * (b @ a) for key, (b, a) in factors.items()
-    }
-
-
-def _factors(adapters: AdapterSet) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    return {key: (pair.b, pair.a) for key, pair in adapters.items()}
-
-
-def _scales(adapters: AdapterSet) -> dict[str, float]:
-    return {key: pair.scale for key, pair in adapters.items()}
+               scale: float) -> dict[str, np.ndarray]:
+    return {key: getattr(frozen, key) + scale * (b @ a) for key, (b, a) in factors.items()}
 
 
 def _packed(frozen: Backbone, data: Pack | Sequence[Example]) -> Pack:
@@ -416,12 +408,11 @@ def _weight_grads(frozen: Backbone, eff: dict[str, np.ndarray], batch: Batch):
     }
 
 
-def _factor_grads(weight_grads, factors, scales):
+def _factor_grads(weight_grads, factors, s: float):
     """Chain rule through W = W0 + s * B @ A: dB = s * dW A^T, dA = s * B^T dW."""
     out = {}
     for key, (b, a) in factors.items():
         dw = weight_grads[key]
-        s = scales[key]
         out[key] = (s * (dw @ a.T), s * (b.T @ dw))
     return out
 
@@ -434,7 +425,7 @@ def grad(
     Frozen parameters receive no gradient by construction.
     """
     weight_grads = _weight_grads(model.frozen, model.merged, _whole(model.frozen, batch))
-    return _factor_grads(weight_grads, _factors(model.adapters), _scales(model.adapters))
+    return _factor_grads(weight_grads, model.adapters.layers, model.adapters.scale)
 
 
 def local_update(
@@ -448,10 +439,8 @@ def local_update(
     """
     frozen = model.frozen
     pack = _packed(frozen, dataset)
-    scales = _scales(model.adapters)
-    factors = {
-        key: (pair.b.copy(), pair.a.copy()) for key, pair in model.adapters.items()
-    }
+    scale = model.adapters.scale
+    factors = {key: (b.copy(), a.copy()) for key, (b, a) in model.adapters.layers.items()}
     rng = np.random.default_rng(seed)
     n = len(pack)
     eta = sgd.learning_rate
@@ -465,8 +454,8 @@ def local_update(
             step_of = np.empty(n, dtype=np.int64)
             step_of[rng.permutation(n)] = np.arange(n) // sgd.batch_size
             for batch in pack.batches(step_of, frozen.config):
-                eff = _effective(frozen, factors, scales)
-                grads = _factor_grads(_weight_grads(frozen, eff, batch), factors, scales)
+                eff = _effective(frozen, factors, scale)
+                grads = _factor_grads(_weight_grads(frozen, eff, batch), factors, scale)
                 for key, (b, a) in factors.items():
                     db, da = grads[key]
                     b -= eta * db
@@ -474,7 +463,4 @@ def local_update(
                     if not (np.isfinite(b).all() and np.isfinite(a).all()):
                         raise Diverged(f"step {step}: layer {key!r} has non-finite adapter factors")
                 step += 1
-    layers = {
-        key: model.adapters[key].with_factors(b, a) for key, (b, a) in factors.items()
-    }
-    return AdapterSet(layers)
+    return model.adapters.with_layers(factors)

@@ -71,12 +71,10 @@ def test_02_fedavg_reduction_identity():
         clients = {}
         for i in range(m):
             layers = {
-                key: AdapterPair(
-                    key, rng.normal(size=(d, 2)), rng.normal(size=(2, l)), 2, 4.0
-                )
+                key: AdapterPair(rng.normal(size=(d, 2)), rng.normal(size=(2, l)))
                 for key, (d, l) in shapes.items()
             }
-            clients[f"c{i}"] = AdapterSet(layers)
+            clients[f"c{i}"] = AdapterSet(2, 4.0, layers)
         sizes = {c: int(rng.integers(1, 2000)) for c in clients}
         shared_loss = float(rng.random() * 4)
         report = influence_report(
@@ -88,8 +86,8 @@ def test_02_fedavg_reduction_identity():
         agg_plus = aggregate(clients, report.as_weight_map())
         agg_plain = aggregate(clients, plain)
         for key in shapes:
-            assert np.array_equal(agg_plus[key].b, agg_plain[key].b)
-            assert np.array_equal(agg_plus[key].a, agg_plain[key].a)
+            assert np.array_equal(agg_plus.layers[key].b, agg_plain.layers[key].b)
+            assert np.array_equal(agg_plus.layers[key].a, agg_plain.layers[key].a)
     _passline(2, "200 equal-loss configs: weights equal to 1e-12, aggregates bit-identical")
 
 
@@ -122,12 +120,12 @@ def test_04_gradient_correctness():
     model = ToyModel.build(cfg)
     rng = np.random.default_rng(31)
     model = model.with_adapters(
-        AdapterSet(
+        model.adapters.with_layers(
             {
-                key: pair.with_factors(
+                key: AdapterPair(
                     rng.normal(0, 0.15, pair.b.shape), rng.normal(0, 0.15, pair.a.shape)
                 )
-                for key, pair in model.adapters.items()
+                for key, pair in model.adapters.layers.items()
             }
         )
     )
@@ -147,7 +145,7 @@ def test_04_gradient_correctness():
     analytic = grad(model, batch)
     step = 1e-5
     worst = 0.0
-    for key, pair in model.adapters.items():
+    for key, pair in model.adapters.layers.items():
         for name, a_mat in zip(("b", "a"), analytic[key]):
             base = getattr(pair, name)
             for idx in np.ndindex(base.shape):
@@ -155,14 +153,11 @@ def test_04_gradient_correctness():
                 for sign in (+1, -1):
                     bumped = base.copy()
                     bumped[idx] += sign * step
-                    new_pair = (
-                        pair.with_factors(bumped, pair.a)
-                        if name == "b"
-                        else pair.with_factors(pair.b, bumped)
-                    )
                     layers = dict(model.adapters.layers)
-                    layers[key] = new_pair
-                    probes.append(loss(model.with_adapters(AdapterSet(layers)), batch))
+                    layers[key] = pair._replace(**{name: bumped})
+                    probes.append(
+                        loss(model.with_adapters(model.adapters.with_layers(layers)), batch)
+                    )
                 numeric = (probes[0] - probes[1]) / (2 * step)
                 denom = max(abs(a_mat[idx]), abs(numeric), 1e-12)
                 worst = max(worst, abs(a_mat[idx] - numeric) / denom)

@@ -29,10 +29,8 @@ CFG = ModelConfig(
 def random_set(rng, shapes, rank=2, alpha=4.0):
     layers = {}
     for key, (d, l) in shapes.items():
-        layers[key] = AdapterPair(
-            key, rng.normal(size=(d, rank)), rng.normal(size=(rank, l)), rank, alpha
-        )
-    return AdapterSet(layers)
+        layers[key] = AdapterPair(rng.normal(size=(d, rank)), rng.normal(size=(rank, l)))
+    return AdapterSet(rank, alpha, layers)
 
 
 SHAPES = {"trunk": (6, 6), "tag_head": (6, 4)}
@@ -48,8 +46,8 @@ class TestValidationLoss:
 
         # oracle: fold the adapter deltas into a fresh backbone, keep adapters zero
         merged = {
-            key: getattr(model.frozen, key) + pair.scale * (pair.b @ pair.a)
-            for key, pair in adapters.items()
+            key: getattr(model.frozen, key) + adapters.scale * (b @ a)
+            for key, (b, a) in adapters.layers.items()
         }
         folded = Backbone(
             CFG, model.frozen.embedding, merged["trunk"], merged["tag_head"], merged["rel_head"]
@@ -61,21 +59,21 @@ class TestValidationLoss:
     def test_gold_revealing_adapters_give_zero_loss(self):
         v, c = 6, 4
         gold = [t % c for t in range(v)]
-        cfg = ModelConfig(v, v, c, 3, rank=2, alpha=2, seed=0)
-        frozen = Backbone(cfg, np.eye(v), 50.0 * np.eye(v), np.zeros((v, c)), np.zeros((2 * v, 3)))
+        cfg = ModelConfig(v, v, c, c, rank=c, alpha=c, seed=0)
+        frozen = Backbone(cfg, np.eye(v), 50.0 * np.eye(v), np.zeros((v, c)), np.zeros((2 * v, c)))
         model = ToyModel(frozen, frozen.init_adapters(0))
-        # rank = full dimension, so A = identity and B = the needed delta
+        # rank = the tag-head width and scale 1, so A = identity and B = the needed delta
         target = np.zeros((v, c))
         for t in range(v):
             target[t, gold[t]] = 1.0
         adapters = AdapterSet(
+            c,
+            c,
             {
-                "trunk": AdapterPair("trunk", np.zeros((v, v)), np.eye(v), v, v),
-                "tag_head": AdapterPair("tag_head", target, np.eye(c), c, c),
-                "rel_head": AdapterPair(
-                    "rel_head", np.zeros((2 * v, 3)), np.zeros((3, 3)), 3, 3
-                ),
-            }
+                "trunk": AdapterPair(np.zeros((v, c)), np.eye(c, v)),
+                "tag_head": AdapterPair(target, np.eye(c)),
+                "rel_head": AdapterPair(np.zeros((2 * v, c)), np.zeros((c, c))),
+            },
         )
         val = [Example(Task.TAGGING, [t], tags=[gold[t]]) for t in range(v)]
         assert validation_loss(model, adapters, val) < 1e-9
@@ -200,18 +198,18 @@ class TestAggregate:
         base = random_set(rng, SHAPES)
         clients = {"a": base, "b": base, "c": base}
         out = aggregate(clients, {"a": 0.2, "b": 0.5, "c": 0.3})
-        for key, pair in base.items():
-            np.testing.assert_allclose(out[key].b, pair.b, atol=1e-12)
-            np.testing.assert_allclose(out[key].a, pair.a, atol=1e-12)
+        for key, pair in base.layers.items():
+            np.testing.assert_allclose(out.layers[key].b, pair.b, atol=1e-12)
+            np.testing.assert_allclose(out.layers[key].a, pair.a, atol=1e-12)
 
     def test_degenerate_weights_select_one_client(self):
         rng = np.random.default_rng(9)
         one = random_set(rng, SHAPES)
         two = random_set(rng, SHAPES)
         out = aggregate({"a": one, "b": two}, {"a": 1.0, "b": 0.0})
-        for key, pair in one.items():
-            assert np.array_equal(out[key].b, pair.b)
-            assert np.array_equal(out[key].a, pair.a)
+        for key, pair in one.layers.items():
+            assert np.array_equal(out.layers[key].b, pair.b)
+            assert np.array_equal(out.layers[key].a, pair.a)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(10)
@@ -219,17 +217,17 @@ class TestAggregate:
         weights = {"c0": 0.2, "c1": 0.3, "c2": 0.5}
         out = aggregate(sets, weights)
         for key in SHAPES:
-            b_expected = np.zeros_like(out[key].b)
-            a_expected = np.zeros_like(out[key].a)
+            b_expected = np.zeros_like(out.layers[key].b)
+            a_expected = np.zeros_like(out.layers[key].a)
             for cid in sorted(sets):
                 for i in range(b_expected.shape[0]):
                     for j in range(b_expected.shape[1]):
-                        b_expected[i, j] += weights[cid] * sets[cid][key].b[i, j]
+                        b_expected[i, j] += weights[cid] * sets[cid].layers[key].b[i, j]
                 for i in range(a_expected.shape[0]):
                     for j in range(a_expected.shape[1]):
-                        a_expected[i, j] += weights[cid] * sets[cid][key].a[i, j]
-            np.testing.assert_allclose(out[key].b, b_expected, atol=1e-12)
-            np.testing.assert_allclose(out[key].a, a_expected, atol=1e-12)
+                        a_expected[i, j] += weights[cid] * sets[cid].layers[key].a[i, j]
+            np.testing.assert_allclose(out.layers[key].b, b_expected, atol=1e-12)
+            np.testing.assert_allclose(out.layers[key].a, a_expected, atol=1e-12)
 
     def test_convexity_bounds(self):
         rng = np.random.default_rng(11)
@@ -238,8 +236,8 @@ class TestAggregate:
         out = aggregate(sets, weights)
         for key in SHAPES:
             for mat in ("b", "a"):
-                stack = np.stack([getattr(sets[c][key], mat) for c in sets])
-                agg = getattr(out[key], mat)
+                stack = np.stack([getattr(sets[c].layers[key], mat) for c in sets])
+                agg = getattr(out.layers[key], mat)
                 assert (agg >= stack.min(axis=0) - 1e-12).all()
                 assert (agg <= stack.max(axis=0) + 1e-12).all()
 
@@ -266,8 +264,8 @@ class TestAggregate:
         plus_agg = aggregate(sets, plus_weights)
         plain_agg = aggregate(sets, plain_weights)
         for key in SHAPES:
-            assert np.array_equal(plus_agg[key].b, plain_agg[key].b)
-            assert np.array_equal(plus_agg[key].a, plain_agg[key].a)
+            assert np.array_equal(plus_agg.layers[key].b, plain_agg.layers[key].b)
+            assert np.array_equal(plus_agg.layers[key].a, plain_agg.layers[key].a)
 
     def test_a_only_rule_keeps_b_local(self):
         rng = np.random.default_rng(13)
@@ -275,9 +273,9 @@ class TestAggregate:
         weights = {"a": 0.5, "b": 0.5}
         out = aggregate(sets, weights, rule=AggregationRule.A_ONLY)
         for key in SHAPES:
-            expected_a = 0.5 * sets["a"][key].a + 0.5 * sets["b"][key].a
-            np.testing.assert_allclose(out[key].a, expected_a, atol=1e-15)
-            assert np.array_equal(out[key].b, np.zeros_like(out[key].b))
+            expected_a = 0.5 * sets["a"].layers[key].a + 0.5 * sets["b"].layers[key].a
+            np.testing.assert_allclose(out.layers[key].a, expected_a, atol=1e-15)
+            assert np.array_equal(out.layers[key].b, np.zeros_like(out.layers[key].b))
 
     def test_incompatible_sets_raise_with_layer_name(self):
         rng = np.random.default_rng(14)
@@ -286,6 +284,14 @@ class TestAggregate:
         with pytest.raises(IncompatibleAdapters) as err:
             aggregate({"a": one, "b": two}, {"a": 0.5, "b": 0.5})
         assert err.value.layer_key == "tag_head"
+
+    @pytest.mark.parametrize("rank, alpha", [(3, 4.0), (2, 6.0)])
+    def test_sets_of_another_rank_or_alpha_raise_naming_client(self, rank, alpha):
+        rng = np.random.default_rng(17)
+        sets = {"a": random_set(rng, SHAPES), "b": random_set(rng, SHAPES, rank, alpha)}
+        with pytest.raises(IncompatibleAdapters, match=f"r={rank}, alpha={alpha}") as err:
+            aggregate(sets, {"a": 0.5, "b": 0.5})
+        assert err.value.client_id == "b"
 
     def test_weight_coverage_must_match(self):
         rng = np.random.default_rng(15)

@@ -411,6 +411,16 @@ class TestCmdCompare:
         rows = read_csv(cmp_dir / "compare.csv")
         assert float(rows[0]["p_value"]) < 0.05
 
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "strategy,testset,task,scheme\n", ""])
+    def test_missing_columns_exit_2_naming_file(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["compare", str(bad), str(bad), "--out-dir", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {bad}: missing columns [" in err
+        assert "'f1'" in err
+        assert not (tmp_path / "cmp").exists()
+
 
 class TestCmdCommReport:
     def test_headline_numbers_on_stdout(self, tmp_path, capsys):
@@ -444,6 +454,7 @@ class TestListFlags:
             (["comm-report", "--sites", "2,x"], "--sites"),
             (["comm-report", "--sites", "0,2"], "--sites"),
             (["comm-report", "--rounds", "0"], "--rounds"),
+            (["scale-study", "--k", "1,81"], "--k"),  # BASE_CONFIG pools 80 examples
         ],
     )
     def test_bad_value_exits_2_naming_flag(self, tmp_path, capsys, argv, flag):

@@ -12,7 +12,6 @@ from fedlora.evaluate import (
     make_test_split,
 )
 from fedlora.federation import FederationConfig, Strategy, run_federation
-from fedlora.lora import AdapterSet
 from fedlora.metrics import (
     RelationInstance,
     Scheme,
@@ -74,10 +73,10 @@ def random_b_model(seed: int, scale: float) -> ToyModel:
     model = ToyModel.build(CFG)
     rng = np.random.default_rng(seed)
     layers = {
-        key: pair.with_factors(rng.normal(0, scale, pair.b.shape), pair.a)
-        for key, pair in model.adapters.items()
+        key: pair._replace(b=rng.normal(0, scale, pair.b.shape))
+        for key, pair in model.adapters.layers.items()
     }
-    return model.with_adapters(AdapterSet(layers))
+    return model.with_adapters(model.adapters.with_layers(layers))
 
 
 class TestPredictions:

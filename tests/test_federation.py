@@ -56,11 +56,11 @@ def fed_config(strategy, k, rounds=2, seed=11):
 
 
 def adapters_equal(one, two):
-    if one.keys() != two.keys():
+    if one.layers.keys() != two.layers.keys():
         return False
     return all(
-        np.array_equal(one[k].b, two[k].b) and np.array_equal(one[k].a, two[k].a)
-        for k in one.keys()
+        np.array_equal(b, two.layers[k].b) and np.array_equal(a, two.layers[k].a)
+        for k, (b, a) in one.layers.items()
     )
 
 
@@ -118,7 +118,7 @@ class TestDegeneracies:
         backbone = Backbone.build(MODEL_CFG)
         result = run_federation(config, sites, None, backbone)
         merged = ToyModel(backbone, result.adapters).merged
-        for key in result.adapters.keys():
+        for key in result.adapters.layers:
             assert np.array_equal(merged[key], getattr(backbone, key))
         assert result.transcripts == []
 
@@ -212,7 +212,7 @@ class TestShareA:
         result = run_federation(
             fed_config(Strategy.SHARE_A, 2), sites, None, Backbone.build(MODEL_CFG)
         )
-        for key, pair in result.adapters.items():
+        for key, pair in result.adapters.layers.items():
             assert np.array_equal(pair.b, np.zeros_like(pair.b))
         assert set(result.client_adapters) == {"site0", "site1"}
 
@@ -221,11 +221,11 @@ class TestShareA:
         result = run_federation(
             fed_config(Strategy.SHARE_A, 2), sites, None, Backbone.build(MODEL_CFG)
         )
-        b0 = result.client_adapters["site0"]["trunk"].b
-        b1 = result.client_adapters["site1"]["trunk"].b
+        b0 = result.client_adapters["site0"].layers["trunk"].b
+        b1 = result.client_adapters["site1"].layers["trunk"].b
         assert not np.array_equal(b0, b1)
-        a0 = result.client_adapters["site0"]["trunk"].a
-        a1 = result.client_adapters["site1"]["trunk"].a
+        a0 = result.client_adapters["site0"].layers["trunk"].a
+        a1 = result.client_adapters["site1"].layers["trunk"].a
         assert np.array_equal(a0, a1)  # the shared factor is global
 
     def test_comm_volume_counts_a_only(self):
@@ -289,7 +289,7 @@ class TestUnevenTasks:
         # unchanged copy; it must still differ from the initial adapters
         initial = backbone.init_adapters(derive_seed(config.seed, "adapter_init"))
         assert not np.array_equal(
-            result.adapters["rel_head"].a, initial["rel_head"].a
+            result.adapters.layers["rel_head"].a, initial.layers["rel_head"].a
         )
 
     def test_undeclared_task_rejected(self):
@@ -327,6 +327,6 @@ class TestValidationErrors:
         )
         literal = run_federation(literal_config, sites, None, backbone)
         normalized = run_federation(fed_config(Strategy.FEDAVG, 2, rounds=1), sites, None, backbone)
-        literal_norm = np.linalg.norm(literal.adapters["trunk"].a)
-        normalized_norm = np.linalg.norm(normalized.adapters["trunk"].a)
+        literal_norm = np.linalg.norm(literal.adapters.layers["trunk"].a)
+        normalized_norm = np.linalg.norm(normalized.adapters.layers["trunk"].a)
         assert literal_norm < normalized_norm

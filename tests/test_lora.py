@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlora.lora import (
     LLAMA3_8B_FULL_PARAMS,
@@ -36,10 +38,22 @@ def naive_matmul(x, y):
 def make_set(rng, shapes, rank, alpha):
     layers = {}
     for key, (d, l) in shapes.items():
-        layers[key] = AdapterPair(
-            key, rng.standard_normal((d, rank)), rng.standard_normal((rank, l)), rank, alpha
-        )
-    return AdapterSet(layers)
+        layers[key] = AdapterPair(rng.standard_normal((d, rank)), rng.standard_normal((rank, l)))
+    return AdapterSet(rank, alpha, layers)
+
+
+def pack_oracle(adapters, shapes, rank, alpha) -> tuple[bytes, bytes]:
+    """The set's payload packed field by field with ``struct``, and the same
+    without the B blocks (the A-only payload)."""
+    full = a_only = b"ADPTSET1" + bytes([1]) + struct.pack("<Q", len(shapes))
+    for key, (d, l) in shapes.items():
+        raw = key.encode("utf-8")
+        head = struct.pack("<Q", len(raw)) + raw + struct.pack("<3Qd", d, l, rank, alpha)
+        pair = adapters.layers[key]
+        b, a = (struct.pack(f"<{m.size}d", *m.ravel()) for m in (pair.b, pair.a))
+        full += head + b + a
+        a_only += head + a
+    return full, a_only
 
 
 def square_backbone(rng, hidden):
@@ -67,7 +81,7 @@ class TestMerge:
         backbone = square_backbone(np.random.default_rng(0), 4)
         adapters = init_adapter_set(backbone.adapter_shapes(), rank=2, alpha=4.0, seed=7)
         merged = merged_weights(backbone, adapters)
-        for key in adapters.keys():
+        for key in adapters.layers:
             assert np.array_equal(merged[key], getattr(backbone, key))
 
     def test_one_by_one(self):
@@ -76,8 +90,8 @@ class TestMerge:
             cfg, np.ones((10, 1)), np.array([[2.0]]), np.zeros((1, 1)), np.zeros((2, 1))
         )
         adapters = init_adapter_set(backbone.adapter_shapes(), rank=1, alpha=1.0, seed=0)
-        pair = AdapterPair("trunk", np.array([[3.0]]), np.array([[4.0]]), 1, 1.0)
-        merged = merged_weights(backbone, AdapterSet({**adapters.layers, "trunk": pair}))
+        pair = AdapterPair(np.array([[3.0]]), np.array([[4.0]]))
+        merged = merged_weights(backbone, adapters.with_layers({**adapters.layers, "trunk": pair}))
         assert merged["trunk"][0, 0] == 14.0
 
     def test_random_4x4_rank2_alpha4_matches_naive_product(self):
@@ -85,7 +99,7 @@ class TestMerge:
         backbone = square_backbone(rng, 4)
         adapters = make_set(rng, backbone.adapter_shapes(), rank=2, alpha=4.0)
         merged = merged_weights(backbone, adapters)
-        for key, pair in adapters.items():
+        for key, pair in adapters.layers.items():
             expected = getattr(backbone, key) + 2.0 * naive_matmul(pair.b, pair.a)
             np.testing.assert_allclose(merged[key], expected, rtol=0, atol=1e-12)
 
@@ -105,9 +119,9 @@ class TestMerge:
     def test_dimension_mismatch_names_layer_and_shapes(self):
         backbone = square_backbone(np.random.default_rng(2), 3)
         adapters = init_adapter_set(backbone.adapter_shapes(), rank=2, alpha=1.0, seed=0)
-        pair = AdapterPair("trunk", np.zeros((4, 2)), np.zeros((2, 4)), 2, 1.0)
+        pair = AdapterPair(np.zeros((4, 2)), np.zeros((2, 4)))
         with pytest.raises(DimensionMismatch) as err:
-            ToyModel(backbone, AdapterSet({**adapters.layers, "trunk": pair}))
+            ToyModel(backbone, adapters.with_layers({**adapters.layers, "trunk": pair}))
         assert err.value.layer_key == "trunk"
         assert err.value.expected == (3, 3)
         assert err.value.actual == (4, 4)
@@ -127,11 +141,11 @@ class TestMerge:
         shapes = backbone.adapter_shapes()
         weights = [0.2, 0.3, 0.5]
         sets = [make_set(rng, shapes, rank=2, alpha=2.0) for _ in weights]
-        combined = AdapterSet(
+        combined = sets[0].with_layers(
             {
-                key: sets[0][key].with_factors(
-                    sum(w * s[key].b for w, s in zip(weights, sets)),
-                    sum(w * s[key].a for w, s in zip(weights, sets)),
+                key: AdapterPair(
+                    sum(w * s.layers[key].b for w, s in zip(weights, sets)),
+                    sum(w * s.layers[key].a for w, s in zip(weights, sets)),
                 )
                 for key in shapes
             }
@@ -143,7 +157,7 @@ class TestMerge:
             expansion = np.zeros(shapes[key])
             for wi, si in zip(weights, sets):
                 for wj, sj in zip(weights, sets):
-                    expansion += wi * wj * naive_matmul(si[key].b, sj[key].a)
+                    expansion += wi * wj * naive_matmul(si.layers[key].b, sj.layers[key].a)
             np.testing.assert_allclose(
                 merged[key], getattr(backbone, key) + scale * expansion, atol=1e-12
             )
@@ -153,10 +167,10 @@ class TestMerge:
         # the discrepancy is real and demonstrated here, not hidden.
         rng = np.random.default_rng(4)
         sets = [make_set(rng, {"w": (2, 2)}, rank=1, alpha=1.0) for _ in range(2)]
-        b_avg = 0.5 * (sets[0]["w"].b + sets[1]["w"].b)
-        a_avg = 0.5 * (sets[0]["w"].a + sets[1]["w"].a)
+        b_avg = 0.5 * (sets[0].layers["w"].b + sets[1].layers["w"].b)
+        a_avg = 0.5 * (sets[0].layers["w"].a + sets[1].layers["w"].a)
         factor_merge = b_avg @ a_avg
-        product_avg = 0.5 * sum(s["w"].scale * (s["w"].b @ s["w"].a) for s in sets)
+        product_avg = 0.5 * sum(s.scale * (s.layers["w"].b @ s.layers["w"].a) for s in sets)
         assert not np.allclose(factor_merge, product_avg)
 
 
@@ -188,35 +202,39 @@ class TestSerialization:
     def test_empty_set_round_trips(self):
         # With no reader left, the empty set's payload is pinned as exactly
         # the header and a zero entry count, and its size as that length.
-        adapters = AdapterSet({})
+        adapters = AdapterSet(1, 1.0, {})
         payload = serialize_adapters(adapters)
         assert payload == b"ADPTSET1" + bytes([1]) + struct.pack("<Q", 0)
         assert len(payload) == serialized_size(adapters)
         assert serialized_a_size(adapters) == len(payload)
 
-    def test_single_adapter_payload_matches_hand_packed_bytes(self):
-        pair = AdapterPair(
-            "w", np.array([[1.5], [-2.25]]), np.array([[0.125, 3.0]]), 1, 64.0
-        )
-        expected = (
-            b"ADPTSET1" + bytes([1]) + struct.pack("<Q", 1)
-            + struct.pack("<Q", 1) + b"w" + struct.pack("<3Q", 2, 2, 1)
-            + struct.pack("<d", 64.0)
-            + struct.pack("<2d", 1.5, -2.25) + struct.pack("<2d", 0.125, 3.0)
-        )
-        assert serialize_adapters(AdapterSet({"w": pair})) == expected
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_single_adapter_payload_matches_hand_packed_bytes(self, data):
+        # the payload of any set, layer for layer, against ``pack_oracle``
+        keys = data.draw(st.lists(st.text(max_size=4), max_size=3, unique=True))
+        shapes = {key: (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+                  for key in keys}
+        rank = data.draw(st.integers(1, min((min(s) for s in shapes.values()), default=6)))
+        alpha = data.draw(st.floats(1e-3, 1e6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        adapters = make_set(rng, shapes, rank, alpha)
+        payload, a_only = pack_oracle(adapters, shapes, rank, alpha)
+        assert serialize_adapters(adapters) == payload
+        assert serialized_size(adapters) == len(payload)
+        assert serialized_a_size(adapters) == len(a_only)
 
     def test_byte_length_matches_format_definition(self):
         rng = np.random.default_rng(7)
         adapters = make_set(rng, {"trunk": (6, 6), "head": (6, 4)}, rank=2, alpha=4.0)
-        for case in (adapters, AdapterSet({})):
+        for case in (adapters, AdapterSet(2, 4.0, {})):
             # header + per entry: key-length field, key bytes, three u64 dims,
             # one f64 alpha, then 8 bytes per B and A entry (A alone for share-A).
             expected = expected_a = 8 + 1 + 8
-            for key, pair in case.items():
+            for key, (d, l) in case.shapes().items():
                 entry = 8 + len(key) + 24 + 8
-                expected += entry + 8 * (pair.d * pair.rank + pair.rank * pair.l)
-                expected_a += entry + 8 * pair.rank * pair.l
+                expected += entry + 8 * (d * case.rank + case.rank * l)
+                expected_a += entry + 8 * case.rank * l
             assert len(serialize_adapters(case)) == expected
             assert serialized_size(case) == expected
             assert serialized_a_size(case) == expected_a
@@ -227,14 +245,33 @@ class TestAdapterSet:
         one = init_adapter_set({"w": (5, 3)}, rank=2, alpha=4.0, seed=11)
         two = init_adapter_set({"w": (5, 3)}, rank=2, alpha=4.0, seed=11)
         other = init_adapter_set({"w": (5, 3)}, rank=2, alpha=4.0, seed=12)
-        assert np.array_equal(one["w"].b, np.zeros((5, 2)))
-        assert np.abs(one["w"].a).max() <= 0.05
-        assert np.array_equal(one["w"].a, two["w"].a)
-        assert not np.array_equal(one["w"].a, other["w"].a)
+        assert np.array_equal(one.layers["w"].b, np.zeros((5, 2)))
+        assert np.abs(one.layers["w"].a).max() <= 0.05
+        assert np.array_equal(one.layers["w"].a, two.layers["w"].a)
+        assert not np.array_equal(one.layers["w"].a, other.layers["w"].a)
 
     def test_rank_cannot_exceed_min_dim(self):
         with pytest.raises(ValueError):
-            AdapterPair("w", np.zeros((2, 3)), np.zeros((3, 2)), 3, 1.0)
+            AdapterSet(3, 1.0, {"w": AdapterPair(np.zeros((2, 3)), np.zeros((3, 2)))})
+
+    @pytest.mark.parametrize("b_cols, a_rows", [(3, 2), (2, 3)])
+    def test_factor_of_another_rank_names_layer(self, b_cols, a_rows):
+        good = AdapterPair(np.zeros((4, 2)), np.zeros((2, 4)))
+        odd = AdapterPair(np.zeros((4, b_cols)), np.zeros((a_rows, 4)))
+        with pytest.raises(DimensionMismatch) as err:
+            AdapterSet(2, 1.0, {"v": good, "w": odd})
+        assert err.value.layer_key == "w"
+        assert err.value.actual == (4, b_cols, a_rows, 4)
+
+    @pytest.mark.parametrize("rank, alpha", [(0, 1.0), (1, 0.0), (1, -2.0)])
+    def test_rank_and_alpha_must_be_positive(self, rank, alpha):
+        with pytest.raises(ValueError):
+            AdapterSet(rank, alpha, {})
+
+    def test_one_scale_for_every_layer(self):
+        adapters = init_adapter_set({"w": (5, 3), "v": (4, 4)}, rank=2, alpha=5.0, seed=0)
+        assert adapters.scale == 2.5
+        assert adapters.shapes() == {"w": (5, 3), "v": (4, 4)}
 
     def test_param_count(self):
         adapters = init_adapter_set({"w": (5, 3), "v": (4, 4)}, rank=2, alpha=1.0, seed=0)
@@ -245,9 +282,9 @@ class TestAdapterSet:
         rng = np.random.default_rng(10)
         adapters = make_set(rng, {"w": (4, 4)}, rank=2, alpha=2.0)
         assert adapters.checksum() == adapters.checksum()
-        zeroed = adapters["w"].with_factors(np.zeros((4, 2)), adapters["w"].a)
-        assert adapters.checksum() != AdapterSet({"w": zeroed}).checksum()
+        zeroed = adapters.layers["w"]._replace(b=np.zeros((4, 2)))
+        assert adapters.checksum() != adapters.with_layers({"w": zeroed}).checksum()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            AdapterPair("w", np.array([[np.nan]]), np.array([[1.0]]), 1, 1.0)
+            AdapterSet(1, 1.0, {"w": AdapterPair(np.array([[np.nan]]), np.array([[1.0]]))})

@@ -10,6 +10,7 @@ from fedlora.model import (
     Backbone,
     EmptyBatchError,
     Example,
+    FieldError,
     LabelRangeError,
     ModelConfig,
     SgdConfig,
@@ -31,11 +32,9 @@ def randomized_adapters(model: ToyModel, seed: int, scale=0.1) -> AdapterSet:
     """Adapters with nonzero B so the factored chain rule is exercised."""
     rng = np.random.default_rng(seed)
     layers = {}
-    for key, pair in model.adapters.items():
-        layers[key] = pair.with_factors(
-            rng.normal(0, scale, pair.b.shape), rng.normal(0, scale, pair.a.shape)
-        )
-    return AdapterSet(layers)
+    for key, (b, a) in model.adapters.layers.items():
+        layers[key] = AdapterPair(rng.normal(0, scale, b.shape), rng.normal(0, scale, a.shape))
+    return model.adapters.with_layers(layers)
 
 
 def tagging_example(rng, vocab, tag_classes, length=6):
@@ -63,22 +62,34 @@ def mixed_batch(seed, n=8, cfg=SMALL):
 
 class TestToyModel:
     def test_adapter_shape_must_match_backbone_layer(self):
-        # a rank-1 A of shape 1x1 would broadcast into every trunk column
+        # a trunk pair of the set's rank but one row short is a valid set,
+        # so the model's own shape check is what rejects it
         model = ToyModel.build(SMALL)
-        trunk = AdapterPair("trunk", np.zeros((SMALL.hidden, 1)), np.ones((1, 1)), 1, 1.0)
-        adapters = AdapterSet({**model.adapters.layers, "trunk": trunk})
+        r, h = SMALL.rank, SMALL.hidden
+        trunk = AdapterPair(np.zeros((h - 1, r)), np.ones((r, h)))
+        adapters = model.adapters.with_layers({**model.adapters.layers, "trunk": trunk})
         with pytest.raises(DimensionMismatch) as err:
             ToyModel(model.frozen, adapters)
         assert err.value.layer_key == "trunk"
-        assert err.value.expected == (SMALL.hidden, SMALL.hidden)
-        assert err.value.actual == (SMALL.hidden, 1)
+        assert err.value.expected == (h, h)
+        assert err.value.actual == (h - 1, h)
 
     def test_adapter_for_unknown_layer_rejected(self):
         model = ToyModel.build(SMALL)
-        extra = AdapterPair("extra", np.zeros((3, 2)), np.ones((2, 3)), 2, 1.0)
+        extra = AdapterPair(np.zeros((3, 2)), np.ones((2, 3)))
+        adapters = model.adapters.with_layers({**model.adapters.layers, "extra": extra})
         with pytest.raises(DimensionMismatch) as err:
-            ToyModel(model.frozen, AdapterSet({**model.adapters.layers, "extra": extra}))
+            ToyModel(model.frozen, adapters)
         assert err.value.layer_key == "extra"
+
+
+    @pytest.mark.parametrize("tag_classes, relation_classes", [(4, 3), (3, 4)])
+    def test_rank_capped_by_smallest_adapted_dimension(self, tag_classes, relation_classes):
+        # rank 4 fits the 6-wide trunk but not a 3-class head
+        with pytest.raises(FieldError, match="rank") as err:
+            ModelConfig(6, 6, tag_classes, relation_classes, rank=4, alpha=1.0)
+        assert err.value.field == "rank"
+        ToyModel.build(ModelConfig(6, 6, 4, 4, rank=4, alpha=1.0))
 
 
 class TestForward:
@@ -126,11 +137,13 @@ class TestForward:
         b_r = np.array([[0.05], [-0.1], [0.2], [0.15]])
         a_r = np.array([[0.3, -0.3, 0.6, 0.9]])
         adapters = AdapterSet(
+            1,
+            2.0,
             {
-                "trunk": AdapterPair("trunk", b_t, a_t, 1, 2.0),
-                "tag_head": AdapterPair("tag_head", b_g, a_g, 1, 2.0),
-                "rel_head": AdapterPair("rel_head", b_r, a_r, 1, 2.0),
-            }
+                "trunk": AdapterPair(b_t, a_t),
+                "tag_head": AdapterPair(b_g, a_g),
+                "rel_head": AdapterPair(b_r, a_r),
+            },
         )
         model = ToyModel(frozen, adapters)
         got, _ = forward(model, [Example(Task.TAGGING, [0, 2], tags=[0, 1])])
@@ -233,7 +246,7 @@ class TestLoss:
 def finite_difference_grads(model: ToyModel, batch, step=1e-5):
     """Central-difference oracle over every adapter entry."""
     out = {}
-    for key, pair in model.adapters.items():
+    for key, pair in model.adapters.layers.items():
         db = np.zeros_like(pair.b)
         da = np.zeros_like(pair.a)
         for mat_name, target in (("b", db), ("a", da)):
@@ -242,13 +255,9 @@ def finite_difference_grads(model: ToyModel, batch, step=1e-5):
                 for sign in (+1, -1):
                     bumped = base.copy()
                     bumped[idx] += sign * step
-                    if mat_name == "b":
-                        new_pair = pair.with_factors(bumped, pair.a)
-                    else:
-                        new_pair = pair.with_factors(pair.b, bumped)
                     layers = dict(model.adapters.layers)
-                    layers[key] = new_pair
-                    val = loss(model.with_adapters(AdapterSet(layers)), batch)
+                    layers[key] = pair._replace(**{mat_name: bumped})
+                    val = loss(model.with_adapters(model.adapters.with_layers(layers)), batch)
                     target[idx] += sign * val
                 target[idx] /= 2 * step
         out[key] = (db, da)
@@ -349,9 +358,10 @@ def oracle_grad(model: ToyModel, batch):
             dz = (eff["rel_head"] @ dlogits).reshape(2, -1)
         d_w["trunk"] += x.T @ (dz * (u > 0))
     # chain rule through W = W0 + s * B A
+    s = model.adapters.scale
     return {
-        key: (pair.scale * (d_w[key] @ pair.a.T), pair.scale * (pair.b.T @ d_w[key]))
-        for key, pair in model.adapters.items()
+        key: (s * (d_w[key] @ a.T), s * (b.T @ d_w[key]))
+        for key, (b, a) in model.adapters.layers.items()
     }
 
 
@@ -419,10 +429,10 @@ class TestLocalUpdate:
         eta = 0.05
         out = local_update(model, data, SgdConfig(eta, 1, len(data)), seed=9)
         grads = grad(model, data)
-        for key, pair in model.adapters.items():
+        for key, pair in model.adapters.layers.items():
             db, da = grads[key]
-            assert np.array_equal(out[key].b, pair.b - eta * db)
-            assert np.array_equal(out[key].a, pair.a - eta * da)
+            assert np.array_equal(out.layers[key].b, pair.b - eta * db)
+            assert np.array_equal(out.layers[key].a, pair.a - eta * da)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -458,18 +468,18 @@ class TestLocalUpdate:
                 idx = np.sort(order[start : start + sgd.batch_size])
                 grads = grad(model, [data[i] for i in idx])
                 layers = {
-                    key: pair.with_factors(
+                    key: AdapterPair(
                         pair.b - sgd.learning_rate * grads[key][0],
                         pair.a - sgd.learning_rate * grads[key][1],
                     )
-                    for key, pair in model.adapters.items()
+                    for key, pair in model.adapters.layers.items()
                 }
-                model = model.with_adapters(AdapterSet(layers))
+                model = model.with_adapters(model.adapters.with_layers(layers))
                 steps += 1
         assert steps == epochs * -(-n // batch_size)
-        for key, pair in model.adapters.items():
-            assert np.array_equal(out[key].b, pair.b)
-            assert np.array_equal(out[key].a, pair.a)
+        for key, pair in model.adapters.layers.items():
+            assert np.array_equal(out.layers[key].b, pair.b)
+            assert np.array_equal(out.layers[key].a, pair.a)
 
     def test_deterministic_under_seed(self):
         model = ToyModel.build(SMALL)
@@ -478,22 +488,22 @@ class TestLocalUpdate:
         one = local_update(model, data, sgd, seed=5)
         two = local_update(model, data, sgd, seed=5)
         other = local_update(model, data, sgd, seed=6)
-        for key in one.keys():
-            assert np.array_equal(one[key].b, two[key].b)
-            assert np.array_equal(one[key].a, two[key].a)
+        for key in one.layers:
+            assert np.array_equal(one.layers[key].b, two.layers[key].b)
+            assert np.array_equal(one.layers[key].a, two.layers[key].a)
         assert any(
-            not np.array_equal(one[key].b, other[key].b) for key in one.keys()
+            not np.array_equal(one.layers[key].b, other.layers[key].b) for key in one.layers
         )
 
     def test_input_model_unmodified_and_frozen_hash_stable(self, fingerprint):
         model = ToyModel.build(SMALL)
-        snapshot = {k: (p.b.copy(), p.a.copy()) for k, p in model.adapters.items()}
+        snapshot = {k: (p.b.copy(), p.a.copy()) for k, p in model.adapters.layers.items()}
         before = fingerprint(model.frozen)
         local_update(model, mixed_batch(26), SgdConfig(0.1, 1, 4), seed=2)
         assert fingerprint(model.frozen) == before
         for key, (b, a) in snapshot.items():
-            assert np.array_equal(model.adapters[key].b, b)
-            assert np.array_equal(model.adapters[key].a, a)
+            assert np.array_equal(model.adapters.layers[key].b, b)
+            assert np.array_equal(model.adapters.layers[key].a, a)
 
     def test_training_reduces_loss_on_learnable_data(self):
         wins = 0
