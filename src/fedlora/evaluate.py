@@ -66,24 +66,20 @@ def _doc_counts(model: ToyModel, test: SiteDataset) -> dict[tuple[Task, Scheme],
     """Per-document (tp, fp, fn) count tables, shape (docs, 3), under every
     (task, scheme) the split holds, from one forward pass over its pack.
 
-    A tagging document decodes its gold and predicted tags once and matches
-    the spans under both schemes.  A relation document's gold and predicted
-    instances share its marked head and tail, so under both schemes it is
-    one true positive when the predicted label equals the gold one, else
-    one false positive and one false negative; the general matcher
-    ``relation_counts`` is not needed here."""
+    The split's gold and predicted tags decode once each, and the spans of
+    all its tagging documents match in one call per scheme.  A relation
+    document's gold and predicted instances share its marked head and
+    tail, so under both schemes it is one true positive when the predicted
+    label equals the gold one, else one false positive and one false
+    negative; the general matcher ``relation_counts`` is not needed here."""
     pack = test.packed
     tag_probs, rel_probs = forward(model, pack)
     tag_pred, rel_pred = tag_probs.argmax(axis=1), rel_probs.argmax(axis=1)
     tables = {}
     if len(pack.tags):
-        rows = {scheme: [] for scheme in Scheme}
-        for lo, hi in zip(pack.starts[:-1], pack.starts[1:]):
-            gold, pred = decode_bio(pack.tags[lo:hi]), decode_bio(tag_pred[lo:hi])
-            for scheme in Scheme:
-                rows[scheme].append(span_counts(gold, pred, scheme))
+        gold, pred = decode_bio(pack.tags, pack.starts), decode_bio(tag_pred, pack.starts)
         for scheme in Scheme:
-            tables[(Task.TAGGING, scheme)] = np.array(rows[scheme], dtype=np.int64)
+            tables[(Task.TAGGING, scheme)] = span_counts(gold, pred, scheme)
     if len(pack.relations):
         miss = (rel_pred != pack.relations).astype(np.int64)
         for scheme in Scheme:

@@ -58,11 +58,12 @@ class AdapterPair(NamedTuple):
     a: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdapterSet:
     """Adapter pairs keyed by layer, all of one rank and one alpha, so every
     layer's update carries the same scale alpha / rank.  ``layers`` may map
-    a key to any (B, A); the set keeps them as read-only ``AdapterPair``s."""
+    a key to any (B, A); the set keeps them as read-only ``AdapterPair``s.
+    Sets compare by identity; ``checksum()`` compares their contents."""
 
     rank: int
     alpha: float

@@ -1,9 +1,27 @@
 """Span-level evaluation: strict/lenient micro P/R/F1, bootstrap CIs,
 and the two-sample rank-sum significance test.
 
+A split is scored as arrays.  ``decode_bio`` decodes the flat tags of all
+its documents at once into ``Spans``, flat arrays with one entry per span,
+and ``span_counts`` matches gold against predicted spans for every
+document at once, returning one (tp, fp, fn) row per document.  The
+bootstrap resamples rows of that table, drawing every replicate's row
+indexes in one call.
+
 Matching is one-to-one: each gold span can satisfy at most one prediction
-and vice versa, computed as a maximum bipartite matching so counts never
-inflate.  Precision with zero predictions is defined as 0 (conservative).
+and vice versa, so counts never inflate.  Strict matching pairs exact
+(document, start, end, type) keys, copy for copy.  Lenient matching pairs
+overlapping spans of one type in one document greedily: gold spans, taken
+by increasing end, each claim the unmatched overlapping prediction of
+smallest end.  The greedy is a maximum matching on any span lists.  If the
+gold span g of smallest end and its claim p* sit in a maximum matching as
+g-p and g'-p*, then g'-p overlaps too (p.start < g.end <= g'.end and
+g'.start < p*.end <= p.end), so swapping to g-p* and g'-p keeps the size,
+and if g or p* is unmatched there, re-pairing g with p* keeps it too;
+decoded spans, disjoint on each side, are the convex case of F. Glover,
+"Maximum matching in a convex bipartite graph" (1967).  Relation instances
+use a general maximum bipartite matching.  Precision with zero predictions
+is defined as 0 (conservative).
 """
 
 from __future__ import annotations
@@ -12,6 +30,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,13 +61,30 @@ class RelationInstance:
     relation_type: int
 
 
-def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    """Micro precision, recall and F1 of pooled counts; a zero denominator
-    scores 0 (conservative)."""
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+class Spans(NamedTuple):
+    """The spans of ``docs`` documents as flat ``int64`` arrays, one entry
+    per span: its document, its start and end token within the document
+    (end exclusive) and its entity type."""
+
+    doc: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    type: np.ndarray
+    docs: int
+
+
+def _share(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
+
+
+def precision_recall_f1(tp, fp, fn):
+    """Micro precision, recall and F1 of pooled counts, elementwise over
+    arrays of counts; a zero denominator scores 0 (conservative)."""
+    tp, fp, fn = (np.asarray(c, dtype=np.float64) for c in (tp, fp, fn))
+    precision = _share(tp, tp + fp)
+    recall = _share(tp, tp + fn)
+    return precision, recall, _share(2 * precision * recall, precision + recall)
 
 
 @dataclass(frozen=True)
@@ -62,51 +98,43 @@ class EvalReport:
 
     @property
     def precision(self) -> float:
-        return precision_recall_f1(self.tp, self.fp, self.fn)[0]
+        return float(precision_recall_f1(self.tp, self.fp, self.fn)[0])
 
     @property
     def recall(self) -> float:
-        return precision_recall_f1(self.tp, self.fp, self.fn)[1]
+        return float(precision_recall_f1(self.tp, self.fp, self.fn)[1])
 
     @property
     def f1(self) -> float:
-        return precision_recall_f1(self.tp, self.fp, self.fn)[2]
+        return float(precision_recall_f1(self.tp, self.fp, self.fn)[2])
 
 
 # ---------------------------------------------------------------------------
 # BIO decoding.  Tag ids follow the layout 0 = outside, 1 + 2*(k-1) + role
 # for entity type k (role 0 opens, role 1 continues).  A continuation tag
-# without a live matching span opens a new one (lenient decoding).
+# without a live span of its type opens a new one (lenient decoding).
 # ---------------------------------------------------------------------------
 
 
-def tag_entity_type(tag: int) -> int:
-    return 0 if tag == 0 else (tag - 1) // 2 + 1
+def decode_bio(tags: np.ndarray, starts: np.ndarray) -> Spans:
+    """The spans of documents laid back to back in ``tags``, document i
+    holding ``tags[starts[i]:starts[i + 1]]``, in order of their start.
 
-
-def tag_opens(tag: int) -> bool:
-    return tag != 0 and (tag - 1) % 2 == 0
-
-
-def decode_bio(tags) -> list[Span]:
-    tags = [int(t) for t in tags]
-    spans: list[Span] = []
-    open_start = None
-    open_type = None
-    for i, tag in enumerate(tags):
-        etype = tag_entity_type(tag)
-        if etype == 0:
-            if open_start is not None:
-                spans.append(Span(open_start, i, open_type))
-                open_start = None
-            continue
-        if tag_opens(tag) or open_start is None or open_type != etype:
-            if open_start is not None:
-                spans.append(Span(open_start, i, open_type))
-            open_start, open_type = i, etype
-    if open_start is not None:
-        spans.append(Span(open_start, len(tags), open_type))
-    return spans
+    A span opens on an opening tag, on a change of entity type and on the
+    first token of a document, and runs until the next span opens, an
+    outside tag or the end of its document."""
+    tags, starts = np.asarray(tags, dtype=np.int64), np.asarray(starts, dtype=np.int64)
+    etype = (tags + 1) // 2
+    first = np.zeros(len(tags) + 1, dtype=bool)
+    first[starts[:-1]] = True
+    changed = first[:-1] | (tags % 2 == 1)
+    changed[1:] |= etype[1:] != etype[:-1]
+    opens = changed & (etype > 0)
+    stops = np.flatnonzero(np.append(opens | (etype == 0), True))
+    begin = np.flatnonzero(opens)
+    end = stops[np.searchsorted(stops, begin) + 1]
+    doc = np.searchsorted(starts, begin, side="right") - 1
+    return Spans(doc, begin - starts[doc], end - starts[doc], etype[begin], len(starts) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +177,70 @@ def _relation_compatible(gold: RelationInstance, pred: RelationInstance, scheme:
     )
 
 
-def span_counts(gold: list[Span], pred: list[Span], scheme: Scheme) -> tuple[int, int, int]:
-    tp = _max_matching(len(gold), len(pred), lambda i, j: _span_compatible(gold[i], pred[j], scheme))
-    return tp, len(pred) - tp, len(gold) - tp
+def _pooled(gold: Spans, pred: Spans) -> Spans:
+    """Gold spans followed by predicted ones."""
+    return Spans(*(np.concatenate([g, p]) for g, p in zip(gold[:4], pred[:4])), gold.docs)
+
+
+def _strict_hits(gold: Spans, pred: Spans) -> np.ndarray:
+    """The document of each matched pair: every (doc, start, end, type) key
+    pairs min(gold copies, predicted copies) times."""
+    both, n_gold = _pooled(gold, pred), len(gold.doc)
+    width, types = int(both.end.max(initial=0)) + 1, int(both.type.max(initial=0)) + 1
+    keys, key_of = np.unique(
+        ((both.doc * width + both.start) * width + both.end) * types + both.type,
+        return_inverse=True,
+    )
+    pairs = np.minimum(np.bincount(key_of[:n_gold], minlength=len(keys)),
+                       np.bincount(key_of[n_gold:], minlength=len(keys)))
+    return np.repeat(keys // (width * width * types), pairs)
+
+
+def _lenient_hits(gold: Spans, pred: Spans) -> np.ndarray:
+    """The document of each matched pair under the end-ordered greedy (see
+    the module docstring), run for all (doc, type) groups at once: step k
+    lets each group's k-th gold span by end claim its unmatched overlapping
+    prediction of smallest end."""
+    both, n_gold = _pooled(gold, pred), len(gold.doc)
+    types, ends = int(both.type.max(initial=0)) + 1, int(both.end.max(initial=0)) + 1
+    key = both.doc * types + both.type
+    order = np.argsort(key * ends + both.end, kind="stable")
+    key = key[order]
+    first = np.diff(key, prepend=-1) != 0
+    group, groups = np.cumsum(first) - 1, key[first]
+
+    def padded(side: np.ndarray):
+        """(start, end) of the sorted spans where ``side`` holds, one row per
+        group in order of end; padding overlaps nothing."""
+        row, at = group[side], order[side]
+        column = np.arange(len(row)) - np.searchsorted(row, row)
+        shape = (len(groups), int(column.max(initial=0)) + 1)
+        start = np.full(shape, np.iinfo(np.int64).max)
+        end = np.full(shape, np.iinfo(np.int64).min)
+        start[row, column], end[row, column] = both.start[at], both.end[at]
+        return start, end
+
+    is_gold = order < n_gold
+    gold_start, gold_end = padded(is_gold)
+    pred_start, pred_end = padded(~is_gold)
+    matched = np.zeros(pred_start.shape, dtype=bool)
+    rows = np.arange(len(matched))
+    for k in range(gold_start.shape[1]):
+        free = ~matched & (pred_start < gold_end[:, k, None]) & (pred_end > gold_start[:, k, None])
+        hit = free.any(axis=1)
+        matched[rows[hit], free[hit].argmax(axis=1)] = True
+    return np.repeat(groups // types, matched.sum(axis=1))
+
+
+def span_counts(gold: Spans, pred: Spans, scheme: Scheme) -> np.ndarray:
+    """The ``int64`` (docs, 3) table of (tp, fp, fn) per document, gold
+    matched one-to-one against predicted spans under ``scheme``."""
+    if gold.docs != pred.docs:
+        raise ValueError(f"gold spans cover {gold.docs} documents, predicted {pred.docs}")
+    hits = (_strict_hits if scheme is Scheme.STRICT else _lenient_hits)(gold, pred)
+    tp = np.bincount(hits, minlength=gold.docs)
+    return np.stack([tp, np.bincount(pred.doc, minlength=pred.docs) - tp,
+                     np.bincount(gold.doc, minlength=gold.docs) - tp], axis=1).astype(np.int64)
 
 
 def relation_counts(
@@ -176,14 +265,14 @@ def bootstrap_metric_ci(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Percentile CI of micro F1 over ``reps`` resamples, with replacement,
-    of the rows of a per-document (tp, fp, fn) count table."""
+    of the rows of a per-document (tp, fp, fn) count table.  All resamples
+    come from one draw of a (reps, sample_size) index table, each row of
+    which is one resample."""
     if not len(counts):
         raise ValueError("need at least one instance")
     rng = np.random.default_rng(seed)
-    values = []
-    for _ in range(reps):
-        idx = rng.integers(0, len(counts), size=sample_size)
-        values.append(precision_recall_f1(*counts[idx].sum(axis=0).tolist())[2])
+    idx = rng.integers(0, len(counts), size=(reps, sample_size))
+    values = precision_recall_f1(*(column[idx].sum(axis=1) for column in counts.T))[2]
     lo_q = 100 * (1 - level) / 2
     return (
         float(np.percentile(values, lo_q)),

@@ -26,6 +26,7 @@ from fedlora.metrics import (
     wilcoxon_rank_sum,
 )
 from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel, grad, loss
+from span_oracle import to_spans
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -380,7 +381,7 @@ def test_09_metric_oracles():
         gold, pred = random_spans(), random_spans()
         f1s = {}
         for scheme in Scheme:
-            tp, fp, fn = span_counts(gold, pred, scheme)
+            tp, fp, fn = span_counts(to_spans([gold]), to_spans([pred]), scheme)[0].tolist()
             compatible = (
                 (lambda i, j: gold[i] == pred[j])
                 if scheme is Scheme.STRICT

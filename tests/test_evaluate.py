@@ -12,15 +12,9 @@ from fedlora.evaluate import (
     make_test_split,
 )
 from fedlora.federation import FederationConfig, Strategy, run_federation
-from fedlora.metrics import (
-    RelationInstance,
-    Scheme,
-    Span,
-    decode_bio,
-    relation_counts,
-    span_counts,
-)
+from fedlora.metrics import RelationInstance, Scheme, Span, relation_counts
 from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel, forward
+from span_oracle import decode_bio, span_counts
 
 RULE = PlantedRule(vocab_size=60)
 CFG = ModelConfig(60, 16, 9, 16, rank=4, alpha=8.0, seed=2)
@@ -162,6 +156,22 @@ class TestEvaluateModel:
         reports = evaluate_model(ToyModel.build(CFG), test)
         assert len(reports) == 4
         assert calls == [test.packed]
+
+    def test_one_span_match_per_scheme_per_split(self, monkeypatch):
+        import fedlora.evaluate
+
+        schemes = []
+
+        def counting_span_counts(gold, pred, scheme):
+            schemes.append(scheme)
+            return span_counts_of_split(gold, pred, scheme)
+
+        span_counts_of_split = fedlora.evaluate.span_counts
+        monkeypatch.setattr(fedlora.evaluate, "span_counts", counting_span_counts)
+        test = make_test_split(SiteSpec("a", 40, seed=10), 40, RULE)
+        reports = evaluate_model(ToyModel.build(CFG), test, BootstrapConfig(10, 2))
+        assert len(reports) == 4
+        assert sorted(scheme.value for scheme in schemes) == ["lenient", "strict"]
 
 
 class TestDocCounts:

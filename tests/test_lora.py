@@ -273,6 +273,13 @@ class TestAdapterSet:
         assert adapters.scale == 2.5
         assert adapters.shapes() == {"w": (5, 3), "v": (4, 4)}
 
+    def test_equality_is_identity(self):
+        one = init_adapter_set({"w": (3, 3)}, rank=2, alpha=1.0, seed=0)
+        two = init_adapter_set({"w": (3, 3)}, rank=2, alpha=1.0, seed=0)
+        assert one == one
+        assert one != two
+        assert one.checksum() == two.checksum()
+
     def test_param_count(self):
         adapters = init_adapter_set({"w": (5, 3), "v": (4, 4)}, rank=2, alpha=1.0, seed=0)
         assert adapters.param_count() == (5 * 2 + 2 * 3) + (4 * 2 + 2 * 4)

@@ -19,6 +19,9 @@ from fedlora.metrics import (
     wilcoxon_rank_sum,
 )
 from fedlora.model import ModelConfig, Task, ToyModel, forward
+from span_oracle import decode_bio as list_decode_bio
+from span_oracle import span_counts as list_span_counts
+from span_oracle import to_lists, to_spans
 
 
 def report(count, gold, pred, scheme: Scheme) -> EvalReport:
@@ -26,8 +29,18 @@ def report(count, gold, pred, scheme: Scheme) -> EvalReport:
     return EvalReport("test", scheme, *count(gold, pred, scheme))
 
 
+def decode_doc(tags) -> list[Span]:
+    """``decode_bio`` on one document, as a span list."""
+    return to_lists(decode_bio(np.asarray(tags, dtype=np.int64), [0, len(tags)]))[0]
+
+
+def doc_counts(gold: list[Span], pred: list[Span], scheme: Scheme) -> tuple[int, int, int]:
+    """``span_counts`` on one document's span lists."""
+    return tuple(span_counts(to_spans([gold]), to_spans([pred]), scheme)[0].tolist())
+
+
 def encode_spans(spans: list[Span], length: int) -> list[int]:
-    """Inverse of decode_bio for well-formed span lists (no overlaps)."""
+    """Inverse of decode_doc for well-formed span lists (no overlaps)."""
     tags = [0] * length
     for span in spans:
         tags[span.start] = 1 + 2 * (span.entity_type - 1)
@@ -75,29 +88,44 @@ def exact_rank_sum_p(a, b):
 
 class TestDecodeBio:
     def test_all_outside(self):
-        assert decode_bio([0, 0, 0]) == []
+        assert decode_doc([0, 0, 0]) == []
 
     def test_definition_case(self):
         # [B-1, I-1, O, B-2] -> (0,2,type1), (3,4,type2)
-        spans = decode_bio([1, 2, 0, 3])
+        spans = decode_doc([1, 2, 0, 3])
         assert spans == [Span(0, 2, 1), Span(3, 4, 2)]
 
     def test_dangling_continuation_opens_span(self):
-        assert decode_bio([0, 2, 2]) == [Span(1, 3, 1)]
+        assert decode_doc([0, 2, 2]) == [Span(1, 3, 1)]
 
     def test_adjacent_b_tags_split(self):
-        assert decode_bio([1, 1, 2]) == [Span(0, 1, 1), Span(1, 3, 1)]
+        assert decode_doc([1, 1, 2]) == [Span(0, 1, 1), Span(1, 3, 1)]
 
     def test_type_change_splits(self):
-        assert decode_bio([1, 4, 0]) == [Span(0, 1, 1), Span(1, 2, 2)]
+        assert decode_doc([1, 4, 0]) == [Span(0, 1, 1), Span(1, 2, 2)]
 
     def test_round_trip_on_random_sequences(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             tags = rng.integers(0, 9, size=rng.integers(1, 15)).tolist()
-            spans = decode_bio(tags)
+            spans = decode_doc(tags)
             re_encoded = encode_spans(spans, len(tags))
-            assert decode_bio(re_encoded) == spans
+            assert decode_doc(re_encoded) == spans
+
+    def test_documents_split_spans_and_open_on_continuation(self):
+        # [B-1, I-1 | I-1, I-1 | I-1, O, B-2]: each document opens its own
+        # span, on a continuation tag too, and no span crosses a boundary
+        spans = decode_bio(np.array([1, 2, 2, 2, 2, 0, 3]), np.array([0, 2, 4, 7]))
+        assert spans.docs == 3
+        assert all(column.dtype == np.int64 for column in spans[:4])
+        assert to_lists(spans) == [[Span(0, 2, 1)], [Span(0, 2, 1)], [Span(0, 1, 1), Span(2, 3, 2)]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 8), max_size=10), min_size=1, max_size=6))
+    def test_equals_list_decoder_per_document(self, docs):
+        tags = np.array([tag for doc in docs for tag in doc], dtype=np.int64)
+        starts = np.cumsum([0] + [len(doc) for doc in docs])
+        assert to_lists(decode_bio(tags, starts)) == [list_decode_bio(doc) for doc in docs]
 
 
 def random_spans(rng, max_spans=6, max_pos=10, n_types=3):
@@ -112,32 +140,32 @@ def random_spans(rng, max_spans=6, max_pos=10, n_types=3):
 class TestSpanF1:
     def test_perfect_prediction(self):
         gold = [Span(0, 2, 1), Span(4, 6, 2)]
-        got = report(span_counts, gold, list(gold), Scheme.STRICT)
+        got = report(doc_counts, gold, list(gold), Scheme.STRICT)
         assert (got.precision, got.recall, got.f1) == (1.0, 1.0, 1.0)
 
     def test_empty_prediction(self):
-        got = report(span_counts, [Span(0, 2, 1)], [], Scheme.STRICT)
+        got = report(doc_counts, [Span(0, 2, 1)], [], Scheme.STRICT)
         assert (got.precision, got.recall, got.f1) == (0.0, 0.0, 0.0)
 
     def test_hand_scored_instance(self):
         gold = [Span(0, 2, 1), Span(5, 7, 2)]
         pred = [Span(0, 2, 1), Span(5, 6, 2), Span(8, 9, 1)]
-        got = report(span_counts, gold, pred, Scheme.STRICT)
+        got = report(doc_counts, gold, pred, Scheme.STRICT)
         assert (got.tp, got.fp, got.fn) == (1, 2, 1)
         assert got.precision == pytest.approx(1 / 3)
         assert got.recall == pytest.approx(1 / 2)
         assert got.f1 == pytest.approx(0.4)
 
     def test_lenient_overlap_counts(self):
-        assert report(span_counts, [Span(0, 3, 1)], [Span(1, 2, 1)], Scheme.LENIENT).f1 == 1.0
+        assert report(doc_counts, [Span(0, 3, 1)], [Span(1, 2, 1)], Scheme.LENIENT).f1 == 1.0
 
     def test_lenient_requires_matching_type(self):
-        assert report(span_counts, [Span(0, 3, 1)], [Span(1, 2, 2)], Scheme.LENIENT).tp == 0
+        assert report(doc_counts, [Span(0, 3, 1)], [Span(1, 2, 2)], Scheme.LENIENT).tp == 0
 
     def test_crossing_overlaps_match_exhaustive_oracle(self):
         gold = [Span(0, 4, 1), Span(2, 6, 1), Span(5, 8, 1), Span(7, 9, 1)]
         pred = [Span(3, 5, 1), Span(1, 3, 1), Span(6, 8, 1), Span(8, 9, 1)]
-        tp, _, _ = span_counts(gold, pred, Scheme.LENIENT)
+        tp, _, _ = doc_counts(gold, pred, Scheme.LENIENT)
         oracle = exhaustive_matching(
             gold, pred, lambda i, j: gold[i].overlaps(pred[j])
             and gold[i].entity_type == pred[j].entity_type
@@ -150,7 +178,7 @@ class TestSpanF1:
             gold = random_spans(rng)
             pred = random_spans(rng)
             for scheme in Scheme:
-                tp, fp, fn = span_counts(gold, pred, scheme)
+                tp, fp, fn = doc_counts(gold, pred, scheme)
                 oracle = exhaustive_matching(
                     gold,
                     pred,
@@ -170,8 +198,8 @@ class TestSpanF1:
         for _ in range(1000):
             gold = random_spans(rng)
             pred = random_spans(rng)
-            lenient = report(span_counts, gold, pred, Scheme.LENIENT)
-            assert lenient.f1 >= report(span_counts, gold, pred, Scheme.STRICT).f1
+            lenient = report(doc_counts, gold, pred, Scheme.LENIENT)
+            assert lenient.f1 >= report(doc_counts, gold, pred, Scheme.STRICT).f1
 
     def test_micro_pooling_is_exact_integer_identity(self):
         rule = PlantedRule(vocab_size=60)
@@ -183,11 +211,55 @@ class TestSpanF1:
             counts = []
             for ex in docs:  # each document forwarded and decoded on its own
                 tag_probs, _ = forward(model, [ex])
-                pred = decode_bio(tag_probs.argmax(axis=1))
-                counts.append(span_counts(decode_bio(ex.tags), pred, scheme))
+                pred = list_decode_bio(tag_probs.argmax(axis=1))
+                counts.append(list_span_counts(list_decode_bio(ex.tags), pred, scheme))
             pooled = reports[(Task.TAGGING, scheme)]
             assert (pooled.tp, pooled.fp, pooled.fn) == tuple(map(sum, zip(*counts)))
             assert pooled.tp + pooled.fp + pooled.fn > 0
+
+
+def span_compatible(gold: list[Span], pred: list[Span], scheme: Scheme):
+    """The exhaustive oracle's compatibility test on two span lists."""
+    if scheme is Scheme.STRICT:
+        return lambda i, j: gold[i] == pred[j]
+    return lambda i, j: gold[i].overlaps(pred[j]) and gold[i].entity_type == pred[j].entity_type
+
+
+# overlapping spans from a small space, so copies of one span are common
+spans_of_a_doc = st.lists(
+    st.builds(lambda start, length, etype: Span(start, start + length, etype),
+              st.integers(0, 5), st.integers(1, 3), st.integers(1, 2)),
+    max_size=5,
+)
+
+
+class TestSpanCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(spans_of_a_doc, spans_of_a_doc), min_size=1, max_size=4))
+    def test_rows_equal_exhaustive_matching_per_document(self, docs):
+        gold, pred = to_spans([g for g, _ in docs]), to_spans([p for _, p in docs])
+        for scheme in Scheme:
+            table = span_counts(gold, pred, scheme)
+            assert table.dtype == np.int64 and table.shape == (len(docs), 3)
+            for row, (g, p) in zip(table.tolist(), docs):
+                tp = exhaustive_matching(g, p, span_compatible(g, p, scheme))
+                assert row == [tp, len(p) - tp, len(g) - tp]
+
+    def test_lenient_greedy_beats_per_component_minimum(self):
+        # one overlap component of 3 gold and 3 predicted spans, but the
+        # first two gold spans overlap only the first prediction
+        gold = [Span(2, 3, 1), Span(3, 4, 1), Span(5, 9, 1)]
+        pred = [Span(2, 6, 1), Span(6, 7, 1), Span(8, 9, 1)]
+        assert doc_counts(gold, pred, Scheme.LENIENT) == (2, 1, 1)
+
+    def test_strict_duplicates_match_copy_for_copy(self):
+        a, b = Span(0, 2, 1), Span(3, 4, 2)
+        assert doc_counts([a, a, b], [a, a, a], Scheme.STRICT) == (2, 1, 1)
+        assert doc_counts([a, a, b], [a, a, a], Scheme.LENIENT) == (2, 1, 1)
+
+    def test_document_counts_must_agree(self):
+        with pytest.raises(ValueError, match="2 documents, predicted 1"):
+            span_counts(to_spans([[], []]), to_spans([[]]), Scheme.STRICT)
 
 
 class TestRelationF1:
@@ -398,14 +470,14 @@ class TestWilcoxon:
     st.lists(st.integers(0, 8), min_size=1, max_size=12),
 )
 def test_lenient_ge_strict_property(gold_tags, pred_tags):
-    gold = decode_bio(gold_tags)
-    pred = decode_bio(pred_tags)
-    lenient = report(span_counts, gold, pred, Scheme.LENIENT)
-    assert lenient.f1 >= report(span_counts, gold, pred, Scheme.STRICT).f1
+    gold = decode_doc(gold_tags)
+    pred = decode_doc(pred_tags)
+    lenient = report(doc_counts, gold, pred, Scheme.LENIENT)
+    assert lenient.f1 >= report(doc_counts, gold, pred, Scheme.STRICT).f1
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=15))
 def test_decode_encode_round_trip_property(tags):
-    spans = decode_bio(tags)
-    assert decode_bio(encode_spans(spans, len(tags))) == spans
+    spans = decode_doc(tags)
+    assert decode_doc(encode_spans(spans, len(tags))) == spans
