@@ -5,7 +5,9 @@ examples, plus a third, tagging-only site, so two of three clients take
 part per round and one site declares an uneven task set.  Any change to
 training, aggregation, evaluation, accounting or serialization that moves a
 single bit of results.csv, transcript.json, comm.csv, comm_preset.csv or a
-two-point scale.csv fails here.
+two-point scale.csv fails here.  ``compare`` and ``comm-report``, which
+train nothing, are pinned on fixed inputs: compare.csv over two hand-written
+results files and comm_report.csv for the LLaMA3-8B preset.
 
 The pins were taken with numpy 2.4.6.  The synthetic data relies on two
 details of numpy's generator: ``Generator.choice(..., p=p)`` searches
@@ -85,3 +87,43 @@ def test_golden_scale_study_unchanged(tmp_path):
             "--seeds", "1", "--k", "1,3"]
     assert main(argv) == 0
     assert _digest(out / "scale.csv") == SCALE_GOLDEN
+
+
+# compare.csv over two results files written here.  The fedavg key holds
+# ten rows a side, so its p-value takes the normal approximation (C(20, 10)
+# exceeds the exact-enumeration limit); the influence key holds three and
+# two rows and is enumerated exactly.  Both keys carry tied F1 values.
+COMPARE_ROWS = {
+    "a.csv": {
+        ("fedavg", "site_a", "tagging", "strict"):
+            [0.5, 0.6, 0.6, 0.7, 0.7, 0.7, 0.8, 0.55, 0.65, 0.75],
+        ("influence", "site_b", "relation", "lenient"): [0.9, 0.8, 0.8],
+    },
+    "b.csv": {
+        ("fedavg", "site_a", "tagging", "strict"):
+            [0.4, 0.5, 0.5, 0.6, 0.45, 0.55, 0.6, 0.7, 0.35, 0.5],
+        ("influence", "site_b", "relation", "lenient"): [0.8, 0.7],
+    },
+}
+COMPARE_GOLDEN = "0893aad3decdc6255cc16b772f92b547a78538e5456f8b8e8584ca50821a057a"
+COMM_REPORT_GOLDEN = "2ed3386af49ad6764cc3e3dcc80a93c071877b90ef17a6c11d575b2ee0583840"
+
+
+def test_golden_compare_unchanged(tmp_path):
+    paths = []
+    for name, groups in COMPARE_ROWS.items():
+        lines = ["strategy,testset,task,scheme,f1"]
+        for key, values in groups.items():
+            lines.extend(",".join((*key, f"{v:.6f}")) for v in values)
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        paths.append(str(path))
+    out = tmp_path / "out"
+    assert main(["compare", *paths, "--out-dir", str(out)]) == 0
+    assert _digest(out / "compare.csv") == COMPARE_GOLDEN
+
+
+def test_golden_comm_report_unchanged(tmp_path):
+    out = tmp_path / "out"
+    assert main(["comm-report", "--rounds", "3", "--sites", "1,2,3", "--out-dir", str(out)]) == 0
+    assert _digest(out / "comm_report.csv") == COMM_REPORT_GOLDEN
