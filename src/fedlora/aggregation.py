@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lora import AdapterPair, AdapterSet
+from .lora import AdapterPair, AdapterSet, DimensionMismatch, check_shapes
 from .model import Example, Pack, ToyModel, loss
 
 
@@ -30,11 +30,6 @@ class WeightMode(enum.Enum):
     # is the default everywhere.
     LITERAL = "literal"
     NORMALIZED = "normalized"
-
-
-class AggregationRule(enum.Enum):
-    BOTH_FACTORS = "both_factors"  # weighted sum of B and of A
-    A_ONLY = "a_only"  # share A; every client keeps its own B
 
 
 class IncompatibleAdapters(ValueError):
@@ -147,7 +142,17 @@ def size_weights(
     return {c: sizes[c] / n_global / m for c in ordered}
 
 
-def _check_compatible(clients: dict[str, AdapterSet]) -> None:
+def aggregate(clients: dict[str, AdapterSet], weights: dict[str, float]) -> AdapterSet:
+    """Weighted sum of client adapter sets in ascending client id: per layer,
+    global B = sum of w_k B_k and global A = sum of w_k A_k.  A set whose
+    rank, alpha or layer shapes differ from the first set's raises
+    ``IncompatibleAdapters`` naming the client and the layer."""
+    if not clients:
+        raise ValueError("no clients to aggregate")
+    if set(weights) != set(clients):
+        raise ValueError("weights must cover exactly the given clients")
+    if any(w < 0 for w in weights.values()):
+        raise ValueError("weights must be non-negative")
     ids = sorted(clients)
     reference = clients[ids[0]]
     shapes = reference.shapes()
@@ -158,33 +163,12 @@ def _check_compatible(clients: dict[str, AdapterSet]) -> None:
                 cid, "<set>", f"r={candidate.rank}, alpha={candidate.alpha} vs "
                 f"r={reference.rank}, alpha={reference.alpha}",
             )
-        if candidate.layers.keys() != reference.layers.keys():
-            raise IncompatibleAdapters(cid, "<keys>", "layer key sets differ")
-        for key, shape in candidate.shapes().items():
-            if shape != shapes[key]:
-                raise IncompatibleAdapters(cid, key, f"shape {shape} vs {shapes[key]}")
-
-
-def aggregate(
-    clients: dict[str, AdapterSet],
-    weights: dict[str, float],
-    rule: AggregationRule = AggregationRule.BOTH_FACTORS,
-) -> AdapterSet:
-    """Weighted aggregation of client adapter sets into the global set.
-
-    BOTH_FACTORS: per layer, global B = sum of w_k B_k and global A = sum of
-    w_k A_k.  A_ONLY: only the A factors aggregate and the global set carries
-    zero B factors (the aggregated A travels; each client keeps its own B).
-    """
-    if not clients:
-        raise ValueError("no clients to aggregate")
-    if set(weights) != set(clients):
-        raise ValueError("weights must cover exactly the given clients")
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("weights must be non-negative")
-    _check_compatible(clients)
-    ids = sorted(clients)
-    reference = clients[ids[0]]
+        try:
+            check_shapes(shapes, candidate)
+        except DimensionMismatch as err:
+            raise IncompatibleAdapters(
+                cid, err.layer_key, f"shape {err.actual} vs {err.expected}"
+            ) from None
     layers = {}
     for key, (ref_b, ref_a) in reference.layers.items():
         b_sum = np.zeros_like(ref_b)
@@ -192,8 +176,7 @@ def aggregate(
         for cid in ids:
             b, a = clients[cid].layers[key]
             w = weights[cid]
-            if rule is AggregationRule.BOTH_FACTORS:
-                b_sum += w * b
+            b_sum += w * b
             a_sum += w * a
         layers[key] = AdapterPair(b_sum, a_sum)
     return reference.with_layers(layers)

@@ -24,7 +24,7 @@ from dataclasses import asdict, fields, replace
 
 from .comm import PRESETS, CommEntry, PresetRow, entries_from_transcripts, preset_summary
 from .config import ConfigError, ExperimentConfig, load_config
-from .datasim import generate_site, make_validation_set, shard
+from .datasim import PlantedRule, generate_site, make_validation_set, shard
 from .evaluate import MetricRow, evaluate_result, make_test_split
 from .federation import FederationConfig, Strategy, pool_sites, run_federation
 from .metrics import wilcoxon_rank_sum
@@ -77,7 +77,7 @@ def _seed_run(config: ExperimentConfig, seed: int):
     strategy on given sites and scores it on every test split (external
     sites included)."""
     cfg = config.with_seed(seed)
-    rule = cfg.rule()
+    rule = PlantedRule(cfg.model.vocab_size)
     backbone = Backbone.build(cfg.model)
     sites = [generate_site(spec, rule) for spec in cfg.sites]
     specs = cfg.sites + cfg.external_sites
@@ -97,43 +97,32 @@ def _seed_run(config: ExperimentConfig, seed: int):
     return cfg, sites, train_and_score
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int):
-    cfg, sites, train_and_score = _seed_run(config, seed)
-    rows = []
-    run_records = []
-    comm_rows = []
-    for strategy in cfg.strategies():
-        fed_cfg = replace(cfg.federation, strategy=strategy)
-        result, metric_rows = train_and_score(fed_cfg, sites)
-        rows.extend({**asdict(r), "seed": seed} for r in metric_rows)
-        run_records.append(
-            {
-                "seed": seed,
-                "strategy": strategy.value,
-                # sort_keys orders every nested mapping when the transcript is written
-                "rounds": [
-                    {k: v for k, v in asdict(t).items() if v is not None}
-                    for t in result.transcripts
-                ],
-                "final_checksum": result.adapters.checksum() if result.adapters else None,
-            }
-        )
-        comm_rows.extend(
-            {"seed": seed, "strategy": strategy.value, **asdict(entry)}
-            for entry in entries_from_transcripts(result.transcripts, cfg.comm.bytes_per_param)
-        )
-    return rows, run_records, comm_rows
-
-
 def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int]) -> int:
     all_rows = []
     all_runs = []
     all_comm = []
     for seed in seeds:
-        rows, runs, comm_rows = _run_one_seed(config, seed)
-        all_rows.extend(rows)
-        all_runs.extend(runs)
-        all_comm.extend(comm_rows)
+        cfg, sites, train_and_score = _seed_run(config, seed)
+        for strategy in cfg.strategies():
+            fed_cfg = replace(cfg.federation, strategy=strategy)
+            result, metric_rows = train_and_score(fed_cfg, sites)
+            all_rows.extend({**asdict(r), "seed": seed} for r in metric_rows)
+            all_runs.append(
+                {
+                    "seed": seed,
+                    "strategy": strategy.value,
+                    # sort_keys orders every nested mapping when the transcript is written
+                    "rounds": [
+                        {k: v for k, v in asdict(t).items() if v is not None}
+                        for t in result.transcripts
+                    ],
+                    "final_checksum": result.adapters.checksum() if result.adapters else None,
+                }
+            )
+            all_comm.extend(
+                {"seed": seed, "strategy": strategy.value, **asdict(entry)}
+                for entry in entries_from_transcripts(result.transcripts, cfg.comm.bytes_per_param)
+            )
     _write_csv(os.path.join(out_dir, "results.csv"), RESULT_FIELDS, all_rows)
     _atomic_write(
         os.path.join(out_dir, "transcript.json"),

@@ -89,22 +89,6 @@ def entries_from_transcripts(
     return entries
 
 
-def full_model_comparison(
-    full_params: int,
-    bytes_per_param: int,
-    rounds: int,
-    clients: int,
-) -> dict[str, int]:
-    """Full-model traffic under the upload+download convention."""
-    if min(full_params, bytes_per_param, rounds, clients) < 1:
-        raise ValueError("all inputs must be positive")
-    per_site_round = full_params * bytes_per_param
-    return {
-        "per_site_round_bytes": per_site_round,
-        "run_total_bytes": rounds * clients * 2 * per_site_round,
-    }
-
-
 @dataclass(frozen=True)
 class PresetRow:
     """One comm_preset.csv row: a preset's adapter and full-model traffic
@@ -128,21 +112,22 @@ def preset_summary(
 ) -> list[dict]:
     """Headline table for a named preset: adapter vs full-model traffic, one
     ``asdict(PresetRow)`` per site count."""
+    per_site_round = preset.full_params * preset.bytes_per_param
     rows = []
     for clients in site_counts:
-        full = full_model_comparison(preset.full_params, preset.bytes_per_param, rounds, clients)
-        lora_total = rounds * clients * 2 * preset.lora_params * preset.bytes_per_param
+        moves = rounds * clients * 2  # every site uploads and downloads each round
+        lora_total = moves * preset.lora_params * preset.bytes_per_param
         row = PresetRow(
             sites=clients,
             rounds=rounds,
             lora_params=preset.lora_params,
             full_params=preset.full_params,
             lora_total_bytes=lora_total,
-            full_total_bytes=full["run_total_bytes"],
-            full_per_site_round_bytes=full["per_site_round_bytes"],
+            full_total_bytes=moves * per_site_round,
+            full_per_site_round_bytes=per_site_round,
             lora_total_gb=format_gb(lora_total, 2),
-            full_total_gb=format_gb(full["run_total_bytes"], 0),
-            full_per_site_round_gb=format_gb(full["per_site_round_bytes"], 2),
+            full_total_gb=format_gb(moves * per_site_round, 0),
+            full_per_site_round_gb=format_gb(per_site_round, 2),
             reduction_pct=reduction_pct(preset.full_params, preset.lora_params),
         )
         rows.append(asdict(row))

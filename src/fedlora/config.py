@@ -163,9 +163,6 @@ class ExperimentConfig:
     # the mapping this config was parsed from, re-parsed by with_seed
     _raw: dict = field(repr=False, compare=False)
 
-    def rule(self) -> PlantedRule:
-        return PlantedRule(self.model.vocab_size)
-
     def strategies(self) -> list[Strategy]:
         ordered = [self.federation.strategy]
         for s in self.baselines:

@@ -110,15 +110,6 @@ def evaluate_model(
     return reports
 
 
-def _models_for_result(result: FederationResult, backbone: Backbone) -> list[ToyModel]:
-    if result.client_adapters:  # single_site and share_a: one model per site
-        return [
-            ToyModel(backbone, result.client_adapters[cid])
-            for cid in sorted(result.client_adapters)
-        ]
-    return [ToyModel(backbone, result.adapters)]
-
-
 def evaluate_result(
     result: FederationResult,
     backbone: Backbone,
@@ -127,7 +118,9 @@ def evaluate_result(
     seed: int = 0,
 ) -> list[MetricRow]:
     """Rows for every (testset, task, scheme); multi-model strategies average."""
-    models = _models_for_result(result, backbone)
+    # single_site and share_a: one model per site
+    sets = [result.client_adapters[cid] for cid in sorted(result.client_adapters)]
+    models = [ToyModel(backbone, adapters) for adapters in sets or [result.adapters]]
     rows = []
     for test in test_sets:
         per_model = [evaluate_model(model, test, bootstrap, seed) for model in models]

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregation import (
-    AggregationRule,
     InfluenceReport,
     WeightMode,
     aggregate,
@@ -47,7 +46,7 @@ class Strategy(enum.Enum):
     CENTRALIZED = "centralized"
     FEDAVG = "fedavg"  # size-weighted adapter averaging
     INFLUENCE = "influence"  # validation-influence-weighted averaging
-    SHARE_A = "share_a"  # aggregate A factors only, B stays client-local
+    SHARE_A = "share_a"  # share A factors only, B stays client-local
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,8 @@ def pool_sites(sites: list[SiteDataset]) -> SiteDataset:
     return SiteDataset(spec, examples)
 
 
-def _comm_volume(adapters: AdapterSet, rule: AggregationRule) -> CommVolume:
-    if rule is AggregationRule.A_ONLY:
+def _comm_volume(adapters: AdapterSet, share_a: bool) -> CommVolume:
+    if share_a:
         return CommVolume(adapters.a_param_count(), serialized_a_size(adapters))
     return CommVolume(adapters.param_count(), serialized_size(adapters))
 
@@ -146,11 +145,7 @@ def _run_protocol(
     backbone: Backbone,
     initial: AdapterSet,
 ) -> FederationResult:
-    rule = (
-        AggregationRule.A_ONLY
-        if config.strategy is Strategy.SHARE_A
-        else AggregationRule.BOTH_FACTORS
-    )
+    share_a = config.strategy is Strategy.SHARE_A
     by_id = {site.spec.site_id: site for site in sites}
     ids = sorted(by_id)
     sizes = {cid: len(by_id[cid]) for cid in ids}
@@ -170,7 +165,7 @@ def _run_protocol(
         updated = {}
         for cid in sampled:
             start = global_adapters
-            if rule is AggregationRule.A_ONLY:
+            if share_a:
                 start = _with_client_b(global_adapters, retained_b[cid])
             try:
                 updated[cid] = local_update(
@@ -192,12 +187,14 @@ def _run_protocol(
         else:
             weights = size_weights(sizes, sampled, mode=config.weight_mode)
 
-        global_adapters = aggregate(updated, weights, rule)
-        if rule is AggregationRule.A_ONLY:
+        global_adapters = aggregate(updated, weights)
+        if share_a:
+            # only A travels: the global B stays the initial set's zeros
+            global_adapters = _with_client_b(global_adapters, initial)
             retained_b.update(updated)
 
-        upload = {cid: _comm_volume(updated[cid], rule) for cid in sampled}
-        download = {cid: _comm_volume(global_adapters, rule) for cid in sampled}
+        upload = {cid: _comm_volume(updated[cid], share_a) for cid in sampled}
+        download = {cid: _comm_volume(global_adapters, share_a) for cid in sampled}
         transcripts.append(
             RoundTranscript(
                 round=t,
@@ -212,7 +209,7 @@ def _run_protocol(
         )
 
     client_adapters = {}
-    if rule is AggregationRule.A_ONLY:
+    if share_a:
         # personalized model per client: its own B factors, the shared A
         client_adapters = {
             cid: _with_client_b(global_adapters, retained_b[cid]) for cid in ids

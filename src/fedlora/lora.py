@@ -127,11 +127,13 @@ def init_adapter_set(
     return AdapterSet(rank, alpha, layers)
 
 
-def param_counts(d: int, l: int, r: int) -> tuple[int, int]:
-    """(full, lora) parameter counts for one d-by-l weight at rank r."""
-    if d < 1 or l < 1 or r < 1:
-        raise ValueError("dimensions and rank must be positive")
-    return d * l, d * r + r * l
+def check_shapes(expected: dict[str, tuple[int, int]], adapters: AdapterSet) -> None:
+    """Raise ``DimensionMismatch`` at the first layer, in key order, whose (d, l)
+    differs from ``expected``; a missing or an extra layer's shape reads None."""
+    shapes = adapters.shapes()
+    for key in sorted(expected.keys() | shapes.keys()):
+        if shapes.get(key) != expected.get(key):
+            raise DimensionMismatch(key, expected.get(key), shapes.get(key))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +160,7 @@ LLAMA3_8B_FULL_PARAMS = 8_030_261_248
 
 def llama3_8b_lora_params(rank: int = 16) -> int:
     """Adapter parameter total for the LLaMA3-8B target-module preset."""
-    per_layer = sum(
-        param_counts(d, l, rank)[1] for _, d, l in LLAMA3_8B_LAYER_SHAPES
-    )
+    per_layer = sum(rank * (d + l) for _, d, l in LLAMA3_8B_LAYER_SHAPES)
     return per_layer * LLAMA3_8B_DECODER_LAYERS
 
 

@@ -294,17 +294,10 @@ _EXACT_LIMIT = 25_000
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # 1-based rank of the last value in each tie group
+    first = last - counts + 1
+    return ((first + last) / 2)[group]
 
 
 def wilcoxon_rank_sum(a, b) -> float:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lora import AdapterSet, DimensionMismatch, init_adapter_set
+from .lora import AdapterSet, check_shapes, init_adapter_set
 
 
 class Task(enum.Enum):
@@ -287,15 +287,7 @@ class ToyModel:
     adapters: AdapterSet
 
     def __post_init__(self):
-        expected, shapes = self.frozen.adapter_shapes(), self.adapters.shapes()
-        missing = expected.keys() - shapes.keys()
-        if missing:
-            raise ValueError(f"adapters missing layers: {sorted(missing)}")
-        for key, shape in shapes.items():
-            if key not in expected:
-                raise DimensionMismatch(key, ("<layer present>",), ("<layer missing>",))
-            if shape != expected[key]:
-                raise DimensionMismatch(key, expected[key], shape)
+        check_shapes(self.frozen.adapter_shapes(), self.adapters)
 
     @classmethod
     def build(cls, config: ModelConfig, adapter_seed: int | None = None) -> "ToyModel":

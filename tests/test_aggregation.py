@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlora.aggregation import (
-    AggregationRule,
     IncompatibleAdapters,
     WeightMode,
     aggregate,
@@ -267,16 +266,6 @@ class TestAggregate:
             assert np.array_equal(plus_agg.layers[key].b, plain_agg.layers[key].b)
             assert np.array_equal(plus_agg.layers[key].a, plain_agg.layers[key].a)
 
-    def test_a_only_rule_keeps_b_local(self):
-        rng = np.random.default_rng(13)
-        sets = {"a": random_set(rng, SHAPES), "b": random_set(rng, SHAPES)}
-        weights = {"a": 0.5, "b": 0.5}
-        out = aggregate(sets, weights, rule=AggregationRule.A_ONLY)
-        for key in SHAPES:
-            expected_a = 0.5 * sets["a"].layers[key].a + 0.5 * sets["b"].layers[key].a
-            np.testing.assert_allclose(out.layers[key].a, expected_a, atol=1e-15)
-            assert np.array_equal(out.layers[key].b, np.zeros_like(out.layers[key].b))
-
     def test_incompatible_sets_raise_with_layer_name(self):
         rng = np.random.default_rng(14)
         one = random_set(rng, SHAPES)
@@ -284,6 +273,23 @@ class TestAggregate:
         with pytest.raises(IncompatibleAdapters) as err:
             aggregate({"a": one, "b": two}, {"a": 0.5, "b": 0.5})
         assert err.value.layer_key == "tag_head"
+
+    @pytest.mark.parametrize(
+        "shapes, layer, detail",
+        [
+            ({"trunk": (6, 6)}, "tag_head", "shape None vs (6, 4)"),
+            ({**SHAPES, "extra": (3, 3)}, "extra", "shape (3, 3) vs None"),
+            ({"trunk": (5, 6), "tag_head": (6, 4)}, "trunk", "shape (5, 6) vs (6, 6)"),
+        ],
+        ids=["missing", "extra", "shape"],
+    )
+    def test_layout_mismatch_names_client_and_layer(self, shapes, layer, detail):
+        rng = np.random.default_rng(16)
+        sets = {"a": random_set(rng, SHAPES), "b": random_set(rng, shapes)}
+        with pytest.raises(IncompatibleAdapters) as err:
+            aggregate(sets, {"a": 0.5, "b": 0.5})
+        assert (err.value.client_id, err.value.layer_key) == ("b", layer)
+        assert str(err.value) == f"client 'b', layer {layer!r}: {detail}"
 
     @pytest.mark.parametrize("rank, alpha", [(3, 4.0), (2, 6.0)])
     def test_sets_of_another_rank_or_alpha_raise_naming_client(self, rank, alpha):

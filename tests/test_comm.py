@@ -2,9 +2,9 @@ import pytest
 
 from fedlora.comm import (
     PRESETS,
+    CommPreset,
     entries_from_transcripts,
     format_gb,
-    full_model_comparison,
     preset_summary,
     reduction_pct,
 )
@@ -29,18 +29,25 @@ class TestReductionPct:
 
 
 class TestFullModelComparison:
+    def full_row(self, clients):
+        (row,) = preset_summary(PRESETS["llama3_8b"], rounds=2, site_counts=(clients,))
+        assert row["full_params"] == 8_030_261_248
+        return row
+
     def test_per_site_round_is_29_92(self):
-        out = full_model_comparison(8_030_261_248, 4, rounds=2, clients=2)
-        assert out["per_site_round_bytes"] == 32_121_044_992
-        assert format_gb(out["per_site_round_bytes"], 2) == "29.92"
+        row = self.full_row(2)
+        assert row["full_per_site_round_bytes"] == 32_121_044_992
+        assert format_gb(row["full_per_site_round_bytes"], 2) == "29.92"
 
     def test_two_site_total_is_239(self):
-        out = full_model_comparison(8_030_261_248, 4, rounds=2, clients=2)
-        assert format_gb(out["run_total_bytes"], 0) == "239"
+        row = self.full_row(2)
+        assert row["full_total_bytes"] == 2 * 2 * 2 * 32_121_044_992
+        assert format_gb(row["full_total_bytes"], 0) == "239"
 
     def test_three_site_total_is_359(self):
-        out = full_model_comparison(8_030_261_248, 4, rounds=2, clients=3)
-        assert format_gb(out["run_total_bytes"], 0) == "359"
+        row = self.full_row(3)
+        assert row["full_total_bytes"] == 2 * 3 * 2 * 32_121_044_992
+        assert format_gb(row["full_total_bytes"], 0) == "359"
 
 
 class TestPresetSummary:
@@ -92,8 +99,10 @@ class TestLedgerFromTranscripts:
         # the same movement pattern at full-model size
         result = self.make_run()
         entries = entries_from_transcripts(result.transcripts, bytes_per_param=4)
-        full = full_model_comparison(10_000, 4, rounds=2, clients=2)
-        assert full["run_total_bytes"] == len(entries) * 10_000 * 4
+        preset = CommPreset("toy", 10_000, result.adapters.param_count())
+        (full,) = preset_summary(preset, rounds=2, site_counts=(2,))
+        assert full["full_total_bytes"] == len(entries) * 10_000 * 4
+        assert full["lora_total_bytes"] == sum(e.bytes for e in entries)
         assert reduction_pct(10_000, entries[0].params) == reduction_pct(
             10_000, result.adapters.param_count()
         )

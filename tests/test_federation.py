@@ -17,7 +17,8 @@ from fedlora.federation import (
     run_federation,
     sample_clients,
 )
-from fedlora.lora import serialize_adapters, serialized_a_size
+from fedlora import federation
+from fedlora.lora import AdapterPair, serialize_adapters, serialized_a_size
 from fedlora.model import (
     Backbone,
     ModelConfig,
@@ -215,6 +216,42 @@ class TestShareA:
         for key, pair in result.adapters.layers.items():
             assert np.array_equal(pair.b, np.zeros_like(pair.b))
         assert set(result.client_adapters) == {"site0", "site1"}
+
+    def test_a_only_rule_keeps_b_local(self, monkeypatch):
+        # every round's global set is a zero B and the size-weighted sum, in
+        # ascending client id, of the A factors uploaded that round
+        uploads = []
+        real_aggregate = federation.aggregate
+
+        def recording_aggregate(clients, weights):
+            uploads.append(dict(clients))
+            return real_aggregate(clients, weights)
+
+        monkeypatch.setattr(federation, "aggregate", recording_aggregate)
+        sites = [
+            generate_site(SiteSpec(f"site{i}", n, dirichlet_alpha=5.0, seed=430 + i), RULE)
+            for i, n in enumerate((40, 25, 33))
+        ]
+        result = run_federation(
+            fed_config(Strategy.SHARE_A, 2, rounds=3), sites, None, Backbone.build(MODEL_CFG)
+        )
+        sizes = {site.spec.site_id: len(site) for site in sites}
+        assert len(uploads) == len(result.transcripts) == 3
+        for round_uploads, transcript in zip(uploads, result.transcripts):
+            ids = sorted(round_uploads)
+            assert tuple(ids) == transcript.sampled
+            total = sum(sizes[cid] for cid in ids)
+            layers = {}
+            for key, (b, a) in round_uploads[ids[0]].layers.items():
+                a_sum = np.zeros_like(a)
+                for cid in ids:
+                    a_sum += sizes[cid] / total * round_uploads[cid].layers[key].a
+                layers[key] = AdapterPair(np.zeros_like(b), a_sum)
+            expected = round_uploads[ids[0]].with_layers(layers)
+            assert transcript.checksum == expected.checksum()
+        for pair in result.adapters.layers.values():
+            assert np.array_equal(pair.b, np.zeros_like(pair.b))
+        assert result.adapters.checksum() == result.transcripts[-1].checksum
 
     def test_personalized_models_keep_distinct_b(self):
         sites = make_sites(2, seed=410)

@@ -10,9 +10,9 @@ from fedlora.lora import (
     AdapterPair,
     AdapterSet,
     DimensionMismatch,
+    check_shapes,
     init_adapter_set,
     llama3_8b_lora_params,
-    param_counts,
     serialize_adapters,
     serialized_a_size,
     serialized_size,
@@ -126,6 +126,14 @@ class TestMerge:
         assert err.value.expected == (3, 3)
         assert err.value.actual == (4, 4)
 
+    def test_check_shapes_names_first_differing_layer_in_key_order(self):
+        adapters = init_adapter_set({"w": (4, 4), "u": (3, 3), "v": (2, 2)}, 1, 1.0, 0)
+        check_shapes({"u": (3, 3), "v": (2, 2), "w": (4, 4)}, adapters)
+        # "u" is missing from the expected layout and "w" has another shape
+        with pytest.raises(DimensionMismatch) as err:
+            check_shapes({"v": (2, 2), "w": (4, 5)}, adapters)
+        assert (err.value.layer_key, err.value.expected, err.value.actual) == ("u", None, (3, 3))
+
     def test_backbone_not_modified(self, fingerprint):
         rng = np.random.default_rng(2)
         backbone = square_backbone(rng, 3)
@@ -174,14 +182,16 @@ class TestMerge:
         assert not np.allclose(factor_merge, product_avg)
 
 
+def lora_params(d, l, r):
+    return init_adapter_set({"w": (d, l)}, r, 1.0, 0).param_count()
+
+
 class TestParamCounts:
     def test_direct_arithmetic(self):
-        full, lora = param_counts(4096, 4096, 16)
-        assert full == 16_777_216
-        assert lora == 131_072
+        assert lora_params(4096, 4096, 16) == 16 * (4096 + 4096) == 131_072
 
     def test_minimal(self):
-        assert param_counts(1, 1, 1) == (1, 2)
+        assert lora_params(1, 1, 1) == 2
 
     def test_llama3_preset_reproduces_published_total(self):
         assert llama3_8b_lora_params(rank=16) == 41_943_040
@@ -193,7 +203,8 @@ class TestParamCounts:
             d = int(rng.integers(2, 500))
             l = int(rng.integers(2, 500))
             r = int(rng.integers(1, max(2, min(d, l) // 2 + 1)))
-            full, lora = param_counts(d, l, r)
+            full, lora = d * l, lora_params(d, l, r)
+            assert lora == r * (d + l)
             if r < d * l / (d + l):
                 assert lora < full
 

@@ -82,6 +82,23 @@ class TestToyModel:
             ToyModel(model.frozen, adapters)
         assert err.value.layer_key == "extra"
 
+    @pytest.mark.parametrize(
+        "layer, pair",
+        [
+            ("tag_head", None),
+            ("extra", AdapterPair(np.zeros((3, 2)), np.ones((2, 3)))),
+            ("rel_head", AdapterPair(np.zeros((SMALL.hidden, 2)), np.ones((2, 15)))),
+        ],
+        ids=["missing", "extra", "shape"],
+    )
+    def test_layout_mismatch_names_layer(self, layer, pair):
+        model = ToyModel.build(SMALL)
+        layers = {k: v for k, v in model.adapters.layers.items() if k != layer}
+        if pair is not None:
+            layers[layer] = pair
+        with pytest.raises(DimensionMismatch) as err:
+            ToyModel(model.frozen, model.adapters.with_layers(layers))
+        assert err.value.layer_key == layer
 
     @pytest.mark.parametrize("tag_classes, relation_classes", [(4, 3), (3, 4)])
     def test_rank_capped_by_smallest_adapted_dimension(self, tag_classes, relation_classes):
