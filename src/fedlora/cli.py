@@ -26,9 +26,9 @@ from .comm import PRESETS, CommEntry, PresetRow, entries_from_transcripts, prese
 from .config import ConfigError, ExperimentConfig, load_config
 from .datasim import PlantedRule, generate_site, make_validation_set, shard
 from .evaluate import MetricRow, evaluate_result, make_test_split
-from .federation import FederationConfig, Strategy, pool_sites, run_federation
+from .federation import FederationConfig, Strategy, located, pool_sites, run_federation
 from .metrics import wilcoxon_rank_sum
-from .model import Backbone, Diverged
+from .model import Backbone
 from .seeding import derive_seed
 
 RESULT_FIELDS = [f.name for f in fields(MetricRow)] + ["seed"]
@@ -88,11 +88,9 @@ def _seed_run(config: ExperimentConfig, seed: int):
         backbone.check_ranges(split.packed)
 
     def train_and_score(fed_cfg: FederationConfig, train_sites):
-        try:
+        with located(f"seed {seed}, strategy {fed_cfg.strategy.value}"):
             result = run_federation(fed_cfg, train_sites, val.packed, backbone)
-        except Diverged as err:
-            raise Diverged(f"seed {seed}, strategy {fed_cfg.strategy.value}, {err}") from None
-        return result, evaluate_result(result, backbone, tests, cfg.eval.bootstrap, seed=cfg.seed)
+            return result, evaluate_result(result, backbone, tests, cfg.eval.bootstrap, seed=cfg.seed)
 
     return cfg, sites, train_and_score
 
@@ -239,6 +237,13 @@ def _flag_ints(flag: str, text: str, minimum: int) -> list[int]:
     return values
 
 
+def _located_message(err: Exception) -> str:
+    """``err``'s message after where it happened: the notes ``located``
+    added on the way out, outermost first."""
+    where = ", ".join(reversed(getattr(err, "__notes__", ())))
+    return f"{where}: {err}" if where else str(err)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedlora", description="Federated low-rank adapter training simulator"
@@ -295,10 +300,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_scale_study(config, args.out_dir, seeds, k_list)
         parser.error(f"unknown command {args.command}")
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
+        print(f"config error: {_located_message(err)}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - CLI boundary
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_located_message(err)}", file=sys.stderr)
         return 3
     return 0
 

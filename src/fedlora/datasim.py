@@ -131,6 +131,12 @@ class SiteDataset:
         and dies with the dataset."""
         return Pack.of(self.examples)
 
+    @cached_property
+    def first_updates(self) -> dict:
+        """Round-0 local updates trained on this site, filled by the round
+        loop; like the pack, the memo lives and dies with the dataset."""
+        return {}
+
 
 class _SiteSampler:
     """Seeded token sampler for one site's tilted distribution.

@@ -6,12 +6,15 @@ accounts every byte that moved.  Runs are bit-deterministic given
 (config, data, seed): client sampling derives from (seed, round), the local
 shuffle seed derives from the round alone (so clients holding identical
 data produce identical updates), and aggregation sums in ascending
-client-id order.
+client-id order.  A round-0 update is trained once per site and distinct
+(backbone, start, sgd, local seed) and shared by every strategy that asks
+for it, so sharing never changes an output.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +31,6 @@ from .datasim import SiteDataset, SiteSpec
 from .lora import AdapterSet, serialized_a_size, serialized_size
 from .model import (
     Backbone,
-    Diverged,
     Example,
     FieldError,
     Pack,
@@ -138,6 +140,35 @@ def _with_client_b(global_adapters: AdapterSet, client_set: AdapterSet) -> Adapt
     })
 
 
+@contextmanager
+def located(place: str):
+    """Note ``place`` on any exception raised inside, so that an error says
+    where it happened; the CLI prints the notes, outermost first, before
+    the message.  The exception keeps its type."""
+    try:
+        yield
+    except Exception as err:
+        err.add_note(place)
+        raise
+
+
+def _trained(model: ToyModel, site: SiteDataset, sgd: SgdConfig, seed: int,
+             first_round: bool) -> AdapterSet:
+    """``model``'s local update on ``site``.  A round-0 update is trained
+    once per distinct (backbone, adapters, sgd, seed) and kept on the site,
+    so the strategies that start from the same initial set share it bit for
+    bit.  Later rounds start from a strategy's own aggregate and never
+    repeat, so they are not kept: that would hold rounds x clients sets.
+    The entry keeps the backbone it keys by identity, so the id cannot be
+    reused while the entry lives."""
+    if not first_round:
+        return local_update(model, site.packed, sgd, seed)
+    key = (id(model.frozen), model.adapters.checksum(), sgd, seed)
+    if key not in site.first_updates:
+        site.first_updates[key] = (model.frozen, local_update(model, site.packed, sgd, seed))
+    return site.first_updates[key][1]
+
+
 def _run_protocol(
     config: FederationConfig,
     sites: list[SiteDataset],
@@ -156,57 +187,57 @@ def _run_protocol(
     transcripts: list[RoundTranscript] = []
 
     for t in range(config.rounds):
-        sampled_idx = sample_clients(
-            len(ids), config.clients_per_round, config.seed, t
-        )
-        sampled = [ids[i] for i in sampled_idx]
-        local_seed = derive_seed(config.seed, "local", t)
+        with located(f"round {t}"):
+            sampled_idx = sample_clients(
+                len(ids), config.clients_per_round, config.seed, t
+            )
+            sampled = [ids[i] for i in sampled_idx]
+            local_seed = derive_seed(config.seed, "local", t)
 
-        updated = {}
-        for cid in sampled:
-            start = global_adapters
-            if share_a:
-                start = _with_client_b(global_adapters, retained_b[cid])
-            try:
-                updated[cid] = local_update(
-                    model.with_adapters(start), by_id[cid].packed, config.sgd, local_seed
+            updated = {}
+            for cid in sampled:
+                start = global_adapters
+                if share_a:
+                    start = _with_client_b(global_adapters, retained_b[cid])
+                with located(f"client {cid!r}"):
+                    updated[cid] = _trained(
+                        model.with_adapters(start), by_id[cid], config.sgd, local_seed, t == 0
+                    )
+
+            val_losses = None
+            report = None
+            if config.strategy is Strategy.INFLUENCE:
+                val_losses = {}
+                for cid in sampled:
+                    with located(f"client {cid!r}"):
+                        val_losses[cid] = validation_loss(model, updated[cid], val_set)
+                report = influence_report(
+                    sampled, [sizes[c] for c in sampled], [val_losses[c] for c in sampled]
                 )
-            except Diverged as err:
-                raise Diverged(f"round {t}, client {cid!r}, {err}") from None
+                weights = report.as_weight_map()
+            else:
+                weights = size_weights(sizes, sampled, mode=config.weight_mode)
 
-        val_losses = None
-        report = None
-        if config.strategy is Strategy.INFLUENCE:
-            val_losses = {
-                cid: validation_loss(model, updated[cid], val_set) for cid in sampled
-            }
-            report = influence_report(
-                sampled, [sizes[c] for c in sampled], [val_losses[c] for c in sampled]
+            global_adapters = aggregate(updated, weights)
+            if share_a:
+                # only A travels: the global B stays the initial set's zeros
+                global_adapters = _with_client_b(global_adapters, initial)
+                retained_b.update(updated)
+
+            upload = {cid: _comm_volume(updated[cid], share_a) for cid in sampled}
+            download = {cid: _comm_volume(global_adapters, share_a) for cid in sampled}
+            transcripts.append(
+                RoundTranscript(
+                    round=t,
+                    sampled=tuple(sampled),
+                    weights=weights,
+                    uploads=upload,
+                    downloads=download,
+                    checksum=global_adapters.checksum(),
+                    val_losses=val_losses,
+                    influence=report,
+                )
             )
-            weights = report.as_weight_map()
-        else:
-            weights = size_weights(sizes, sampled, mode=config.weight_mode)
-
-        global_adapters = aggregate(updated, weights)
-        if share_a:
-            # only A travels: the global B stays the initial set's zeros
-            global_adapters = _with_client_b(global_adapters, initial)
-            retained_b.update(updated)
-
-        upload = {cid: _comm_volume(updated[cid], share_a) for cid in sampled}
-        download = {cid: _comm_volume(global_adapters, share_a) for cid in sampled}
-        transcripts.append(
-            RoundTranscript(
-                round=t,
-                sampled=tuple(sampled),
-                weights=weights,
-                uploads=upload,
-                downloads=download,
-                checksum=global_adapters.checksum(),
-                val_losses=val_losses,
-                influence=report,
-            )
-        )
 
     client_adapters = {}
     if share_a:

@@ -52,10 +52,20 @@ def _as_matrix(arr, name: str) -> np.ndarray:
 
 
 class AdapterPair(NamedTuple):
-    """One layer's low-rank factors: B (d x r) and A (r x l)."""
+    """One layer's low-rank factors: B (d x r) and A (r x l).  Pairs compare
+    by identity, like sets: tuple equality would compare the arrays and
+    raise."""
 
     b: np.ndarray
     a: np.ndarray
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,7 +66,8 @@ class EmptyBatchError(ValueError):
 
 class Diverged(FloatingPointError):
     """Local training drove an adapter factor to inf or NaN.  The message
-    starts at the step; each caller that knows more prefixes where it ran."""
+    names the layer and a note the step; each caller that knows more notes
+    where it ran."""
 
 
 @dataclass(frozen=True)
@@ -453,6 +454,8 @@ def local_update(
                     b -= eta * db
                     a -= eta * da
                     if not (np.isfinite(b).all() and np.isfinite(a).all()):
-                        raise Diverged(f"step {step}: layer {key!r} has non-finite adapter factors")
+                        err = Diverged(f"layer {key!r} has non-finite adapter factors")
+                        err.add_note(f"step {step}")
+                        raise err
                 step += 1
     return model.adapters.with_layers(factors)

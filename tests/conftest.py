@@ -2,6 +2,8 @@ import hashlib
 
 import pytest
 
+import fedlora.federation
+
 
 @pytest.fixture
 def fingerprint():
@@ -15,3 +17,18 @@ def fingerprint():
         return h.hexdigest()
 
     return digest
+
+
+@pytest.fixture
+def local_updates(monkeypatch):
+    """The argument tuple of every call the round loop makes to
+    ``fedlora.federation.local_update`` from here on."""
+    calls = []
+    train = fedlora.federation.local_update
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(fedlora.federation, "local_update", recording)
+    return calls

@@ -3,15 +3,17 @@ import itertools
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedlora.cli
 import fedlora.federation
-from fedlora.cli import cmd_run, main
-from fedlora.config import parse_config
+from fedlora.cli import _seed_run, cmd_run, main
+from fedlora.config import ConfigError, load_config, parse_config
 from fedlora.datasim import SiteDataset
 from fedlora.model import LabelRangeError, Task, TokenRangeError
 
@@ -187,14 +189,123 @@ class TestCmdRun:
             ["run", "--config", str(tmp_path / "nope.yaml"), "--out-dir", str(tmp_path)]
         ) == 3
 
+    @pytest.mark.parametrize("name, where", [
+        ("influence_report", "round 0"),
+        ("validation_loss", "round 0, client 'site_a'"),
+    ])
+    def test_round_loop_failure_exits_3_naming_where(
+        self, tmp_path, capsys, monkeypatch, name, where
+    ):
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(fedlora.federation, name, overflow)
+        config = write_config(tmp_path, json_roundtrip(BASE_CONFIG))
+        assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: seed 3, strategy influence, {where}: math range error\n"
+
+    def test_config_error_in_round_loop_exits_2_naming_where(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unknown_mode(*args, **kwargs):
+            raise ConfigError("federation.weight_mode", "unknown mode")
+
+        monkeypatch.setattr(fedlora.federation, "size_weights", unknown_mode)
+        config = write_config(tmp_path, json_roundtrip(BASE_CONFIG))
+        assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: seed 3, strategy single_site, round 0: "
+            "federation.weight_mode: unknown mode\n"
+        )
+
+
+TRAINED = ["influence", "fedavg", "share_a", "single_site", "centralized"]
+
+
+@st.composite
+def tiny_configs(draw):
+    """A tiny config that runs every strategy, in a drawn order."""
+    n_sites = draw(st.integers(1, 3))
+    sites = [
+        {
+            "site_id": f"site_{i}",
+            "n_examples": draw(st.integers(4, 16)),
+            "dirichlet_alpha": 5.0,
+            "noise_rate": draw(st.sampled_from([0.0, 0.2])),
+            "token_shift": draw(st.integers(0, 3)),
+        }
+        for i in range(n_sites)
+    ]
+    strategies = draw(st.permutations(TRAINED))
+    return parse_config({
+        "seed": draw(st.integers(0, 1000)),
+        "model": {"vocab_size": 20, "hidden": 8, "rank": 2, "alpha": 4.0},
+        "sites": sites,
+        "federation": {
+            "strategy": strategies[0],
+            "rounds": draw(st.integers(1, 3)),
+            "clients_per_round": draw(st.integers(1, n_sites)),
+            "sgd": {
+                "learning_rate": 0.1,
+                "epochs": draw(st.integers(1, 2)),
+                "batch_size": draw(st.integers(2, 8)),
+            },
+        },
+        "baselines": ["zero_shot", *strategies[1:]],
+        "validation": {"n_examples": 4},
+        "eval": {"test_size": 6, "bootstrap": {"sample_size": 6, "reps": 2}},
+    })
+
+
+def outcome(result, metric_rows) -> str:
+    """Everything ``run`` writes of one strategy, plus its client sets."""
+    return repr((
+        [asdict(row) for row in metric_rows],
+        [asdict(t) for t in result.transcripts],
+        result.adapters.checksum() if result.adapters else None,
+        sorted((cid, a.checksum()) for cid, a in result.client_adapters.items()),
+    ))
+
+
+class TestRoundZeroReuse:
+    @settings(max_examples=12, deadline=None)
+    @given(config=tiny_configs())
+    def test_shared_updates_match_each_strategy_alone(self, config):
+        cfg, sites, train_and_score = _seed_run(config, config.seed)
+        shared = {
+            strategy: outcome(*train_and_score(replace(cfg.federation, strategy=strategy), sites))
+            for strategy in cfg.strategies()
+        }
+        # single_site trains every site from the initial set, where every
+        # strategy but centralized starts round 0, so each site holds one entry
+        assert [len(site.first_updates) for site in sites] == [1] * len(sites)
+        for strategy in cfg.strategies():
+            _, fresh_sites, fresh_train = _seed_run(config, config.seed)
+            alone = outcome(*fresh_train(replace(cfg.federation, strategy=strategy), fresh_sites))
+            assert alone == shared[strategy], strategy
+
+    def test_headline_seed_trains_ten_local_updates(self, tmp_path, local_updates):
+        config = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "two_site.yaml"))
+        assert cmd_run(config, str(tmp_path), [1]) == 0
+        # influence, fedavg, single_site (once per site) and centralized train
+        # 2 rounds each, 14 updates; fedavg's and single_site's 4 round-0
+        # updates are influence's and are trained once
+        assert len(local_updates) == 10
+        keys = {
+            (model.adapters.checksum(), id(pack), seed) for model, pack, _, seed in local_updates
+        }
+        assert len(keys) == 10
+
 
 def corrupt_first_split(monkeypatch, maker, edit):
     """Make ``fedlora.cli``'s ``maker`` replace, in the first split it
     returns, the first example that ``edit`` changes (``edit`` returns None
-    to pass one by), and record every local update.  Returns the list that
-    receives the corrupted split's site id and the list of local updates."""
+    to pass one by).  Returns the list that receives the corrupted split's
+    site id."""
     make = getattr(fedlora.cli, maker)
-    corrupted, steps = [], []
+    corrupted = []
 
     def make_corrupted(*args, **kwargs):
         split = make(*args, **kwargs)
@@ -206,15 +317,8 @@ def corrupt_first_split(monkeypatch, maker, edit):
         corrupted.append(split.spec.site_id)
         return SiteDataset(split.spec, examples)
 
-    train = fedlora.federation.local_update
-
-    def recording_update(*args, **kwargs):
-        steps.append(args)
-        return train(*args, **kwargs)
-
     monkeypatch.setattr(fedlora.cli, maker, make_corrupted)
-    monkeypatch.setattr(fedlora.federation, "local_update", recording_update)
-    return corrupted, steps
+    return corrupted
 
 
 MAKERS = ["generate_site", "make_validation_set", "make_test_split"]
@@ -223,7 +327,7 @@ MAKERS = ["generate_site", "make_validation_set", "make_test_split"]
 class TestTokenRange:
     @pytest.mark.parametrize("maker", MAKERS)
     def test_out_of_range_token_fails_before_any_training_step(
-        self, tmp_path, monkeypatch, maker
+        self, tmp_path, monkeypatch, local_updates, maker
     ):
         # one token past the vocabulary in the first training site, the
         # validation set or the first test split
@@ -234,16 +338,16 @@ class TestTokenRange:
             tokens[-1] = vocab
             return replace(ex, tokens=tokens)
 
-        corrupted, steps = corrupt_first_split(monkeypatch, maker, edit)
+        corrupted = corrupt_first_split(monkeypatch, maker, edit)
         config = parse_config(json_roundtrip(BASE_CONFIG))
         with pytest.raises(TokenRangeError, match=f"token id {vocab} out of range"):
             cmd_run(config, str(tmp_path / "out"), [config.seed])
-        assert corrupted and steps == []
+        assert corrupted and local_updates == []
 
     @pytest.mark.parametrize("maker", MAKERS)
     @pytest.mark.parametrize("kind", ["tag", "relation"])
     def test_out_of_range_label_fails_before_any_training_step(
-        self, tmp_path, monkeypatch, maker, kind
+        self, tmp_path, monkeypatch, local_updates, maker, kind
     ):
         # one label past the model's classes; as a bincount key, a tag past
         # the last class would land in the next token's row unnoticed
@@ -259,10 +363,10 @@ class TestTokenRange:
                 return replace(ex, relation=classes)
             return None
 
-        corrupted, steps = corrupt_first_split(monkeypatch, maker, edit)
+        corrupted = corrupt_first_split(monkeypatch, maker, edit)
         with pytest.raises(LabelRangeError, match=f"{kind} label {classes} out of range"):
             cmd_run(config, str(tmp_path / "out"), [config.seed])
-        assert corrupted and steps == []
+        assert corrupted and local_updates == []
 
 
 class TestCmdUneven:

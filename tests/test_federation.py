@@ -140,15 +140,15 @@ class TestInfluenceReduction:
         from fedlora.datasim import SiteDataset
         from dataclasses import replace
 
-        twin_spec = replace(site.spec, site_id="site1")
-        twin = SiteDataset(twin_spec, site.examples)
-        base_spec = replace(site.spec, site_id="site0")
-        base = SiteDataset(base_spec, site.examples)
+        def twins():
+            # new datasets for each run, so neither shares the other's round 0
+            return [SiteDataset(replace(site.spec, site_id=cid), site.examples)
+                    for cid in ("site0", "site1")]
 
         backbone = Backbone.build(MODEL_CFG)
         val = make_validation_set(RULE, 10, seed=5).examples
-        plain = run_federation(fed_config(Strategy.FEDAVG, 2), [base, twin], val, backbone)
-        plus = run_federation(fed_config(Strategy.INFLUENCE, 2), [base, twin], val, backbone)
+        plain = run_federation(fed_config(Strategy.FEDAVG, 2), twins(), val, backbone)
+        plus = run_federation(fed_config(Strategy.INFLUENCE, 2), twins(), val, backbone)
         assert adapters_equal(plain.adapters, plus.adapters)
         report = plus.transcripts[0].influence
         assert report.influences[0] == report.influences[1]
@@ -179,7 +179,8 @@ class TestDeterminismAndIsolation:
         backbone = Backbone.build(MODEL_CFG)
         config = fed_config(Strategy.INFLUENCE, 3, rounds=2, seed=17)
         one = run_federation(config, sites, val, backbone)
-        two = run_federation(config, sites, val, backbone)
+        # fresh sites, so round 0 is trained again rather than shared
+        two = run_federation(config, make_sites(3, seed=300), val, backbone)
         assert adapters_equal(one.adapters, two.adapters)
         assert [t.checksum for t in one.transcripts] == [
             t.checksum for t in two.transcripts
@@ -367,3 +368,73 @@ class TestValidationErrors:
         literal_norm = np.linalg.norm(literal.adapters.layers["trunk"].a)
         normalized_norm = np.linalg.norm(normalized.adapters.layers["trunk"].a)
         assert literal_norm < normalized_norm
+
+
+# each variant changes one thing a round-0 update reads, keeping the sites
+REUSE_VARIANTS = {
+    "backbone": lambda backbone, config: (Backbone.build(MODEL_CFG), config),
+    "sgd": lambda backbone, config: (
+        backbone, replace(config, sgd=replace(SGD, learning_rate=0.1))
+    ),
+    "master seed": lambda backbone, config: (backbone, replace(config, seed=config.seed + 1)),
+}
+
+
+class TestRoundZeroReuse:
+    def test_strategies_share_round_zero_updates(self, local_updates):
+        sites = make_sites(2)
+        backbone = Backbone.build(MODEL_CFG)
+        val = make_validation_set(RULE, 10, seed=5).packed
+        fedavg = run_federation(fed_config(Strategy.FEDAVG, 2, rounds=1), sites, None, backbone)
+        assert len(local_updates) == 2
+        for strategy in (Strategy.INFLUENCE, Strategy.SHARE_A):
+            run_federation(fed_config(strategy, 2, rounds=1), sites, val, backbone)
+        single = run_federation(fed_config(Strategy.SINGLE_SITE, 2, rounds=1), sites, None, backbone)
+        assert len(local_updates) == 2
+        for site in sites:
+            # one entry per site, holding the backbone it keys by identity
+            (stored,) = site.first_updates.values()
+            assert stored[0] is backbone
+            assert single.client_adapters[site.spec.site_id].checksum() == stored[1].checksum()
+        fresh = run_federation(fed_config(Strategy.FEDAVG, 2, rounds=1), make_sites(2), None, backbone)
+        assert fedavg.adapters.checksum() == fresh.adapters.checksum()
+
+    @pytest.mark.parametrize("variant", list(REUSE_VARIANTS))
+    def test_no_reuse_across(self, local_updates, variant):
+        sites = make_sites(2)
+        backbone = Backbone.build(MODEL_CFG)
+        config = fed_config(Strategy.FEDAVG, 2, rounds=1)
+        run_federation(config, sites, None, backbone)
+        assert len(local_updates) == 2
+        other_backbone, other_config = REUSE_VARIANTS[variant](backbone, config)
+        result = run_federation(other_config, sites, None, other_backbone)
+        assert len(local_updates) == 4
+        fresh = run_federation(other_config, make_sites(2), None, other_backbone)
+        assert result.adapters.checksum() == fresh.adapters.checksum()
+
+    def test_no_reuse_across_local_seed_or_start(self):
+        site = make_sites(1)[0]
+        model = ToyModel.build(MODEL_CFG)
+        first = federation._trained(model, site, SGD, 1, True)
+        assert federation._trained(model, site, SGD, 1, True) is first
+        other_seed = federation._trained(model, site, SGD, 2, True)
+        assert adapters_equal(other_seed, local_update(model, site.packed, SGD, 2))
+        other_start = model.with_adapters(model.frozen.init_adapters(99))
+        trained = federation._trained(other_start, site, SGD, 1, True)
+        assert adapters_equal(trained, local_update(other_start, site.packed, SGD, 1))
+        assert not adapters_equal(first, other_seed) and not adapters_equal(first, trained)
+        # a later round's update is trained afresh and never kept
+        assert federation._trained(model, site, SGD, 1, False) is not first
+        assert len(site.first_updates) == 3
+
+    def test_memo_keeps_round_zero_only(self):
+        sites = make_sites(3)
+        backbone = Backbone.build(MODEL_CFG)
+        config = fed_config(Strategy.FEDAVG, 2, rounds=4)
+        result = run_federation(config, sites, None, backbone)
+        assert {cid for t in result.transcripts for cid in t.sampled} == {"site0", "site1", "site2"}
+        round_zero = derive_seed(config.seed, "local", 0)
+        for site in sites:
+            seeds = [key[-1] for key in site.first_updates]
+            sampled_first = site.spec.site_id in result.transcripts[0].sampled
+            assert seeds == ([round_zero] if sampled_first else [])

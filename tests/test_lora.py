@@ -291,6 +291,16 @@ class TestAdapterSet:
         assert one != two
         assert one.checksum() == two.checksum()
 
+    def test_pair_equality_is_identity(self):
+        # tuple equality would compare the factor arrays and raise ValueError
+        pair = init_adapter_set({"w": (3, 3)}, rank=2, alpha=1.0, seed=0).layers["w"]
+        copy = AdapterPair(pair.b.copy(), pair.a.copy())
+        assert pair == pair and not pair != pair
+        assert pair != copy and not pair == copy
+        assert pair != (pair.b.copy(), pair.a) and (pair.b.copy(), pair.a) != pair
+        assert pair in [copy, pair] and copy not in [pair]
+        assert {pair: 1}[pair] == 1
+
     def test_param_count(self):
         adapters = init_adapter_set({"w": (5, 3), "v": (4, 4)}, rank=2, alpha=1.0, seed=0)
         assert adapters.param_count() == (5 * 2 + 2 * 3) + (4 * 2 + 2 * 4)
