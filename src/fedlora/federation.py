@@ -1,14 +1,16 @@
-"""The communication-round protocol: sampling, serial local updates,
-server aggregation, and the baseline strategies.
+"""The communication-round protocol: sampling, local updates trained as
+lanes of one call in ascending client id, server aggregation, and the
+baseline strategies.
 
 Only adapter sets ever cross the client boundary; the per-round transcript
 accounts every byte that moved.  Runs are bit-deterministic given
 (config, data, seed): client sampling derives from (seed, round), the local
 shuffle seed derives from the round alone (so clients holding identical
-data produce identical updates), and aggregation sums in ascending
-client-id order.  A round-0 update is trained once per site and distinct
-(backbone, start, sgd, local seed) and shared by every strategy that asks
-for it, so sharing never changes an output.
+data produce identical updates), a lane trains bit for bit as it would
+alone, and aggregation sums in ascending client-id order.  A round-0
+update is trained once per site and distinct (backbone, start, sgd, local
+seed) and shared by every strategy that asks for it, so sharing never
+changes an output.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from .datasim import SiteDataset, SiteSpec
 from .lora import AdapterSet, serialized_a_size, serialized_size
 from .model import (
     Backbone,
+    Diverged,
     Example,
     FieldError,
+    Lanes,
     Pack,
     SgdConfig,
     Task,
@@ -152,21 +156,36 @@ def located(place: str):
         raise
 
 
-def _trained(model: ToyModel, site: SiteDataset, sgd: SgdConfig, seed: int,
-             first_round: bool) -> AdapterSet:
-    """``model``'s local update on ``site``.  A round-0 update is trained
-    once per distinct (backbone, adapters, sgd, seed) and kept on the site,
-    so the strategies that start from the same initial set share it bit for
-    bit.  Later rounds start from a strategy's own aggregate and never
-    repeat, so they are not kept: that would hold rounds x clients sets.
-    The entry keeps the backbone it keys by identity, so the id cannot be
-    reused while the entry lives."""
-    if not first_round:
-        return local_update(model, site.packed, sgd, seed)
-    key = (id(model.frozen), model.adapters.checksum(), sgd, seed)
-    if key not in site.first_updates:
-        site.first_updates[key] = (model.frozen, local_update(model, site.packed, sgd, seed))
-    return site.first_updates[key][1]
+def _trained(models: list[ToyModel], sites: list[SiteDataset], sgd: SgdConfig, seed: int,
+             first_round: bool) -> list[AdapterSet]:
+    """Each ``models[i]``'s local update on ``sites[i]``, the sites in
+    ascending id, trained as the lanes of one ``local_update`` call.  A
+    round-0 update is trained once per distinct (backbone, adapters, sgd,
+    seed) and kept on the site, so the strategies that start from the same
+    initial set share it bit for bit; a lane that finds its update kept
+    leaves the call.  Later rounds start from a strategy's own aggregate
+    and never repeat, so they are not kept: that would hold rounds x
+    clients sets.  The entry keeps the backbone it keys by identity, so the
+    id cannot be reused while the entry lives."""
+    out: list[AdapterSet | None] = [None] * len(models)
+    if first_round:
+        keys = [(id(m.frozen), m.adapters.checksum(), sgd, seed) for m in models]
+        for i, (site, key) in enumerate(zip(sites, keys)):
+            if key in site.first_updates:
+                out[i] = site.first_updates[key][1]
+    misses = [i for i, adapters in enumerate(out) if adapters is None]
+    if misses:
+        lanes = Lanes.of([sites[i].packed for i in misses])
+        try:
+            trained = local_update([models[i] for i in misses], lanes, sgd, [seed] * len(misses))
+        except Diverged as err:
+            err.add_note(f"client {sites[misses[err.lane]].spec.site_id!r}")
+            raise
+        for i, adapters in zip(misses, trained):
+            out[i] = adapters
+            if first_round:
+                sites[i].first_updates[keys[i]] = (models[i].frozen, adapters)
+    return out
 
 
 def _run_protocol(
@@ -194,15 +213,13 @@ def _run_protocol(
             sampled = [ids[i] for i in sampled_idx]
             local_seed = derive_seed(config.seed, "local", t)
 
-            updated = {}
-            for cid in sampled:
-                start = global_adapters
-                if share_a:
-                    start = _with_client_b(global_adapters, retained_b[cid])
-                with located(f"client {cid!r}"):
-                    updated[cid] = _trained(
-                        model.with_adapters(start), by_id[cid], config.sgd, local_seed, t == 0
-                    )
+            starts = [
+                _with_client_b(global_adapters, retained_b[cid]) if share_a else global_adapters
+                for cid in sampled
+            ]
+            trained = _trained([model.with_adapters(start) for start in starts],
+                               [by_id[cid] for cid in sampled], config.sgd, local_seed, t == 0)
+            updated = dict(zip(sampled, trained))
 
             val_losses = None
             report = None

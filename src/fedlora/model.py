@@ -20,6 +20,14 @@ trunk and both heads over every token id of the vocabulary, and a
 mini-batch reaches it as its tagging loss weights per (token id, gold tag)
 plus its marked pairs (``Batch``): no batch needs its own gather, and a
 step's cost grows with V * h rather than with the tokens the batch reads.
+
+The kernel trains k clients in lockstep, one lane each (``Lanes``).  Every
+array it reads or writes carries a leading lane axis: factors stack as
+(k, d, r) and (k, r, l), a batch's weights as (k, V, C_tag), and a pair
+names its lane, so its token row in the stacked vocabulary is
+lane * V + token id.  ``np.matmul`` runs each lane's slice through the same
+gemm as a lane alone, so a lane's result does not depend on the others.
+Scoring, evaluation and ``grad`` run the kernel with one lane.
 """
 
 from __future__ import annotations
@@ -66,8 +74,13 @@ class EmptyBatchError(ValueError):
 
 class Diverged(FloatingPointError):
     """Local training drove an adapter factor to inf or NaN.  The message
-    names the layer and a note the step; each caller that knows more notes
+    names the layer, a note the step and ``lane`` the lane of
+    ``local_update`` it happened in; each caller that knows more notes
     where it ran."""
+
+    def __init__(self, message: str, lane: int):
+        super().__init__(message)
+        self.lane = lane
 
 
 @dataclass(frozen=True)
@@ -140,14 +153,31 @@ class Example:
 
 
 class Batch(NamedTuple):
-    """A mini-batch as the compute kernel reads it: its tagging loss weights
-    per (token id, gold tag), and its marked pairs."""
+    """A lockstep mini-batch as the compute kernel reads it: each lane's
+    tagging loss weights per (token id, gold tag), and every lane's marked
+    pairs, each with its lane."""
 
-    weights: np.ndarray  # (V, C_tag) summed 1/n_i of its tagging tokens with that id and tag
+    weights: np.ndarray  # (k, V, C_tag) summed 1/n_i of a lane's tagging tokens of that id and tag
+    lanes: np.ndarray  # (R,) lane of each pair
     heads: np.ndarray  # (R,) marked head token of each pair
     tails: np.ndarray  # (R,) marked tail token of each pair
     relations: np.ndarray  # (R,) relation labels
-    size: int  # examples; the loss averages over them
+    sizes: np.ndarray  # (k,) examples per lane; a lane's loss averages over its own
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The head and tail rows of the pairs in the lanes' stacked
+        vocabulary, lane * V + token id."""
+        base = self.lanes * self.weights.shape[1]
+        return base + self.heads, base + self.tails
+
+    def of_lanes(self, keep: np.ndarray) -> "Batch":
+        """The lanes ``keep`` (ascending) alone, renumbered from 0."""
+        slot = np.full(len(self.sizes), -1)
+        slot[keep] = np.arange(len(keep))
+        lanes = slot[self.lanes]
+        live = lanes >= 0
+        return Batch(self.weights[keep], lanes[live], self.heads[live], self.tails[live],
+                     self.relations[live], self.sizes[keep])
 
 
 def _cat(arrays) -> np.ndarray:
@@ -205,28 +235,66 @@ class Pack:
     def __len__(self) -> int:
         return len(self.tagging)
 
+
+@dataclass(frozen=True, eq=False)
+class Lanes:
+    """Packs trained side by side, lane i on ``packs[i]``.  ``len`` counts
+    the examples of every lane."""
+
+    packs: tuple[Pack, ...]
+
+    @classmethod
+    def of(cls, datasets: Sequence[Pack | Sequence[Example]]) -> "Lanes":
+        return cls(tuple(Pack.of(data) for data in datasets))
+
+    def __len__(self) -> int:
+        return sum(len(pack) for pack in self.packs)
+
     def batches(self, step_of: np.ndarray, config: ModelConfig) -> Iterator[Batch]:
-        """The mini-batches that put example i in step ``step_of[i]``, in
-        step order.  One stable sort by step keeps each step's tokens and
-        pairs in list order, so a step's weights sum in the same order as
-        the same examples packed alone."""
-        v, c = config.vocab_size, config.tag_classes
-        steps = int(step_of.max()) + 1
-        token_step = np.repeat(step_of[self.tagging], np.diff(self.starts))
-        pair_step = step_of[~self.tagging]
-        by_token = np.argsort(token_step, kind="stable")
-        by_pair = np.argsort(pair_step, kind="stable")
-        keys, shares = (self.tokens * c + self.tags)[by_token], self.shares[by_token]
-        pairs = self.heads[by_pair], self.tails[by_pair], self.relations[by_pair]
-        sizes, token_counts, pair_counts = (
-            np.bincount(s, minlength=steps).tolist() for s in (step_of, token_step, pair_step)
-        )
-        t0 = p0 = 0
-        for size, t, p in zip(sizes, token_counts, pair_counts):
-            t1, p1 = t0 + t, p0 + p
-            weights = np.bincount(keys[t0:t1], weights=shares[t0:t1], minlength=v * c)
-            yield Batch(weights.reshape(v, c), *(a[p0:p1] for a in pairs), size)
-            t0, p0 = t1, p1
+        """The lockstep mini-batches, in step order, that put example j of
+        the lanes' examples (lane after lane) in step ``step_of[e, j]`` on
+        pass e over the data; a step may hold only one pass of a lane.  One
+        stable sort by step keeps each lane's tokens and pairs of a step in
+        list order, so its weights sum in the same order as the same
+        examples packed alone."""
+        v, c, k = config.vocab_size, config.tag_classes, len(self.packs)
+        packs = self.packs
+        tagging = np.concatenate([pack.tagging for pack in packs])
+        lane = np.repeat(np.arange(k), [len(pack) for pack in packs])
+        # each example's row among the tagging examples or among the pairs
+        index = np.empty(len(lane), dtype=np.int64)
+        n_tag = int(tagging.sum())
+        index[tagging] = np.arange(n_tag)
+        index[~tagging] = np.arange(len(lane) - n_tag)
+        offsets = np.cumsum([0] + [len(pack.tokens) for pack in packs])
+        starts = _cat(pack.starts[:-1] + off for pack, off in zip(packs, offsets))
+        counts = _cat(np.diff(pack.starts) for pack in packs)
+        keys = _cat((i * v + pack.tokens) * c + pack.tags for i, pack in enumerate(packs))
+        shares = np.concatenate([pack.shares for pack in packs])
+        pair_lane = np.repeat(np.arange(k), [len(pack.heads) for pack in packs])
+        heads, tails, relations = (_cat(getattr(pack, name) for pack in packs)
+                                   for name in ("heads", "tails", "relations"))
+
+        flat = step_of.reshape(-1)
+        steps = int(flat.max()) + 1
+        order = np.argsort(flat, kind="stable")
+        step, ex = flat[order], order % len(lane)
+        sizes = np.bincount(step * k + lane[ex], minlength=steps * k).reshape(steps, k)
+        marked = ~tagging[ex]
+        tag_ex, pair_ex = index[ex[~marked]], index[ex[marked]]
+        # every token of the tagging examples in step order, each example's in order
+        n_tok = counts[tag_ex]
+        ends = np.cumsum(n_tok)
+        tok = np.repeat(starts[tag_ex] - ends + n_tok, n_tok) + np.arange(n_tok.sum())
+        keys, shares = keys[tok], shares[tok]
+        pairs = pair_lane[pair_ex], heads[pair_ex], tails[pair_ex], relations[pair_ex]
+        bounds = np.arange(steps + 1)
+        t_bounds = _cat([[0], ends])[np.searchsorted(step[~marked], bounds)].tolist()
+        p_bounds = np.searchsorted(step[marked], bounds).tolist()
+        for g in range(steps):
+            t0, t1, p0, p1 = t_bounds[g], t_bounds[g + 1], p_bounds[g], p_bounds[g + 1]
+            weights = np.bincount(keys[t0:t1], weights=shares[t0:t1], minlength=k * v * c)
+            yield Batch(weights.reshape(k, v, c), *(a[p0:p1] for a in pairs), sizes[g])
 
 
 @dataclass(frozen=True)
@@ -311,13 +379,27 @@ class ToyModel:
 # Forward / loss / gradients.  A model merges its weights once (``merged``);
 # the training loop re-merges from its raw factor arrays every step.  One
 # kernel, ``_forward``, runs the whole vocabulary for training, scoring and
-# evaluation alike.
+# evaluation alike, every array with a leading lane axis.
 # ---------------------------------------------------------------------------
 
 
 def _effective(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]],
                scale: float) -> dict[str, np.ndarray]:
-    return {key: getattr(frozen, key) + scale * (b @ a) for key, (b, a) in factors.items()}
+    """W0 + s * B A per layer, for factors of one set (d, l) or of k lanes
+    (k, d, l)."""
+    merged = {}
+    for key, (b, a) in factors.items():
+        # in place, W0 + s * (B A) in the same rounding, with no temporaries
+        w = b @ a
+        w *= scale
+        w += getattr(frozen, key)
+        merged[key] = w
+    return merged
+
+
+def _one_lane(model: ToyModel) -> dict[str, np.ndarray]:
+    """``model``'s merged weights as a stack of one lane."""
+    return {key: w[None] for key, w in model.merged.items()}
 
 
 def _packed(frozen: Backbone, data: Pack | Sequence[Example]) -> Pack:
@@ -333,15 +415,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _forward(frozen: Backbone, eff: dict[str, np.ndarray], heads: np.ndarray,
              tails: np.ndarray):
-    """One pass over the whole vocabulary: the hidden rows ``z`` (V, h) of
-    every token id, their tag log-distributions (V, C_tag), and the relation
-    log-distributions of the pairs ``heads``/``tails``, whose logits are the
-    head half of the relation head applied to the head token plus the tail
-    half applied to the tail token."""
+    """One pass over the whole vocabulary in every lane: the hidden rows
+    ``z`` (k, V, h) of every token id, their tag log-distributions
+    (k, V, C_tag), and the relation log-distributions of the pairs whose
+    rows in the stacked vocabulary are ``heads``/``tails``.  A pair's logits
+    are the head half of its lane's relation head applied to the head token
+    plus the tail half applied to the tail token."""
     h = frozen.config.hidden
-    z = np.maximum(frozen.embedding @ eff["trunk"], 0.0)
+    z = frozen.embedding @ eff["trunk"]
+    np.maximum(z, 0.0, out=z)
     rel = eff["rel_head"]
-    rel_logits = (z @ rel[:h])[heads] + (z @ rel[h:])[tails]
+    rows = z.shape[0] * z.shape[1]
+    rel_logits = ((z @ rel[:, :h]).reshape(rows, -1)[heads]
+                  + (z @ rel[:, h:]).reshape(rows, -1)[tails])
     return z, _log_softmax(z @ eff["tag_head"]), _log_softmax(rel_logits)
 
 
@@ -349,23 +435,27 @@ def forward(model: ToyModel, data: Pack | Sequence[Example]) -> tuple[np.ndarray
     """Class probability distributions in one pass: (T, C_tag) for the
     tagging tokens and (R, C_rel) for the marked pairs, each in list order."""
     pack = _packed(model.frozen, data)
-    _, tag_logp, rel_logp = _forward(model.frozen, model.merged, pack.heads, pack.tails)
-    return np.exp(tag_logp)[pack.tokens], np.exp(rel_logp)
+    # in lane 0 a pair's row in the stacked vocabulary is its token id
+    _, tag_logp, rel_logp = _forward(model.frozen, _one_lane(model), pack.heads, pack.tails)
+    return np.exp(tag_logp[0])[pack.tokens], np.exp(rel_logp)
 
 
 def _whole(frozen: Backbone, data: Pack | Sequence[Example]) -> Batch:
-    """Every example of ``data`` as one mini-batch."""
+    """Every example of ``data`` as one mini-batch of one lane, its tokens
+    and pairs in list order as ``Lanes.batches`` orders a step's."""
     pack = _packed(frozen, data)
-    (batch,) = pack.batches(np.zeros(len(pack), dtype=np.int64), frozen.config)
-    return batch
+    v, c = frozen.config.vocab_size, frozen.config.tag_classes
+    weights = np.bincount(pack.tokens * c + pack.tags, weights=pack.shares, minlength=v * c)
+    return Batch(weights.reshape(1, v, c), np.zeros(len(pack.heads), dtype=np.int64),
+                 pack.heads, pack.tails, pack.relations, np.array([len(pack)]))
 
 
 def loss(model: ToyModel, batch: Pack | Sequence[Example]) -> float:
     """Mean over the batch of per-example mean negative log-likelihood."""
     whole = _whole(model.frozen, batch)
-    _, tag_logp, rel_logp = _forward(model.frozen, model.merged, whole.heads, whole.tails)
+    _, tag_logp, rel_logp = _forward(model.frozen, _one_lane(model), *whole.rows())
     rel_nll = -rel_logp[np.arange(len(whole.relations)), whole.relations]
-    return float(-(whole.weights * tag_logp).sum() + rel_nll.sum()) / whole.size
+    return float(-(whole.weights * tag_logp).sum() + rel_nll.sum()) / int(whole.sizes[0])
 
 
 def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -376,28 +466,34 @@ def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _weight_grads(frozen: Backbone, eff: dict[str, np.ndarray], batch: Batch):
-    """Gradients of the batch loss w.r.t. the three effective weight matrices.
+    """Gradients of each lane's batch loss w.r.t. its three effective weight
+    matrices, stacked (k, d, l).
 
     The tag-logit gradient of token id v is (m_v softmax_v - weights_v) / B,
-    where m_v sums the row ``weights_v``; the pairs' logit gradients are
-    summed into their head and tail token rows.  The chain rule then runs
-    once per token id, like the forward pass."""
-    z, tag_logp, rel_logp = _forward(frozen, eff, batch.heads, batch.tails)
-    inv_b = 1.0 / batch.size
+    where m_v sums the row ``weights_v`` and B is the lane's batch size; the
+    pairs' logit gradients are summed into their head and tail token rows.
+    The chain rule then runs once per token id, like the forward pass."""
+    heads, tails = batch.rows()
+    z, tag_logp, rel_logp = _forward(frozen, eff, heads, tails)
+    inv_b = 1.0 / batch.sizes
     weights = batch.weights
-    g_tag = (weights.sum(axis=1, keepdims=True) * np.exp(tag_logp) - weights) * inv_b
+    g_tag = weights.sum(axis=-1, keepdims=True) * np.exp(tag_logp) - weights
+    g_tag *= inv_b[:, None, None]
     d_rel = np.exp(rel_logp)
     d_rel[np.arange(len(batch.relations)), batch.relations] -= 1.0
-    d_rel *= inv_b
-    v, h = frozen.config.vocab_size, frozen.config.hidden
-    g_head = _by_token(batch.heads, d_rel, v)
-    g_tail = _by_token(batch.tails, d_rel, v)
+    d_rel *= inv_b[batch.lanes][:, None]
+    (k, v, h), c = z.shape, d_rel.shape[1]
+    g_head = _by_token(heads, d_rel, k * v).reshape(k, v, c)
+    g_tail = _by_token(tails, d_rel, k * v).reshape(k, v, c)
     rel = eff["rel_head"]
-    dz = g_tag @ eff["tag_head"].T + g_head @ rel[:h].T + g_tail @ rel[h:].T
+    dz = g_tag @ eff["tag_head"].mT
+    dz += g_head @ rel[:, :h].mT
+    dz += g_tail @ rel[:, h:].mT
+    dz *= z > 0
     return {
-        "trunk": frozen.embedding.T @ (dz * (z > 0)),
-        "tag_head": z.T @ g_tag,
-        "rel_head": np.concatenate([z.T @ g_head, z.T @ g_tail]),
+        "trunk": frozen.embedding.T @ dz,
+        "tag_head": z.mT @ g_tag,
+        "rel_head": np.concatenate([z.mT @ g_head, z.mT @ g_tail], axis=1),
     }
 
 
@@ -406,7 +502,7 @@ def _factor_grads(weight_grads, factors, s: float):
     out = {}
     for key, (b, a) in factors.items():
         dw = weight_grads[key]
-        out[key] = (s * (dw @ a.T), s * (b.T @ dw))
+        out[key] = (s * (dw @ a.mT), s * (b.mT @ dw))
     return out
 
 
@@ -417,45 +513,92 @@ def grad(
 
     Frozen parameters receive no gradient by construction.
     """
-    weight_grads = _weight_grads(model.frozen, model.merged, _whole(model.frozen, batch))
-    return _factor_grads(weight_grads, model.adapters.layers, model.adapters.scale)
+    weight_grads = _weight_grads(model.frozen, _one_lane(model), _whole(model.frozen, batch))
+    factors = {key: (b[None], a[None]) for key, (b, a) in model.adapters.layers.items()}
+    grads = _factor_grads(weight_grads, factors, model.adapters.scale)
+    return {key: (db[0], da[0]) for key, (db, da) in grads.items()}
 
 
 def local_update(
-    model: ToyModel, dataset: Pack | Sequence[Example], sgd: SgdConfig, seed: int
-) -> AdapterSet:
-    """Seeded mini-batch SGD on the adapters only; returns new adapters.
+    models: Sequence[ToyModel], dataset: Lanes, sgd: SgdConfig, seeds: Sequence[int]
+) -> list[AdapterSet]:
+    """Seeded mini-batch SGD on the adapters only, k clients in lockstep:
+    lane i trains ``models[i]`` on ``dataset.packs[i]`` with shuffle seed
+    ``seeds[i]``, and the i-th set returned is its new adapters.
 
-    The input model is left untouched.  Identical (model, dataset, sgd, seed)
-    give bit-identical results.  A step that leaves a factor non-finite
-    raises ``Diverged`` at once.
+    The lanes share one backbone and one adapter scale.  Each lane draws
+    its own permutation per epoch and runs its own steps; a lane leaves the
+    stack when its steps run out, and its result is bit for bit that of the
+    lane trained alone.  The input models are left untouched.  A step that
+    leaves a lane's factor non-finite takes the lane out of the stack, and
+    the lanes after it with it; once the rest have run, ``Diverged`` names
+    the lowest lane that diverged, as if the lanes had trained one after
+    another in lane order.
     """
-    frozen = model.frozen
-    pack = _packed(frozen, dataset)
-    scale = model.adapters.scale
-    factors = {key: (b.copy(), a.copy()) for key, (b, a) in model.adapters.layers.items()}
-    rng = np.random.default_rng(seed)
-    n = len(pack)
+    frozen = models[0].frozen
+    scale = models[0].adapters.scale
+    if not len(models) == len(dataset.packs) == len(seeds):
+        raise ValueError("need one model, one pack and one seed per lane")
+    if any(m.frozen is not frozen or m.adapters.scale != scale for m in models):
+        raise ValueError("lanes must share one backbone and one adapter scale")
+    for pack in dataset.packs:
+        frozen.check_ranges(pack)
+    k, bs = len(models), sgd.batch_size
+    sizes = [len(pack) for pack in dataset.packs]
+    # step_of[e, j]: the step of epoch e that example j (lane after lane)
+    # joins; a lane counts its steps on across epochs
+    step_of = np.empty((sgd.epochs, sum(sizes)), dtype=np.int64)
+    starts = np.cumsum([0] + sizes)
+    for lane, (n, seed) in enumerate(zip(sizes, seeds)):
+        rng = np.random.default_rng(seed)
+        per_epoch = -(-n // bs)
+        for epoch in range(sgd.epochs):
+            # batch membership is shuffled; summation order inside a batch
+            # is list order, so the result is independent of how members
+            # were drawn
+            step_of[epoch, starts[lane] + rng.permutation(n)] = (
+                np.arange(n) // bs + epoch * per_epoch
+            )
+    total = np.array([sgd.epochs * -(-n // bs) for n in sizes])
+    factors = {key: (np.stack([m.adapters.layers[key].b for m in models]),
+                     np.stack([m.adapters.layers[key].a for m in models]))
+               for key in models[0].adapters.layers}
+    stack = np.arange(k)  # the lanes still training, in stack order
+    done: dict[int, dict] = {}
+    failed: dict[int, tuple[int, str]] = {}  # lane -> (step, layer)
     eta = sgd.learning_rate
-    step = 0
     # a diverging step overflows before its factors turn non-finite; the
     # isfinite check below is what reports it, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(sgd.epochs):
-            # batch membership is shuffled; summation order inside a batch is
-            # list order, so the result is independent of how members were drawn
-            step_of = np.empty(n, dtype=np.int64)
-            step_of[rng.permutation(n)] = np.arange(n) // sgd.batch_size
-            for batch in pack.batches(step_of, frozen.config):
-                eff = _effective(frozen, factors, scale)
-                grads = _factor_grads(_weight_grads(frozen, eff, batch), factors, scale)
-                for key, (b, a) in factors.items():
-                    db, da = grads[key]
-                    b -= eta * db
-                    a -= eta * da
-                    if not (np.isfinite(b).all() and np.isfinite(a).all()):
-                        err = Diverged(f"layer {key!r} has non-finite adapter factors")
-                        err.add_note(f"step {step}")
-                        raise err
-                step += 1
-    return model.adapters.with_layers(factors)
+        for step, batch in enumerate(dataset.batches(step_of, frozen.config)):
+            if len(stack) < k:
+                batch = batch.of_lanes(stack)
+            eff = _effective(frozen, factors, scale)
+            grads = _factor_grads(_weight_grads(frozen, eff, batch), factors, scale)
+            finite = np.ones(len(stack), dtype=bool)
+            for key, (b, a) in factors.items():
+                db, da = grads[key]
+                b -= eta * db
+                a -= eta * da
+                if not (np.isfinite(b).all() and np.isfinite(a).all()):
+                    ok = np.isfinite(b).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
+                    for lane in stack[finite & ~ok].tolist():
+                        failed[lane] = (step, key)
+                    finite &= ok
+            finished = finite & (total[stack] == step + 1)
+            stay = finite & ~finished & (stack < min(failed, default=k))
+            if not stay.all():
+                for slot in np.flatnonzero(finished).tolist():
+                    done[int(stack[slot])] = {key: (b[slot], a[slot])
+                                              for key, (b, a) in factors.items()}
+                stack = stack[stay]
+                factors = {key: (b[stay], a[stay]) for key, (b, a) in factors.items()}
+                if not len(stack):
+                    break
+    if failed:
+        lane = min(failed)
+        step, key = failed[lane]
+        err = Diverged(f"layer {key!r} has non-finite adapter factors", lane)
+        err.add_note(f"step {step}")
+        raise err
+    return [model.adapters.with_layers(done[lane]) for lane, model in enumerate(models)]

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from typing import NamedTuple
 
 import pytest
 
@@ -19,16 +21,28 @@ def fingerprint():
     return digest
 
 
+class Lane(NamedTuple):
+    """One lane of a ``local_update`` call: the call's number, the lane's
+    start model, its pack and its shuffle seed."""
+
+    call: int
+    model: object
+    pack: object
+    seed: int
+
+
 @pytest.fixture
 def local_updates(monkeypatch):
-    """The argument tuple of every call the round loop makes to
-    ``fedlora.federation.local_update`` from here on."""
-    calls = []
+    """Every lane of every call the round loop makes to
+    ``fedlora.federation.local_update`` from here on, as ``Lane``s."""
+    lanes = []
+    calls = itertools.count()
     train = fedlora.federation.local_update
 
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return train(*args, **kwargs)
+    def recording(models, dataset, sgd, seeds):
+        call = next(calls)
+        lanes.extend(Lane(call, *lane) for lane in zip(models, dataset.packs, seeds))
+        return train(models, dataset, sgd, seeds)
 
     monkeypatch.setattr(fedlora.federation, "local_update", recording)
-    return calls
+    return lanes

@@ -291,10 +291,13 @@ class TestRoundZeroReuse:
         assert cmd_run(config, str(tmp_path), [1]) == 0
         # influence, fedavg, single_site (once per site) and centralized train
         # 2 rounds each, 14 updates; fedavg's and single_site's 4 round-0
-        # updates are influence's and are trained once
+        # updates are influence's and are trained once.  A round trains its
+        # clients as the lanes of one call: influence 2 calls, single_site 2
+        # (one site each), fedavg 1 (round 1) and centralized 2
         assert len(local_updates) == 10
+        assert len({lane.call for lane in local_updates}) == 7
         keys = {
-            (model.adapters.checksum(), id(pack), seed) for model, pack, _, seed in local_updates
+            (lane.model.adapters.checksum(), id(lane.pack), lane.seed) for lane in local_updates
         }
         assert len(keys) == 10
 

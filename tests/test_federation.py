@@ -21,13 +21,14 @@ from fedlora import federation
 from fedlora.lora import AdapterPair, serialize_adapters, serialized_a_size
 from fedlora.model import (
     Backbone,
+    Diverged,
     ModelConfig,
     SgdConfig,
     Task,
     ToyModel,
-    local_update,
 )
 from fedlora.seeding import derive_seed
+from one_lane import train_alone
 
 RULE = PlantedRule(vocab_size=60)
 MODEL_CFG = ModelConfig(
@@ -97,7 +98,7 @@ class TestDegeneracies:
         result = run_federation(config, sites, None, backbone)
 
         initial = backbone.init_adapters(derive_seed(config.seed, "adapter_init"))
-        expected = local_update(
+        expected = train_alone(
             ToyModel(backbone, initial),
             sites[0].examples,
             SGD,
@@ -370,6 +371,18 @@ class TestValidationErrors:
         assert literal_norm < normalized_norm
 
 
+class TestLockstepRounds:
+    def test_a_round_trains_its_clients_as_lanes_of_one_call(self, local_updates):
+        sites = make_sites(3)
+        config = fed_config(Strategy.FEDAVG, 2, rounds=3)
+        result = run_federation(config, sites, None, Backbone.build(MODEL_CFG))
+        site_of = {id(site.packed): site.spec.site_id for site in sites}
+        calls = [[site_of[id(lane.pack)] for lane in local_updates if lane.call == call]
+                 for call in range(config.rounds)]
+        assert calls == [list(t.sampled) for t in result.transcripts]
+        assert len({lane.call for lane in local_updates}) == config.rounds
+
+
 # each variant changes one thing a round-0 update reads, keeping the sites
 REUSE_VARIANTS = {
     "backbone": lambda backbone, config: (Backbone.build(MODEL_CFG), config),
@@ -415,17 +428,37 @@ class TestRoundZeroReuse:
     def test_no_reuse_across_local_seed_or_start(self):
         site = make_sites(1)[0]
         model = ToyModel.build(MODEL_CFG)
-        first = federation._trained(model, site, SGD, 1, True)
-        assert federation._trained(model, site, SGD, 1, True) is first
-        other_seed = federation._trained(model, site, SGD, 2, True)
-        assert adapters_equal(other_seed, local_update(model, site.packed, SGD, 2))
+
+        def lane(start, seed, first_round=True):
+            (adapters,) = federation._trained([start], [site], SGD, seed, first_round)
+            return adapters
+
+        first = lane(model, 1)
+        assert lane(model, 1) is first
+        other_seed = lane(model, 2)
+        assert adapters_equal(other_seed, train_alone(model, site.packed, SGD, 2))
         other_start = model.with_adapters(model.frozen.init_adapters(99))
-        trained = federation._trained(other_start, site, SGD, 1, True)
-        assert adapters_equal(trained, local_update(other_start, site.packed, SGD, 1))
+        trained = lane(other_start, 1)
+        assert adapters_equal(trained, train_alone(other_start, site.packed, SGD, 1))
         assert not adapters_equal(first, other_seed) and not adapters_equal(first, trained)
         # a later round's update is trained afresh and never kept
-        assert federation._trained(model, site, SGD, 1, False) is not first
+        assert lane(model, 1, first_round=False) is not first
         assert len(site.first_updates) == 3
+
+    def test_divergence_names_the_client_of_its_lane(self, monkeypatch):
+        # site0's round-0 update is kept, so site1 and site2 train as lanes 0 and 1
+        sites = make_sites(3)
+        model = ToyModel.build(MODEL_CFG)
+        federation._trained([model], sites[:1], SGD, 1, True)
+
+        def diverge(models, dataset, sgd, seeds):
+            assert dataset.packs == (sites[1].packed, sites[2].packed)
+            raise Diverged("layer 'trunk' has non-finite adapter factors", 1)
+
+        monkeypatch.setattr(federation, "local_update", diverge)
+        with pytest.raises(Diverged) as raised:
+            federation._trained([model] * 3, sites, SGD, 1, True)
+        assert raised.value.__notes__ == ["client 'site2'"]
 
     def test_memo_keeps_round_zero_only(self):
         sites = make_sites(3)

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from fedlora.lora import AdapterPair, AdapterSet, DimensionMismatch
 from fedlora.model import (
     Backbone,
+    Diverged,
     EmptyBatchError,
     Example,
     FieldError,
     LabelRangeError,
+    Lanes,
     ModelConfig,
     SgdConfig,
     Task,
@@ -22,6 +24,7 @@ from fedlora.model import (
     local_update,
     loss,
 )
+from one_lane import train_alone
 
 SMALL = ModelConfig(
     vocab_size=20, hidden=8, tag_classes=9, relation_classes=16, rank=2, alpha=4.0, seed=3
@@ -203,7 +206,7 @@ class TestForward:
             else Example(Task.RELATION, [0, 1], head=0, tail=1, relation=label)
         )
         run = {"forward": forward, "loss": loss, "grad": grad,
-               "local_update": lambda m, d: local_update(m, d, SgdConfig(0.1, 1, 2), seed=0)}
+               "local_update": lambda m, d: train_alone(m, d, SgdConfig(0.1, 1, 2), seed=0)}
         with pytest.raises(LabelRangeError, match=f"{kind} label {label} out of range"):
             run[call](model, [*mixed_batch(40, n=4), bad])
 
@@ -430,21 +433,27 @@ class TestLocalUpdate:
         adapter_seed=st.integers(0, 2**32 - 1),
         epochs=st.integers(1, 3),
         batch_size=st.integers(1, 10),
+        k=st.integers(1, 4),
     )
-    def test_zero_learning_rate_is_identity(self, data_seed, adapter_seed, epochs, batch_size):
+    def test_zero_learning_rate_is_identity(self, data_seed, adapter_seed, epochs, batch_size, k):
+        # every lane of the stack, lanes of unequal size from distinct starts
         model = ToyModel.build(SMALL)
-        model = model.with_adapters(randomized_adapters(model, adapter_seed))
+        models = [model.with_adapters(randomized_adapters(model, adapter_seed + i))
+                  for i in range(k)]
+        data = [mixed_batch(data_seed + i, n=8 - i) for i in range(k)]
         sgd = SgdConfig(0.0, epochs, batch_size)
-        out = local_update(model, mixed_batch(data_seed), sgd, seed=1)
-        # the serialized bytes compare bit for bit, the sign of zero included
-        assert out.checksum() == model.adapters.checksum()
+        outs = local_update(models, Lanes.of(data), sgd, [1 + i for i in range(k)])
+        assert len(outs) == k
+        for out, start in zip(outs, models):
+            # the serialized bytes compare bit for bit, the sign of zero included
+            assert out.checksum() == start.adapters.checksum()
 
     def test_single_full_batch_step_equals_manual_step(self):
         model = ToyModel.build(SMALL)
         model = model.with_adapters(randomized_adapters(model, 23))
         data = mixed_batch(24, n=5)
         eta = 0.05
-        out = local_update(model, data, SgdConfig(eta, 1, len(data)), seed=9)
+        out = train_alone(model, data, SgdConfig(eta, 1, len(data)), seed=9)
         grads = grad(model, data)
         for key, pair in model.adapters.layers.items():
             db, da = grads[key]
@@ -476,7 +485,7 @@ class TestLocalUpdate:
         model = ToyModel.build(SMALL)
         model = model.with_adapters(randomized_adapters(model, seed))
         sgd = SgdConfig(0.05, epochs, batch_size)
-        out = local_update(model, data, sgd, seed=seed)
+        out = train_alone(model, data, sgd, seed=seed)
         rng = np.random.default_rng(seed)
         steps = 0
         for _ in range(sgd.epochs):
@@ -502,9 +511,9 @@ class TestLocalUpdate:
         model = ToyModel.build(SMALL)
         data = mixed_batch(25, n=10)
         sgd = SgdConfig(0.1, 2, 3)
-        one = local_update(model, data, sgd, seed=5)
-        two = local_update(model, data, sgd, seed=5)
-        other = local_update(model, data, sgd, seed=6)
+        one = train_alone(model, data, sgd, seed=5)
+        two = train_alone(model, data, sgd, seed=5)
+        other = train_alone(model, data, sgd, seed=6)
         for key in one.layers:
             assert np.array_equal(one.layers[key].b, two.layers[key].b)
             assert np.array_equal(one.layers[key].a, two.layers[key].a)
@@ -516,7 +525,7 @@ class TestLocalUpdate:
         model = ToyModel.build(SMALL)
         snapshot = {k: (p.b.copy(), p.a.copy()) for k, p in model.adapters.layers.items()}
         before = fingerprint(model.frozen)
-        local_update(model, mixed_batch(26), SgdConfig(0.1, 1, 4), seed=2)
+        train_alone(model, mixed_batch(26), SgdConfig(0.1, 1, 4), seed=2)
         assert fingerprint(model.frozen) == before
         for key, (b, a) in snapshot.items():
             assert np.array_equal(model.adapters.layers[key].b, b)
@@ -532,8 +541,101 @@ class TestLocalUpdate:
                 for _ in range(40)
             ]
             before = loss(model, data)
-            trained = local_update(model, data, SgdConfig(0.3, 2, 8), seed=seed)
+            trained = train_alone(model, data, SgdConfig(0.3, 2, 8), seed=seed)
             after = loss(model.with_adapters(trained), data)
             if after <= before:
                 wins += 1
         assert wins >= 9
+
+
+def lane_data(rng, n, mix):
+    """``n`` examples of the tasks in ``mix``, of drawn lengths."""
+    return [
+        tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes, int(rng.integers(1, 9)))
+        if mix[rng.integers(len(mix))] is Task.TAGGING
+        else relation_example(rng, SMALL.vocab_size, SMALL.relation_classes,
+                              int(rng.integers(2, 9)))
+        for _ in range(n)
+    ]
+
+
+def own_b(model: ToyModel, start: AdapterSet, seed: int) -> AdapterSet:
+    """``start`` with its own drawn B factors, as a share-A client keeps."""
+    own = randomized_adapters(model, seed)
+    return start.with_layers({key: pair._replace(b=own.layers[key].b)
+                              for key, pair in start.layers.items()})
+
+
+MIXES = [(Task.TAGGING,), (Task.RELATION,), tuple(Task)]
+
+
+class TestLanes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(st.integers(1, 14), st.sampled_from(MIXES), st.integers(0, 2**32 - 1),
+                      st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=6,
+        ),
+        epochs=st.integers(1, 3),
+        batch_size=st.integers(1, 6),
+        shared_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_equals_each_lane_alone(self, lanes, epochs, batch_size, shared_seed):
+        # unequal sizes give lanes different step counts and partial last
+        # batches; every lane keeps the shared A with its own B
+        model = ToyModel.build(SMALL)
+        shared = randomized_adapters(model, shared_seed)
+        models = [model.with_adapters(own_b(model, shared, seed)) for _, _, _, seed in lanes]
+        data = [lane_data(np.random.default_rng(seed), n, mix) for n, mix, seed, _ in lanes]
+        seeds = [seed for _, _, seed, _ in lanes]
+        sgd = SgdConfig(0.05, epochs, batch_size)
+        outs = local_update(models, Lanes.of(data), sgd, seeds)
+        for out, start, examples, seed in zip(outs, models, data, seeds):
+            assert out.checksum() == train_alone(start, examples, sgd, seed).checksum()
+
+    def test_length_counts_every_lane(self):
+        lanes = Lanes.of([mixed_batch(1, n=3), mixed_batch(2, n=5)])
+        assert len(lanes) == 8
+
+    def test_lanes_share_one_backbone(self):
+        one, two = ToyModel.build(SMALL), ToyModel.build(SMALL)
+        with pytest.raises(ValueError, match="one backbone"):
+            local_update([one, two], Lanes.of([mixed_batch(1), mixed_batch(2)]),
+                         SgdConfig(0.1, 1, 2), [0, 0])
+
+
+# At learning rate 1, epochs 3 and batch 2 on 12 examples, each of these
+# starts diverges alone at the step given, or not at all (None).  HUGE
+# turns every layer non-finite in its first step, and alone names the first.
+LATE, EARLY, STABLE, HUGE = (1, 0.1, 15), (0, 1.0, 5), (0, 1e-4, None), (2, 1e200, 0)
+DIVERGING_SGD = SgdConfig(1.0, 3, 2)
+
+
+def diverging_lane(model, seed, scale):
+    return model.with_adapters(randomized_adapters(model, seed, scale)), mixed_batch(seed, n=12)
+
+
+class TestLaneDivergence:
+    @pytest.mark.parametrize("first, second, named",
+                             [(LATE, EARLY, 0), (STABLE, EARLY, 1), (STABLE, HUGE, 1)])
+    def test_names_the_lowest_lane_that_diverged(self, first, second, named):
+        # the error serial training in lane order would raise: the first
+        # lane's, though the second diverges at an earlier step
+        model = ToyModel.build(SMALL)
+        lanes = [diverging_lane(model, seed, scale) for seed, scale, _ in (first, second)]
+        alone = []
+        for (start, data), (seed, _, step) in zip(lanes, (first, second)):
+            try:
+                train_alone(start, data, DIVERGING_SGD, seed)
+                alone.append(None)
+            except Diverged as err:
+                alone.append((str(err), err.__notes__))
+            # every layer goes non-finite in HUGE's first step: the first is named
+            assert alone[-1] == (None if step is None else (
+                "layer 'trunk' has non-finite adapter factors", [f"step {step}"]))
+        with pytest.raises(Diverged) as raised:
+            local_update([m for m, _ in lanes], Lanes.of([d for _, d in lanes]), DIVERGING_SGD,
+                         [seed for seed, _, _ in (first, second)])
+        assert raised.value.lane == named
+        assert (str(raised.value), raised.value.__notes__) == alone[named]
