@@ -83,7 +83,7 @@ def _seed_run(config: ExperimentConfig, seed: int):
     specs = cfg.sites + cfg.external_sites
     tests = [make_test_split(spec, cfg.eval.test_size, rule) for spec in specs]
     val = make_validation_set(rule, cfg.validation.n_examples, derive_seed(cfg.seed, "validation"))
-    # every split is packed and range-checked here, before any training step
+    # every split is range-checked here, before any training step
     for split in (*sites, val, *tests):
         backbone.check_ranges(split.packed)
 

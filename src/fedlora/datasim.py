@@ -12,6 +12,10 @@ Sites differ only in their input distribution, through four orthogonal knobs:
   the tokens through the rule).
 * ``token_shift`` — each site samples from a rotated half-window of every
   token group, modeling site-specific vocabulary/documentation style.
+
+A site is one ``Pack``: ``generate_site`` and ``make_validation_set`` draw
+its arrays directly, each draw one numpy call for the whole site, so no
+per-example object is ever built.  ``shard`` takes a pack's rows.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Example, FieldError, Pack, Task
+from .model import FieldError, Pack, Task
 
 MIN_LEN = 6
 MAX_LEN = 12
@@ -81,11 +85,13 @@ class PlantedRule:
         role = (tokens // self.num_groups) % 2  # 0 opens a span, 1 continues
         return np.where(g == 0, 0, 1 + 2 * (g - 1) + role).astype(np.int64)
 
-    def relation_of(self, head_group: int, tail_group: int, parity: int) -> int:
+    def relation_of(self, head_group: np.ndarray, tail_group: np.ndarray,
+                    parity: np.ndarray) -> np.ndarray:
+        """The label of each marked pair, from its groups and the parity of
+        its marked distance."""
         e = self.num_entity_types
-        if head_group == e and tail_group == e:
-            return e * e - 1 - parity
-        return e * (head_group - 1) + (tail_group - 1)
+        last = (head_group == e) & (tail_group == e)
+        return np.where(last, e * e - 1 - parity, e * (head_group - 1) + (tail_group - 1))
 
 
 @dataclass(frozen=True)
@@ -112,24 +118,21 @@ class SiteSpec:
 
 @dataclass(frozen=True)
 class SiteDataset:
+    """One site's data: its spec and its examples as one pack."""
+
     spec: SiteSpec
-    examples: list[Example]
+    packed: Pack
 
     def __post_init__(self):
-        if len(self.examples) != self.spec.n_examples:
+        if len(self.packed) != self.spec.n_examples:
             raise ValueError("example count does not match spec")
-        for ex in self.examples:
-            if ex.task not in self.spec.tasks:
-                raise ValueError(f"task {ex.task} not declared by site {self.spec.site_id}")
+        tagging = self.packed.tagging
+        for task, held in ((Task.TAGGING, tagging.any()), (Task.RELATION, not tagging.all())):
+            if held and task not in self.spec.tasks:
+                raise ValueError(f"task {task} not declared by site {self.spec.site_id}")
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    @cached_property
-    def packed(self) -> Pack:
-        """The examples as flat arrays, packed on first use; the pack lives
-        and dies with the dataset."""
-        return Pack.of(self.examples)
+        return len(self.packed)
 
     @cached_property
     def first_updates(self) -> dict:
@@ -138,126 +141,88 @@ class SiteDataset:
         return {}
 
 
-class _SiteSampler:
-    """Seeded token sampler for one site's tilted distribution.
-
-    It consumes the generator exactly as per-token ``Generator.choice``
-    calls would: one double per group, searched in the normalized CDF, and
-    one bounded integer per window index.
-    """
-
-    def __init__(self, rule: PlantedRule, spec: SiteSpec, rng: np.random.Generator,
-                 full_window: bool = False):
-        self.rule = rule
-        self.rng = rng
-        self.probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
-        self.cdf = self.probs.cumsum()
-        self.cdf /= self.cdf[-1]
-        self.window = rule.tokens_per_group if full_window else max(2, rule.tokens_per_group // 2)
-        self.shift = spec.token_shift
-
-    @cached_property
-    def entity_cdf(self) -> np.ndarray:
-        if not self.probs[1:].any():  # a tiny alpha can put all mass on group 0
-            raise FieldError("dirichlet_alpha", "left no entity group to mark a relation pair")
-        cdf = (self.probs[1:] / self.probs[1:].sum()).cumsum()
-        return cdf / cdf[-1]
-
-    def draw_groups(self, n: int, entity_only: bool = False) -> np.ndarray:
-        if entity_only:
-            return self.entity_cdf.searchsorted(self.rng.random(n), side="right") + 1
-        return self.cdf.searchsorted(self.rng.random(n), side="right")
-
-    def draw_tokens(self, groups: np.ndarray) -> np.ndarray:
-        """One token of each group, from the site's shifted window."""
-        index = self.rng.integers(0, self.window, size=len(groups)) + self.shift
-        return self.rule.token_id(groups, index % self.rule.tokens_per_group)
-
-    def draw_sequence(self) -> np.ndarray:
-        length = int(self.rng.integers(MIN_LEN, MAX_LEN + 1))
-        return self.draw_tokens(self.draw_groups(length))
+def _tokens(rule: PlantedRule, rng: np.random.Generator, probs: np.ndarray, n: int,
+            window: int, shift: int) -> np.ndarray:
+    """``n`` tokens of a site's law: one uniform per token picks its group
+    in the normalized CDF of ``probs``, then one index per token picks it
+    from the group's first ``window`` ids, rotated by ``shift``."""
+    if not n:  # a site's entity groups may hold no mass when it marks no pair
+        return np.zeros(0, dtype=np.int64)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    groups = cdf.searchsorted(rng.random(n), side="right")
+    index = rng.integers(0, window, size=n) + shift
+    return rule.token_id(groups, index % rule.tokens_per_group)
 
 
-def _make_example(rule: PlantedRule, sampler: _SiteSampler, rng, task: Task) -> Example:
-    tokens = sampler.draw_sequence()
-    if task is Task.TAGGING:
-        return Example(Task.TAGGING, tokens, tags=rule.tags_of(tokens))
-    head, tail = sorted(int(i) for i in rng.choice(len(tokens), size=2, replace=False))
-    for pos in (head, tail):  # one at a time: a batch would reorder the stream
-        tokens[pos] = sampler.draw_tokens(sampler.draw_groups(1, entity_only=True))[0]
-    parity = (tail - head) % 2
-    label = rule.relation_of(
-        rule.group(int(tokens[head])), rule.group(int(tokens[tail])), parity
-    )
-    return Example(
-        Task.RELATION, tokens, head=head, tail=tail, relation=label
-    )
-
-
-def _flip_labels(rule: PlantedRule, example: Example, noise_rate: float, rng) -> Example:
-    if noise_rate <= 0.0:
-        return example
-    if example.task is Task.TAGGING:
-        tags = example.tags.copy()
-        flips = np.nonzero(rng.random(len(tags)) < noise_rate)[0]
-        offsets = rng.integers(1, rule.num_tags, size=len(flips))
-        tags[flips] = (tags[flips] + offsets) % rule.num_tags
-        return replace(example, tags=tags)
-    if rng.random() < noise_rate:
-        offset = int(rng.integers(1, rule.num_relations))
-        return replace(example, relation=(example.relation + offset) % rule.num_relations)
-    return example
+def _with_noise(labels: np.ndarray, classes: int, rate: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """``labels`` with each moved, at ``rate``, by a uniform nonzero offset
+    modulo ``classes``: one uniform and one offset per label."""
+    if rate <= 0.0:
+        return labels
+    flip = rng.random(len(labels)) < rate
+    offset = rng.integers(1, classes, size=len(labels))
+    return np.where(flip, (labels + offset) % classes, labels)
 
 
 def generate_site(spec: SiteSpec, rule: PlantedRule) -> SiteDataset:
-    """One site's local dataset, deterministic given spec.seed."""
+    """One site's local dataset, deterministic given spec.seed; the
+    examples cycle through ``spec.tasks``.  Each draw is one call for the
+    whole site, in order: group mix, every length, the tagging tokens, two
+    distinct marked positions per pair (the second skips the first), two
+    entity tokens per pair, tag noise, relation noise.  Unmarked tokens of a
+    pair are never read, so never drawn; only the positions' parity is."""
     rng = np.random.default_rng(spec.seed)
-    sampler = _SiteSampler(rule, spec, rng)
-    gold = [_make_example(rule, sampler, rng, spec.tasks[i % len(spec.tasks)])
-            for i in range(spec.n_examples)]
-    return SiteDataset(spec, [_flip_labels(rule, ex, spec.noise_rate, rng) for ex in gold])
+    probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
+    window = max(2, rule.tokens_per_group // 2)
+    cycle = np.arange(spec.n_examples) % len(spec.tasks)
+    tagging = np.array([task is Task.TAGGING for task in spec.tasks])[cycle]
+    lengths = rng.integers(MIN_LEN, MAX_LEN + 1, size=spec.n_examples)
+    counts = lengths[tagging]
+    tokens = _tokens(rule, rng, probs, int(counts.sum()), window, spec.token_shift)
+    sizes = lengths[~tagging]
+    first = rng.integers(0, sizes)
+    second = rng.integers(0, sizes - 1)
+    second += second >= first
+    entity = np.concatenate([[0.0], probs[1:]])
+    if len(sizes) and not entity.any():  # a tiny alpha can put all mass on group 0
+        raise FieldError("dirichlet_alpha", "left no entity group to mark a relation pair")
+    marked = _tokens(rule, rng, entity, 2 * len(sizes), window, spec.token_shift).reshape(-1, 2)
+    relations = rule.relation_of(*rule.group(marked).T, (second - first) % 2)
+    tags = _with_noise(rule.tags_of(tokens), rule.num_tags, spec.noise_rate, rng)
+    relations = _with_noise(relations, rule.num_relations, spec.noise_rate, rng)
+    return SiteDataset(spec, Pack.build(tagging, tokens, counts, tags, marked[:, 0],
+                                        marked[:, 1], relations))
 
 
 def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
     """Small noise-free, unskewed server-side validation set covering every task.
 
-    Stratified construction: tagging examples force one token of a cycling
-    target tag class, relation examples cycle through the group-pair table,
-    so every class appears once the set is large enough.
+    Examples alternate tagging and relation, stratified so every class
+    appears once the set is large enough: a tagging example's first token
+    carries a cycling tag, and a pair cycles through the group-pair table at
+    an even distance.  Only tagging examples draw (full window): group mix,
+    lengths, tokens.
     """
     spec = SiteSpec(
         site_id="validation", n_examples=n_v, dirichlet_alpha=1e6, noise_rate=0.0,
         tasks=(Task.TAGGING, Task.RELATION), seed=seed,
     )
     rng = np.random.default_rng(seed)
-    sampler = _SiteSampler(rule, spec, rng, full_window=True)
-    examples: list[Example] = []
+    probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
+    tagging = np.arange(n_v) % 2 == 0
+    counts = rng.integers(MIN_LEN, MAX_LEN + 1, size=int(tagging.sum()))
+    tokens = _tokens(rule, rng, probs, int(counts.sum()), rule.tokens_per_group, 0)
+    # each tag's carrier is the smallest token id with that tag
+    carriers = np.unique(rule.tags_of(np.arange(rule.vocab_size)), return_index=True)[1]
+    tokens[np.cumsum(counts) - counts] = carriers[np.arange(len(counts)) % rule.num_tags]
+    cycle = np.arange(n_v - len(counts))
     e = rule.num_entity_types
-    for i in range(n_v):
-        tokens = sampler.draw_sequence()
-        cycle = i // 2  # the example's place among those of its task
-        if i % 2 == 0:
-            tokens[0] = _token_with_tag(rule, cycle % rule.num_tags)
-            examples.append(Example(Task.TAGGING, tokens, tags=rule.tags_of(tokens)))
-        else:
-            head_group = (cycle // e) % e + 1
-            tail_group = cycle % e + 1
-            head, tail = 0, 2  # even distance so the parity cell stays canonical
-            tokens[head] = rule.token_id(head_group, 0)
-            tokens[tail] = rule.token_id(tail_group, 0)
-            label = rule.relation_of(head_group, tail_group, 0)
-            examples.append(
-                Example(Task.RELATION, tokens, head=head, tail=tail, relation=label)
-            )
-    return SiteDataset(spec, examples)
-
-
-def _token_with_tag(rule: PlantedRule, tag: int) -> int:
-    if tag == 0:
-        return rule.token_id(0, 0)
-    group = (tag - 1) // 2 + 1
-    role = (tag - 1) % 2
-    return rule.token_id(group, role)  # index 0 opens, index 1 continues
+    head_groups, tail_groups = (cycle // e) % e + 1, cycle % e + 1
+    return SiteDataset(spec, Pack.build(
+        tagging, tokens, counts, rule.tags_of(tokens), rule.token_id(head_groups, 0),
+        rule.token_id(tail_groups, 0), rule.relation_of(head_groups, tail_groups, 0)))
 
 
 def shard(pool: SiteDataset, k: int, seed: int) -> list[SiteDataset]:
@@ -268,9 +233,8 @@ def shard(pool: SiteDataset, k: int, seed: int) -> list[SiteDataset]:
         raise ValueError(f"cannot cut {len(pool)} examples into {k} shards")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
-    parts = np.array_split(order, k)
-    shards = []
-    for i, idx in enumerate(parts):
-        spec = replace(pool.spec, site_id=f"{pool.spec.site_id}_shard{i}", n_examples=len(idx))
-        shards.append(SiteDataset(spec, [pool.examples[j] for j in idx]))
-    return shards
+    return [
+        SiteDataset(replace(pool.spec, site_id=f"{pool.spec.site_id}_shard{i}",
+                            n_examples=len(rows)), pool.packed.take(rows))
+        for i, rows in enumerate(np.array_split(order, k))
+    ]

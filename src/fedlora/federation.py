@@ -34,12 +34,10 @@ from .lora import AdapterSet, serialized_a_size, serialized_size
 from .model import (
     Backbone,
     Diverged,
-    Example,
     FieldError,
     Lanes,
     Pack,
     SgdConfig,
-    Task,
     ToyModel,
     local_update,
 )
@@ -115,20 +113,11 @@ def pool_sites(sites: list[SiteDataset]) -> SiteDataset:
     """All sites' examples as one dataset, in ascending site id like the
     round loop, so the order ``sites`` come in never matters."""
     sites = sorted(sites, key=lambda site: site.spec.site_id)
-    examples: list[Example] = []
-    tasks: list[Task] = []
-    for site in sites:
-        examples.extend(site.examples)
-        for task in site.spec.tasks:
-            if task not in tasks:
-                tasks.append(task)
-    spec = SiteSpec(
-        site_id="pooled",
-        n_examples=len(examples),
-        tasks=tuple(tasks),
-        seed=sites[0].spec.seed,
-    )
-    return SiteDataset(spec, examples)
+    packed = Pack.concat([site.packed for site in sites])
+    tasks = tuple(dict.fromkeys(task for site in sites for task in site.spec.tasks))
+    spec = SiteSpec(site_id="pooled", n_examples=len(packed), tasks=tasks,
+                    seed=sites[0].spec.seed)
+    return SiteDataset(spec, packed)
 
 
 def _comm_volume(adapters: AdapterSet, share_a: bool) -> CommVolume:
@@ -268,7 +257,7 @@ def _run_protocol(
 def run_federation(
     config: FederationConfig,
     sites: list[SiteDataset],
-    val_set: Pack | list[Example] | None,
+    val_set: Pack | None,
     backbone: Backbone,
 ) -> FederationResult:
     """Execute the configured strategy over the given sites.
@@ -287,7 +276,6 @@ def run_federation(
         raise ValueError("site ids must be unique")
     if config.strategy is Strategy.INFLUENCE and not val_set:
         raise ValueError("influence-weighted aggregation requires a validation set")
-    val_set = Pack.of(val_set) if val_set else None  # packed once, scored every round
 
     initial = backbone.init_adapters(derive_seed(config.seed, "adapter_init"))
 

@@ -13,7 +13,7 @@ Per-token pipeline (no attention, tokens are independent):
     tag logits      = (H_tag + s * B A)^T z
     relation logits = (H_rel + s * B A)^T [z_head ; z_tail]
 
-A list of examples is packed once into flat arrays (``Pack``).  Training
+Data lives in flat arrays (``Pack``), a site's as one pack.  Training
 (``local_update`` and ``grad``), scoring (``loss``) and evaluation
 (``forward``) all run one kernel.  As tokens are independent, it runs the
 trunk and both heads over every token id of the vocabulary, and a
@@ -185,12 +185,32 @@ def _cat(arrays) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
 
 
+def _measure(**values: np.ndarray) -> dict[str, tuple[int, int]]:
+    """(min, max) of each kind of value that is present."""
+    return {kind: (int(v.min()), int(v.max())) for kind, v in values.items() if len(v)}
+
+
+def _task_rows(tagging: np.ndarray) -> np.ndarray:
+    """Each example's row among the tagging examples or among the pairs."""
+    return np.where(tagging, np.cumsum(tagging), np.cumsum(~tagging)) - 1
+
+
+def _token_positions(starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The token positions of tagging examples ``rows`` in order, where
+    example i holds positions ``starts[i]`` up to ``starts[i + 1]``."""
+    counts = starts[rows + 1] - starts[rows]
+    ends = np.cumsum(counts)
+    return np.repeat(starts[rows] - ends + counts, counts) + np.arange(int(counts.sum()))
+
+
 @dataclass(frozen=True, eq=False)
 class Pack:
-    """A list of examples packed once into flat arrays, each task's in list
-    order.  Packing measures the range of the tokens, marked or not, and of
-    each present task's labels once, so checking a pack against a model
-    costs a few comparisons."""
+    """Examples as flat arrays, each task's in example order; a site's data
+    is one pack.  ``build`` is the one constructor: a site is drawn straight
+    into it, ``of`` packs hand-built examples, and ``concat`` and ``take``
+    join packs and pick their rows.  Packing measures the range of the
+    tokens, marked or not, and of each present task's labels once, so
+    checking a pack against a model costs a few comparisons."""
 
     tokens: np.ndarray  # (T,) every tagging token, examples back to back
     tags: np.ndarray  # (T,) their gold tags
@@ -203,34 +223,66 @@ class Pack:
     ranges: dict[str, tuple[int, int]]  # (min, max) of "token", "tag", "relation"
 
     @classmethod
-    def of(cls, examples: "Pack | Sequence[Example]") -> "Pack":
-        """``examples`` packed; a pack is returned as it is."""
-        if isinstance(examples, Pack):
-            return examples
-        if not examples:
+    def build(cls, tagging: np.ndarray, tokens: np.ndarray, counts: np.ndarray,
+              tags: np.ndarray, heads: np.ndarray, tails: np.ndarray, relations: np.ndarray,
+              ranges: dict[str, tuple[int, int]] | None = None) -> "Pack":
+        """The pack of examples whose tasks ``tagging`` marks: ``counts``
+        tokens per tagging example, with ``tokens`` and ``tags`` back to
+        back, and one pair per relation example.  ``ranges`` defaults to the
+        range of these tokens and labels."""
+        if not len(tagging):
             raise EmptyBatchError("no examples to pack")
-        tagging = np.array([ex.task is Task.TAGGING for ex in examples])
-        tagged = [ex for ex in examples if ex.task is Task.TAGGING]
-        marked = [ex for ex in examples if ex.task is not Task.TAGGING]
-        counts = np.array([len(ex.tokens) for ex in tagged], dtype=np.int64)
         if (counts == 0).any():
             raise ValueError("empty token sequence")
+        if ranges is None:
+            ranges = _measure(token=_cat([tokens, heads, tails]), tag=tags, relation=relations)
+        return cls(tokens, tags, np.repeat(1.0 / counts, counts), heads, tails, relations,
+                   tagging, np.concatenate([[0], np.cumsum(counts)]), ranges)
+
+    @classmethod
+    def of(cls, examples: "Pack | Sequence[Example]") -> "Pack":
+        """``examples`` packed; a pack is returned as it is.  The range
+        measures every token of every example, marked or not."""
+        if isinstance(examples, Pack):
+            return examples
+        tagged = [ex for ex in examples if ex.task is Task.TAGGING]
+        marked = [ex for ex in examples if ex.task is not Task.TAGGING]
         tags = _cat(ex.tags for ex in tagged)
         relations = np.array([ex.relation for ex in marked], dtype=np.int64)
-        measured = {"token": _cat(ex.tokens for ex in examples), "tag": tags,
-                    "relation": relations}
-        return cls(
+        return cls.build(
+            tagging=np.array([ex.task is Task.TAGGING for ex in examples], dtype=bool),
             tokens=_cat(ex.tokens for ex in tagged),
+            counts=np.array([len(ex.tokens) for ex in tagged], dtype=np.int64),
             tags=tags,
-            shares=np.repeat(1.0 / counts, counts),
             heads=np.array([ex.tokens[ex.head] for ex in marked], dtype=np.int64),
             tails=np.array([ex.tokens[ex.tail] for ex in marked], dtype=np.int64),
             relations=relations,
-            tagging=tagging,
-            starts=np.concatenate([[0], np.cumsum(counts)]),
-            ranges={kind: (int(values.min()), int(values.max()))
-                    for kind, values in measured.items() if len(values)},
+            ranges=_measure(token=_cat(ex.tokens for ex in examples), tag=tags,
+                            relation=relations),
         )
+
+    @classmethod
+    def concat(cls, packs: Sequence["Pack"]) -> "Pack":
+        """``packs`` end to end; the ranges are the union of theirs."""
+        bounds = {kind: np.array([b for pack in packs for b in pack.ranges.get(kind, ())])
+                  for kind in ("token", "tag", "relation")}
+        tokens, tags, heads, tails, relations = (
+            _cat(getattr(pack, name) for pack in packs)
+            for name in ("tokens", "tags", "heads", "tails", "relations"))
+        return cls.build(np.concatenate([pack.tagging for pack in packs]), tokens,
+                         _cat(np.diff(pack.starts) for pack in packs), tags, heads, tails,
+                         relations, _measure(**bounds))
+
+    def take(self, rows: np.ndarray) -> "Pack":
+        """Examples ``rows`` of this pack, in that order.  The result keeps
+        this pack's ranges, which bound its own."""
+        tagging = self.tagging[rows]
+        index = _task_rows(self.tagging)[rows]
+        tag_rows, pairs = index[tagging], index[~tagging]
+        tok = _token_positions(self.starts, tag_rows)
+        return Pack.build(tagging, self.tokens[tok], np.diff(self.starts)[tag_rows],
+                          self.tags[tok], self.heads[pairs], self.tails[pairs],
+                          self.relations[pairs], self.ranges)
 
     def __len__(self) -> int:
         return len(self.tagging)
@@ -259,37 +311,28 @@ class Lanes:
         examples packed alone."""
         v, c, k = config.vocab_size, config.tag_classes, len(self.packs)
         packs = self.packs
-        tagging = np.concatenate([pack.tagging for pack in packs])
+        whole = Pack.concat(packs)
         lane = np.repeat(np.arange(k), [len(pack) for pack in packs])
-        # each example's row among the tagging examples or among the pairs
-        index = np.empty(len(lane), dtype=np.int64)
-        n_tag = int(tagging.sum())
-        index[tagging] = np.arange(n_tag)
-        index[~tagging] = np.arange(len(lane) - n_tag)
-        offsets = np.cumsum([0] + [len(pack.tokens) for pack in packs])
-        starts = _cat(pack.starts[:-1] + off for pack, off in zip(packs, offsets))
-        counts = _cat(np.diff(pack.starts) for pack in packs)
-        keys = _cat((i * v + pack.tokens) * c + pack.tags for i, pack in enumerate(packs))
-        shares = np.concatenate([pack.shares for pack in packs])
+        token_lane = np.repeat(np.arange(k), [len(pack.tokens) for pack in packs])
+        keys = (token_lane * v + whole.tokens) * c + whole.tags
         pair_lane = np.repeat(np.arange(k), [len(pack.heads) for pack in packs])
-        heads, tails, relations = (_cat(getattr(pack, name) for pack in packs)
-                                   for name in ("heads", "tails", "relations"))
 
         flat = step_of.reshape(-1)
         steps = int(flat.max()) + 1
         order = np.argsort(flat, kind="stable")
         step, ex = flat[order], order % len(lane)
         sizes = np.bincount(step * k + lane[ex], minlength=steps * k).reshape(steps, k)
-        marked = ~tagging[ex]
+        marked = ~whole.tagging[ex]
+        index = _task_rows(whole.tagging)
         tag_ex, pair_ex = index[ex[~marked]], index[ex[marked]]
         # every token of the tagging examples in step order, each example's in order
-        n_tok = counts[tag_ex]
-        ends = np.cumsum(n_tok)
-        tok = np.repeat(starts[tag_ex] - ends + n_tok, n_tok) + np.arange(n_tok.sum())
-        keys, shares = keys[tok], shares[tok]
-        pairs = pair_lane[pair_ex], heads[pair_ex], tails[pair_ex], relations[pair_ex]
+        tok = _token_positions(whole.starts, tag_ex)
+        keys, shares = keys[tok], whole.shares[tok]
+        pairs = (pair_lane[pair_ex], whole.heads[pair_ex], whole.tails[pair_ex],
+                 whole.relations[pair_ex])
         bounds = np.arange(steps + 1)
-        t_bounds = _cat([[0], ends])[np.searchsorted(step[~marked], bounds)].tolist()
+        tok_step = np.repeat(step[~marked], np.diff(whole.starts)[tag_ex])
+        t_bounds = np.searchsorted(tok_step, bounds).tolist()
         p_bounds = np.searchsorted(step[marked], bounds).tolist()
         for g in range(steps):
             t0, t1, p0, p1 = t_bounds[g], t_bounds[g + 1], p_bounds[g], p_bounds[g + 1]

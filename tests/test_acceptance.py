@@ -198,7 +198,7 @@ def test_05_strategy_ordering():
         ]
         sites = [generate_site(s, RULE60) for s in specs]
         tests = [make_test_split(s, 250, RULE60) for s in specs]
-        val = make_validation_set(RULE60, 40, seed=seed * 13 + 3).examples
+        val = make_validation_set(RULE60, 40, seed=seed * 13 + 3).packed
         for strategy in (Strategy.ZERO_SHOT, Strategy.SINGLE_SITE,
                          Strategy.INFLUENCE, Strategy.CENTRALIZED):
             rows = run_and_score(strategy, sites, tests, val, backbone, seed)
@@ -233,7 +233,7 @@ def test_06_heterogeneity_robustness():
         ]
         sites = [generate_site(s, RULE60) for s in specs]
         tests = [make_test_split(s, 200, RULE60) for s in specs]
-        val = make_validation_set(RULE60, 40, seed=seed * 11 + 4).examples
+        val = make_validation_set(RULE60, 40, seed=seed * 11 + 4).packed
         scores = {}
         for strategy in (Strategy.FEDAVG, Strategy.INFLUENCE):
             rows = run_and_score(strategy, sites, tests, val, backbone, seed)
@@ -265,7 +265,7 @@ def test_07_scalability():
                 pool = generate_site(pool_spec, rule)
                 shards = shard(pool, k, seed=seed * 19)
                 tests = [make_test_split(pool_spec, 300, rule)]
-                val = make_validation_set(rule, 40, seed=seed * 19 + 5).examples
+                val = make_validation_set(rule, 40, seed=seed * 19 + 5).packed
                 cfg = FederationConfig(strategy, k, 6, sgd, seed=seed)
                 result = run_federation(cfg, shards, val, backbone)
                 rows = evaluate_result(result, backbone, tests)
@@ -299,7 +299,7 @@ def test_08_uneven_tasks():
         spec1_ner = SiteSpec("site1", 2000, dirichlet_alpha=0.5, token_shift=3,
                              seed=seed * 13 + 2, tasks=(Task.TAGGING,))
         tests = [make_test_split(s, 250, RULE60) for s in (spec0, spec1_full)]
-        val = make_validation_set(RULE60, 40, seed=seed * 13 + 3).examples
+        val = make_validation_set(RULE60, 40, seed=seed * 13 + 3).packed
 
         full_sites = [generate_site(spec0, RULE60), generate_site(spec1_full, RULE60)]
         uneven_sites = [generate_site(spec0, RULE60), generate_site(spec1_ner, RULE60)]

@@ -40,7 +40,7 @@ class TestValidationLoss:
         model = ToyModel.build(CFG)
         rng = np.random.default_rng(2)
         adapters = random_set(rng, model.frozen.adapter_shapes(), rank=CFG.rank, alpha=CFG.alpha)
-        val = make_validation_set(RULE, 10, seed=3).examples
+        val = make_validation_set(RULE, 10, seed=3).packed
         direct = validation_loss(model, adapters, val)
 
         # oracle: fold the adapter deltas into a fresh backbone, keep adapters zero

@@ -5,6 +5,7 @@ import os
 import re
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ import fedlora.federation
 from fedlora.cli import _seed_run, cmd_run, main
 from fedlora.config import ConfigError, load_config, parse_config
 from fedlora.datasim import SiteDataset
-from fedlora.model import LabelRangeError, Task, TokenRangeError
+from fedlora.model import LabelRangeError, Pack, TokenRangeError
 
 BASE_CONFIG = {
     "seed": 3,
@@ -302,11 +303,11 @@ class TestRoundZeroReuse:
         assert len(keys) == 10
 
 
-def corrupt_first_split(monkeypatch, maker, edit):
-    """Make ``fedlora.cli``'s ``maker`` replace, in the first split it
-    returns, the first example that ``edit`` changes (``edit`` returns None
-    to pass one by).  Returns the list that receives the corrupted split's
-    site id."""
+def corrupt_first_split(monkeypatch, maker, field, value):
+    """Make ``fedlora.cli``'s ``maker`` set, in the first split it returns,
+    the last entry of its pack's array ``field`` to ``value``; the pack is
+    rebuilt, so its ranges measure the corrupted array.  Returns the list
+    that receives the corrupted split's site id."""
     make = getattr(fedlora.cli, maker)
     corrupted = []
 
@@ -314,11 +315,14 @@ def corrupt_first_split(monkeypatch, maker, edit):
         split = make(*args, **kwargs)
         if corrupted:
             return split
-        examples = list(split.examples)
-        i, bad = next((i, bad) for i, ex in enumerate(examples) if (bad := edit(ex)) is not None)
-        examples[i] = bad
+        p = split.packed
+        arrays = {"tokens": p.tokens, "tags": p.tags, "relations": p.relations}
+        arrays[field] = arrays[field].copy()
+        arrays[field][-1] = value
         corrupted.append(split.spec.site_id)
-        return SiteDataset(split.spec, examples)
+        return SiteDataset(split.spec, Pack.build(p.tagging, arrays["tokens"], np.diff(p.starts),
+                                                  arrays["tags"], p.heads, p.tails,
+                                                  arrays["relations"]))
 
     monkeypatch.setattr(fedlora.cli, maker, make_corrupted)
     return corrupted
@@ -335,13 +339,7 @@ class TestTokenRange:
         # one token past the vocabulary in the first training site, the
         # validation set or the first test split
         vocab = BASE_CONFIG["model"]["vocab_size"]
-
-        def edit(ex):
-            tokens = ex.tokens.copy()
-            tokens[-1] = vocab
-            return replace(ex, tokens=tokens)
-
-        corrupted = corrupt_first_split(monkeypatch, maker, edit)
+        corrupted = corrupt_first_split(monkeypatch, maker, "tokens", vocab)
         config = parse_config(json_roundtrip(BASE_CONFIG))
         with pytest.raises(TokenRangeError, match=f"token id {vocab} out of range"):
             cmd_run(config, str(tmp_path / "out"), [config.seed])
@@ -356,17 +354,7 @@ class TestTokenRange:
         # the last class would land in the next token's row unnoticed
         config = parse_config(json_roundtrip(BASE_CONFIG))
         classes = getattr(config.model, f"{kind}_classes")
-
-        def edit(ex):
-            if kind == "tag" and ex.task is Task.TAGGING:
-                tags = ex.tags.copy()
-                tags[-1] = classes
-                return replace(ex, tags=tags)
-            if kind == "relation" and ex.task is Task.RELATION:
-                return replace(ex, relation=classes)
-            return None
-
-        corrupted = corrupt_first_split(monkeypatch, maker, edit)
+        corrupted = corrupt_first_split(monkeypatch, maker, f"{kind}s", classes)
         with pytest.raises(LabelRangeError, match=f"{kind} label {classes} out of range"):
             cmd_run(config, str(tmp_path / "out"), [config.seed])
         assert corrupted and local_updates == []

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -16,29 +17,43 @@ from fedlora.datasim import (
     make_validation_set,
     shard,
 )
-from fedlora.model import Example, FieldError, Task
+from fedlora.model import Example, FieldError, Pack, Task
 
 RULE = PlantedRule(vocab_size=60)
+FIELDS = ("tokens", "tags", "shares", "heads", "tails", "relations", "tagging", "starts")
 
 
-def example_key(ex):
-    if ex.task is Task.TAGGING:
-        return ("t", tuple(ex.tokens), tuple(ex.tags))
-    return ("r", tuple(ex.tokens), ex.head, ex.tail, ex.relation)
+def pack_key(pack):
+    return tuple(getattr(pack, name).tobytes() for name in FIELDS)
 
 
-def label(ex):
-    return ex.tags if ex.task is Task.TAGGING else ex.relation
+def example_keys(pack):
+    """Each example of ``pack`` as a hashable key, in example order."""
+    cuts = pack.starts[1:-1]
+    docs = iter(zip(np.split(pack.tokens, cuts), np.split(pack.tags, cuts)))
+    pairs = iter(zip(pack.heads, pack.tails, pack.relations))
+    return [("t", *map(tuple, next(docs))) if tagged else ("r", *map(int, next(pairs)))
+            for tagged in pack.tagging]
 
 
-def gold_label(ex):
-    """The planted rule's label for ex's tokens (and marked pair), before noise."""
-    if ex.task is Task.TAGGING:
-        return RULE.tags_of(ex.tokens)
-    parity = (ex.tail - ex.head) % 2
-    return RULE.relation_of(
-        RULE.group(int(ex.tokens[ex.head])), RULE.group(int(ex.tokens[ex.tail])), parity
-    )
+def gold_pair_labels(pack):
+    """The two labels the rule allows each pair, one per parity of its
+    marked distance (the pack keeps the marked tokens, not their places)."""
+    groups = RULE.group(pack.heads), RULE.group(pack.tails)
+    return RULE.relation_of(*groups, 0), RULE.relation_of(*groups, 1)
+
+
+def follows_rule(pack):
+    even, odd = gold_pair_labels(pack)
+    return (np.array_equal(pack.tags, RULE.tags_of(pack.tokens))
+            and bool(((pack.relations == even) | (pack.relations == odd)).all()))
+
+
+def oracle_relation(rule, head_group, tail_group, parity):
+    e = rule.num_entity_types
+    if head_group == e and tail_group == e:
+        return e * e - 1 - parity
+    return e * (head_group - 1) + (tail_group - 1)
 
 
 class TestPlantedRule:
@@ -54,6 +69,13 @@ class TestPlantedRule:
         assert RULE.relation_of(4, 4, 0) == 15
         assert RULE.relation_of(4, 4, 1) == 14
 
+    def test_array_rule_matches_scalar_rule_everywhere(self):
+        e = RULE.num_entity_types
+        cells = np.array(list(itertools.product(range(1, e + 1), range(1, e + 1), (0, 1))))
+        got = RULE.relation_of(cells[:, 0], cells[:, 1], cells[:, 2])
+        assert got.dtype == np.int64
+        assert got.tolist() == [oracle_relation(RULE, *map(int, cell)) for cell in cells]
+
     def test_vocab_must_align_with_groups(self):
         with pytest.raises(ValueError):
             PlantedRule(vocab_size=61)
@@ -62,130 +84,85 @@ class TestPlantedRule:
 class TestGenerateSite:
     def test_zero_noise_means_clean_equals_noisy(self):
         spec = SiteSpec("a", 200, noise_rate=0.0, seed=1)
-        data = generate_site(spec, RULE)
-        for ex in data.examples:
-            assert np.array_equal(label(ex), gold_label(ex))
+        assert follows_rule(generate_site(spec, RULE).packed)
 
     def test_huge_alpha_approaches_uniform_group_frequencies(self):
         spec = SiteSpec("a", 1500, dirichlet_alpha=1e6, seed=2, tasks=(Task.TAGGING,))
-        data = generate_site(spec, RULE)
-        groups = Counter()
-        total = 0
-        for ex in data.examples:
-            for t in ex.tokens:
-                groups[RULE.group(int(t))] += 1
-                total += 1
-        assert total >= 10_000
-        for g in range(RULE.num_groups):
-            assert abs(groups[g] / total - 1 / RULE.num_groups) < 0.02
+        tokens = generate_site(spec, RULE).packed.tokens
+        assert len(tokens) >= 10_000
+        shares = np.bincount(RULE.group(tokens), minlength=RULE.num_groups) / len(tokens)
+        assert (abs(shares - 1 / RULE.num_groups) < 0.02).all()
 
     def test_seed_changes_data_but_not_label_marginals(self):
         base = SiteSpec("a", 5000, dirichlet_alpha=2000.0, seed=3, tasks=(Task.TAGGING,))
-        one = generate_site(base, RULE)
-        two = generate_site(replace(base, seed=4), RULE)
-        assert [example_key(e) for e in one.examples] != [
-            example_key(e) for e in two.examples
-        ]
+        one = generate_site(base, RULE).packed
+        two = generate_site(replace(base, seed=4), RULE).packed
+        assert example_keys(one) != example_keys(two)
 
-        def tag_marginal(data):
-            counts = Counter()
-            total = 0
-            for ex in data.examples:
-                for t in ex.tags:
-                    counts[int(t)] += 1
-                    total += 1
-            return {t: c / total for t, c in counts.items()}
+        def tag_marginal(pack):
+            return np.bincount(pack.tags, minlength=RULE.num_tags) / len(pack.tags)
 
-        m1, m2 = tag_marginal(one), tag_marginal(two)
-        for tag in range(RULE.num_tags):
-            assert abs(m1.get(tag, 0.0) - m2.get(tag, 0.0)) < 0.03
+        assert (abs(tag_marginal(one) - tag_marginal(two)) < 0.03).all()
 
     def test_deterministic_under_seed(self):
         spec = SiteSpec("a", 300, dirichlet_alpha=0.5, noise_rate=0.2, seed=5)
-        one = generate_site(spec, RULE)
-        two = generate_site(spec, RULE)
-        assert [example_key(e) for e in one.examples] == [
-            example_key(e) for e in two.examples
-        ]
+        one, two = generate_site(spec, RULE).packed, generate_site(spec, RULE).packed
+        assert pack_key(one) == pack_key(two) and one.ranges == two.ranges
 
     def test_noise_rate_measured_within_three_points(self):
         for rate in (0.1, 0.4):
             spec = SiteSpec(
                 "a", 2500, noise_rate=rate, seed=6, tasks=(Task.TAGGING,)
             )
-            data = generate_site(spec, RULE)
-            flipped = 0
-            total = 0
-            for ex in data.examples:
-                flipped += int((ex.tags != RULE.tags_of(ex.tokens)).sum())
-                total += len(ex.tags)
-            assert abs(flipped / total - rate) < 0.03
+            pack = generate_site(spec, RULE).packed
+            flipped = (pack.tags != RULE.tags_of(pack.tokens)).mean()
+            assert abs(flipped - rate) < 0.03
 
     def test_relation_noise_flips_labels(self):
+        # noise draws come last, so the noise-free site holds the gold labels
         spec = SiteSpec("a", 2000, noise_rate=0.3, seed=7, tasks=(Task.RELATION,))
-        data = generate_site(spec, RULE)
-        flipped = sum(ex.relation != gold_label(ex) for ex in data.examples)
-        assert abs(flipped / len(data) - 0.3) < 0.03
+        noisy = generate_site(spec, RULE).packed
+        clean = generate_site(replace(spec, noise_rate=0.0), RULE).packed
+        assert abs((noisy.relations != clean.relations).mean() - 0.3) < 0.03
 
     def test_task_filter_is_exhaustive(self):
         spec = SiteSpec("a", 500, seed=8, tasks=(Task.TAGGING,))
-        data = generate_site(spec, RULE)
-        assert all(ex.task is Task.TAGGING for ex in data.examples)
+        pack = generate_site(spec, RULE).packed
+        assert pack.tagging.all() and len(pack.heads) == 0
 
     def test_gold_labels_follow_rule_before_noise(self):
-        # noise draws come after every example is drawn, so the same site
+        # noise draws come after every input is drawn, so the same site
         # without noise holds the same inputs with the pre-noise labels
         spec = SiteSpec("a", 200, noise_rate=0.5, seed=9)
-        noisy = generate_site(spec, RULE)
-        clean = generate_site(replace(spec, noise_rate=0.0), RULE)
-        flipped = 0
-        for n, c in zip(noisy.examples, clean.examples):
-            inputs = (n.task, tuple(n.tokens), n.head, n.tail)
-            assert inputs == (c.task, tuple(c.tokens), c.head, c.tail)
-            assert np.array_equal(label(c), gold_label(c))
-            flipped += not np.array_equal(label(n), gold_label(n))
-        assert flipped > 0
+        noisy = generate_site(spec, RULE).packed
+        clean = generate_site(replace(spec, noise_rate=0.0), RULE).packed
+        for name in ("tokens", "heads", "tails", "tagging", "starts"):
+            assert np.array_equal(getattr(noisy, name), getattr(clean, name))
+        assert follows_rule(clean)
+        assert (noisy.tags != clean.tags).any() and (noisy.relations != clean.relations).any()
 
     def test_token_shift_changes_vocabulary_slice(self):
-        one = generate_site(SiteSpec("a", 400, seed=10, token_shift=0), RULE)
-        two = generate_site(SiteSpec("a", 400, seed=10, token_shift=3), RULE)
+        one = generate_site(SiteSpec("a", 400, seed=10, token_shift=0), RULE).packed
+        two = generate_site(SiteSpec("a", 400, seed=10, token_shift=3), RULE).packed
 
-        def vocab(data):
-            seen = set()
-            for ex in data.examples:
-                seen.update(int(t) for t in ex.tokens)
-            return seen
+        def vocab(pack):
+            return set(np.concatenate([pack.tokens, pack.heads, pack.tails]).tolist())
 
         assert vocab(one) != vocab(two)
 
+    def test_marked_tokens_are_entities(self):
+        pack = generate_site(SiteSpec("a", 400, dirichlet_alpha=0.3, seed=11), RULE).packed
+        assert (RULE.group(pack.heads) > 0).all() and (RULE.group(pack.tails) > 0).all()
 
-class OracleSampler:
-    """The per-token sampler the generator used to run: one ``rng.choice``
-    per window index and per call for groups, ``p`` renormalized each time.
-    The vectorized sampler must consume the generator draw for draw alike."""
 
-    def __init__(self, rule, spec, rng, full_window=False):
-        self.rule = rule
-        self.rng = rng
-        self.group_probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
-        per_group = rule.tokens_per_group
-        window = per_group if full_window else max(2, per_group // 2)
-        self.windows = {
-            g: (np.arange(window) + spec.token_shift) % per_group for g in range(rule.num_groups)
-        }
-
-    def draw_token(self, group):
-        return self.rule.token_id(group, int(self.rng.choice(self.windows[group])))
-
-    def draw_groups(self, n, entity_only=False):
-        probs = self.group_probs
-        if entity_only:
-            probs = probs[1:] / probs[1:].sum()
-            return self.rng.choice(np.arange(1, self.rule.num_groups), size=n, p=probs)
-        return self.rng.choice(self.rule.num_groups, size=n, p=probs)
-
-    def draw_tokens(self, n):
-        return np.array([self.draw_token(int(g)) for g in self.draw_groups(n)], dtype=np.int64)
+def oracle_pick(probs, u):
+    """The group whose slice of [0, 1) holds ``u``, the slices laid out by
+    cumulative sums normalized by their total."""
+    total, edges = 0.0, []
+    for p in probs:
+        total += float(p)
+        edges.append(total)
+    return next(g for g, edge in enumerate(edges) if u < edge / total)
 
 
 def oracle_tag(rule, token):
@@ -198,72 +175,92 @@ def oracle_tags(rule, tokens):
     return np.array([oracle_tag(rule, int(t)) for t in tokens], dtype=np.int64)
 
 
+def oracle_noise(rng, labels, classes, rate):
+    """Per-label noise, one label at a time: every uniform, then every offset."""
+    if rate <= 0.0:
+        return labels
+    flips = [rng.random() < rate for _ in labels]
+    offsets = [int(rng.integers(1, classes)) for _ in labels]
+    return [(y + o) % classes if f else y for y, f, o in zip(labels, flips, offsets)]
+
+
 def oracle_site(spec, rule):
+    """The site drawn one example at a time with scalar draws, in the
+    generator's order: group mix, lengths, tagging groups, tagging window
+    indices, marked positions, marked groups, marked window indices, tag
+    noise, relation noise."""
     rng = np.random.default_rng(spec.seed)
-    sampler = OracleSampler(rule, spec, rng)
-    gold = []
-    for i in range(spec.n_examples):
-        tokens = sampler.draw_tokens(int(rng.integers(MIN_LEN, MAX_LEN + 1)))
-        if spec.tasks[i % len(spec.tasks)] is Task.TAGGING:
-            gold.append(Example(Task.TAGGING, tokens, tags=oracle_tags(rule, tokens)))
-            continue
-        head, tail = sorted(int(j) for j in rng.choice(len(tokens), size=2, replace=False))
-        for pos in (head, tail):
-            tokens[pos] = sampler.draw_token(int(sampler.draw_groups(1, entity_only=True)[0]))
-        groups = rule.group(int(tokens[head])), rule.group(int(tokens[tail]))
-        label = rule.relation_of(*groups, (tail - head) % 2)
-        gold.append(Example(Task.RELATION, tokens, head=head, tail=tail, relation=label))
-    if spec.noise_rate <= 0.0:
-        return gold
-    noisy = []
-    for ex in gold:
-        if ex.task is Task.TAGGING:
-            tags = ex.tags.copy()
-            for i in np.nonzero(rng.random(len(tags)) < spec.noise_rate)[0]:
-                tags[i] = (tags[i] + int(rng.integers(1, rule.num_tags))) % rule.num_tags
-            noisy.append(replace(ex, tags=tags))
-        elif rng.random() < spec.noise_rate:
-            offset = int(rng.integers(1, rule.num_relations))
-            noisy.append(replace(ex, relation=(ex.relation + offset) % rule.num_relations))
+    probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
+    per_group = rule.tokens_per_group
+    window = max(2, per_group // 2)
+
+    def token(group):
+        return rule.token_id(group, (int(rng.integers(0, window)) + spec.token_shift) % per_group)
+
+    tasks = [spec.tasks[i % len(spec.tasks)] for i in range(spec.n_examples)]
+    lengths = [int(rng.integers(MIN_LEN, MAX_LEN + 1)) for _ in tasks]
+    tagged = [n for n, task in zip(lengths, tasks) if task is Task.TAGGING]
+    sizes = [n for n, task in zip(lengths, tasks) if task is Task.RELATION]
+    groups = [[oracle_pick(probs, rng.random()) for _ in range(n)] for n in tagged]
+    docs = [[token(g) for g in doc] for doc in groups]
+    first = [int(rng.integers(0, n)) for n in sizes]
+    second = [int(rng.integers(0, n - 1)) for n in sizes]
+    places = [sorted((f, s + (s >= f))) for f, s in zip(first, second)]
+    marked_groups = [[1 + oracle_pick(probs[1:], rng.random()) for _ in range(2)] for _ in sizes]
+    marked = [[token(g) for g in pair] for pair in marked_groups]
+    labels = [oracle_relation(rule, rule.group(h), rule.group(t), (tail - head) % 2)
+              for (h, t), (head, tail) in zip(marked, places)]
+    tags = oracle_noise(rng, [oracle_tag(rule, t) for doc in docs for t in doc],
+                        rule.num_tags, spec.noise_rate)
+    labels = oracle_noise(rng, labels, rule.num_relations, spec.noise_rate)
+    tag_rows, pairs = iter(docs), iter(zip(sizes, places, marked, labels))
+    examples, t = [], 0
+    for task in tasks:
+        if task is Task.TAGGING:
+            doc = next(tag_rows)
+            examples.append(Example(Task.TAGGING, doc, tags=tags[t:t + len(doc)]))
+            t += len(doc)
         else:
-            noisy.append(ex)
-    return noisy
+            size, (head, tail), (head_token, tail_token), label = next(pairs)
+            # unmarked places are never drawn; the head token stands in
+            tokens = [head_token] * size
+            tokens[tail] = tail_token
+            examples.append(Example(Task.RELATION, tokens, head=head, tail=tail, relation=label))
+    return Pack.of(examples)
 
 
 def oracle_validation_set(rule, n_v, seed):
-    spec = SiteSpec("validation", n_v, seed=seed)
     rng = np.random.default_rng(seed)
-    sampler = OracleSampler(rule, spec, rng, full_window=True)
+    probs = rng.dirichlet([1e6] * rule.num_groups)
     e = rule.num_entity_types
+    lengths = [int(rng.integers(MIN_LEN, MAX_LEN + 1)) for _ in range(0, n_v, 2)]
+    groups = [[oracle_pick(probs, rng.random()) for _ in range(n)] for n in lengths]
+    docs = [[rule.token_id(g, int(rng.integers(0, rule.tokens_per_group))) for g in doc]
+            for doc in groups]
     examples = []
     for i in range(n_v):
-        tokens = sampler.draw_tokens(int(rng.integers(MIN_LEN, MAX_LEN + 1)))
+        k = i // 2
         if i % 2 == 0:
-            tag = (i // 2) % rule.num_tags
-            group, role = (0, 0) if tag == 0 else ((tag - 1) // 2 + 1, (tag - 1) % 2)
-            tokens[0] = rule.token_id(group, role)
-            examples.append(Example(Task.TAGGING, tokens, tags=oracle_tags(rule, tokens)))
+            tag = k % rule.num_tags
+            docs[k][0] = next(v for v in range(rule.vocab_size) if oracle_tag(rule, v) == tag)
+            examples.append(Example(Task.TAGGING, docs[k], tags=oracle_tags(rule, docs[k])))
         else:
-            k = i // 2
             head_group, tail_group = (k // e) % e + 1, k % e + 1
-            tokens[0], tokens[2] = rule.token_id(head_group, 0), rule.token_id(tail_group, 0)
-            label = rule.relation_of(head_group, tail_group, 0)
-            examples.append(Example(Task.RELATION, tokens, head=0, tail=2, relation=label))
-    return examples
+            head, tail = rule.token_id(head_group, 0), rule.token_id(tail_group, 0)
+            label = oracle_relation(rule, head_group, tail_group, 0)
+            examples.append(Example(Task.RELATION, [head, head, tail], head=0, tail=2,
+                                    relation=label))
+    return Pack.of(examples)
 
 
-def assert_bitwise_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.task, g.head, g.tail, g.relation) == (w.task, w.head, w.tail, w.relation)
-        for a, b in ((g.tokens, w.tokens), (g.tags, w.tags)):
-            if b is None:
-                assert a is None
-            else:
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+def assert_packs_equal(got, want):
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.ranges == want.ranges
 
 
-class TestPerTokenOracle:
+class TestPerExampleOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         groups_of_five=st.integers(2, 24),
@@ -274,21 +271,21 @@ class TestPerTokenOracle:
         tasks=st.lists(st.sampled_from(list(Task)), min_size=1, max_size=2, unique=True),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_vectorized_draws_match_per_token_sampler(
+    def test_whole_site_draws_match_per_example_loop(
         self, groups_of_five, n_examples, alpha, noise_rate, token_shift, tasks, seed
     ):
         rule = PlantedRule(vocab_size=5 * groups_of_five)
         spec = SiteSpec("a", n_examples, alpha, noise_rate, tuple(tasks), token_shift, seed)
-        assert_bitwise_equal(generate_site(spec, rule).examples, oracle_site(spec, rule))
-        assert_bitwise_equal(
-            make_validation_set(rule, n_examples, seed).examples,
+        assert_packs_equal(generate_site(spec, rule).packed, oracle_site(spec, rule))
+        assert_packs_equal(
+            make_validation_set(rule, n_examples, seed).packed,
             oracle_validation_set(rule, n_examples, seed),
         )
 
     def test_site_without_entity_mass_cannot_mark_a_pair(self):
         # at alpha 0.01, seed 31 draws all group mass onto group 0, outside
         spec = SiteSpec("a", 5, dirichlet_alpha=0.01, tasks=(Task.TAGGING,), seed=31)
-        assert all(not ex.tags.any() for ex in generate_site(spec, RULE).examples)
+        assert not generate_site(spec, RULE).packed.tags.any()
         with pytest.raises(FieldError, match="dirichlet_alpha"):
             generate_site(replace(spec, tasks=(Task.RELATION,)), RULE)
 
@@ -297,25 +294,19 @@ class TestValidationSet:
     def test_five_records(self):
         val = make_validation_set(RULE, 5, seed=11)
         assert len(val) == 5
-        assert {ex.task for ex in val.examples} == {Task.TAGGING, Task.RELATION}
+        assert val.packed.tagging.tolist() == [True, False, True, False, True]
 
     def test_noise_free(self):
-        val = make_validation_set(RULE, 20, seed=12)
-        for ex in val.examples:
-            assert np.array_equal(label(ex), gold_label(ex))
+        pack = make_validation_set(RULE, 20, seed=12).packed
+        even, _ = gold_pair_labels(pack)
+        assert np.array_equal(pack.tags, RULE.tags_of(pack.tokens))
+        assert np.array_equal(pack.relations, even)
 
     def test_every_class_appears_for_large_enough_set(self):
         n_v = 4 * RULE.num_tags
-        val = make_validation_set(RULE, n_v, seed=13)
-        tags_seen = set()
-        rels_seen = set()
-        for ex in val.examples:
-            if ex.task is Task.TAGGING:
-                tags_seen.update(int(t) for t in ex.tags)
-            else:
-                rels_seen.add(ex.relation)
-        assert tags_seen == set(range(RULE.num_tags))
-        assert rels_seen == set(range(RULE.num_relations))
+        pack = make_validation_set(RULE, n_v, seed=13).packed
+        assert set(pack.tags.tolist()) == set(range(RULE.num_tags))
+        assert set(pack.relations.tolist()) == set(range(RULE.num_relations))
 
 
 class TestShard:
@@ -326,9 +317,7 @@ class TestShard:
         pool = self.make_pool(50)
         shards = shard(pool, 1, seed=15)
         assert len(shards) == 1
-        assert Counter(map(example_key, shards[0].examples)) == Counter(
-            map(example_key, pool.examples)
-        )
+        assert Counter(example_keys(shards[0].packed)) == Counter(example_keys(pool.packed))
 
     def test_ten_even_shards(self):
         pool = self.make_pool(1000)
@@ -346,8 +335,8 @@ class TestShard:
         shards = shard(pool, 4, seed=18)
         union = Counter()
         for s in shards:
-            union.update(map(example_key, s.examples))
-        assert union == Counter(map(example_key, pool.examples))
+            union.update(example_keys(s.packed))
+        assert union == Counter(example_keys(pool.packed))
 
     def test_too_many_shards_rejected(self):
         pool = self.make_pool(5)
@@ -359,6 +348,4 @@ class TestShard:
         one = shard(pool, 3, seed=20)
         two = shard(pool, 3, seed=20)
         for s1, s2 in zip(one, two):
-            assert list(map(example_key, s1.examples)) == list(
-                map(example_key, s2.examples)
-            )
+            assert pack_key(s1.packed) == pack_key(s2.packed)

@@ -36,29 +36,28 @@ def oracle_doc_counts(model, rule, test):
     """The count tables scored one example at a time: tagging documents by
     span matching, relation documents by general relation matching on
     instances whose arguments are the marked tokens typed by the rule."""
-
-    def marked_span(tokens, pos):
-        return Span(pos, pos + 1, rule.group(int(tokens[pos])))
-
+    pack = test.packed
     tables = {(task, scheme): [] for task in Task for scheme in Scheme}
-    tag_probs, rel_probs = forward(model, test.packed)
+    tag_probs, rel_probs = forward(model, pack)
     tag_pred, rel_pred = tag_probs.argmax(axis=1), rel_probs.argmax(axis=1)
-    offset = pair = 0
-    for ex in test.examples:
-        if ex.task is Task.TAGGING:
-            pred_tags = tag_pred[offset : offset + len(ex.tokens)]
-            offset += len(ex.tokens)
-            gold, pred = decode_bio(ex.tags), decode_bio(pred_tags)
-            count = span_counts
+    doc = pair = 0
+    for tagged in pack.tagging:
+        if tagged:
+            start, end = pack.starts[doc], pack.starts[doc + 1]
+            doc += 1
+            gold, pred = decode_bio(pack.tags[start:end]), decode_bio(tag_pred[start:end])
+            count, task = span_counts, Task.TAGGING
         else:
-            head = marked_span(ex.tokens, ex.head)
-            tail = marked_span(ex.tokens, ex.tail)
-            gold = [RelationInstance(head, tail, ex.relation)]
+            # the pack keeps the marked tokens, not their places; any two
+            # distinct one-token spans stand for them
+            head = Span(0, 1, rule.group(int(pack.heads[pair])))
+            tail = Span(1, 2, rule.group(int(pack.tails[pair])))
+            gold = [RelationInstance(head, tail, int(pack.relations[pair]))]
             pred = [RelationInstance(head, tail, int(rel_pred[pair]))]
             pair += 1
-            count = relation_counts
+            count, task = relation_counts, Task.RELATION
         for scheme in Scheme:
-            tables[(ex.task, scheme)].append(count(gold, pred, scheme))
+            tables[(task, scheme)].append(count(gold, pred, scheme))
     return {key: np.array(table, dtype=np.int64) for key, table in tables.items() if table}
 
 
@@ -78,8 +77,7 @@ class TestPredictions:
         model = gold_tagging_model()
         site = generate_site(SiteSpec("a", 50, seed=3, tasks=(Task.TAGGING,)), RULE)
         tag_probs, _ = forward(model, site.packed)
-        gold = np.concatenate([ex.tags for ex in site.examples])
-        assert np.array_equal(tag_probs.argmax(axis=1), gold)
+        assert np.array_equal(tag_probs.argmax(axis=1), site.packed.tags)
 
     def test_predict_relation_returns_class_index(self):
         model = ToyModel.build(CFG)
@@ -93,22 +91,19 @@ class TestMakeTestSplit:
         spec = SiteSpec("a", 500, noise_rate=0.4, seed=4, tasks=(Task.TAGGING,))
         test = make_test_split(spec, 100, RULE)
         assert len(test) == 100
-        assert {ex.task for ex in test.examples} == {Task.TAGGING, Task.RELATION}
-        for ex in test.examples:
-            if ex.task is Task.TAGGING:
-                assert np.array_equal(ex.tags, RULE.tags_of(ex.tokens))
-            else:
-                parity = (ex.tail - ex.head) % 2
-                groups = RULE.group(int(ex.tokens[ex.head])), RULE.group(int(ex.tokens[ex.tail]))
-                assert ex.relation == RULE.relation_of(*groups, parity)
+        pack = test.packed
+        assert pack.tagging.any() and not pack.tagging.all()
+        assert np.array_equal(pack.tags, RULE.tags_of(pack.tokens))
+        # the label of a pair is its group cell's, at one parity of its distance
+        groups = RULE.group(pack.heads), RULE.group(pack.tails)
+        allowed = RULE.relation_of(*groups, 0), RULE.relation_of(*groups, 1)
+        assert ((pack.relations == allowed[0]) | (pack.relations == allowed[1])).all()
 
     def test_disjoint_from_training_seed(self):
         spec = SiteSpec("a", 100, seed=5)
         train = generate_site(spec, RULE)
         test = make_test_split(spec, 100, RULE)
-        train_keys = {tuple(ex.tokens) for ex in train.examples}
-        test_keys = {tuple(ex.tokens) for ex in test.examples}
-        assert train_keys != test_keys
+        assert not np.array_equal(train.packed.tokens, test.packed.tokens)
 
 
 class TestEvaluateModel:

@@ -100,7 +100,7 @@ class TestDegeneracies:
         initial = backbone.init_adapters(derive_seed(config.seed, "adapter_init"))
         expected = train_alone(
             ToyModel(backbone, initial),
-            sites[0].examples,
+            sites[0].packed,
             SGD,
             derive_seed(config.seed, "local", 0),
         )
@@ -143,11 +143,11 @@ class TestInfluenceReduction:
 
         def twins():
             # new datasets for each run, so neither shares the other's round 0
-            return [SiteDataset(replace(site.spec, site_id=cid), site.examples)
+            return [SiteDataset(replace(site.spec, site_id=cid), site.packed)
                     for cid in ("site0", "site1")]
 
         backbone = Backbone.build(MODEL_CFG)
-        val = make_validation_set(RULE, 10, seed=5).examples
+        val = make_validation_set(RULE, 10, seed=5).packed
         plain = run_federation(fed_config(Strategy.FEDAVG, 2), twins(), val, backbone)
         plus = run_federation(fed_config(Strategy.INFLUENCE, 2), twins(), val, backbone)
         assert adapters_equal(plain.adapters, plus.adapters)
@@ -156,7 +156,7 @@ class TestInfluenceReduction:
 
     def test_influence_weights_recorded_in_transcript(self):
         sites = make_sites(2, seed=200)
-        val = make_validation_set(RULE, 10, seed=6).examples
+        val = make_validation_set(RULE, 10, seed=6).packed
         result = run_federation(
             fed_config(Strategy.INFLUENCE, 2), sites, val, Backbone.build(MODEL_CFG)
         )
@@ -176,7 +176,7 @@ class TestInfluenceReduction:
 class TestDeterminismAndIsolation:
     def test_bit_identical_reruns(self):
         sites = make_sites(3, seed=300)
-        val = make_validation_set(RULE, 10, seed=7).examples
+        val = make_validation_set(RULE, 10, seed=7).packed
         backbone = Backbone.build(MODEL_CFG)
         config = fed_config(Strategy.INFLUENCE, 3, rounds=2, seed=17)
         one = run_federation(config, sites, val, backbone)
@@ -305,7 +305,7 @@ class TestUnevenTasks:
         sites = make_sites(2, seed=600, tasks=(Task.TAGGING,))
         declared_all = [
             SiteDataset(replace(site.spec, tasks=(Task.TAGGING, Task.RELATION)),
-                        site.examples)
+                        site.packed)
             for site in sites
         ]
         backbone = Backbone.build(MODEL_CFG)
@@ -335,7 +335,7 @@ class TestUnevenTasks:
         site = make_sites(1, seed=620)[0]
         bad_spec = replace(site.spec, tasks=(Task.TAGGING,))
         with pytest.raises(ValueError):
-            SiteDataset(bad_spec, site.examples)
+            SiteDataset(bad_spec, site.packed)
 
 
 class TestValidationErrors:

@@ -9,12 +9,10 @@ two-point scale.csv fails here.  ``compare`` and ``comm-report``, which
 train nothing, are pinned on fixed inputs: compare.csv over two hand-written
 results files and comm_report.csv for the LLaMA3-8B preset.
 
-The pins were taken with numpy 2.4.6.  The synthetic data relies on two
-details of numpy's generator: ``Generator.choice(..., p=p)`` searches
-``cumsum(p) / cumsum(p)[-1]`` with one uniform double per draw, and PCG64
-buffers the 32-bit halves of its outputs across bounded-integer calls
-(``fedlora.datasim`` reproduces both with array draws).  A numpy upgrade
-that fails these pins points to ``datasim`` first.
+The pins were taken with numpy 2.4.6.  The synthetic data relies on
+numpy's ``Generator`` streams for ``dirichlet``, ``random`` and bounded
+``integers`` (``fedlora.datasim`` draws each site in whole-site calls of
+these).  A numpy upgrade that fails these pins points to ``datasim`` first.
 """
 
 import hashlib
@@ -26,18 +24,17 @@ from fedlora.cli import main
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "two_site.yaml")
 
-# transcript.json was re-pinned when the kernel moved to the whole
-# vocabulary: a mini-batch's tagging loss and gradient now sum per (token
-# id, gold tag) weights instead of per token, so the adapter checksums and
-# the validation losses and weights moved in their last bits (relative
-# 1.5e-15); the other files held.
+# results.csv, transcript.json and scale.csv were re-pinned when sites
+# came to be drawn in whole-site calls straight into their packs: every
+# dataset changed, while comm.csv and comm_preset.csv, which depend only
+# on adapter shapes and sampling, held.
 GOLDEN = {
-    "results.csv": "900fdc5d1105df7d50b780c36beefbcc0c69563012edc19a2b11380f487141ab",
-    "transcript.json": "d3978e816133a74db00babe9f895f0dd5dba71840a0c9055d317642fc3b512cd",
+    "results.csv": "b2142cfe99339d48dd88b0ed7af97e7f4ebb6a46d25f1a364e5104957746933d",
+    "transcript.json": "1d57a0c0adda0609c9e629b535013faacc22f67f93c3e29e85b5c79d7fd01efc",
     "comm.csv": "ef6b3195852081a756837a52adbfc2d3c1a3099e385c3eedf8ae555d34b31ad2",
     "comm_preset.csv": "9d32d2f89edd98e124f7ae41b7e9cf3e01f6067b429cf696b3d1901854b62a99",
 }
-SCALE_GOLDEN = "9188474d12f0cc06b7ec9192292dff557409b3d5fb3fd810c45c5adf6c2feba4"
+SCALE_GOLDEN = "0469abfc6b3485b1a1140e9a06c6ac1ed6060044b46cf50615bd33ad4c670696"
 
 
 def golden_config() -> dict:

@@ -18,7 +18,7 @@ from fedlora.metrics import (
     span_counts,
     wilcoxon_rank_sum,
 )
-from fedlora.model import ModelConfig, Task, ToyModel, forward
+from fedlora.model import Example, ModelConfig, Task, ToyModel, forward
 from span_oracle import decode_bio as list_decode_bio
 from span_oracle import span_counts as list_span_counts
 from span_oracle import to_lists, to_spans
@@ -206,7 +206,9 @@ class TestSpanF1:
         model = ToyModel.build(ModelConfig(60, 16, 9, 16, rank=4, alpha=8.0, seed=2))
         test = make_test_split(SiteSpec("a", 30, seed=3), 30, rule)
         reports = evaluate_model(model, test)
-        docs = [ex for ex in test.examples if ex.task is Task.TAGGING]
+        pack = test.packed
+        docs = [Example(Task.TAGGING, pack.tokens[start:end], tags=pack.tags[start:end])
+                for start, end in zip(pack.starts[:-1], pack.starts[1:])]
         for scheme in Scheme:
             counts = []
             for ex in docs:  # each document forwarded and decoded on its own

@@ -15,6 +15,7 @@ from fedlora.model import (
     LabelRangeError,
     Lanes,
     ModelConfig,
+    Pack,
     SgdConfig,
     Task,
     TokenRangeError,
@@ -61,6 +62,53 @@ def mixed_batch(seed, n=8, cfg=SMALL):
         else:
             batch.append(relation_example(rng, cfg.vocab_size, cfg.relation_classes))
     return batch
+
+
+@st.composite
+def examples(draw):
+    """A hand-built list of 1-6 examples, tagging or relation, whose tokens
+    and labels may lie outside any model's range."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        tokens = draw(st.lists(st.integers(-3, 40), min_size=1, max_size=5))
+        if len(tokens) < 2 or draw(st.booleans()):
+            tags = draw(st.lists(st.integers(-2, 12), min_size=len(tokens), max_size=len(tokens)))
+            out.append(Example(Task.TAGGING, tokens, tags=tags))
+        else:
+            head, tail = draw(st.permutations(range(len(tokens))))[:2]
+            out.append(Example(Task.RELATION, tokens, head=head, tail=tail,
+                               relation=draw(st.integers(-2, 20))))
+    return out
+
+
+PACK_FIELDS = ("tokens", "tags", "shares", "heads", "tails", "relations", "tagging", "starts")
+
+
+def assert_same_arrays(got: Pack, want: Pack):
+    for name in PACK_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestPack:
+    @settings(max_examples=200, deadline=None)
+    @given(a=examples(), b=examples())
+    def test_concat_equals_packing_the_joined_list(self, a, b):
+        got = Pack.concat([Pack.of(a), Pack.of(b)])
+        assert_same_arrays(got, Pack.of(a + b))
+        assert got.ranges == Pack.of(a + b).ranges
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=examples(), data=st.data())
+    def test_take_equals_packing_the_picked_examples(self, a, data):
+        rows = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=8))
+        got = Pack.of(a).take(rows)
+        want = Pack.of([a[i] for i in rows])
+        assert_same_arrays(got, want)
+        # a taken pack keeps its parent's ranges, which bound its own
+        assert got.ranges == Pack.of(a).ranges
+        for kind, (lo, hi) in want.ranges.items():
+            assert got.ranges[kind][0] <= lo <= hi <= got.ranges[kind][1]
 
 
 class TestToyModel:
@@ -191,6 +239,12 @@ class TestForward:
         model = ToyModel.build(SMALL)
         with pytest.raises(TokenRangeError):
             forward(model, [Example(Task.TAGGING, [0, 99], tags=[0, 0])])
+
+    def test_out_of_range_unmarked_token_rejected(self):
+        # a pair reads only its marked tokens, but packing measures them all
+        model = ToyModel.build(SMALL)
+        with pytest.raises(TokenRangeError):
+            forward(model, [Example(Task.RELATION, [0, 99, 1], head=0, tail=2, relation=0)])
 
     @pytest.mark.parametrize(
         "kind,label", [("tag", -1), ("tag", 9), ("relation", -1), ("relation", 16)]
