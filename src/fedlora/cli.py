@@ -73,9 +73,9 @@ def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
 
 def _seed_run(config: ExperimentConfig, seed: int):
     """One master seed's set-up, shared by ``run`` and ``scale-study``: the
-    re-seeded config, its training sites, and a function that trains one
-    strategy on given sites and scores it on every test split (external
-    sites included)."""
+    re-seeded config, its training sites, and a function that trains given
+    strategies together on given sites and scores each, in order, on every
+    test split (external sites included)."""
     cfg = config.with_seed(seed)
     rule = PlantedRule(cfg.model.vocab_size)
     backbone = Backbone.build(cfg.model)
@@ -87,10 +87,17 @@ def _seed_run(config: ExperimentConfig, seed: int):
     for split in (*sites, val, *tests):
         backbone.check_ranges(split.packed)
 
-    def train_and_score(fed_cfg: FederationConfig, train_sites):
-        with located(f"seed {seed}, strategy {fed_cfg.strategy.value}"):
-            result = run_federation(fed_cfg, train_sites, val.packed, backbone)
-            return result, evaluate_result(result, backbone, tests, cfg.eval.bootstrap, seed=cfg.seed)
+    def train_and_score(fed_cfgs: list[FederationConfig], train_sites):
+        """(result, metric rows) of each config, trained by one
+        ``run_federation`` call."""
+        with located(f"seed {seed}"):
+            results = run_federation(fed_cfgs, train_sites, val.packed, backbone)
+        scored = []
+        for result in results:
+            with located(f"seed {seed}, strategy {result.config.strategy.value}"):
+                scored.append((result, evaluate_result(result, backbone, tests,
+                                                       cfg.eval.bootstrap, seed=cfg.seed)))
+        return scored
 
     return cfg, sites, train_and_score
 
@@ -101,9 +108,9 @@ def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int]) -> int:
     all_comm = []
     for seed in seeds:
         cfg, sites, train_and_score = _seed_run(config, seed)
-        for strategy in cfg.strategies():
-            fed_cfg = replace(cfg.federation, strategy=strategy)
-            result, metric_rows = train_and_score(fed_cfg, sites)
+        fed_cfgs = [replace(cfg.federation, strategy=strategy) for strategy in cfg.strategies()]
+        for result, metric_rows in train_and_score(fed_cfgs, sites):
+            strategy = result.config.strategy
             all_rows.extend({**asdict(r), "seed": seed} for r in metric_rows)
             all_runs.append(
                 {
@@ -150,10 +157,10 @@ def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
         pool = pool_sites(sites)
         for k in k_list:
             shards = shard(pool, k, derive_seed(cfg.seed, "shard", k))
-            for strategy in SCALE_STRATEGIES:
-                # shards always run full participation
-                fed_cfg = replace(cfg.federation, strategy=strategy, clients_per_round=k)
-                _, metric_rows = train_and_score(fed_cfg, shards)
+            # shards always run full participation
+            fed_cfgs = [replace(cfg.federation, strategy=strategy, clients_per_round=k)
+                        for strategy in SCALE_STRATEGIES]
+            for _, metric_rows in train_and_score(fed_cfgs, shards):
                 rows.extend({"k": k, **asdict(r), "seed": seed} for r in metric_rows)
     _write_csv(os.path.join(out_dir, "scale.csv"), SCALE_FIELDS, rows)
     print(f"wrote {len(rows)} scale rows to {os.path.join(out_dir, 'scale.csv')}")

@@ -21,7 +21,6 @@ per-example object is ever built.  ``shard`` takes a pack's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -133,12 +132,6 @@ class SiteDataset:
 
     def __len__(self) -> int:
         return len(self.packed)
-
-    @cached_property
-    def first_updates(self) -> dict:
-        """Round-0 local updates trained on this site, filled by the round
-        loop; like the pack, the memo lives and dies with the dataset."""
-        return {}
 
 
 def _tokens(rule: PlantedRule, rng: np.random.Generator, probs: np.ndarray, n: int,

@@ -1,23 +1,31 @@
-"""The communication-round protocol: sampling, local updates trained as
-lanes of one call in ascending client id, server aggregation, and the
-baseline strategies.
+"""The communication-round protocol: sampling, local updates, server
+aggregation, and the baseline strategies.
 
 Only adapter sets ever cross the client boundary; the per-round transcript
 accounts every byte that moved.  Runs are bit-deterministic given
 (config, data, seed): client sampling derives from (seed, round), the local
 shuffle seed derives from the round alone (so clients holding identical
 data produce identical updates), a lane trains bit for bit as it would
-alone, and aggregation sums in ascending client-id order.  A round-0
-update is trained once per site and distinct (backbone, start, sgd, local
-seed) and shared by every strategy that asks for it, so sharing never
-changes an output.
+alone, and aggregation sums in ascending client-id order.
+
+Each strategy runs as round loops (one, or one per site for
+``single_site``), and ``run_federation`` runs a seed's strategies
+together: round t's local updates of every loop train as the lanes of one
+``local_update`` call, in run order and then ascending client id.  Lanes
+with the same start set, pack and local seed train once, as the round-0
+updates of every strategy but ``centralized`` do, so sharing never changes
+an output.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
+from collections.abc import Callable, Generator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,45 +153,30 @@ def located(place: str):
         raise
 
 
-def _trained(models: list[ToyModel], sites: list[SiteDataset], sgd: SgdConfig, seed: int,
-             first_round: bool) -> list[AdapterSet]:
-    """Each ``models[i]``'s local update on ``sites[i]``, the sites in
-    ascending id, trained as the lanes of one ``local_update`` call.  A
-    round-0 update is trained once per distinct (backbone, adapters, sgd,
-    seed) and kept on the site, so the strategies that start from the same
-    initial set share it bit for bit; a lane that finds its update kept
-    leaves the call.  Later rounds start from a strategy's own aggregate
-    and never repeat, so they are not kept: that would hold rounds x
-    clients sets.  The entry keeps the backbone it keys by identity, so the
-    id cannot be reused while the entry lives."""
-    out: list[AdapterSet | None] = [None] * len(models)
-    if first_round:
-        keys = [(id(m.frozen), m.adapters.checksum(), sgd, seed) for m in models]
-        for i, (site, key) in enumerate(zip(sites, keys)):
-            if key in site.first_updates:
-                out[i] = site.first_updates[key][1]
-    misses = [i for i, adapters in enumerate(out) if adapters is None]
-    if misses:
-        lanes = Lanes.of([sites[i].packed for i in misses])
-        try:
-            trained = local_update([models[i] for i in misses], lanes, sgd, [seed] * len(misses))
-        except Diverged as err:
-            err.add_note(f"client {sites[misses[err.lane]].spec.site_id!r}")
-            raise
-        for i, adapters in zip(misses, trained):
-            out[i] = adapters
-            if first_round:
-                sites[i].first_updates[keys[i]] = (models[i].frozen, adapters)
-    return out
+class _Lane(NamedTuple):
+    """A local update as a round loop asks for it: the client's start
+    model, its site and the round's local shuffle seed."""
+
+    model: ToyModel
+    site: SiteDataset
+    seed: int
 
 
-def _run_protocol(
+# a round loop yields each round's lanes and is sent their updates in order
+RoundLoop = Generator[list[_Lane], list[AdapterSet], FederationResult]
+
+
+def _round_loop(
     config: FederationConfig,
     sites: list[SiteDataset],
     val_set: Pack | None,
     backbone: Backbone,
     initial: AdapterSet,
-) -> FederationResult:
+) -> RoundLoop:
+    """The round protocol of ``config`` over ``sites``.  Each round yields
+    its lanes, one per sampled client in ascending id, and is sent their
+    updates in that order; an error thrown in at the yield is that round's
+    local update's."""
     share_a = config.strategy is Strategy.SHARE_A
     by_id = {site.spec.site_id: site for site in sites}
     ids = sorted(by_id)
@@ -206,8 +199,8 @@ def _run_protocol(
                 _with_client_b(global_adapters, retained_b[cid]) if share_a else global_adapters
                 for cid in sampled
             ]
-            trained = _trained([model.with_adapters(start) for start in starts],
-                               [by_id[cid] for cid in sampled], config.sgd, local_seed, t == 0)
+            trained = yield [_Lane(model.with_adapters(start), by_id[cid], local_seed)
+                             for cid, start in zip(sampled, starts)]
             updated = dict(zip(sampled, trained))
 
             val_losses = None
@@ -254,45 +247,147 @@ def _run_protocol(
     return FederationResult(config, global_adapters, transcripts, client_adapters)
 
 
-def run_federation(
+def _plan(
     config: FederationConfig,
     sites: list[SiteDataset],
     val_set: Pack | None,
     backbone: Backbone,
-) -> FederationResult:
-    """Execute the configured strategy over the given sites.
+) -> tuple[list[RoundLoop], Callable[[list[FederationResult]], FederationResult]]:
+    """``config``'s round loops, in run order, and the function that makes
+    its result of theirs.
 
-    ZERO_SHOT returns the freshly initialised adapters (zero B, so the
-    merged model equals the backbone).  CENTRALIZED trains one pseudo-client
-    holding the pooled data through the same round loop, so its compute
+    ZERO_SHOT runs no loop: its result is the freshly initialised adapters
+    (zero B, so the merged model equals the backbone).  CENTRALIZED runs
+    one loop on a pseudo-client holding the pooled data, so its compute
     budget is rounds x epochs like every federated client.  SINGLE_SITE
-    trains each site independently on the same budget and returns
-    per-site adapters; metric averaging happens at evaluation time.
+    runs one loop per site on the same budget and returns per-site
+    adapters; metric averaging happens at evaluation time.
+    """
+    if config.strategy is Strategy.INFLUENCE and not val_set:
+        raise ValueError("influence-weighted aggregation requires a validation set")
+    initial = backbone.init_adapters(derive_seed(config.seed, "adapter_init"))
+    if config.strategy is Strategy.ZERO_SHOT:
+        return [], lambda results: FederationResult(config, initial, [])
+    # the pooled data and each lone site run the round loop as one client
+    solo = replace(config, clients_per_round=1)
+    if config.strategy is Strategy.CENTRALIZED:
+        pooled = pool_sites(sites)
+        return [_round_loop(solo, [pooled], val_set, backbone, initial)], itemgetter(0)
+    if config.strategy is Strategy.SINGLE_SITE:
+        loops = [_round_loop(solo, [site], val_set, backbone, initial) for site in sites]
+        return loops, lambda results: FederationResult(config, None, [], {
+            site.spec.site_id: result.adapters for site, result in zip(sites, results)})
+    return [_round_loop(config, sites, val_set, backbone, initial)], itemgetter(0)
+
+
+def _distinct(lanes: list[_Lane]) -> tuple[list[int], list[int]]:
+    """Each lane's index among the lanes that train differently, and the
+    first lane of each index.  Lanes on one pack with one seed train alike
+    when their start sets hold the same bits; only they are checksummed."""
+    near = [(id(lane.site.packed), lane.seed) for lane in lanes]
+    repeats = Counter(near)
+    keys = [key + (lane.model.adapters.checksum(),) if repeats[key] > 1 else key
+            for key, lane in zip(near, lanes)]
+    index: dict[tuple, int] = {}
+    of = [index.setdefault(key, len(index)) for key in keys]
+    return of, [of.index(u) for u in range(len(index))]
+
+
+def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[FederationResult]:
+    """Every loop's result, the loops run round by round: round t's lanes of
+    every live loop, in run order, train as one ``local_update`` call, and
+    equal lanes train once.
+
+    Errors come out as if the loops ran one after another.  A loop that
+    raises ends, and so does every loop after it; the loops before it run
+    on, and a call that raised is run again without the ended loops'
+    lanes.  The first failing loop's error is raised at the end, noted
+    with its strategy ``names[i]``."""
+    results: list[FederationResult] = [None] * len(loops)
+    updates: list[list[AdapterSet] | None] = [None] * len(loops)
+    failure: Exception | None = None
+
+    def end(pos: int, err: Exception) -> None:
+        nonlocal failure
+        err.add_note(f"strategy {names[pos]}")
+        failure = err
+        for later in loops[pos + 1:]:
+            later.close()
+
+    live = range(len(loops))
+    while live:
+        asks: list[tuple[int, list[_Lane]]] = []
+        for pos in live:
+            try:
+                asks.append((pos, loops[pos].send(updates[pos])))
+            except StopIteration as done:
+                results[pos] = done.value
+            except Exception as err:
+                end(pos, err)
+                break
+        while asks:
+            lanes = [lane for _, its in asks for lane in its]
+            of, firsts = _distinct(lanes)
+            try:
+                trained = local_update([lanes[j].model for j in firsts],
+                                       Lanes.of([lanes[j].site.packed for j in firsts]), sgd,
+                                       [lanes[j].seed for j in firsts])
+            except Exception as err:
+                # the lane that diverged, else the call's first, is the
+                # first asking loop's: that loop raises, as it would alone
+                j = firsts[err.lane if isinstance(err, Diverged) else 0]
+                if isinstance(err, Diverged):
+                    err.add_note(f"client {lanes[j].site.spec.site_id!r}")
+                pos = [owner for owner, its in asks for _ in its][j]
+                try:
+                    loops[pos].throw(err)
+                except Exception as raised:
+                    end(pos, raised)
+                asks = [ask for ask in asks if ask[0] < pos]
+                continue
+            done = iter(of)
+            for pos, its in asks:
+                updates[pos] = [trained[next(done)] for _ in its]
+            break
+        live = [pos for pos, _ in asks]
+    if failure is not None:
+        raise failure
+    return results
+
+
+def run_federation(
+    configs: Sequence[FederationConfig],
+    sites: list[SiteDataset],
+    val_set: Pack | None,
+    backbone: Backbone,
+) -> list[FederationResult]:
+    """Execute each config's strategy over the given sites: one result per
+    config, in order.  The configs share one ``SgdConfig``; they may differ
+    in anything else.
+
+    The strategies train together, round by round: round t's local
+    updates of every strategy train as the lanes of one ``local_update``
+    call, and lanes with the same start set, pack and local seed train
+    once.  A lane trains bit for bit as it would alone, so each result is
+    the strategy's alone, and errors come out as if the strategies ran one
+    after another in order (see ``_lockstep``); each is noted with its
+    strategy.
     """
     if not sites:
         raise ValueError("no sites")
     ids = [site.spec.site_id for site in sites]
     if len(set(ids)) != len(ids):
         raise ValueError("site ids must be unique")
-    if config.strategy is Strategy.INFLUENCE and not val_set:
-        raise ValueError("influence-weighted aggregation requires a validation set")
-
-    initial = backbone.init_adapters(derive_seed(config.seed, "adapter_init"))
-
-    if config.strategy is Strategy.ZERO_SHOT:
-        return FederationResult(config, initial, [])
-
-    # the pooled data and each lone site run the round loop as one client
-    solo = replace(config, clients_per_round=1)
-    if config.strategy is Strategy.CENTRALIZED:
-        pooled = pool_sites(sites)
-        return _run_protocol(solo, [pooled], val_set, backbone, initial)
-
-    if config.strategy is Strategy.SINGLE_SITE:
-        client_adapters = {}
-        for site in sites:
-            result = _run_protocol(solo, [site], val_set, backbone, initial)
-            client_adapters[site.spec.site_id] = result.adapters
-        return FederationResult(config, None, [], client_adapters)
-
-    return _run_protocol(config, sites, val_set, backbone, initial)
+    if any(config.sgd != configs[0].sgd for config in configs):
+        raise ValueError("strategies trained together must share one SgdConfig")
+    loops: list[RoundLoop] = []
+    names: list[str] = []
+    finishes = []
+    for config in configs:
+        with located(f"strategy {config.strategy.value}"):
+            its, finish = _plan(config, sites, val_set, backbone)
+        finishes.append((len(loops), len(loops) + len(its), finish))
+        loops += its
+        names += [config.strategy.value] * len(its)
+    results = _lockstep(loops, names, configs[0].sgd) if loops else []
+    return [finish(results[lo:hi]) for lo, hi, finish in finishes]

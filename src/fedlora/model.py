@@ -288,6 +288,10 @@ class Pack:
         return len(self.tagging)
 
 
+# the steps whose per-token tables ``Lanes.batches`` builds at a time
+TABLE_STEPS = 32
+
+
 @dataclass(frozen=True, eq=False)
 class Lanes:
     """Packs trained side by side, lane i on ``packs[i]``.  ``len`` counts
@@ -308,36 +312,57 @@ class Lanes:
         pass e over the data; a step may hold only one pass of a lane.  One
         stable sort by step keeps each lane's tokens and pairs of a step in
         list order, so its weights sum in the same order as the same
-        examples packed alone."""
+        examples packed alone.  A pack that several lanes train on is
+        joined once, and the per-token tables are built ``TABLE_STEPS``
+        steps at a time, so they hold a few steps' tokens, not every
+        pass's."""
         v, c, k = config.vocab_size, config.tag_classes, len(self.packs)
-        packs = self.packs
-        whole = Pack.concat(packs)
-        lane = np.repeat(np.arange(k), [len(pack) for pack in packs])
-        token_lane = np.repeat(np.arange(k), [len(pack.tokens) for pack in packs])
-        keys = (token_lane * v + whole.tokens) * c + whole.tags
-        pair_lane = np.repeat(np.arange(k), [len(pack.heads) for pack in packs])
+        distinct = list({id(pack): pack for pack in self.packs}.values())
+        slot = {id(pack): i for i, pack in enumerate(distinct)}
+        whole = distinct[0] if len(distinct) == 1 else Pack.concat(distinct)
+        offsets = np.cumsum([0] + [len(pack) for pack in distinct])
+        # the row in ``whole`` of each example, lane after lane
+        source = _cat(offsets[slot[id(pack)]] + np.arange(len(pack)) for pack in self.packs)
+        lane = np.repeat(np.arange(k), [len(pack) for pack in self.packs])
 
         flat = step_of.reshape(-1)
-        steps = int(flat.max()) + 1
+        n_steps = int(flat.max()) + 1
+        bounds = np.arange(n_steps + 1)
         order = np.argsort(flat, kind="stable")
         step, ex = flat[order], order % len(lane)
-        sizes = np.bincount(step * k + lane[ex], minlength=steps * k).reshape(steps, k)
-        marked = ~whole.tagging[ex]
+        sizes = np.bincount(step * k + lane[ex], minlength=n_steps * k).reshape(n_steps, k)
+        ex_lane, row = lane[ex], source[ex]
+        marked = ~whole.tagging[row]
         index = _task_rows(whole.tagging)
-        tag_ex, pair_ex = index[ex[~marked]], index[ex[marked]]
-        # every token of the tagging examples in step order, each example's in order
-        tok = _token_positions(whole.starts, tag_ex)
-        keys, shares = keys[tok], whole.shares[tok]
-        pairs = (pair_lane[pair_ex], whole.heads[pair_ex], whole.tails[pair_ex],
+        pair_ex = index[row[marked]]
+        pairs = (ex_lane[marked], whole.heads[pair_ex], whole.tails[pair_ex],
                  whole.relations[pair_ex])
-        bounds = np.arange(steps + 1)
-        tok_step = np.repeat(step[~marked], np.diff(whole.starts)[tag_ex])
-        t_bounds = np.searchsorted(tok_step, bounds).tolist()
         p_bounds = np.searchsorted(step[marked], bounds).tolist()
-        for g in range(steps):
-            t0, t1, p0, p1 = t_bounds[g], t_bounds[g + 1], p_bounds[g], p_bounds[g + 1]
-            weights = np.bincount(keys[t0:t1], weights=shares[t0:t1], minlength=k * v * c)
-            yield Batch(weights.reshape(k, v, c), *(a[p0:p1] for a in pairs), sizes[g])
+        # the tagging examples in step order, and where each step's begin among them
+        tag_ex, tag_lane = index[row[~marked]], ex_lane[~marked]
+        counts = np.diff(whole.starts)[tag_ex]
+        e_bounds = np.searchsorted(step[~marked], bounds)
+
+        # the per-example sort dies here; the steps keep what they read
+        def steps() -> Iterator[Batch]:
+            for g0 in range(0, n_steps, TABLE_STEPS):
+                g1 = min(g0 + TABLE_STEPS, n_steps)
+                e0, e1 = e_bounds[g0], e_bounds[g1]
+                # every token of these steps' tagging examples, each example's in order
+                tok = _token_positions(whole.starts, tag_ex[e0:e1])
+                keys = np.repeat(tag_lane[e0:e1], counts[e0:e1]) * v + whole.tokens[tok]
+                keys = keys * c + whole.tags[tok]
+                shares = whole.shares[tok]
+                ends = np.concatenate([[0], np.cumsum(counts[e0:e1])])
+                t_bounds = ends[e_bounds[g0:g1 + 1] - e0].tolist()
+                for g in range(g0, g1):
+                    t0, t1 = t_bounds[g - g0], t_bounds[g - g0 + 1]
+                    p0, p1 = p_bounds[g], p_bounds[g + 1]
+                    weights = np.bincount(keys[t0:t1], weights=shares[t0:t1],
+                                          minlength=k * v * c)
+                    yield Batch(weights.reshape(k, v, c), *(a[p0:p1] for a in pairs), sizes[g])
+
+        return steps()
 
 
 @dataclass(frozen=True)
@@ -562,6 +587,26 @@ def grad(
     return {key: (db[0], da[0]) for key, (db, da) in grads.items()}
 
 
+def _step_of(sizes: list[int], seeds: Sequence[int], sgd: SgdConfig) -> np.ndarray:
+    """step_of[e, j]: the step of epoch e that example j (lane after lane,
+    lane i holding ``sizes[i]``) joins; a lane counts its steps on across
+    epochs."""
+    bs = sgd.batch_size
+    step_of = np.empty((sgd.epochs, sum(sizes)), dtype=np.int64)
+    starts = np.cumsum([0] + sizes)
+    for lane, (n, seed) in enumerate(zip(sizes, seeds)):
+        rng = np.random.default_rng(seed)
+        per_epoch = -(-n // bs)
+        for epoch in range(sgd.epochs):
+            # batch membership is shuffled; summation order inside a batch
+            # is list order, so the result is independent of how members
+            # were drawn
+            step_of[epoch, starts[lane] + rng.permutation(n)] = (
+                np.arange(n) // bs + epoch * per_epoch
+            )
+    return step_of
+
+
 def local_update(
     models: Sequence[ToyModel], dataset: Lanes, sgd: SgdConfig, seeds: Sequence[int]
 ) -> list[AdapterSet]:
@@ -588,20 +633,7 @@ def local_update(
         frozen.check_ranges(pack)
     k, bs = len(models), sgd.batch_size
     sizes = [len(pack) for pack in dataset.packs]
-    # step_of[e, j]: the step of epoch e that example j (lane after lane)
-    # joins; a lane counts its steps on across epochs
-    step_of = np.empty((sgd.epochs, sum(sizes)), dtype=np.int64)
-    starts = np.cumsum([0] + sizes)
-    for lane, (n, seed) in enumerate(zip(sizes, seeds)):
-        rng = np.random.default_rng(seed)
-        per_epoch = -(-n // bs)
-        for epoch in range(sgd.epochs):
-            # batch membership is shuffled; summation order inside a batch
-            # is list order, so the result is independent of how members
-            # were drawn
-            step_of[epoch, starts[lane] + rng.permutation(n)] = (
-                np.arange(n) // bs + epoch * per_epoch
-            )
+    batches = dataset.batches(_step_of(sizes, seeds, sgd), frozen.config)
     total = np.array([sgd.epochs * -(-n // bs) for n in sizes])
     factors = {key: (np.stack([m.adapters.layers[key].b for m in models]),
                      np.stack([m.adapters.layers[key].a for m in models]))
@@ -613,7 +645,7 @@ def local_update(
     # a diverging step overflows before its factors turn non-finite; the
     # isfinite check below is what reports it, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, batch in enumerate(dataset.batches(step_of, frozen.config)):
+        for step, batch in enumerate(batches):
             if len(stack) < k:
                 batch = batch.of_lanes(stack)
             eff = _effective(frozen, factors, scale)

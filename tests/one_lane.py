@@ -1,5 +1,8 @@
-"""``local_update`` on one client: the lane form with a single lane."""
+"""The batched entry points with one member: ``local_update`` on one
+client, the lane form with a single lane, and ``run_federation`` on one
+strategy."""
 
+from fedlora.federation import run_federation
 from fedlora.model import Lanes, local_update
 
 
@@ -8,3 +11,9 @@ def train_alone(model, data, sgd, seed):
     pack), trained as the one lane of a ``local_update`` call."""
     (adapters,) = local_update([model], Lanes.of([data]), sgd, [seed])
     return adapters
+
+
+def run_alone(config, sites, val_set, backbone):
+    """The result of ``config``'s strategy run by itself."""
+    (result,) = run_federation([config], sites, val_set, backbone)
+    return result

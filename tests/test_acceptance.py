@@ -178,10 +178,12 @@ def backbone60(seed):
     )
 
 
-def run_and_score(strategy, sites, tests, val, backbone, seed, rounds=2):
-    cfg = FederationConfig(strategy, len(sites), rounds, SGD, seed=seed)
-    result = run_federation(cfg, sites, val, backbone)
-    return evaluate_result(result, backbone, tests)
+def run_and_score(strategies, sites, tests, val, backbone, seed, rounds=2):
+    """Each strategy's metric rows, the strategies trained together by one
+    ``run_federation`` call."""
+    configs = [FederationConfig(s, len(sites), rounds, SGD, seed=seed) for s in strategies]
+    results = run_federation(configs, sites, val, backbone)
+    return {s: evaluate_result(result, backbone, tests) for s, result in zip(strategies, results)}
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -199,9 +201,10 @@ def test_05_strategy_ordering():
         sites = [generate_site(s, RULE60) for s in specs]
         tests = [make_test_split(s, 250, RULE60) for s in specs]
         val = make_validation_set(RULE60, 40, seed=seed * 13 + 3).packed
-        for strategy in (Strategy.ZERO_SHOT, Strategy.SINGLE_SITE,
-                         Strategy.INFLUENCE, Strategy.CENTRALIZED):
-            rows = run_and_score(strategy, sites, tests, val, backbone, seed)
+        scored = run_and_score((Strategy.ZERO_SHOT, Strategy.SINGLE_SITE,
+                                Strategy.INFLUENCE, Strategy.CENTRALIZED),
+                               sites, tests, val, backbone, seed)
+        for strategy, rows in scored.items():
             for task in ("tagging", "relation"):
                 means.setdefault((strategy, task), []).append(strict_mean(rows, task))
 
@@ -234,12 +237,12 @@ def test_06_heterogeneity_robustness():
         sites = [generate_site(s, RULE60) for s in specs]
         tests = [make_test_split(s, 200, RULE60) for s in specs]
         val = make_validation_set(RULE60, 40, seed=seed * 11 + 4).packed
-        scores = {}
-        for strategy in (Strategy.FEDAVG, Strategy.INFLUENCE):
-            rows = run_and_score(strategy, sites, tests, val, backbone, seed)
-            scores[strategy] = float(
-                np.mean([r.f1 for r in rows if r.scheme == "strict"])
-            )
+        scored = run_and_score((Strategy.FEDAVG, Strategy.INFLUENCE),
+                               sites, tests, val, backbone, seed)
+        scores = {
+            strategy: float(np.mean([r.f1 for r in rows if r.scheme == "strict"]))
+            for strategy, rows in scored.items()
+        }
         pairs.append((scores[Strategy.FEDAVG], scores[Strategy.INFLUENCE]))
         if scores[Strategy.INFLUENCE] >= scores[Strategy.FEDAVG]:
             wins += 1
@@ -251,26 +254,23 @@ def test_06_heterogeneity_robustness():
 
 def test_07_scalability():
     rule = PlantedRule(vocab_size=100)
-    sgd = SgdConfig(0.2, 2, 16)
     pool_spec = SiteSpec("pool", 1000, dirichlet_alpha=1e6, noise_rate=0.0,
                          token_shift=0, seed=77)
-    scores = {}
-    for k in (1, 10):
-        for strategy in (Strategy.INFLUENCE, Strategy.SINGLE_SITE):
-            per_seed = []
-            for seed in SEEDS:
-                backbone = Backbone.build(
-                    ModelConfig(100, 64, rule.num_tags, rule.num_relations, 8, 16.0, seed=seed)
-                )
-                pool = generate_site(pool_spec, rule)
-                shards = shard(pool, k, seed=seed * 19)
-                tests = [make_test_split(pool_spec, 300, rule)]
-                val = make_validation_set(rule, 40, seed=seed * 19 + 5).packed
-                cfg = FederationConfig(strategy, k, 6, sgd, seed=seed)
-                result = run_federation(cfg, shards, val, backbone)
-                rows = evaluate_result(result, backbone, tests)
-                per_seed.append(strict_mean(rows, "tagging"))
-            scores[(strategy, k)] = float(np.mean(per_seed))
+    pool = generate_site(pool_spec, rule)
+    tests = [make_test_split(pool_spec, 300, rule)]
+    per_seed = {}
+    for seed in SEEDS:
+        backbone = Backbone.build(
+            ModelConfig(100, 64, rule.num_tags, rule.num_relations, 8, 16.0, seed=seed)
+        )
+        val = make_validation_set(rule, 40, seed=seed * 19 + 5).packed
+        for k in (1, 10):
+            shards = shard(pool, k, seed=seed * 19)
+            scored = run_and_score((Strategy.INFLUENCE, Strategy.SINGLE_SITE),
+                                   shards, tests, val, backbone, seed, rounds=6)
+            for strategy, rows in scored.items():
+                per_seed.setdefault((strategy, k), []).append(strict_mean(rows, "tagging"))
+    scores = {key: float(np.mean(f1s)) for key, f1s in per_seed.items()}
 
     fed_drop = scores[(Strategy.INFLUENCE, 1)] - scores[(Strategy.INFLUENCE, 10)]
     single_drop = scores[(Strategy.SINGLE_SITE, 1)] - scores[(Strategy.SINGLE_SITE, 10)]
@@ -303,18 +303,12 @@ def test_08_uneven_tasks():
 
         full_sites = [generate_site(spec0, RULE60), generate_site(spec1_full, RULE60)]
         uneven_sites = [generate_site(spec0, RULE60), generate_site(spec1_ner, RULE60)]
-        full_scores.append(strict_mean(
-            run_and_score(Strategy.INFLUENCE, full_sites, tests, val, backbone, seed),
-            "relation",
-        ))
-        uneven_scores.append(strict_mean(
-            run_and_score(Strategy.INFLUENCE, uneven_sites, tests, val, backbone, seed),
-            "relation",
-        ))
-        zero_scores.append(strict_mean(
-            run_and_score(Strategy.ZERO_SHOT, full_sites, tests, val, backbone, seed),
-            "relation",
-        ))
+        on_full = run_and_score((Strategy.INFLUENCE, Strategy.ZERO_SHOT),
+                                full_sites, tests, val, backbone, seed)
+        on_uneven = run_and_score((Strategy.INFLUENCE,), uneven_sites, tests, val, backbone, seed)
+        full_scores.append(strict_mean(on_full[Strategy.INFLUENCE], "relation"))
+        uneven_scores.append(strict_mean(on_uneven[Strategy.INFLUENCE], "relation"))
+        zero_scores.append(strict_mean(on_full[Strategy.ZERO_SHOT], "relation"))
 
     full = float(np.mean(full_scores))
     uneven = float(np.mean(uneven_scores))

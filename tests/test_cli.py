@@ -16,7 +16,7 @@ import fedlora.federation
 from fedlora.cli import _seed_run, cmd_run, main
 from fedlora.config import ConfigError, load_config, parse_config
 from fedlora.datasim import SiteDataset
-from fedlora.model import LabelRangeError, Pack, TokenRangeError
+from fedlora.model import Diverged, LabelRangeError, Pack, TokenRangeError
 
 BASE_CONFIG = {
     "seed": 3,
@@ -275,32 +275,122 @@ class TestRoundZeroReuse:
     @given(config=tiny_configs())
     def test_shared_updates_match_each_strategy_alone(self, config):
         cfg, sites, train_and_score = _seed_run(config, config.seed)
-        shared = {
-            strategy: outcome(*train_and_score(replace(cfg.federation, strategy=strategy), sites))
-            for strategy in cfg.strategies()
-        }
-        # single_site trains every site from the initial set, where every
-        # strategy but centralized starts round 0, so each site holds one entry
-        assert [len(site.first_updates) for site in sites] == [1] * len(sites)
-        for strategy in cfg.strategies():
-            _, fresh_sites, fresh_train = _seed_run(config, config.seed)
-            alone = outcome(*fresh_train(replace(cfg.federation, strategy=strategy), fresh_sites))
-            assert alone == shared[strategy], strategy
+        fed_cfgs = [replace(cfg.federation, strategy=s) for s in cfg.strategies()]
+        together = [outcome(*scored) for scored in train_and_score(fed_cfgs, sites)]
+        for fed_cfg, shared in zip(fed_cfgs, together):
+            ((result, rows),) = train_and_score([fed_cfg], sites)
+            assert outcome(result, rows) == shared, fed_cfg.strategy
 
     def test_headline_seed_trains_ten_local_updates(self, tmp_path, local_updates):
         config = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "two_site.yaml"))
         assert cmd_run(config, str(tmp_path), [1]) == 0
-        # influence, fedavg, single_site (once per site) and centralized train
-        # 2 rounds each, 14 updates; fedavg's and single_site's 4 round-0
-        # updates are influence's and are trained once.  A round trains its
-        # clients as the lanes of one call: influence 2 calls, single_site 2
-        # (one site each), fedavg 1 (round 1) and centralized 2
-        assert len(local_updates) == 10
-        assert len({lane.call for lane in local_updates}) == 7
+        # influence, fedavg, single_site (one loop per site) and centralized
+        # train 2 rounds each, 14 updates.  Round 0 trains each site once
+        # for the first four, plus the pooled data: 3 lanes.  Round 1 trains
+        # each loop's own: 7 lanes
+        calls = [lane.call for lane in local_updates]
+        assert [calls.count(call) for call in sorted(set(calls))] == [3, 7]
         keys = {
             (lane.model.adapters.checksum(), id(lane.pack), lane.seed) for lane in local_updates
         }
         assert len(keys) == 10
+
+
+def diverging_update(lanes_to_fail):
+    """``local_update`` that trains for real, but raises ``Diverged`` at the
+    lowest lane that ``lanes_to_fail(call, packs)`` names, as the real one
+    raises at the lowest lane that diverged."""
+    train = fedlora.federation.local_update
+    calls = []
+
+    def update(models, dataset, sgd, seeds):
+        calls.append(len(dataset.packs))
+        failing = lanes_to_fail(len(calls) - 1, dataset.packs)
+        if failing:
+            err = Diverged("layer 'trunk' has non-finite adapter factors", min(failing))
+            err.add_note("step 7")
+            raise err
+        return train(models, dataset, sgd, seeds)
+
+    return update, calls
+
+
+def pooled(call, packs):
+    """The lanes on the pooled data: 80 examples, against a site's 40."""
+    return [lane for lane, pack in enumerate(packs) if len(pack) == 80]
+
+
+class TestRunOrder:
+    """Strategies train together, but fail as if they ran one after another
+    in run order: influence, zero_shot, single_site, fedavg, centralized."""
+
+    def run(self, tmp_path, monkeypatch, lanes_to_fail):
+        update, calls = diverging_update(lanes_to_fail)
+        monkeypatch.setattr(fedlora.federation, "local_update", update)
+        config = write_config(tmp_path, json_roundtrip(BASE_CONFIG))
+        code = main(["run", "--config", config, "--out-dir", str(tmp_path / "o")])
+        return code, calls
+
+    def test_earlier_strategy_diverging_later_is_named(self, tmp_path, capsys, monkeypatch):
+        # centralized (80 pooled examples) diverges in round 0, influence's
+        # site_b lane (lane 1 of round 1's call) in round 1
+        def fail(call, packs):
+            return pooled(call, packs) if call == 0 else [1] if call == 2 else []
+
+        code, calls = self.run(tmp_path, monkeypatch, fail)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: seed 3, strategy influence, round 1, client 'site_b', step 7: "
+            "layer 'trunk' has non-finite adapter factors\n")
+        # round 0 runs again without the pooled lane; round 1 without centralized's
+        assert calls == [3, 2, 6]
+
+    def test_later_strategy_diverging_alone_is_named(self, tmp_path, capsys, monkeypatch):
+        code, calls = self.run(tmp_path, monkeypatch, pooled)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: seed 3, strategy centralized, round 0, client 'pooled', step 7: "
+            "layer 'trunk' has non-finite adapter factors\n")
+        # the strategies before centralized finish both rounds
+        assert calls == [3, 2, 6]
+
+    def test_earlier_strategy_error_of_another_kind_is_named(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # influence scores round 1's updates after centralized diverged in round 0
+        score = fedlora.federation.validation_loss
+        scored = []
+
+        def overflow_in_round_one(*args):
+            scored.append(args)
+            if len(scored) > 2:
+                raise OverflowError("math range error")
+            return score(*args)
+
+        monkeypatch.setattr(fedlora.federation, "validation_loss", overflow_in_round_one)
+        code, calls = self.run(tmp_path, monkeypatch, pooled)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: seed 3, strategy influence, round 1, client 'site_a': math range error\n")
+        assert calls == [3, 2, 6]
+
+    def test_call_error_of_another_kind_is_the_first_loops(self, tmp_path, capsys, monkeypatch):
+        train = fedlora.federation.local_update
+        calls = []
+
+        def broken(models, dataset, sgd, seeds):
+            calls.append(len(dataset.packs))
+            if len(calls) == 2:
+                raise RuntimeError("out of lanes")
+            return train(models, dataset, sgd, seeds)
+
+        monkeypatch.setattr(fedlora.federation, "local_update", broken)
+        config = write_config(tmp_path, json_roundtrip(BASE_CONFIG))
+        assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: seed 3, strategy influence, round 1: out of lanes\n")
+        # the call's first lane is influence's, which ends every loop
+        assert calls == [3, 7]
 
 
 def corrupt_first_split(monkeypatch, maker, field, value):

@@ -9,8 +9,9 @@ from fedlora.comm import (
     reduction_pct,
 )
 from fedlora.datasim import PlantedRule, SiteSpec, generate_site
-from fedlora.federation import FederationConfig, Strategy, run_federation
+from fedlora.federation import FederationConfig, Strategy
 from fedlora.model import Backbone, ModelConfig, SgdConfig
+from one_lane import run_alone
 
 
 class TestReductionPct:
@@ -75,7 +76,7 @@ class TestLedgerFromTranscripts:
         config = FederationConfig(
             Strategy.FEDAVG, 2, rounds, SgdConfig(0.1, 1, 8), seed=5
         )
-        return run_federation(config, sites, None, Backbone.build(cfg))
+        return run_alone(config, sites, None, Backbone.build(cfg))
 
     def test_entry_bytes_are_params_times_bpp(self):
         result = self.make_run()

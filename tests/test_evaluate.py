@@ -11,9 +11,10 @@ from fedlora.evaluate import (
     evaluate_result,
     make_test_split,
 )
-from fedlora.federation import FederationConfig, Strategy, run_federation
+from fedlora.federation import FederationConfig, Strategy
 from fedlora.metrics import RelationInstance, Scheme, Span, relation_counts
 from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel, forward
+from one_lane import run_alone
 from span_oracle import decode_bio, span_counts
 
 RULE = PlantedRule(vocab_size=60)
@@ -207,7 +208,7 @@ class TestEvaluateResult:
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.FEDAVG, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
-        result = run_federation(config, sites, None, backbone)
+        result = run_alone(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
         rows = evaluate_result(result, backbone, tests)
         # 2 testsets x 2 tasks x 2 schemes
@@ -222,7 +223,7 @@ class TestEvaluateResult:
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.SINGLE_SITE, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
-        result = run_federation(config, sites, None, backbone)
+        result = run_alone(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
         rows = evaluate_result(result, backbone, tests)
         assert len(rows) == 8
@@ -251,7 +252,7 @@ class TestEvaluateResult:
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.SINGLE_SITE, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
-        result = run_federation(config, sites, None, backbone)
+        result = run_alone(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
         merges = []
 
@@ -269,7 +270,7 @@ class TestEvaluateResult:
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.ZERO_SHOT, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
-        result = run_federation(config, sites, None, backbone)
+        result = run_alone(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
         rows = evaluate_result(result, backbone, tests)
         for row in rows:

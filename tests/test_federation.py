@@ -18,7 +18,7 @@ from fedlora.federation import (
     sample_clients,
 )
 from fedlora import federation
-from fedlora.lora import AdapterPair, serialize_adapters, serialized_a_size
+from fedlora.lora import AdapterPair, AdapterSet, serialize_adapters, serialized_a_size
 from fedlora.model import (
     Backbone,
     Diverged,
@@ -28,7 +28,7 @@ from fedlora.model import (
     ToyModel,
 )
 from fedlora.seeding import derive_seed
-from one_lane import train_alone
+from one_lane import run_alone, train_alone
 
 RULE = PlantedRule(vocab_size=60)
 MODEL_CFG = ModelConfig(
@@ -95,7 +95,7 @@ class TestDegeneracies:
         sites = make_sites(1)
         config = fed_config(Strategy.FEDAVG, 1, rounds=1)
         backbone = Backbone.build(MODEL_CFG)
-        result = run_federation(config, sites, None, backbone)
+        result = run_alone(config, sites, None, backbone)
 
         initial = backbone.init_adapters(derive_seed(config.seed, "adapter_init"))
         expected = train_alone(
@@ -109,7 +109,7 @@ class TestDegeneracies:
     def test_two_rounds_two_clients_transcript_shape(self):
         sites = make_sites(2)
         config = fed_config(Strategy.FEDAVG, 2, rounds=2)
-        result = run_federation(config, sites, None, Backbone.build(MODEL_CFG))
+        result = run_alone(config, sites, None, Backbone.build(MODEL_CFG))
         assert len(result.transcripts) == 2
         for transcript in result.transcripts:
             assert transcript.sampled == ("site0", "site1")
@@ -118,7 +118,7 @@ class TestDegeneracies:
         sites = make_sites(2)
         config = fed_config(Strategy.ZERO_SHOT, 2)
         backbone = Backbone.build(MODEL_CFG)
-        result = run_federation(config, sites, None, backbone)
+        result = run_alone(config, sites, None, backbone)
         merged = ToyModel(backbone, result.adapters).merged
         for key in result.adapters.layers:
             assert np.array_equal(merged[key], getattr(backbone, key))
@@ -127,8 +127,8 @@ class TestDegeneracies:
     def test_centralized_equals_single_shard_federation(self):
         sites = make_sites(1, n_examples=60)
         backbone = Backbone.build(MODEL_CFG)
-        fed = run_federation(fed_config(Strategy.FEDAVG, 1), sites, None, backbone)
-        cen = run_federation(fed_config(Strategy.CENTRALIZED, 1), sites, None, backbone)
+        fed = run_alone(fed_config(Strategy.FEDAVG, 1), sites, None, backbone)
+        cen = run_alone(fed_config(Strategy.CENTRALIZED, 1), sites, None, backbone)
         assert adapters_equal(fed.adapters, cen.adapters)
 
 
@@ -141,15 +141,12 @@ class TestInfluenceReduction:
         from fedlora.datasim import SiteDataset
         from dataclasses import replace
 
-        def twins():
-            # new datasets for each run, so neither shares the other's round 0
-            return [SiteDataset(replace(site.spec, site_id=cid), site.packed)
-                    for cid in ("site0", "site1")]
-
+        twins = [SiteDataset(replace(site.spec, site_id=cid), site.packed)
+                 for cid in ("site0", "site1")]
         backbone = Backbone.build(MODEL_CFG)
         val = make_validation_set(RULE, 10, seed=5).packed
-        plain = run_federation(fed_config(Strategy.FEDAVG, 2), twins(), val, backbone)
-        plus = run_federation(fed_config(Strategy.INFLUENCE, 2), twins(), val, backbone)
+        plain = run_alone(fed_config(Strategy.FEDAVG, 2), twins, val, backbone)
+        plus = run_alone(fed_config(Strategy.INFLUENCE, 2), twins, val, backbone)
         assert adapters_equal(plain.adapters, plus.adapters)
         report = plus.transcripts[0].influence
         assert report.influences[0] == report.influences[1]
@@ -157,7 +154,7 @@ class TestInfluenceReduction:
     def test_influence_weights_recorded_in_transcript(self):
         sites = make_sites(2, seed=200)
         val = make_validation_set(RULE, 10, seed=6).packed
-        result = run_federation(
+        result = run_alone(
             fed_config(Strategy.INFLUENCE, 2), sites, val, Backbone.build(MODEL_CFG)
         )
         for transcript in result.transcripts:
@@ -168,7 +165,7 @@ class TestInfluenceReduction:
     def test_influence_without_validation_set_rejected(self):
         sites = make_sites(2)
         with pytest.raises(ValueError):
-            run_federation(
+            run_alone(
                 fed_config(Strategy.INFLUENCE, 2), sites, None, Backbone.build(MODEL_CFG)
             )
 
@@ -179,9 +176,8 @@ class TestDeterminismAndIsolation:
         val = make_validation_set(RULE, 10, seed=7).packed
         backbone = Backbone.build(MODEL_CFG)
         config = fed_config(Strategy.INFLUENCE, 3, rounds=2, seed=17)
-        one = run_federation(config, sites, val, backbone)
-        # fresh sites, so round 0 is trained again rather than shared
-        two = run_federation(config, make_sites(3, seed=300), val, backbone)
+        one = run_alone(config, sites, val, backbone)
+        two = run_alone(config, make_sites(3, seed=300), val, backbone)
         assert adapters_equal(one.adapters, two.adapters)
         assert [t.checksum for t in one.transcripts] == [
             t.checksum for t in two.transcripts
@@ -191,12 +187,12 @@ class TestDeterminismAndIsolation:
         sites = make_sites(2, seed=320)
         backbone = Backbone.build(MODEL_CFG)
         before = fingerprint(backbone)
-        run_federation(fed_config(Strategy.FEDAVG, 2), sites, None, backbone)
+        run_alone(fed_config(Strategy.FEDAVG, 2), sites, None, backbone)
         assert fingerprint(backbone) == before
 
     def test_transcript_bytes_are_serialized_adapter_bytes(self):
         sites = make_sites(2, seed=330)
-        result = run_federation(
+        result = run_alone(
             fed_config(Strategy.FEDAVG, 2), sites, None, Backbone.build(MODEL_CFG)
         )
         expected_bytes = len(serialize_adapters(result.adapters))
@@ -212,7 +208,7 @@ class TestDeterminismAndIsolation:
 class TestShareA:
     def test_global_b_zero_and_a_aggregated(self):
         sites = make_sites(2, seed=400)
-        result = run_federation(
+        result = run_alone(
             fed_config(Strategy.SHARE_A, 2), sites, None, Backbone.build(MODEL_CFG)
         )
         for key, pair in result.adapters.layers.items():
@@ -234,7 +230,7 @@ class TestShareA:
             generate_site(SiteSpec(f"site{i}", n, dirichlet_alpha=5.0, seed=430 + i), RULE)
             for i, n in enumerate((40, 25, 33))
         ]
-        result = run_federation(
+        result = run_alone(
             fed_config(Strategy.SHARE_A, 2, rounds=3), sites, None, Backbone.build(MODEL_CFG)
         )
         sizes = {site.spec.site_id: len(site) for site in sites}
@@ -257,7 +253,7 @@ class TestShareA:
 
     def test_personalized_models_keep_distinct_b(self):
         sites = make_sites(2, seed=410)
-        result = run_federation(
+        result = run_alone(
             fed_config(Strategy.SHARE_A, 2), sites, None, Backbone.build(MODEL_CFG)
         )
         b0 = result.client_adapters["site0"].layers["trunk"].b
@@ -269,7 +265,7 @@ class TestShareA:
 
     def test_comm_volume_counts_a_only(self):
         sites = make_sites(2, seed=420)
-        result = run_federation(
+        result = run_alone(
             fed_config(Strategy.SHARE_A, 2), sites, None, Backbone.build(MODEL_CFG)
         )
         expected_params = result.adapters.a_param_count()
@@ -282,7 +278,7 @@ class TestShareA:
 class TestSingleSite:
     def test_per_site_adapters_differ(self):
         sites = make_sites(2, seed=500, token_shift=0)
-        result = run_federation(
+        result = run_alone(
             fed_config(Strategy.SINGLE_SITE, 2), sites, None, Backbone.build(MODEL_CFG)
         )
         assert result.adapters is None
@@ -293,8 +289,8 @@ class TestSingleSite:
     def test_single_site_on_one_site_matches_centralized(self):
         sites = make_sites(1, seed=510)
         backbone = Backbone.build(MODEL_CFG)
-        single = run_federation(fed_config(Strategy.SINGLE_SITE, 1), sites, None, backbone)
-        central = run_federation(fed_config(Strategy.CENTRALIZED, 1), sites, None, backbone)
+        single = run_alone(fed_config(Strategy.SINGLE_SITE, 1), sites, None, backbone)
+        central = run_alone(fed_config(Strategy.CENTRALIZED, 1), sites, None, backbone)
         assert adapters_equal(single.client_adapters["site0"], central.adapters)
 
 
@@ -310,8 +306,8 @@ class TestUnevenTasks:
         ]
         backbone = Backbone.build(MODEL_CFG)
         config = fed_config(Strategy.FEDAVG, 2)
-        plain = run_federation(config, sites, None, backbone)
-        everywhere = run_federation(config, declared_all, None, backbone)
+        plain = run_alone(config, sites, None, backbone)
+        everywhere = run_alone(config, declared_all, None, backbone)
         assert adapters_equal(plain.adapters, everywhere.adapters)
 
     def test_tagging_only_site_still_contributes_to_relation_head(self):
@@ -322,7 +318,7 @@ class TestUnevenTasks:
         )
         backbone = Backbone.build(MODEL_CFG)
         config = fed_config(Strategy.FEDAVG, 2)
-        result = run_federation(config, [full, tagging_only], None, backbone)
+        result = run_alone(config, [full, tagging_only], None, backbone)
         # the tagging-only client never gets a relation-head gradient, so the
         # aggregate relation head is the weighted mix of one updated and one
         # unchanged copy; it must still differ from the initial adapters
@@ -342,14 +338,14 @@ class TestValidationErrors:
     def test_k_mismatch_rejected(self):
         sites = make_sites(2)
         with pytest.raises(ValueError):
-            run_federation(
+            run_alone(
                 fed_config(Strategy.FEDAVG, 3), sites, None, Backbone.build(MODEL_CFG)
             )
 
     def test_duplicate_site_ids_rejected(self):
         site = make_sites(1)[0]
         with pytest.raises(ValueError):
-            run_federation(
+            run_alone(
                 fed_config(Strategy.FEDAVG, 2), [site, site], None, Backbone.build(MODEL_CFG)
             )
 
@@ -364,23 +360,64 @@ class TestValidationErrors:
             weight_mode=WeightMode.LITERAL,
             seed=11,
         )
-        literal = run_federation(literal_config, sites, None, backbone)
-        normalized = run_federation(fed_config(Strategy.FEDAVG, 2, rounds=1), sites, None, backbone)
+        literal = run_alone(literal_config, sites, None, backbone)
+        normalized = run_alone(fed_config(Strategy.FEDAVG, 2, rounds=1), sites, None, backbone)
         literal_norm = np.linalg.norm(literal.adapters.layers["trunk"].a)
         normalized_norm = np.linalg.norm(normalized.adapters.layers["trunk"].a)
         assert literal_norm < normalized_norm
+
+
+def site_of(sites):
+    """A function from a lane's pack to the id of the site that holds it;
+    any other pack is the pooled one."""
+    ids = {id(site.packed): site.spec.site_id for site in sites}
+    return lambda pack: ids.get(id(pack), "pooled")
+
+
+def checksums(result):
+    """Every set a result holds, by checksum: each round's aggregate, the
+    final set and each client's."""
+    return ([t.checksum for t in result.transcripts],
+            result.adapters.checksum() if result.adapters else None,
+            {cid: a.checksum() for cid, a in result.client_adapters.items()})
 
 
 class TestLockstepRounds:
     def test_a_round_trains_its_clients_as_lanes_of_one_call(self, local_updates):
         sites = make_sites(3)
         config = fed_config(Strategy.FEDAVG, 2, rounds=3)
-        result = run_federation(config, sites, None, Backbone.build(MODEL_CFG))
-        site_of = {id(site.packed): site.spec.site_id for site in sites}
-        calls = [[site_of[id(lane.pack)] for lane in local_updates if lane.call == call]
+        result = run_alone(config, sites, None, Backbone.build(MODEL_CFG))
+        name = site_of(sites)
+        calls = [[name(lane.pack) for lane in local_updates if lane.call == call]
                  for call in range(config.rounds)]
         assert calls == [list(t.sampled) for t in result.transcripts]
         assert len({lane.call for lane in local_updates}) == config.rounds
+
+    def test_strategies_train_a_round_as_one_call_in_run_order(self, local_updates):
+        # round 0: every strategy but centralized starts from the initial
+        # set, so one lane per site plus the pooled one; round 1: every
+        # loop's own lanes, run order first, then ascending client id
+        sites = make_sites(3)
+        configs = [fed_config(s, 2, rounds=2) for s in
+                   (Strategy.CENTRALIZED, Strategy.FEDAVG, Strategy.SINGLE_SITE)]
+        results = run_federation(configs, sites, None, Backbone.build(MODEL_CFG))
+        name = site_of(sites)
+        calls = [[name(lane.pack) for lane in local_updates if lane.call == call]
+                 for call in range(2)]
+        round_zero, round_one = (list(t.sampled) for t in results[1].transcripts)
+        unsampled = [cid for cid in ("site0", "site1", "site2") if cid not in round_zero]
+        assert calls[0] == ["pooled", *round_zero, *unsampled]
+        assert calls[1] == ["pooled", *round_one, "site0", "site1", "site2"]
+        assert len({lane.call for lane in local_updates}) == 2
+
+    def test_one_sgd_config_per_call(self):
+        configs = [fed_config(Strategy.FEDAVG, 2),
+                   replace(fed_config(Strategy.INFLUENCE, 2), sgd=replace(SGD, epochs=2))]
+        with pytest.raises(ValueError, match="SgdConfig"):
+            run_federation(configs, make_sites(2), None, Backbone.build(MODEL_CFG))
+
+    def test_no_config_no_result(self):
+        assert run_federation([], make_sites(2), None, Backbone.build(MODEL_CFG)) == []
 
 
 # each variant changes one thing a round-0 update reads, keeping the sites
@@ -398,76 +435,80 @@ class TestRoundZeroReuse:
         sites = make_sites(2)
         backbone = Backbone.build(MODEL_CFG)
         val = make_validation_set(RULE, 10, seed=5).packed
-        fedavg = run_federation(fed_config(Strategy.FEDAVG, 2, rounds=1), sites, None, backbone)
-        assert len(local_updates) == 2
-        for strategy in (Strategy.INFLUENCE, Strategy.SHARE_A):
-            run_federation(fed_config(strategy, 2, rounds=1), sites, val, backbone)
-        single = run_federation(fed_config(Strategy.SINGLE_SITE, 2, rounds=1), sites, None, backbone)
-        assert len(local_updates) == 2
-        for site in sites:
-            # one entry per site, holding the backbone it keys by identity
-            (stored,) = site.first_updates.values()
-            assert stored[0] is backbone
-            assert single.client_adapters[site.spec.site_id].checksum() == stored[1].checksum()
-        fresh = run_federation(fed_config(Strategy.FEDAVG, 2, rounds=1), make_sites(2), None, backbone)
-        assert fedavg.adapters.checksum() == fresh.adapters.checksum()
+        strategies = (Strategy.FEDAVG, Strategy.INFLUENCE, Strategy.SHARE_A,
+                      Strategy.SINGLE_SITE)
+        configs = [fed_config(s, 2, rounds=1) for s in strategies]
+        results = run_federation(configs, sites, val, backbone)
+        # one call, one lane per site: share_a's start is a new set of the
+        # same bits, and single_site's lone-site loops ask for the same lanes
+        assert [(lane.call, lane.pack) for lane in local_updates] == [
+            (0, site.packed) for site in sites]
+        for config, result in zip(configs, results):
+            assert checksums(result) == checksums(run_alone(config, sites, val, backbone))
 
     @pytest.mark.parametrize("variant", list(REUSE_VARIANTS))
     def test_no_reuse_across(self, local_updates, variant):
+        # nothing outlives a call: a second run on the same sites trains anew
         sites = make_sites(2)
         backbone = Backbone.build(MODEL_CFG)
         config = fed_config(Strategy.FEDAVG, 2, rounds=1)
-        run_federation(config, sites, None, backbone)
+        run_alone(config, sites, None, backbone)
         assert len(local_updates) == 2
         other_backbone, other_config = REUSE_VARIANTS[variant](backbone, config)
-        result = run_federation(other_config, sites, None, other_backbone)
+        result = run_alone(other_config, sites, None, other_backbone)
         assert len(local_updates) == 4
-        fresh = run_federation(other_config, make_sites(2), None, other_backbone)
+        fresh = run_alone(other_config, make_sites(2), None, other_backbone)
         assert result.adapters.checksum() == fresh.adapters.checksum()
 
+    def test_no_reuse_across_master_seeds_in_one_call(self, local_updates):
+        sites = make_sites(2)
+        backbone = Backbone.build(MODEL_CFG)
+        configs = [fed_config(Strategy.FEDAVG, 2, rounds=1, seed=seed) for seed in (11, 12)]
+        results = run_federation(configs, sites, None, backbone)
+        assert len(local_updates) == 4
+        assert {lane.call for lane in local_updates} == {0}
+        for config, result in zip(configs, results):
+            assert checksums(result) == checksums(run_alone(config, sites, None, backbone))
+
     def test_no_reuse_across_local_seed_or_start(self):
-        site = make_sites(1)[0]
+        site, twin = make_sites(1)[0], make_sites(1)[0]
         model = ToyModel.build(MODEL_CFG)
+        copy = model.with_adapters(model.adapters.with_layers(dict(model.adapters.layers)))
+        other = model.with_adapters(model.frozen.init_adapters(99))
+        lane = federation._Lane
+        lanes = [lane(model, site, 1), lane(copy, site, 1), lane(model, site, 2),
+                 lane(other, site, 1), lane(model, twin, 1), lane(model, site, 1)]
+        # the same bits in a new set share; another seed, another start or
+        # another pack (of equal data) does not
+        assert federation._distinct(lanes) == ([0, 0, 1, 2, 3, 0], [0, 2, 3, 4])
 
-        def lane(start, seed, first_round=True):
-            (adapters,) = federation._trained([start], [site], SGD, seed, first_round)
-            return adapters
-
-        first = lane(model, 1)
-        assert lane(model, 1) is first
-        other_seed = lane(model, 2)
-        assert adapters_equal(other_seed, train_alone(model, site.packed, SGD, 2))
-        other_start = model.with_adapters(model.frozen.init_adapters(99))
-        trained = lane(other_start, 1)
-        assert adapters_equal(trained, train_alone(other_start, site.packed, SGD, 1))
-        assert not adapters_equal(first, other_seed) and not adapters_equal(first, trained)
-        # a later round's update is trained afresh and never kept
-        assert lane(model, 1, first_round=False) is not first
-        assert len(site.first_updates) == 3
-
-    def test_divergence_names_the_client_of_its_lane(self, monkeypatch):
-        # site0's round-0 update is kept, so site1 and site2 train as lanes 0 and 1
+    def test_lanes_of_distinct_pack_and_seed_are_not_checksummed(self, monkeypatch):
         sites = make_sites(3)
         model = ToyModel.build(MODEL_CFG)
-        federation._trained([model], sites[:1], SGD, 1, True)
+        sums = []
+        checksum = AdapterSet.checksum
+        monkeypatch.setattr(AdapterSet, "checksum", lambda s: sums.append(s) or checksum(s))
+        lanes = [federation._Lane(model, site, seed) for site in sites for seed in (1, 2)]
+        assert federation._distinct(lanes) == (list(range(6)), list(range(6)))
+        assert sums == []
+
+    def test_divergence_names_the_client_of_its_lane(self, monkeypatch):
+        # single_site runs a loop per site; site1's lane diverges, so its
+        # loop and site2's end, and site0's lane trains again alone
+        sites = make_sites(3)
+        calls = []
+        train = federation.local_update
 
         def diverge(models, dataset, sgd, seeds):
-            assert dataset.packs == (sites[1].packed, sites[2].packed)
-            raise Diverged("layer 'trunk' has non-finite adapter factors", 1)
+            calls.append(dataset.packs)
+            if len(dataset.packs) > 1:
+                raise Diverged("layer 'trunk' has non-finite adapter factors", 1)
+            return train(models, dataset, sgd, seeds)
 
         monkeypatch.setattr(federation, "local_update", diverge)
         with pytest.raises(Diverged) as raised:
-            federation._trained([model] * 3, sites, SGD, 1, True)
-        assert raised.value.__notes__ == ["client 'site2'"]
-
-    def test_memo_keeps_round_zero_only(self):
-        sites = make_sites(3)
-        backbone = Backbone.build(MODEL_CFG)
-        config = fed_config(Strategy.FEDAVG, 2, rounds=4)
-        result = run_federation(config, sites, None, backbone)
-        assert {cid for t in result.transcripts for cid in t.sampled} == {"site0", "site1", "site2"}
-        round_zero = derive_seed(config.seed, "local", 0)
-        for site in sites:
-            seeds = [key[-1] for key in site.first_updates]
-            sampled_first = site.spec.site_id in result.transcripts[0].sampled
-            assert seeds == ([round_zero] if sampled_first else [])
+            run_alone(fed_config(Strategy.SINGLE_SITE, 1, rounds=2), sites, None,
+                      Backbone.build(MODEL_CFG))
+        assert raised.value.__notes__ == ["client 'site1'", "round 0", "strategy single_site"]
+        packs = [site.packed for site in sites]
+        assert calls == [tuple(packs), (packs[0],), (packs[0],)]

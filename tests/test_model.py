@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedlora.model
 from fedlora.lora import AdapterPair, AdapterSet, DimensionMismatch
 from fedlora.model import (
     Backbone,
@@ -647,6 +649,33 @@ class TestLanes:
         outs = local_update(models, Lanes.of(data), sgd, seeds)
         for out, start, examples, seed in zip(outs, models, data, seeds):
             assert out.checksum() == train_alone(start, examples, sgd, seed).checksum()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lanes=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1),
+                                 st.integers(0, 3)), min_size=1, max_size=6),
+        epochs=st.integers(1, 3),
+        batch_size=st.integers(1, 4),
+        table_steps=st.integers(1, 5),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_packs_and_table_chunks_leave_each_lane_alone(
+        self, lanes, epochs, batch_size, table_steps, data_seed
+    ):
+        # several lanes train on one pack, from their own starts and seeds,
+        # and the per-token tables are built a few steps at a time
+        model = ToyModel.build(SMALL)
+        rng = np.random.default_rng(data_seed)
+        packs = [Pack.of(lane_data(rng, int(rng.integers(1, 14)), tuple(Task))) for _ in range(3)]
+        models = [model.with_adapters(randomized_adapters(model, seed)) for _, seed, _ in lanes]
+        data = [packs[p] for p, _, _ in lanes]
+        seeds = [seed for _, _, seed in lanes]
+        sgd = SgdConfig(0.05, epochs, batch_size)
+        alone = [train_alone(m, pack, sgd, seed).checksum()
+                 for m, pack, seed in zip(models, data, seeds)]
+        with mock.patch.object(fedlora.model, "TABLE_STEPS", table_steps):
+            outs = local_update(models, Lanes(tuple(data)), sgd, seeds)
+        assert [out.checksum() for out in outs] == alone
 
     def test_length_counts_every_lane(self):
         lanes = Lanes.of([mixed_batch(1, n=3), mixed_batch(2, n=5)])
