@@ -20,7 +20,6 @@ an output.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from collections.abc import Callable, Generator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -283,14 +282,52 @@ def _plan(
 def _distinct(lanes: list[_Lane]) -> tuple[list[int], list[int]]:
     """Each lane's index among the lanes that train differently, and the
     first lane of each index.  Lanes on one pack with one seed train alike
-    when their start sets hold the same bits; only they are checksummed."""
-    near = [(id(lane.site.packed), lane.seed) for lane in lanes]
-    repeats = Counter(near)
-    keys = [key + (lane.model.adapters.checksum(),) if repeats[key] > 1 else key
-            for key, lane in zip(near, lanes)]
+    when their start sets hold the same bits."""
     index: dict[tuple, int] = {}
-    of = [index.setdefault(key, len(index)) for key in keys]
+    of = [index.setdefault((id(lane.site.packed), lane.seed, lane.model.adapters.checksum()),
+                           len(index)) for lane in lanes]
     return of, [of.index(u) for u in range(len(index))]
+
+
+Ask = tuple[int, list[_Lane]]  # a loop's position in run order, and its round's lanes
+
+
+def _train(
+    asks: list[Ask], sgd: SgdConfig
+) -> tuple[list[list[AdapterSet]], tuple[int, Exception] | None]:
+    """The updates of the longest run of ``asks`` whose lanes train, and
+    the first failing ask's loop position and error, or None: what running
+    each ask alone, in order, up to the first failure would give.  Every
+    ask trains in one ``local_update`` call, equal lanes once."""
+    if not asks:
+        return [], None
+    lanes = [lane for _, its in asks for lane in its]
+    of, firsts = _distinct(lanes)
+    try:
+        trained = local_update([lanes[j].model for j in firsts],
+                               Lanes.of([lanes[j].site.packed for j in firsts]), sgd,
+                               [lanes[j].seed for j in firsts])
+    except Exception as err:
+        if isinstance(err, Diverged):
+            # the first lane that trains like the diverging one is its ask's
+            j = firsts[err.lane]
+            err.add_note(f"client {lanes[j].site.spec.site_id!r}")
+            n = [n for n, (_, its) in enumerate(asks) for _ in its][j]
+        elif len(asks) > 1:
+            # which ask's lanes raised is unknown: train each alone in turn
+            head: list[list[AdapterSet]] = []
+            for ask in asks:
+                its, failed = _train([ask], sgd)
+                head += its
+                if failed:
+                    return head, failed
+            return head, None
+        else:
+            n = 0
+        head, failed = _train(asks[:n], sgd)
+        return head, failed or (asks[n][0], err)
+    done = iter(of)
+    return [[trained[next(done)] for _ in its] for _, its in asks], None
 
 
 def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[FederationResult]:
@@ -300,9 +337,9 @@ def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[
 
     Errors come out as if the loops ran one after another.  A loop that
     raises ends, and so does every loop after it; the loops before it run
-    on, and a call that raised is run again without the ended loops'
-    lanes.  The first failing loop's error is raised at the end, noted
-    with its strategy ``names[i]``."""
+    on, their lanes trained without the failing loop's (see ``_train``).
+    The first failing loop's error is raised at the end, noted with its
+    strategy ``names[i]``."""
     results: list[FederationResult] = [None] * len(loops)
     updates: list[list[AdapterSet] | None] = [None] * len(loops)
     failure: Exception | None = None
@@ -316,7 +353,7 @@ def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[
 
     live = range(len(loops))
     while live:
-        asks: list[tuple[int, list[_Lane]]] = []
+        asks: list[Ask] = []
         for pos in live:
             try:
                 asks.append((pos, loops[pos].send(updates[pos])))
@@ -325,31 +362,16 @@ def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[
             except Exception as err:
                 end(pos, err)
                 break
-        while asks:
-            lanes = [lane for _, its in asks for lane in its]
-            of, firsts = _distinct(lanes)
+        trained, failed = _train(asks, sgd)
+        live = [pos for pos, _ in asks[:len(trained)]]
+        for pos, its in zip(live, trained):
+            updates[pos] = its
+        if failed:
+            pos, err = failed
             try:
-                trained = local_update([lanes[j].model for j in firsts],
-                                       Lanes.of([lanes[j].site.packed for j in firsts]), sgd,
-                                       [lanes[j].seed for j in firsts])
-            except Exception as err:
-                # the lane that diverged, else the call's first, is the
-                # first asking loop's: that loop raises, as it would alone
-                j = firsts[err.lane if isinstance(err, Diverged) else 0]
-                if isinstance(err, Diverged):
-                    err.add_note(f"client {lanes[j].site.spec.site_id!r}")
-                pos = [owner for owner, its in asks for _ in its][j]
-                try:
-                    loops[pos].throw(err)
-                except Exception as raised:
-                    end(pos, raised)
-                asks = [ask for ask in asks if ask[0] < pos]
-                continue
-            done = iter(of)
-            for pos, its in asks:
-                updates[pos] = [trained[next(done)] for _ in its]
-            break
-        live = [pos for pos, _ in asks]
+                loops[pos].throw(err)
+            except Exception as raised:
+                end(pos, raised)
     if failure is not None:
         raise failure
     return results

@@ -318,11 +318,10 @@ class Lanes:
         pass's."""
         v, c, k = config.vocab_size, config.tag_classes, len(self.packs)
         distinct = list({id(pack): pack for pack in self.packs}.values())
-        slot = {id(pack): i for i, pack in enumerate(distinct)}
         whole = distinct[0] if len(distinct) == 1 else Pack.concat(distinct)
-        offsets = np.cumsum([0] + [len(pack) for pack in distinct])
+        first = dict(zip(map(id, distinct), np.cumsum([0] + [len(pack) for pack in distinct])))
         # the row in ``whole`` of each example, lane after lane
-        source = _cat(offsets[slot[id(pack)]] + np.arange(len(pack)) for pack in self.packs)
+        source = _cat(first[id(pack)] + np.arange(len(pack)) for pack in self.packs)
         lane = np.repeat(np.arange(k), [len(pack) for pack in self.packs])
 
         flat = step_of.reshape(-1)

@@ -374,13 +374,15 @@ class TestRunOrder:
             "error: seed 3, strategy influence, round 1, client 'site_a': math range error\n")
         assert calls == [3, 2, 6]
 
-    def test_call_error_of_another_kind_is_the_first_loops(self, tmp_path, capsys, monkeypatch):
+    def test_call_error_of_another_kind_is_its_loops(self, tmp_path, capsys, monkeypatch):
+        # any call that trains centralized's round 1 raises; the call's
+        # loops then train one at a time, and the ones before it finish
         train = fedlora.federation.local_update
         calls = []
 
         def broken(models, dataset, sgd, seeds):
             calls.append(len(dataset.packs))
-            if len(calls) == 2:
+            if len(calls) > 1 and pooled(None, dataset.packs):
                 raise RuntimeError("out of lanes")
             return train(models, dataset, sgd, seeds)
 
@@ -388,9 +390,9 @@ class TestRunOrder:
         config = write_config(tmp_path, json_roundtrip(BASE_CONFIG))
         assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
-            "error: seed 3, strategy influence, round 1: out of lanes\n")
-        # the call's first lane is influence's, which ends every loop
-        assert calls == [3, 7]
+            "error: seed 3, strategy centralized, round 1: out of lanes\n")
+        # influence, single_site's two loops and fedavg alone, then centralized
+        assert calls == [3, 7, 2, 1, 1, 2, 1]
 
 
 def corrupt_first_split(monkeypatch, maker, field, value):

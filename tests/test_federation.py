@@ -482,16 +482,6 @@ class TestRoundZeroReuse:
         # another pack (of equal data) does not
         assert federation._distinct(lanes) == ([0, 0, 1, 2, 3, 0], [0, 2, 3, 4])
 
-    def test_lanes_of_distinct_pack_and_seed_are_not_checksummed(self, monkeypatch):
-        sites = make_sites(3)
-        model = ToyModel.build(MODEL_CFG)
-        sums = []
-        checksum = AdapterSet.checksum
-        monkeypatch.setattr(AdapterSet, "checksum", lambda s: sums.append(s) or checksum(s))
-        lanes = [federation._Lane(model, site, seed) for site in sites for seed in (1, 2)]
-        assert federation._distinct(lanes) == (list(range(6)), list(range(6)))
-        assert sums == []
-
     def test_divergence_names_the_client_of_its_lane(self, monkeypatch):
         # single_site runs a loop per site; site1's lane diverges, so its
         # loop and site2's end, and site0's lane trains again alone
