@@ -18,7 +18,7 @@ from fedlora.federation import (
     sample_clients,
 )
 from fedlora import federation
-from fedlora.lora import AdapterPair, AdapterSet, serialize_adapters, serialized_a_size
+from fedlora.lora import AdapterPair, serialize_adapters, serialized_a_size
 from fedlora.model import (
     Backbone,
     Diverged,
