@@ -74,7 +74,7 @@ def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
 def _seed_run(config: ExperimentConfig, seed: int):
     """One master seed's set-up, shared by ``run`` and ``scale-study``: the
     re-seeded config, its training sites, and a function that trains given
-    strategies together on given sites and scores each, in order, on every
+    strategies together on given sites and scores them together on every
     test split (external sites included)."""
     cfg = config.with_seed(seed)
     rule = PlantedRule(cfg.model.vocab_size)
@@ -89,15 +89,11 @@ def _seed_run(config: ExperimentConfig, seed: int):
 
     def train_and_score(fed_cfgs: list[FederationConfig], train_sites):
         """(result, metric rows) of each config, trained by one
-        ``run_federation`` call."""
+        ``run_federation`` call and scored by one ``evaluate_result`` call."""
         with located(f"seed {seed}"):
             results = run_federation(fed_cfgs, train_sites, val.packed, backbone)
-        scored = []
-        for result in results:
-            with located(f"seed {seed}, strategy {result.config.strategy.value}"):
-                scored.append((result, evaluate_result(result, backbone, tests,
-                                                       cfg.eval.bootstrap, seed=cfg.seed)))
-        return scored
+            rows = evaluate_result(results, backbone, tests, cfg.eval.bootstrap, seed=cfg.seed)
+        return list(zip(results, rows))
 
     return cfg, sites, train_and_score
 

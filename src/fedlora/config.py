@@ -266,10 +266,15 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
     )
 
 
+# libyaml's parser, where PyYAML was built with it, builds the same safe
+# data about seven times faster and marks a parse error at the same place
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_LOADER)
         except yaml.YAMLError as err:
             mark = getattr(err, "problem_mark", None)
             where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown position"

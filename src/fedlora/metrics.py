@@ -5,8 +5,8 @@ A split is scored as arrays.  ``decode_bio`` decodes the flat tags of all
 its documents at once into ``Spans``, flat arrays with one entry per span,
 and ``span_counts`` matches gold against predicted spans for every
 document at once, returning one (tp, fp, fn) row per document.  The
-bootstrap resamples rows of that table, drawing every replicate's row
-indexes in one call.
+bootstrap resamples rows of such tables, stacked for several models,
+drawing every replicate's row indexes in one call for all of them.
 
 Matching is one-to-one: each gold span can satisfy at most one prediction
 and vice versa, so counts never inflate.  Strict matching pairs exact
@@ -257,27 +257,47 @@ def relation_counts(
 # ---------------------------------------------------------------------------
 
 
+def _percentile(ranked: np.ndarray, q: float) -> np.ndarray:
+    """``np.percentile(values, q)`` along the last axis of ``ranked``, the
+    values sorted along it, by numpy's ``linear`` rule step for step: the
+    virtual index (n - 1) * q / 100, its floor clipped to the last value,
+    and the two-sided interpolation of ``numpy.lib._function_base_impl._lerp``."""
+    n = ranked.shape[-1]
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        return ranked[..., -1]
+    below = math.floor(virtual)
+    t = virtual - below
+    a, b = ranked[..., below], ranked[..., below + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def bootstrap_metric_ci(
     counts: np.ndarray,
     sample_size: int = 200,
     reps: int = 30,
     level: float = 0.95,
     seed: int = 0,
-) -> tuple[float, float]:
+):
     """Percentile CI of micro F1 over ``reps`` resamples, with replacement,
-    of the rows of a per-document (tp, fp, fn) count table.  All resamples
-    come from one draw of a (reps, sample_size) index table, each row of
-    which is one resample."""
-    if not len(counts):
+    of the rows of per-document (tp, fp, fn) count tables of shape
+    (..., n, 3): ``(lo, hi)`` as floats for one (n, 3) table, else as
+    nested lists of shape ``counts.shape[:-2]``.
+
+    One (reps, sample_size) index table is drawn for all the tables, each
+    row of it one resample.  A resample's sums are its row's multiplicity
+    of each document times the table, in float64, exact because every
+    partial sum is an integer below 2**53."""
+    n = counts.shape[-2]
+    if not n:
         raise ValueError("need at least one instance")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(counts), size=(reps, sample_size))
-    values = precision_recall_f1(*(column[idx].sum(axis=1) for column in counts.T))[2]
+    idx = rng.integers(0, n, size=(reps, sample_size))
+    picks = np.bincount((idx + n * np.arange(reps)[:, None]).ravel(), minlength=reps * n)
+    sums = picks.reshape(reps, n).astype(np.float64) @ counts.astype(np.float64)
+    ranked = np.sort(precision_recall_f1(*np.moveaxis(sums, -1, 0))[2], axis=-1)
     lo_q = 100 * (1 - level) / 2
-    return (
-        float(np.percentile(values, lo_q)),
-        float(np.percentile(values, 100 - lo_q)),
-    )
+    return _percentile(ranked, lo_q).tolist(), _percentile(ranked, 100 - lo_q).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,11 @@ def backbone60(seed):
 
 def run_and_score(strategies, sites, tests, val, backbone, seed, rounds=2):
     """Each strategy's metric rows, the strategies trained together by one
-    ``run_federation`` call."""
+    ``run_federation`` call and scored together by one ``evaluate_result``
+    call."""
     configs = [FederationConfig(s, len(sites), rounds, SGD, seed=seed) for s in strategies]
     results = run_federation(configs, sites, val, backbone)
-    return {s: evaluate_result(result, backbone, tests) for s, result in zip(strategies, results)}
+    return dict(zip(strategies, evaluate_result(results, backbone, tests)))
 
 
 # -- 5 ----------------------------------------------------------------------

@@ -3,6 +3,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -184,6 +186,28 @@ class TestCmdRun:
         assert re.search(pattern, err), err
         assert err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
+
+    def test_malformed_yaml_exits_2_naming_line_and_column(self, tmp_path, capsys):
+        config = tmp_path / "bad.yaml"
+        config.write_text("seed: 3\nmodel: {vocab_size: 60}\nsites: a: b\n")
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: YAML parse error at line 3, column 9: "), err
+
+    def test_run_never_imports_numpy_ma(self, tmp_path):
+        # np.percentile imports numpy.ma (about 12 ms and 1 MB) on first use;
+        # the bootstrap reproduces its rule without it
+        config = write_config(tmp_path, json_roundtrip(BASE_CONFIG))
+        script = ("import sys\nfrom fedlora.cli import main\n"
+                  "code = main(['run', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+                  "print(code, 'numpy.ma' in sys.modules)")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run([sys.executable, "-c", script, config, str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(

@@ -3,19 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedlora.datasim import PlantedRule, SiteSpec, generate_site
+from fedlora.datasim import PlantedRule, SiteSpec, generate_site, make_validation_set
 from fedlora.evaluate import (
     BootstrapConfig,
+    MetricRow,
     _doc_counts,
     evaluate_model,
     evaluate_result,
     make_test_split,
 )
-from fedlora.federation import FederationConfig, Strategy
-from fedlora.metrics import RelationInstance, Scheme, Span, relation_counts
+from fedlora.federation import FederationConfig, Strategy, run_federation
+from fedlora.metrics import EvalReport, RelationInstance, Scheme, Span, relation_counts
 from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel, forward
+from fedlora.seeding import derive_seed
 from one_lane import run_alone
 from span_oracle import decode_bio, span_counts
+from test_metrics import oracle_bootstrap_ci
 
 RULE = PlantedRule(vocab_size=60)
 CFG = ModelConfig(60, 16, 9, 16, rank=4, alpha=8.0, seed=2)
@@ -60,6 +63,33 @@ def oracle_doc_counts(model, rule, test):
         for scheme in Scheme:
             tables[(task, scheme)].append(count(gold, pred, scheme))
     return {key: np.array(table, dtype=np.int64) for key, table in tables.items() if table}
+
+
+def oracle_rows(result, backbone, tests, bootstrap, seed):
+    """``result``'s rows with its models scored alone: each model's count
+    tables by the per-example oracle and its CI by the list-based
+    bootstrap, averaged over a result's per-site models."""
+    sets = [result.client_adapters[cid] for cid in sorted(result.client_adapters)]
+    models = [ToyModel(backbone, adapters) for adapters in sets or [result.adapters]]
+    mean = lambda xs: float(np.mean(xs))
+    rows = []
+    for test in tests:
+        per_model = [oracle_doc_counts(model, RULE, test) for model in models]
+        for task, scheme in per_model[0]:
+            draw = derive_seed(seed, test.spec.site_id, task.value, scheme.value)
+            reports = []
+            for tables in per_model:
+                table = tables[(task, scheme)]
+                ci = oracle_bootstrap_ci(table.tolist(), bootstrap.sample_size, bootstrap.reps,
+                                         bootstrap.level, draw)
+                reports.append(EvalReport(task.value, scheme, *table.sum(axis=0).tolist(), ci))
+            rows.append(MetricRow(
+                result.config.strategy.value, test.spec.site_id, task.value, scheme.value,
+                mean([r.precision for r in reports]), mean([r.recall for r in reports]),
+                mean([r.f1 for r in reports]), mean([r.ci[0] for r in reports]),
+                mean([r.ci[1] for r in reports]),
+            ))
+    return rows
 
 
 def random_b_model(seed: int, scale: float) -> ToyModel:
@@ -111,7 +141,7 @@ class TestEvaluateModel:
     def test_gold_model_scores_one(self):
         model = gold_tagging_model()
         test = make_test_split(SiteSpec("a", 80, seed=6), 80, RULE)
-        reports = evaluate_model(model, test)
+        (reports,) = evaluate_model([model], test)
         tag_strict = reports[(Task.TAGGING, Scheme.STRICT)]
         assert tag_strict.f1 == 1.0
         assert tag_strict.fp == 0 and tag_strict.fn == 0
@@ -119,7 +149,7 @@ class TestEvaluateModel:
     def test_lenient_dominates_strict(self):
         model = ToyModel.build(CFG)
         test = make_test_split(SiteSpec("a", 60, seed=7), 60, RULE)
-        reports = evaluate_model(model, test)
+        (reports,) = evaluate_model([model], test)
         assert (
             reports[(Task.TAGGING, Scheme.LENIENT)].f1
             >= reports[(Task.TAGGING, Scheme.STRICT)].f1
@@ -129,8 +159,8 @@ class TestEvaluateModel:
         model = ToyModel.build(CFG)
         test = make_test_split(SiteSpec("a", 60, seed=8), 60, RULE)
         bs = BootstrapConfig(sample_size=50, reps=10)
-        one = evaluate_model(model, test, bs, seed=9)
-        two = evaluate_model(model, test, bs, seed=9)
+        (one,) = evaluate_model([model], test, bs, seed=9)
+        (two,) = evaluate_model([model], test, bs, seed=9)
         for key in one:
             assert one[key].ci == two[key].ci
             lo, hi = one[key].ci
@@ -149,7 +179,7 @@ class TestEvaluateModel:
 
         monkeypatch.setattr(fedlora.evaluate, "forward", counting_forward)
         test = make_test_split(SiteSpec("a", 40, seed=10), 40, RULE)
-        reports = evaluate_model(ToyModel.build(CFG), test)
+        (reports,) = evaluate_model([ToyModel.build(CFG)], test)
         assert len(reports) == 4
         assert calls == [test.packed]
 
@@ -165,7 +195,7 @@ class TestEvaluateModel:
         span_counts_of_split = fedlora.evaluate.span_counts
         monkeypatch.setattr(fedlora.evaluate, "span_counts", counting_span_counts)
         test = make_test_split(SiteSpec("a", 40, seed=10), 40, RULE)
-        reports = evaluate_model(ToyModel.build(CFG), test, BootstrapConfig(10, 2))
+        (reports,) = evaluate_model([ToyModel.build(CFG)], test, BootstrapConfig(10, 2))
         assert len(reports) == 4
         assert sorted(scheme.value for scheme in schemes) == ["lenient", "strict"]
 
@@ -183,17 +213,17 @@ class TestDocCounts:
                                                     model_seed, scale):
         test = generate_site(SiteSpec("a", size, seed=data_seed, tasks=tasks), RULE)
         model = random_b_model(model_seed, scale)
-        tables = _doc_counts(model, test)
+        tables = _doc_counts([model], test)
         expected = oracle_doc_counts(model, RULE, test)
         assert list(tables) == list(expected)
         for key, table in expected.items():
             assert tables[key].dtype == np.int64
-            assert np.array_equal(tables[key], table)
+            assert np.array_equal(tables[key], table[None])
 
     def test_relation_labels_both_hit_and_miss(self):
         # the property's models put some relation documents on each side
         test = generate_site(SiteSpec("a", 400, seed=1, tasks=(Task.RELATION,)), RULE)
-        table = _doc_counts(random_b_model(2, 1.0), test)[(Task.RELATION, Scheme.STRICT)]
+        (table,) = _doc_counts([random_b_model(2, 1.0)], test)[(Task.RELATION, Scheme.STRICT)]
         assert 0 < table[:, 0].sum() < len(table)
 
 
@@ -210,7 +240,7 @@ class TestEvaluateResult:
         config = FederationConfig(Strategy.FEDAVG, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_alone(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
-        rows = evaluate_result(result, backbone, tests)
+        (rows,) = evaluate_result([result], backbone, tests)
         # 2 testsets x 2 tasks x 2 schemes
         assert len(rows) == 8
         keys = {(r.testset, r.task, r.scheme) for r in rows}
@@ -225,7 +255,7 @@ class TestEvaluateResult:
         config = FederationConfig(Strategy.SINGLE_SITE, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_alone(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
-        rows = evaluate_result(result, backbone, tests)
+        (rows,) = evaluate_result([result], backbone, tests)
         assert len(rows) == 8
 
         # oracle: average the two client models' separate evaluations
@@ -234,7 +264,7 @@ class TestEvaluateResult:
         per_model = []
         for cid in sorted(result.client_adapters):
             model = ToyModel(backbone, result.client_adapters[cid])
-            per_model.append(evaluate_model(model, tests[0]))
+            per_model.extend(evaluate_model([model], tests[0]))
         row = next(
             r for r in rows
             if r.testset == "s0" and r.task == "tagging" and r.scheme == "strict"
@@ -262,9 +292,48 @@ class TestEvaluateResult:
 
         effective = fedlora.model._effective
         monkeypatch.setattr(fedlora.model, "_effective", counting_effective)
-        rows = evaluate_result(result, backbone, tests)
+        (rows,) = evaluate_result([result], backbone, tests)
         assert len(rows) == 8
         assert len(merges) == len(result.client_adapters) == 2
+
+    def test_results_scored_together_equal_each_scored_alone(self):
+        sites = self.make_sites()
+        backbone = Backbone.build(CFG)
+        val = make_validation_set(RULE, 10, seed=5).packed
+        strategies = (Strategy.ZERO_SHOT, Strategy.SINGLE_SITE, Strategy.INFLUENCE,
+                      Strategy.SHARE_A)
+        configs = [FederationConfig(s, 2, 1, SgdConfig(0.1, 1, 8), seed=1) for s in strategies]
+        results = run_federation(configs, sites, val, backbone)
+        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        bootstrap = BootstrapConfig(sample_size=30, reps=7, level=0.9)
+        scored = evaluate_result(results, backbone, tests, bootstrap, seed=4)
+        assert len(scored) == len(results)
+        for result, rows in zip(results, scored):
+            assert len(rows) == 8
+            assert rows == oracle_rows(result, backbone, tests, bootstrap, seed=4)
+
+    def test_one_bootstrap_per_split_task_and_scheme(self, monkeypatch):
+        import fedlora.evaluate
+
+        shapes = []
+
+        def counting_bootstrap(counts, **kwargs):
+            shapes.append(counts.shape)
+            return bootstrap_of_tables(counts, **kwargs)
+
+        bootstrap_of_tables = fedlora.evaluate.bootstrap_metric_ci
+        monkeypatch.setattr(fedlora.evaluate, "bootstrap_metric_ci", counting_bootstrap)
+        sites = self.make_sites()
+        backbone = Backbone.build(CFG)
+        configs = [FederationConfig(s, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
+                   for s in (Strategy.FEDAVG, Strategy.SINGLE_SITE)]
+        results = run_federation(configs, sites, None, backbone)
+        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        evaluate_result(results, backbone, tests, BootstrapConfig(10, 2))
+        # 2 test sets x 2 tasks x 2 schemes, each over fedavg's model and
+        # single_site's two
+        assert len(shapes) == 8
+        assert {shape[0] for shape in shapes} == {3}
 
     def test_zero_shot_rows_have_low_f1(self):
         sites = self.make_sites()
@@ -272,6 +341,6 @@ class TestEvaluateResult:
         config = FederationConfig(Strategy.ZERO_SHOT, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_alone(config, sites, None, backbone)
         tests = [make_test_split(s.spec, 40, RULE) for s in sites]
-        rows = evaluate_result(result, backbone, tests)
+        (rows,) = evaluate_result([result], backbone, tests)
         for row in rows:
             assert row.f1 < 0.6

@@ -12,6 +12,7 @@ from fedlora.metrics import (
     RelationInstance,
     Scheme,
     Span,
+    _percentile,
     bootstrap_metric_ci,
     decode_bio,
     relation_counts,
@@ -205,7 +206,7 @@ class TestSpanF1:
         rule = PlantedRule(vocab_size=60)
         model = ToyModel.build(ModelConfig(60, 16, 9, 16, rank=4, alpha=8.0, seed=2))
         test = make_test_split(SiteSpec("a", 30, seed=3), 30, rule)
-        reports = evaluate_model(model, test)
+        (reports,) = evaluate_model([model], test)
         pack = test.packed
         docs = [Example(Task.TAGGING, pack.tokens[start:end], tags=pack.tags[start:end])
                 for start, end in zip(pack.starts[:-1], pack.starts[1:])]
@@ -408,6 +409,89 @@ class TestBootstrap:
             table(rows), sample_size=sample_size, reps=reps, level=level, seed=seed
         )
         assert got == oracle_bootstrap_ci(rows, sample_size, reps, level, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        models=st.integers(1, 4),
+        sample_size=st.integers(1, 300),
+        reps=st.integers(1, 20),
+        level=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_stacked_tables_match_the_oracle_table_by_table(
+        self, n, models, sample_size, reps, level, seed, data
+    ):
+        stacked = [
+            data.draw(st.lists(st.tuples(*[st.integers(0, 30)] * 3), min_size=n, max_size=n))
+            for _ in range(models)
+        ]
+        lo, hi = bootstrap_metric_ci(
+            np.array(stacked, dtype=np.int64), sample_size=sample_size, reps=reps,
+            level=level, seed=seed,
+        )
+        assert len(lo) == len(hi) == models
+        for rows, got in zip(stacked, zip(lo, hi)):
+            assert got == oracle_bootstrap_ci(rows, sample_size, reps, level, seed)
+
+    def test_stacked_tables_keep_their_leading_shape(self):
+        counts = np.random.default_rng(6).integers(0, 5, size=(2, 3, 30, 3))
+        lo, hi = bootstrap_metric_ci(counts, sample_size=40, reps=7, seed=1)
+        assert np.shape(lo) == np.shape(hi) == (2, 3)
+        assert lo[1][2] == bootstrap_metric_ci(counts[1, 2], sample_size=40, reps=7, seed=1)[0]
+
+
+class TestPercentile:
+    """``_percentile`` on sorted (M, reps) arrays against ``np.percentile``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        models=st.integers(1, 4),
+        reps=st.integers(1, 40),
+        level=st.floats(0.01, 0.99),
+        data=st.data(),
+    )
+    def test_matches_numpy_with_ties(self, models, reps, level, data):
+        # few distinct values, so neighbouring order statistics often tie
+        value = st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0])
+        values = [data.draw(st.lists(value, min_size=reps, max_size=reps))
+                  for _ in range(models)]
+        ranked = np.sort(np.array(values), axis=-1)
+        lo_q = 100 * (1 - level) / 2
+        for q in (lo_q, 100 - lo_q):
+            assert _percentile(ranked, q).tolist() == [float(np.percentile(row, q))
+                                                       for row in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        models=st.integers(1, 4),
+        reps=st.integers(1, 200),
+        level=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_on_f1_like_values(self, models, reps, level, seed):
+        values = np.random.default_rng(seed).random((models, reps))
+        ranked = np.sort(values, axis=-1)
+        lo_q = 100 * (1 - level) / 2
+        for q in (lo_q, 100 - lo_q):
+            assert _percentile(ranked, q).tolist() == np.percentile(values, q, axis=-1).tolist()
+
+    def test_halfway_index_interpolates_down_from_the_upper_value(self):
+        # at 21 reps the 2.5th percentile's virtual index is 0.5; there
+        # numpy computes b - (b - a) * 0.5, which for 0.1 and 0.7 differs
+        # in the last bit from a + (b - a) * 0.5
+        ranked = np.array([[0.1] + [0.7] * 20])
+        expected = float(np.percentile(ranked[0], 2.5))
+        assert expected != 0.1 + (0.7 - 0.1) * 0.5
+        assert _percentile(ranked, 2.5).tolist() == [expected]
+
+    @pytest.mark.parametrize("level", [0.01, 0.5, 0.9, 0.95, 0.99])
+    def test_single_rep_is_that_rep(self, level):
+        ranked = np.array([[0.25], [0.75]])
+        lo_q = 100 * (1 - level) / 2
+        for q in (lo_q, 100 - lo_q):
+            assert _percentile(ranked, q).tolist() == [0.25, 0.75]
 
 
 class TestWilcoxon:
