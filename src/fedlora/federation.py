@@ -20,6 +20,7 @@ an output.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections.abc import Callable, Generator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -289,92 +290,52 @@ def _distinct(lanes: list[_Lane]) -> tuple[list[int], list[int]]:
     return of, [of.index(u) for u in range(len(index))]
 
 
-Ask = tuple[int, list[_Lane]]  # a loop's position in run order, and its round's lanes
-
-
-def _train(
-    asks: list[Ask], sgd: SgdConfig
-) -> tuple[list[list[AdapterSet]], tuple[int, Exception] | None]:
-    """The updates of the longest run of ``asks`` whose lanes train, and
-    the first failing ask's loop position and error, or None: what running
-    each ask alone, in order, up to the first failure would give.  Every
-    ask trains in one ``local_update`` call, equal lanes once."""
-    if not asks:
-        return [], None
-    lanes = [lane for _, its in asks for lane in its]
-    of, firsts = _distinct(lanes)
-    try:
-        trained = local_update([lanes[j].model for j in firsts],
-                               Lanes.of([lanes[j].site.packed for j in firsts]), sgd,
-                               [lanes[j].seed for j in firsts])
-    except Exception as err:
-        if isinstance(err, Diverged):
-            # the first lane that trains like the diverging one is its ask's
-            j = firsts[err.lane]
-            err.add_note(f"client {lanes[j].site.spec.site_id!r}")
-            n = [n for n, (_, its) in enumerate(asks) for _ in its][j]
-        elif len(asks) > 1:
-            # which ask's lanes raised is unknown: train each alone in turn
-            head: list[list[AdapterSet]] = []
-            for ask in asks:
-                its, failed = _train([ask], sgd)
-                head += its
-                if failed:
-                    return head, failed
-            return head, None
-        else:
-            n = 0
-        head, failed = _train(asks[:n], sgd)
-        return head, failed or (asks[n][0], err)
-    done = iter(of)
-    return [[trained[next(done)] for _ in its] for _, its in asks], None
-
-
 def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[FederationResult]:
     """Every loop's result, the loops run round by round: round t's lanes of
     every live loop, in run order, train as one ``local_update`` call, and
     equal lanes train once.
 
-    Errors come out as if the loops ran one after another.  A loop that
-    raises ends, and so does every loop after it; the loops before it run
-    on, their lanes trained without the failing loop's (see ``_train``).
-    The first failing loop's error is raised at the end, noted with its
-    strategy ``names[i]``."""
+    The run stops at the first error it meets.  A loop's own error is
+    noted with its strategy ``names[i]``.  A ``Diverged`` of the call is
+    noted with the client of its lane and thrown into that lane's loop,
+    which notes its round, and then with the loop's strategy.  Any other
+    error of the call is noted with the round alone, as the call holds the
+    lanes of every live loop."""
     results: list[FederationResult] = [None] * len(loops)
     updates: list[list[AdapterSet] | None] = [None] * len(loops)
-    failure: Exception | None = None
-
-    def end(pos: int, err: Exception) -> None:
-        nonlocal failure
-        err.add_note(f"strategy {names[pos]}")
-        failure = err
-        for later in loops[pos + 1:]:
-            later.close()
-
     live = range(len(loops))
-    while live:
-        asks: list[Ask] = []
+    for t in itertools.count():
+        asks: list[tuple[int, list[_Lane]]] = []  # a live loop's position, its round's lanes
         for pos in live:
             try:
                 asks.append((pos, loops[pos].send(updates[pos])))
             except StopIteration as done:
                 results[pos] = done.value
             except Exception as err:
-                end(pos, err)
-                break
-        trained, failed = _train(asks, sgd)
-        live = [pos for pos, _ in asks[:len(trained)]]
-        for pos, its in zip(live, trained):
-            updates[pos] = its
-        if failed:
-            pos, err = failed
-            try:
-                loops[pos].throw(err)
-            except Exception as raised:
-                end(pos, raised)
-    if failure is not None:
-        raise failure
-    return results
+                err.add_note(f"strategy {names[pos]}")
+                raise
+        if not asks:
+            return results
+        live = [pos for pos, _ in asks]
+        lanes = [lane for _, its in asks for lane in its]
+        of, firsts = _distinct(lanes)
+        try:
+            trained = local_update([lanes[j].model for j in firsts],
+                                   Lanes.of([lanes[j].site.packed for j in firsts]), sgd,
+                                   [lanes[j].seed for j in firsts])
+        except Diverged as err:
+            # the first lane that trains like the diverging one is its loop's
+            j = firsts[err.lane]
+            err.add_note(f"client {lanes[j].site.spec.site_id!r}")
+            pos = [pos for pos, its in asks for _ in its][j]
+            with located(f"strategy {names[pos]}"):
+                loops[pos].throw(err)  # the loop notes its round and raises it on
+        except Exception as err:
+            err.add_note(f"round {t}")
+            raise
+        index = iter(of)
+        for pos, its in asks:
+            updates[pos] = [trained[next(index)] for _ in its]
 
 
 def run_federation(
@@ -391,9 +352,9 @@ def run_federation(
     updates of every strategy train as the lanes of one ``local_update``
     call, and lanes with the same start set, pack and local seed train
     once.  A lane trains bit for bit as it would alone, so each result is
-    the strategy's alone, and errors come out as if the strategies ran one
-    after another in order (see ``_lockstep``); each is noted with its
-    strategy.
+    the strategy's alone.  The run stops at the first error it meets: round
+    by round, the training call first, then each strategy's scoring,
+    aggregation and next round's planning in order (see ``_lockstep``).
     """
     if not sites:
         raise ValueError("no sites")

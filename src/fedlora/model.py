@@ -74,9 +74,9 @@ class EmptyBatchError(ValueError):
 
 class Diverged(FloatingPointError):
     """Local training drove an adapter factor to inf or NaN.  The message
-    names the layer, a note the step and ``lane`` the lane of
-    ``local_update`` it happened in; each caller that knows more notes
-    where it ran."""
+    names the layer, a note the first step it happened at and ``lane`` the
+    lowest lane of ``local_update`` it happened in then; each caller that
+    knows more notes where it ran."""
 
     def __init__(self, message: str, lane: int):
         super().__init__(message)
@@ -616,11 +616,9 @@ def local_update(
     The lanes share one backbone and one adapter scale.  Each lane draws
     its own permutation per epoch and runs its own steps; a lane leaves the
     stack when its steps run out, and its result is bit for bit that of the
-    lane trained alone.  The input models are left untouched.  A step that
-    leaves a lane's factor non-finite takes the lane out of the stack, and
-    the lanes after it with it; once the rest have run, ``Diverged`` names
-    the lowest lane that diverged, as if the lanes had trained one after
-    another in lane order.
+    lane trained alone.  The input models are left untouched.  The first
+    step that leaves any lane's factor non-finite raises ``Diverged`` at
+    once, naming the lowest such lane and its first non-finite layer.
     """
     frozen = models[0].frozen
     scale = models[0].adapters.scale
@@ -639,7 +637,6 @@ def local_update(
                for key in models[0].adapters.layers}
     stack = np.arange(k)  # the lanes still training, in stack order
     done: dict[int, dict] = {}
-    failed: dict[int, tuple[int, str]] = {}  # lane -> (step, layer)
     eta = sgd.learning_rate
     # a diverging step overflows before its factors turn non-finite; the
     # isfinite check below is what reports it, so numpy stays quiet
@@ -649,30 +646,27 @@ def local_update(
                 batch = batch.of_lanes(stack)
             eff = _effective(frozen, factors, scale)
             grads = _factor_grads(_weight_grads(frozen, eff, batch), factors, scale)
-            finite = np.ones(len(stack), dtype=bool)
+            broken = []  # (finite per slot, layer) of each layer gone non-finite
             for key, (b, a) in factors.items():
                 db, da = grads[key]
                 b -= eta * db
                 a -= eta * da
                 if not (np.isfinite(b).all() and np.isfinite(a).all()):
                     ok = np.isfinite(b).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
-                    for lane in stack[finite & ~ok].tolist():
-                        failed[lane] = (step, key)
-                    finite &= ok
-            finished = finite & (total[stack] == step + 1)
-            stay = finite & ~finished & (stack < min(failed, default=k))
-            if not stay.all():
+                    broken.append((ok, key))
+            if broken:
+                slot = min(int(np.argmin(ok)) for ok, _ in broken)
+                key = next(key for ok, key in broken if not ok[slot])
+                err = Diverged(f"layer {key!r} has non-finite adapter factors", int(stack[slot]))
+                err.add_note(f"step {step}")
+                raise err
+            finished = total[stack] == step + 1
+            if finished.any():
                 for slot in np.flatnonzero(finished).tolist():
                     done[int(stack[slot])] = {key: (b[slot], a[slot])
                                               for key, (b, a) in factors.items()}
-                stack = stack[stay]
-                factors = {key: (b[stay], a[stay]) for key, (b, a) in factors.items()}
+                stack = stack[~finished]
+                factors = {key: (b[~finished], a[~finished]) for key, (b, a) in factors.items()}
                 if not len(stack):
                     break
-    if failed:
-        lane = min(failed)
-        step, key = failed[lane]
-        err = Diverged(f"layer {key!r} has non-finite adapter factors", lane)
-        err.add_note(f"step {step}")
-        raise err
     return [model.adapters.with_layers(done[lane]) for lane, model in enumerate(models)]

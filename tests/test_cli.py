@@ -323,7 +323,7 @@ class TestRoundZeroReuse:
 def diverging_update(lanes_to_fail):
     """``local_update`` that trains for real, but raises ``Diverged`` at the
     lowest lane that ``lanes_to_fail(call, packs)`` names, as the real one
-    raises at the lowest lane that diverged."""
+    raises at the lowest lane that diverged at its first diverging step."""
     train = fedlora.federation.local_update
     calls = []
 
@@ -345,8 +345,10 @@ def pooled(call, packs):
 
 
 class TestRunOrder:
-    """Strategies train together, but fail as if they ran one after another
-    in run order: influence, zero_shot, single_site, fedavg, centralized."""
+    """Strategies train together, and a seed's run stops at the first error
+    it meets: round by round, the training call first, then each strategy's
+    own work in run order (influence, zero_shot, single_site, fedavg,
+    centralized).  No call follows the first error."""
 
     def run(self, tmp_path, monkeypatch, lanes_to_fail):
         update, calls = diverging_update(lanes_to_fail)
@@ -355,19 +357,34 @@ class TestRunOrder:
         code = main(["run", "--config", config, "--out-dir", str(tmp_path / "o")])
         return code, calls
 
-    def test_earlier_strategy_diverging_later_is_named(self, tmp_path, capsys, monkeypatch):
-        # centralized (80 pooled examples) diverges in round 0, influence's
-        # site_b lane (lane 1 of round 1's call) in round 1
+    def test_earlier_round_diverging_is_named(self, tmp_path, capsys, monkeypatch):
+        # centralized (80 pooled examples) would diverge in round 0,
+        # influence's site_b lane (lane 1 of round 1's call) in round 1
         def fail(call, packs):
-            return pooled(call, packs) if call == 0 else [1] if call == 2 else []
+            return pooled(call, packs) if call == 0 else [1] if call == 1 else []
 
         code, calls = self.run(tmp_path, monkeypatch, fail)
         assert code == 3
         assert capsys.readouterr().err == (
-            "error: seed 3, strategy influence, round 1, client 'site_b', step 7: "
+            "error: seed 3, strategy centralized, round 0, client 'pooled', step 7: "
             "layer 'trunk' has non-finite adapter factors\n")
-        # round 0 runs again without the pooled lane; round 1 without centralized's
-        assert calls == [3, 2, 6]
+        # round 0's call is the last
+        assert calls == [3]
+
+    def test_two_strategies_diverging_in_one_call_name_the_lowest_lane(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # round 0's call trains site_a, site_b (influence's lanes first, and
+        # single_site's and fedavg's alike) and pooled; site_b and pooled diverge
+        def fail(call, packs):
+            return [1] + pooled(call, packs) if call == 0 else []
+
+        code, calls = self.run(tmp_path, monkeypatch, fail)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: seed 3, strategy influence, round 0, client 'site_b', step 7: "
+            "layer 'trunk' has non-finite adapter factors\n")
+        assert calls == [3]
 
     def test_later_strategy_diverging_alone_is_named(self, tmp_path, capsys, monkeypatch):
         code, calls = self.run(tmp_path, monkeypatch, pooled)
@@ -375,13 +392,13 @@ class TestRunOrder:
         assert capsys.readouterr().err == (
             "error: seed 3, strategy centralized, round 0, client 'pooled', step 7: "
             "layer 'trunk' has non-finite adapter factors\n")
-        # the strategies before centralized finish both rounds
-        assert calls == [3, 2, 6]
+        # no strategy trains on after round 0's call
+        assert calls == [3]
 
     def test_earlier_strategy_error_of_another_kind_is_named(
         self, tmp_path, capsys, monkeypatch
     ):
-        # influence scores round 1's updates after centralized diverged in round 0
+        # influence's scoring of round 1's updates is the first error met
         score = fedlora.federation.validation_loss
         scored = []
 
@@ -392,15 +409,16 @@ class TestRunOrder:
             return score(*args)
 
         monkeypatch.setattr(fedlora.federation, "validation_loss", overflow_in_round_one)
-        code, calls = self.run(tmp_path, monkeypatch, pooled)
+        code, calls = self.run(tmp_path, monkeypatch, lambda call, packs: [])
         assert code == 3
         assert capsys.readouterr().err == (
             "error: seed 3, strategy influence, round 1, client 'site_a': math range error\n")
-        assert calls == [3, 2, 6]
+        # influence raises before the other strategies aggregate round 1
+        assert calls == [3, 7]
 
-    def test_call_error_of_another_kind_is_its_loops(self, tmp_path, capsys, monkeypatch):
-        # any call that trains centralized's round 1 raises; the call's
-        # loops then train one at a time, and the ones before it finish
+    def test_call_error_of_another_kind_names_its_round(self, tmp_path, capsys, monkeypatch):
+        # round 1's call, which holds centralized's lane, raises; the call
+        # holds every strategy's lanes, so no strategy is named
         train = fedlora.federation.local_update
         calls = []
 
@@ -413,10 +431,8 @@ class TestRunOrder:
         monkeypatch.setattr(fedlora.federation, "local_update", broken)
         config = write_config(tmp_path, json_roundtrip(BASE_CONFIG))
         assert main(["run", "--config", config, "--out-dir", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err == (
-            "error: seed 3, strategy centralized, round 1: out of lanes\n")
-        # influence, single_site's two loops and fedavg alone, then centralized
-        assert calls == [3, 7, 2, 1, 1, 2, 1]
+        assert capsys.readouterr().err == "error: seed 3, round 1: out of lanes\n"
+        assert calls == [3, 7]
 
 
 def corrupt_first_split(monkeypatch, maker, field, value):

