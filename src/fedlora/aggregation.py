@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lora import AdapterPair, AdapterSet, DimensionMismatch, check_shapes
-from .model import Example, Pack, ToyModel, loss
+from .model import Pack, ToyModel, loss
 
 
 class WeightMode(enum.Enum):
@@ -51,11 +51,9 @@ class InfluenceReport:
         return dict(zip(self.client_ids, self.weights))
 
 
-def validation_loss(
-    model: ToyModel, adapters: AdapterSet, val_set: Pack | list[Example]
-) -> float:
-    """Mean cross-entropy of the merged (backbone + adapters) model on D_v;
-    an empty set fails to pack (``EmptyBatchError``)."""
+def validation_loss(model: ToyModel, adapters: AdapterSet, val_set: Pack) -> float:
+    """Mean cross-entropy of the merged (backbone + adapters) model on the
+    validation pack D_v."""
     return loss(model.with_adapters(adapters), val_set)
 
 

@@ -321,7 +321,7 @@ def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[
         of, firsts = _distinct(lanes)
         try:
             trained = local_update([lanes[j].model for j in firsts],
-                                   Lanes.of([lanes[j].site.packed for j in firsts]), sgd,
+                                   Lanes(tuple(lanes[j].site.packed for j in firsts)), sgd,
                                    [lanes[j].seed for j in firsts])
         except Diverged as err:
             # the first lane that trains like the diverging one is its loop's

@@ -13,13 +13,14 @@ Per-token pipeline (no attention, tokens are independent):
     tag logits      = (H_tag + s * B A)^T z
     relation logits = (H_rel + s * B A)^T [z_head ; z_tail]
 
-Data lives in flat arrays (``Pack``), a site's as one pack.  Training
-(``local_update`` and ``grad``), scoring (``loss``) and evaluation
-(``forward``) all run one kernel.  As tokens are independent, it runs the
-trunk and both heads over every token id of the vocabulary, and a
-mini-batch reaches it as its tagging loss weights per (token id, gold tag)
-plus its marked pairs (``Batch``): no batch needs its own gather, and a
-step's cost grows with V * h rather than with the tokens the batch reads.
+Data lives only in flat arrays (``Pack``), a site's as one pack, and every
+entry point takes packs.  Training (``local_update`` and ``grad``), scoring
+(``loss``) and evaluation (``forward``) all run one kernel.  As tokens are
+independent, it runs the trunk and both heads over every token id of the
+vocabulary, and a mini-batch reaches it as its tagging loss weights per
+(token id, gold tag) plus its marked pairs (``Batch``): no batch needs its
+own gather, and a step's cost grows with V * h rather than with the tokens
+the batch reads.
 
 The kernel trains k clients in lockstep, one lane each (``Lanes``).  Every
 array it reads or writes carries a leading lane axis: factors stack as
@@ -121,37 +122,6 @@ class SgdConfig:
                 raise FieldError(name, "must be >= 1")
 
 
-@dataclass(frozen=True)
-class Example:
-    """One training instance: a tagged token sequence or a marked pair."""
-
-    task: Task
-    tokens: np.ndarray
-    tags: np.ndarray | None = None
-    head: int | None = None
-    tail: int | None = None
-    relation: int | None = None
-
-    def __post_init__(self):
-        tokens = np.ascontiguousarray(np.asarray(self.tokens, dtype=np.int64))
-        tokens.flags.writeable = False
-        object.__setattr__(self, "tokens", tokens)
-        if self.task is Task.TAGGING:
-            if self.tags is None:
-                raise ValueError("tagging example needs tags")
-            tags = np.ascontiguousarray(np.asarray(self.tags, dtype=np.int64))
-            if len(tags) != len(tokens):
-                raise ValueError("tag sequence length must equal token length")
-            tags.flags.writeable = False
-            object.__setattr__(self, "tags", tags)
-        else:
-            if self.head is None or self.tail is None or self.relation is None:
-                raise ValueError("relation example needs head, tail and relation")
-            n = len(tokens)
-            if not (0 <= self.head < n and 0 <= self.tail < n):
-                raise ValueError("marked positions out of range")
-
-
 class Batch(NamedTuple):
     """A lockstep mini-batch as the compute kernel reads it: each lane's
     tagging loss weights per (token id, gold tag), and every lane's marked
@@ -185,11 +155,6 @@ def _cat(arrays) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
 
 
-def _measure(**values: np.ndarray) -> dict[str, tuple[int, int]]:
-    """(min, max) of each kind of value that is present."""
-    return {kind: (int(v.min()), int(v.max())) for kind, v in values.items() if len(v)}
-
-
 def _task_rows(tagging: np.ndarray) -> np.ndarray:
     """Each example's row among the tagging examples or among the pairs."""
     return np.where(tagging, np.cumsum(tagging), np.cumsum(~tagging)) - 1
@@ -205,12 +170,11 @@ def _token_positions(starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Pack:
-    """Examples as flat arrays, each task's in example order; a site's data
-    is one pack.  ``build`` is the one constructor: a site is drawn straight
-    into it, ``of`` packs hand-built examples, and ``concat`` and ``take``
-    join packs and pick their rows.  Packing measures the range of the
-    tokens, marked or not, and of each present task's labels once, so
-    checking a pack against a model costs a few comparisons."""
+    """Examples as flat arrays, each task's in example order; all data is
+    packs, a site's one pack.  ``build`` is the one constructor: a site is
+    drawn straight into it, and ``concat`` and ``take`` join packs and pick
+    their rows.  ``ranges`` measures the tokens and labels on first use, so
+    checking a pack against a model again costs a few comparisons."""
 
     tokens: np.ndarray  # (T,) every tagging token, examples back to back
     tags: np.ndarray  # (T,) their gold tags
@@ -220,69 +184,55 @@ class Pack:
     relations: np.ndarray  # (R,) relation labels
     tagging: np.ndarray  # (n,) whether example i is a tagging example
     starts: np.ndarray  # (n_tag + 1,) offset of each tagging example in tokens
-    ranges: dict[str, tuple[int, int]]  # (min, max) of "token", "tag", "relation"
 
     @classmethod
-    def build(cls, tagging: np.ndarray, tokens: np.ndarray, counts: np.ndarray,
-              tags: np.ndarray, heads: np.ndarray, tails: np.ndarray, relations: np.ndarray,
-              ranges: dict[str, tuple[int, int]] | None = None) -> "Pack":
+    def build(cls, tagging, tokens, counts, tags, heads, tails, relations) -> "Pack":
         """The pack of examples whose tasks ``tagging`` marks: ``counts``
         tokens per tagging example, with ``tokens`` and ``tags`` back to
-        back, and one pair per relation example.  ``ranges`` defaults to the
-        range of these tokens and labels."""
+        back, and one pair (``heads``, ``tails``, ``relations``) per
+        relation example.  Any integer sequences will do."""
+        tagging = np.asarray(tagging, dtype=bool)
+        tokens, counts, tags, heads, tails, relations = (
+            np.asarray(a, dtype=np.int64) for a in (tokens, counts, tags, heads, tails, relations))
         if not len(tagging):
             raise EmptyBatchError("no examples to pack")
         if (counts == 0).any():
             raise ValueError("empty token sequence")
-        if ranges is None:
-            ranges = _measure(token=_cat([tokens, heads, tails]), tag=tags, relation=relations)
+        n_tag = int(tagging.sum())
+        if not (len(counts) == n_tag and counts.sum() == len(tokens) == len(tags)):
+            raise ValueError("need one token count per tagging example and one tag per token")
+        if not len(heads) == len(tails) == len(relations) == len(tagging) - n_tag:
+            raise ValueError("need one head, tail and relation per relation example")
         return cls(tokens, tags, np.repeat(1.0 / counts, counts), heads, tails, relations,
-                   tagging, np.concatenate([[0], np.cumsum(counts)]), ranges)
-
-    @classmethod
-    def of(cls, examples: "Pack | Sequence[Example]") -> "Pack":
-        """``examples`` packed; a pack is returned as it is.  The range
-        measures every token of every example, marked or not."""
-        if isinstance(examples, Pack):
-            return examples
-        tagged = [ex for ex in examples if ex.task is Task.TAGGING]
-        marked = [ex for ex in examples if ex.task is not Task.TAGGING]
-        tags = _cat(ex.tags for ex in tagged)
-        relations = np.array([ex.relation for ex in marked], dtype=np.int64)
-        return cls.build(
-            tagging=np.array([ex.task is Task.TAGGING for ex in examples], dtype=bool),
-            tokens=_cat(ex.tokens for ex in tagged),
-            counts=np.array([len(ex.tokens) for ex in tagged], dtype=np.int64),
-            tags=tags,
-            heads=np.array([ex.tokens[ex.head] for ex in marked], dtype=np.int64),
-            tails=np.array([ex.tokens[ex.tail] for ex in marked], dtype=np.int64),
-            relations=relations,
-            ranges=_measure(token=_cat(ex.tokens for ex in examples), tag=tags,
-                            relation=relations),
-        )
+                   tagging, np.concatenate([[0], np.cumsum(counts)]))
 
     @classmethod
     def concat(cls, packs: Sequence["Pack"]) -> "Pack":
-        """``packs`` end to end; the ranges are the union of theirs."""
-        bounds = {kind: np.array([b for pack in packs for b in pack.ranges.get(kind, ())])
-                  for kind in ("token", "tag", "relation")}
+        """``packs`` end to end."""
         tokens, tags, heads, tails, relations = (
             _cat(getattr(pack, name) for pack in packs)
             for name in ("tokens", "tags", "heads", "tails", "relations"))
         return cls.build(np.concatenate([pack.tagging for pack in packs]), tokens,
                          _cat(np.diff(pack.starts) for pack in packs), tags, heads, tails,
-                         relations, _measure(**bounds))
+                         relations)
 
     def take(self, rows: np.ndarray) -> "Pack":
-        """Examples ``rows`` of this pack, in that order.  The result keeps
-        this pack's ranges, which bound its own."""
+        """Examples ``rows`` of this pack, in that order."""
         tagging = self.tagging[rows]
         index = _task_rows(self.tagging)[rows]
         tag_rows, pairs = index[tagging], index[~tagging]
         tok = _token_positions(self.starts, tag_rows)
         return Pack.build(tagging, self.tokens[tok], np.diff(self.starts)[tag_rows],
                           self.tags[tok], self.heads[pairs], self.tails[pairs],
-                          self.relations[pairs], self.ranges)
+                          self.relations[pairs])
+
+    @cached_property
+    def ranges(self) -> dict[str, tuple[int, int]]:
+        """(min, max) of "token" (tagging and marked alike), "tag" and
+        "relation", each if present, measured on first use."""
+        values = {"token": _cat([self.tokens, self.heads, self.tails]), "tag": self.tags,
+                  "relation": self.relations}
+        return {kind: (int(v.min()), int(v.max())) for kind, v in values.items() if len(v)}
 
     def __len__(self) -> int:
         return len(self.tagging)
@@ -298,10 +248,6 @@ class Lanes:
     the examples of every lane."""
 
     packs: tuple[Pack, ...]
-
-    @classmethod
-    def of(cls, datasets: Sequence[Pack | Sequence[Example]]) -> "Lanes":
-        return cls(tuple(Pack.of(data) for data in datasets))
 
     def __len__(self) -> int:
         return sum(len(pack) for pack in self.packs)
@@ -469,12 +415,6 @@ def _one_lane(model: ToyModel) -> dict[str, np.ndarray]:
     return {key: w[None] for key, w in model.merged.items()}
 
 
-def _packed(frozen: Backbone, data: Pack | Sequence[Example]) -> Pack:
-    pack = Pack.of(data)
-    frozen.check_ranges(pack)
-    return pack
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -498,26 +438,26 @@ def _forward(frozen: Backbone, eff: dict[str, np.ndarray], heads: np.ndarray,
     return z, _log_softmax(z @ eff["tag_head"]), _log_softmax(rel_logits)
 
 
-def forward(model: ToyModel, data: Pack | Sequence[Example]) -> tuple[np.ndarray, np.ndarray]:
+def forward(model: ToyModel, pack: Pack) -> tuple[np.ndarray, np.ndarray]:
     """Class probability distributions in one pass: (T, C_tag) for the
-    tagging tokens and (R, C_rel) for the marked pairs, each in list order."""
-    pack = _packed(model.frozen, data)
+    tagging tokens and (R, C_rel) for the marked pairs, each in pack order."""
+    model.frozen.check_ranges(pack)
     # in lane 0 a pair's row in the stacked vocabulary is its token id
     _, tag_logp, rel_logp = _forward(model.frozen, _one_lane(model), pack.heads, pack.tails)
     return np.exp(tag_logp[0])[pack.tokens], np.exp(rel_logp)
 
 
-def _whole(frozen: Backbone, data: Pack | Sequence[Example]) -> Batch:
-    """Every example of ``data`` as one mini-batch of one lane, its tokens
-    and pairs in list order as ``Lanes.batches`` orders a step's."""
-    pack = _packed(frozen, data)
+def _whole(frozen: Backbone, pack: Pack) -> Batch:
+    """Every example of ``pack`` as one mini-batch of one lane, its tokens
+    and pairs in pack order as ``Lanes.batches`` orders a step's."""
+    frozen.check_ranges(pack)
     v, c = frozen.config.vocab_size, frozen.config.tag_classes
     weights = np.bincount(pack.tokens * c + pack.tags, weights=pack.shares, minlength=v * c)
     return Batch(weights.reshape(1, v, c), np.zeros(len(pack.heads), dtype=np.int64),
                  pack.heads, pack.tails, pack.relations, np.array([len(pack)]))
 
 
-def loss(model: ToyModel, batch: Pack | Sequence[Example]) -> float:
+def loss(model: ToyModel, batch: Pack) -> float:
     """Mean over the batch of per-example mean negative log-likelihood."""
     whole = _whole(model.frozen, batch)
     _, tag_logp, rel_logp = _forward(model.frozen, _one_lane(model), *whole.rows())
@@ -573,9 +513,7 @@ def _factor_grads(weight_grads, factors, s: float):
     return out
 
 
-def grad(
-    model: ToyModel, batch: Pack | Sequence[Example]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def grad(model: ToyModel, batch: Pack) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Analytic gradients of loss(model, batch) w.r.t. each adapter's (B, A).
 
     Frozen parameters receive no gradient by construction.

@@ -6,10 +6,10 @@ from fedlora.federation import run_federation
 from fedlora.model import Lanes, local_update
 
 
-def train_alone(model, data, sgd, seed):
-    """``model``'s adapters after seeded SGD on ``data`` (examples or a
-    pack), trained as the one lane of a ``local_update`` call."""
-    (adapters,) = local_update([model], Lanes.of([data]), sgd, [seed])
+def train_alone(model, pack, sgd, seed):
+    """``model``'s adapters after seeded SGD on ``pack``, trained as the
+    one lane of a ``local_update`` call."""
+    (adapters,) = local_update([model], Lanes((pack,)), sgd, [seed])
     return adapters
 
 

@@ -25,7 +25,8 @@ from fedlora.metrics import (
     span_counts,
     wilcoxon_rank_sum,
 )
-from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel, grad, loss
+from fedlora.model import Backbone, ModelConfig, SgdConfig, Task, ToyModel, grad, loss
+from packing import packed
 from span_oracle import to_spans
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -135,13 +136,11 @@ def test_04_gradient_correctness():
     for i in range(8):
         tokens = brng.integers(0, 20, size=6)
         if i % 2 == 0:
-            batch.append(Example(Task.TAGGING, tokens, tags=tokens % 9))
+            batch.append((tokens, tokens % 9))
         else:
-            h, t = sorted(brng.choice(6, size=2, replace=False))
-            batch.append(
-                Example(Task.RELATION, tokens, head=int(h), tail=int(t),
-                        relation=int((tokens[h] + tokens[t]) % 16))
-            )
+            h, t = tokens[sorted(brng.choice(6, size=2, replace=False))]
+            batch.append((h, t, (h + t) % 16))
+    batch = packed(batch)
 
     analytic = grad(model, batch)
     step = 1e-5

@@ -17,7 +17,8 @@ from fedlora.aggregation import (
 )
 from fedlora.datasim import PlantedRule, make_validation_set
 from fedlora.lora import AdapterPair, AdapterSet
-from fedlora.model import Backbone, Example, ModelConfig, Task, ToyModel, loss
+from fedlora.model import Backbone, ModelConfig, ToyModel, loss
+from packing import packed
 
 RULE = PlantedRule(vocab_size=60)
 CFG = ModelConfig(
@@ -74,22 +75,17 @@ class TestValidationLoss:
                 "rel_head": AdapterPair(np.zeros((2 * v, c)), np.zeros((c, c))),
             },
         )
-        val = [Example(Task.TAGGING, [t], tags=[gold[t]]) for t in range(v)]
+        val = packed([([t], [gold[t]]) for t in range(v)])
         assert validation_loss(model, adapters, val) < 1e-9
 
     def test_uniform_model_gives_log_c(self):
         cfg = ModelConfig(4, 3, 5, 7, rank=1, alpha=1.0, seed=0)
         frozen = Backbone(cfg, np.zeros((4, 3)), np.eye(3), np.zeros((3, 5)), np.zeros((6, 7)))
         model = ToyModel(frozen, frozen.init_adapters(0))
-        val = [Example(Task.TAGGING, [0, 1], tags=[2, 3])]
+        val = packed([([0, 1], [2, 3])])
         assert validation_loss(model, model.adapters, val) == pytest.approx(
             math.log(5), abs=1e-12
         )
-
-    def test_empty_validation_set_rejected(self):
-        model = ToyModel.build(CFG)
-        with pytest.raises(ValueError):
-            validation_loss(model, model.adapters, [])
 
 
 class TestInfluenceScores:

@@ -17,7 +17,8 @@ from fedlora.datasim import (
     make_validation_set,
     shard,
 )
-from fedlora.model import Example, FieldError, Pack, Task
+from fedlora.model import FieldError, Task
+from packing import packed
 
 RULE = PlantedRule(vocab_size=60)
 FIELDS = ("tokens", "tags", "shares", "heads", "tails", "relations", "tagging", "starts")
@@ -107,7 +108,7 @@ class TestGenerateSite:
     def test_deterministic_under_seed(self):
         spec = SiteSpec("a", 300, dirichlet_alpha=0.5, noise_rate=0.2, seed=5)
         one, two = generate_site(spec, RULE).packed, generate_site(spec, RULE).packed
-        assert pack_key(one) == pack_key(two) and one.ranges == two.ranges
+        assert pack_key(one) == pack_key(two)
 
     def test_noise_rate_measured_within_three_points(self):
         for rate in (0.1, 0.4):
@@ -213,20 +214,16 @@ def oracle_site(spec, rule):
     tags = oracle_noise(rng, [oracle_tag(rule, t) for doc in docs for t in doc],
                         rule.num_tags, spec.noise_rate)
     labels = oracle_noise(rng, labels, rule.num_relations, spec.noise_rate)
-    tag_rows, pairs = iter(docs), iter(zip(sizes, places, marked, labels))
+    tag_rows, pairs = iter(docs), iter((h, t, label) for (h, t), label in zip(marked, labels))
     examples, t = [], 0
     for task in tasks:
         if task is Task.TAGGING:
             doc = next(tag_rows)
-            examples.append(Example(Task.TAGGING, doc, tags=tags[t:t + len(doc)]))
+            examples.append((doc, tags[t:t + len(doc)]))
             t += len(doc)
         else:
-            size, (head, tail), (head_token, tail_token), label = next(pairs)
-            # unmarked places are never drawn; the head token stands in
-            tokens = [head_token] * size
-            tokens[tail] = tail_token
-            examples.append(Example(Task.RELATION, tokens, head=head, tail=tail, relation=label))
-    return Pack.of(examples)
+            examples.append(next(pairs))
+    return packed(examples)
 
 
 def oracle_validation_set(rule, n_v, seed):
@@ -243,21 +240,19 @@ def oracle_validation_set(rule, n_v, seed):
         if i % 2 == 0:
             tag = k % rule.num_tags
             docs[k][0] = next(v for v in range(rule.vocab_size) if oracle_tag(rule, v) == tag)
-            examples.append(Example(Task.TAGGING, docs[k], tags=oracle_tags(rule, docs[k])))
+            examples.append((docs[k], oracle_tags(rule, docs[k])))
         else:
             head_group, tail_group = (k // e) % e + 1, k % e + 1
             head, tail = rule.token_id(head_group, 0), rule.token_id(tail_group, 0)
             label = oracle_relation(rule, head_group, tail_group, 0)
-            examples.append(Example(Task.RELATION, [head, head, tail], head=0, tail=2,
-                                    relation=label))
-    return Pack.of(examples)
+            examples.append((head, tail, label))
+    return packed(examples)
 
 
 def assert_packs_equal(got, want):
     for name in FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.ranges == want.ranges
 
 
 class TestPerExampleOracle:

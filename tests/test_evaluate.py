@@ -14,9 +14,10 @@ from fedlora.evaluate import (
 )
 from fedlora.federation import FederationConfig, Strategy, run_federation
 from fedlora.metrics import EvalReport, RelationInstance, Scheme, Span, relation_counts
-from fedlora.model import Backbone, Example, ModelConfig, SgdConfig, Task, ToyModel, forward
+from fedlora.model import Backbone, ModelConfig, SgdConfig, Task, ToyModel, forward
 from fedlora.seeding import derive_seed
 from one_lane import run_alone
+from packing import packed
 from span_oracle import decode_bio, span_counts
 from test_metrics import oracle_bootstrap_ci
 
@@ -112,8 +113,7 @@ class TestPredictions:
 
     def test_predict_relation_returns_class_index(self):
         model = ToyModel.build(CFG)
-        ex = Example(Task.RELATION, [0, 1, 2, 3], head=0, tail=2, relation=5)
-        _, rel_probs = forward(model, [ex])
+        _, rel_probs = forward(model, packed([(0, 2, 5)]))
         assert 0 <= int(rel_probs.argmax()) < RULE.num_relations
 
 

@@ -17,7 +17,8 @@ from fedlora.lora import (
     serialized_a_size,
     serialized_size,
 )
-from fedlora.model import Backbone, Example, ModelConfig, Task, ToyModel, forward
+from fedlora.model import Backbone, ModelConfig, ToyModel, forward
+from packing import packed
 
 
 def naive_matmul(x, y):
@@ -108,12 +109,12 @@ class TestMerge:
         rng = np.random.default_rng(1)
         backbone = square_backbone(rng, 3)
         adapters = make_set(rng, backbone.adapter_shapes(), rank=1, alpha=1.0)
-        example = Example(Task.TAGGING, [1, 4, 9], tags=[0, 1, 2])
+        tokens = [1, 4, 9]
         merged = merged_weights(backbone, adapters)
-        z = np.maximum(backbone.embedding[example.tokens] @ merged["trunk"], 0.0)
+        z = np.maximum(backbone.embedding[tokens] @ merged["trunk"], 0.0)
         logits = z @ merged["tag_head"]
         expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        probs, _ = forward(ToyModel(backbone, adapters), [example])
+        probs, _ = forward(ToyModel(backbone, adapters), packed([(tokens, [0, 1, 2])]))
         np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch_names_layer_and_shapes(self):

@@ -19,7 +19,7 @@ from fedlora.metrics import (
     span_counts,
     wilcoxon_rank_sum,
 )
-from fedlora.model import Example, ModelConfig, Task, ToyModel, forward
+from fedlora.model import ModelConfig, Task, ToyModel, forward
 from span_oracle import decode_bio as list_decode_bio
 from span_oracle import span_counts as list_span_counts
 from span_oracle import to_lists, to_spans
@@ -208,14 +208,13 @@ class TestSpanF1:
         test = make_test_split(SiteSpec("a", 30, seed=3), 30, rule)
         (reports,) = evaluate_model([model], test)
         pack = test.packed
-        docs = [Example(Task.TAGGING, pack.tokens[start:end], tags=pack.tags[start:end])
-                for start, end in zip(pack.starts[:-1], pack.starts[1:])]
+        docs = [pack.take([row]) for row in np.flatnonzero(pack.tagging)]
         for scheme in Scheme:
             counts = []
-            for ex in docs:  # each document forwarded and decoded on its own
-                tag_probs, _ = forward(model, [ex])
+            for doc in docs:  # each document forwarded and decoded on its own
+                tag_probs, _ = forward(model, doc)
                 pred = list_decode_bio(tag_probs.argmax(axis=1))
-                counts.append(list_span_counts(list_decode_bio(ex.tags), pred, scheme))
+                counts.append(list_span_counts(list_decode_bio(doc.tags), pred, scheme))
             pooled = reports[(Task.TAGGING, scheme)]
             assert (pooled.tp, pooled.fp, pooled.fn) == tuple(map(sum, zip(*counts)))
             assert pooled.tp + pooled.fp + pooled.fn > 0

@@ -12,7 +12,6 @@ from fedlora.model import (
     Backbone,
     Diverged,
     EmptyBatchError,
-    Example,
     FieldError,
     LabelRangeError,
     Lanes,
@@ -28,6 +27,7 @@ from fedlora.model import (
     loss,
 )
 from one_lane import train_alone
+from packing import packed
 
 SMALL = ModelConfig(
     vocab_size=20, hidden=8, tag_classes=9, relation_classes=16, rank=2, alpha=4.0, seed=3
@@ -45,41 +45,37 @@ def randomized_adapters(model: ToyModel, seed: int, scale=0.1) -> AdapterSet:
 
 def tagging_example(rng, vocab, tag_classes, length=6):
     tokens = rng.integers(0, vocab, size=length)
-    return Example(Task.TAGGING, tokens, tags=tokens % tag_classes)
+    return tokens, tokens % tag_classes
 
 
 def relation_example(rng, vocab, rel_classes, length=6):
+    """The pair of two distinct places of a drawn ``length``-token sequence."""
     tokens = rng.integers(0, vocab, size=length)
-    head, tail = sorted(rng.choice(length, size=2, replace=False))
-    rel = int((tokens[head] + tokens[tail]) % rel_classes)
-    return Example(Task.RELATION, tokens, head=int(head), tail=int(tail), relation=rel)
+    head, tail = tokens[sorted(rng.choice(length, size=2, replace=False))]
+    return int(head), int(tail), int((head + tail) % rel_classes)
 
 
-def mixed_batch(seed, n=8, cfg=SMALL):
+def mixed_batch(seed, n=8, cfg=SMALL) -> Pack:
     rng = np.random.default_rng(seed)
-    batch = []
-    for i in range(n):
-        if i % 2 == 0:
-            batch.append(tagging_example(rng, cfg.vocab_size, cfg.tag_classes))
-        else:
-            batch.append(relation_example(rng, cfg.vocab_size, cfg.relation_classes))
-    return batch
+    return packed([
+        tagging_example(rng, cfg.vocab_size, cfg.tag_classes) if i % 2 == 0
+        else relation_example(rng, cfg.vocab_size, cfg.relation_classes)
+        for i in range(n)
+    ])
 
 
 @st.composite
 def examples(draw):
     """A hand-built list of 1-6 examples, tagging or relation, whose tokens
     and labels may lie outside any model's range."""
-    out = []
+    token, out = st.integers(-3, 40), []
     for _ in range(draw(st.integers(1, 6))):
-        tokens = draw(st.lists(st.integers(-3, 40), min_size=1, max_size=5))
-        if len(tokens) < 2 or draw(st.booleans()):
-            tags = draw(st.lists(st.integers(-2, 12), min_size=len(tokens), max_size=len(tokens)))
-            out.append(Example(Task.TAGGING, tokens, tags=tags))
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 5))
+            tags = st.lists(st.integers(-2, 12), min_size=n, max_size=n)
+            out.append((draw(st.lists(token, min_size=n, max_size=n)), draw(tags)))
         else:
-            head, tail = draw(st.permutations(range(len(tokens))))[:2]
-            out.append(Example(Task.RELATION, tokens, head=head, tail=tail,
-                               relation=draw(st.integers(-2, 20))))
+            out.append((draw(token), draw(token), draw(st.integers(-2, 20))))
     return out
 
 
@@ -92,25 +88,46 @@ def assert_same_arrays(got: Pack, want: Pack):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def assert_ranges_measure_own_arrays(pack: Pack):
+    values = {"token": [*pack.tokens.tolist(), *pack.heads.tolist(), *pack.tails.tolist()],
+              "tag": pack.tags.tolist(), "relation": pack.relations.tolist()}
+    assert pack.ranges == {kind: (min(v), max(v)) for kind, v in values.items() if v}
+
+
+# one tagging example of two tokens and one pair
+TWO = dict(tagging=[True, False], tokens=[1, 2], counts=[2], tags=[0, 1], heads=[3], tails=[4],
+           relations=[0])
+
+
 class TestPack:
     @settings(max_examples=200, deadline=None)
     @given(a=examples(), b=examples())
     def test_concat_equals_packing_the_joined_list(self, a, b):
-        got = Pack.concat([Pack.of(a), Pack.of(b)])
-        assert_same_arrays(got, Pack.of(a + b))
-        assert got.ranges == Pack.of(a + b).ranges
+        got = Pack.concat([packed(a), packed(b)])
+        assert_same_arrays(got, packed(a + b))
+        for pack in (packed(a), got):
+            assert_ranges_measure_own_arrays(pack)
 
     @settings(max_examples=200, deadline=None)
     @given(a=examples(), data=st.data())
     def test_take_equals_packing_the_picked_examples(self, a, data):
         rows = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=8))
-        got = Pack.of(a).take(rows)
-        want = Pack.of([a[i] for i in rows])
-        assert_same_arrays(got, want)
-        # a taken pack keeps its parent's ranges, which bound its own
-        assert got.ranges == Pack.of(a).ranges
-        for kind, (lo, hi) in want.ranges.items():
-            assert got.ranges[kind][0] <= lo <= hi <= got.ranges[kind][1]
+        got = packed(a).take(rows)
+        assert_same_arrays(got, packed([a[i] for i in rows]))
+        assert_ranges_measure_own_arrays(got)
+
+    @pytest.mark.parametrize("change", [
+        {"counts": [3]}, {"counts": [1, 1]}, {"tokens": [1, 2, 3]}, {"tags": [0]},
+        {"heads": [], "tails": [], "relations": []}, {"tails": [4, 5]}, {"relations": []},
+    ])
+    def test_lengths_that_disagree_are_rejected(self, change):
+        assert len(Pack.build(**TWO)) == 2
+        with pytest.raises(ValueError, match="need one"):
+            Pack.build(**{**TWO, **change})
+
+    def test_no_examples_raise_empty_batch(self):
+        with pytest.raises(EmptyBatchError):
+            Pack.build([], [], [], [], [], [], [])
 
 
 class TestToyModel:
@@ -173,10 +190,7 @@ class TestForward:
             rel_head=np.ones((4, 5)),
         )
         model = ToyModel(frozen, frozen.init_adapters(0))
-        probs, rel = forward(model, [
-            Example(Task.TAGGING, [0, 1], tags=[0, 0]),
-            Example(Task.RELATION, [0, 1], head=0, tail=1, relation=0),
-        ])
+        probs, rel = forward(model, packed([([0, 1], [0, 0]), (0, 1, 0)]))
         np.testing.assert_allclose(probs, np.full((2, 4), 0.25), atol=1e-15)
         np.testing.assert_allclose(rel, np.full((1, 5), 0.2), atol=1e-15)
 
@@ -187,7 +201,7 @@ class TestForward:
         for _ in range(100):
             ex = tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes)
             rex = relation_example(rng, SMALL.vocab_size, SMALL.relation_classes)
-            probs, rel = forward(model, [ex, rex])
+            probs, rel = forward(model, packed([ex, rex]))
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(rel.sum(axis=1), 1.0, atol=1e-12)
 
@@ -216,7 +230,7 @@ class TestForward:
             },
         )
         model = ToyModel(frozen, adapters)
-        got, _ = forward(model, [Example(Task.TAGGING, [0, 2], tags=[0, 1])])
+        got, _ = forward(model, packed([([0, 2], [0, 1])]))
 
         # independent scalar recomputation (scale alpha/rank = 2)
         trunk_eff = [[0.0] * 2 for _ in range(2)]
@@ -240,31 +254,25 @@ class TestForward:
     def test_out_of_range_token_rejected(self):
         model = ToyModel.build(SMALL)
         with pytest.raises(TokenRangeError):
-            forward(model, [Example(Task.TAGGING, [0, 99], tags=[0, 0])])
-
-    def test_out_of_range_unmarked_token_rejected(self):
-        # a pair reads only its marked tokens, but packing measures them all
-        model = ToyModel.build(SMALL)
-        with pytest.raises(TokenRangeError):
-            forward(model, [Example(Task.RELATION, [0, 99, 1], head=0, tail=2, relation=0)])
+            forward(model, packed([([0, 99], [0, 0])]))
 
     @pytest.mark.parametrize(
-        "kind,label", [("tag", -1), ("tag", 9), ("relation", -1), ("relation", 16)]
+        "kind,label",
+        [("tag", -1), ("tag", 9), ("relation", -1), ("relation", 16), ("token", 20)],
     )
     @pytest.mark.parametrize("call", ["forward", "loss", "grad", "local_update"])
     def test_out_of_range_label_rejected_by_name(self, kind, label, call):
-        # a negative label would index from the last class, and a tag past
-        # the last class would weigh the next token id's row
+        # a negative label would index from the last class, a tag past the
+        # last class would weigh the next token id's row, and a marked token
+        # past the vocabulary would read the next lane's row
         model = ToyModel.build(SMALL)
-        bad = (
-            Example(Task.TAGGING, [0, 1], tags=[0, label])
-            if kind == "tag"
-            else Example(Task.RELATION, [0, 1], head=0, tail=1, relation=label)
-        )
+        bad = {"tag": ([0, 1], [0, label]), "relation": (0, 1, label), "token": (0, label, 0)}
+        error, message = ((TokenRangeError, f"token id {label} out of range") if kind == "token"
+                          else (LabelRangeError, f"{kind} label {label} out of range"))
         run = {"forward": forward, "loss": loss, "grad": grad,
                "local_update": lambda m, d: train_alone(m, d, SgdConfig(0.1, 1, 2), seed=0)}
-        with pytest.raises(LabelRangeError, match=f"{kind} label {label} out of range"):
-            run[call](model, [*mixed_batch(40, n=4), bad])
+        with pytest.raises(error, match=message):
+            run[call](model, Pack.concat([mixed_batch(40, n=4), packed([bad[kind]])]))
 
 
 class TestLoss:
@@ -279,8 +287,7 @@ class TestLoss:
         cfg = ModelConfig(v, v, c, 3, rank=1, alpha=1.0, seed=0)
         frozen = Backbone(cfg, np.eye(v), 50.0 * np.eye(v), tag_head, np.zeros((2 * v, 3)))
         model = ToyModel(frozen, frozen.init_adapters(0))
-        batch = [Example(Task.TAGGING, [t], tags=[gold[t]]) for t in range(v)]
-        assert loss(model, batch) < 1e-9
+        assert loss(model, packed([([t], [gold[t]]) for t in range(v)])) < 1e-9
 
     def test_uniform_prediction_gives_log_c(self):
         cfg = ModelConfig(4, 3, 5, 7, rank=1, alpha=1.0, seed=0)
@@ -288,35 +295,30 @@ class TestLoss:
             cfg, np.zeros((4, 3)), np.eye(3), np.zeros((3, 5)), np.zeros((6, 7))
         )
         model = ToyModel(frozen, frozen.init_adapters(0))
-        tag_batch = [Example(Task.TAGGING, [0, 1, 2], tags=[0, 1, 2])]
+        tag_batch = packed([([0, 1, 2], [0, 1, 2])])
         assert loss(model, tag_batch) == pytest.approx(math.log(5), abs=1e-12)
-        rel_batch = [Example(Task.RELATION, [0, 1], head=0, tail=1, relation=3)]
-        assert loss(model, rel_batch) == pytest.approx(math.log(7), abs=1e-12)
+        assert loss(model, packed([(0, 1, 3)])) == pytest.approx(math.log(7), abs=1e-12)
 
     def test_matches_independent_recomputation(self):
         model = ToyModel.build(SMALL)
         model = model.with_adapters(randomized_adapters(model, 5))
         batch = mixed_batch(6)
         expected = 0.0
-        for ex in batch:
-            tag_probs, rel_probs = forward(model, [ex])
-            if ex.task is Task.TAGGING:
+        for row in range(len(batch)):
+            one = batch.take([row])
+            tag_probs, rel_probs = forward(model, one)
+            if one.tagging[0]:
                 expected += -np.mean(
-                    [math.log(tag_probs[i, t]) for i, t in enumerate(ex.tags)]
+                    [math.log(tag_probs[i, t]) for i, t in enumerate(one.tags)]
                 )
             else:
-                expected += -math.log(rel_probs[0, ex.relation])
+                expected += -math.log(rel_probs[0, one.relations[0]])
         expected /= len(batch)
         assert loss(model, batch) == pytest.approx(expected, abs=1e-10)
 
     def test_loss_non_negative(self):
         model = ToyModel.build(SMALL)
         assert loss(model, mixed_batch(7)) >= 0.0
-
-    def test_empty_batch_raises(self):
-        model = ToyModel.build(SMALL)
-        with pytest.raises(EmptyBatchError):
-            loss(model, [])
 
 
 def finite_difference_grads(model: ToyModel, batch, step=1e-5):
@@ -374,11 +376,6 @@ class TestGrad:
         grad(model, mixed_batch(14))
         assert fingerprint(model.frozen) == before
 
-    def test_empty_batch_raises(self):
-        model = ToyModel.build(SMALL)
-        with pytest.raises(EmptyBatchError):
-            grad(model, [])
-
 
 # ---------------------------------------------------------------------------
 # Per-example oracle: the model run one example at a time, with the weight
@@ -391,10 +388,10 @@ def oracle_log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def oracle_logits(model: ToyModel, ex: Example):
+def oracle_logits(model: ToyModel, ex):
     eff = model.merged
-    tagging = ex.task is Task.TAGGING
-    tokens = ex.tokens if tagging else ex.tokens[[ex.head, ex.tail]]
+    tagging = len(ex) == 2
+    tokens = ex[0] if tagging else list(ex[:2])
     x = model.frozen.embedding[tokens]  # n x h, or 2 x h for a pair
     u = x @ eff["trunk"]
     z = np.maximum(u, 0.0)
@@ -407,10 +404,11 @@ def oracle_loss(model: ToyModel, batch) -> float:
     total = 0.0
     for ex in batch:
         logp = oracle_log_softmax(oracle_logits(model, ex)[0])
-        if ex.task is Task.TAGGING:
-            total += float(-logp[np.arange(len(ex.tags)), ex.tags].mean())
+        if len(ex) == 2:
+            tags = ex[1]
+            total += float(-logp[np.arange(len(tags)), tags].mean())
         else:
-            total += float(-logp[ex.relation])
+            total += float(-logp[ex[2]])
     return total / len(batch)
 
 
@@ -421,14 +419,14 @@ def oracle_grad(model: ToyModel, batch):
     for ex in batch:
         logits, (x, u, z) = oracle_logits(model, ex)
         dlogits = np.exp(oracle_log_softmax(logits))
-        if ex.task is Task.TAGGING:
-            n = len(ex.tags)
-            dlogits[np.arange(n), ex.tags] -= 1.0
+        if len(ex) == 2:
+            n = len(ex[1])
+            dlogits[np.arange(n), ex[1]] -= 1.0
             dlogits *= inv_b / n
             d_w["tag_head"] += z.T @ dlogits
             dz = dlogits @ eff["tag_head"].T
         else:
-            dlogits[ex.relation] -= 1.0
+            dlogits[ex[2]] -= 1.0
             dlogits *= inv_b
             d_w["rel_head"] += np.outer(z.reshape(-1), dlogits)
             dz = (eff["rel_head"] @ dlogits).reshape(2, -1)
@@ -469,12 +467,13 @@ class TestBatchedKernel:
             else relation_example(rng, SMALL.vocab_size, SMALL.relation_classes, length)
             for task in tasks
         ]
-        assert_close_relative(loss(model, batch), oracle_loss(model, batch))
-        got, want = grad(model, batch), oracle_grad(model, batch)
+        pack = packed(batch)
+        assert_close_relative(loss(model, pack), oracle_loss(model, batch))
+        got, want = grad(model, pack), oracle_grad(model, batch)
         for key in want:
             for got_factor, want_factor in zip(got[key], want[key]):
                 assert_close_relative(got_factor, want_factor)
-        tag_probs, rel_probs = forward(model, batch)
+        tag_probs, rel_probs = forward(model, pack)
         logits = [oracle_logits(model, ex)[0] for ex in batch]
         tagged = [np.exp(oracle_log_softmax(l)) for l, t in zip(logits, tasks) if t is Task.TAGGING]
         marked = [np.exp(oracle_log_softmax(l)) for l, t in zip(logits, tasks) if t is Task.RELATION]
@@ -498,7 +497,7 @@ class TestLocalUpdate:
                   for i in range(k)]
         data = [mixed_batch(data_seed + i, n=8 - i) for i in range(k)]
         sgd = SgdConfig(0.0, epochs, batch_size)
-        outs = local_update(models, Lanes.of(data), sgd, [1 + i for i in range(k)])
+        outs = local_update(models, Lanes(tuple(data)), sgd, [1 + i for i in range(k)])
         assert len(outs) == k
         for out, start in zip(outs, models):
             # the serialized bytes compare bit for bit, the sign of zero included
@@ -530,14 +529,7 @@ class TestLocalUpdate:
         # one permutation per epoch, batches cut in order and sorted: each
         # step is a grad() on those examples, bit for bit, whether the last
         # batch is partial or one batch holds every example
-        rng = np.random.default_rng(seed)
-        data = [
-            tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes, int(rng.integers(1, 9)))
-            if mix[rng.integers(len(mix))] is Task.TAGGING
-            else relation_example(rng, SMALL.vocab_size, SMALL.relation_classes,
-                                  int(rng.integers(2, 9)))
-            for _ in range(n)
-        ]
+        data = lane_data(np.random.default_rng(seed), n, mix)
         model = ToyModel.build(SMALL)
         model = model.with_adapters(randomized_adapters(model, seed))
         sgd = SgdConfig(0.05, epochs, batch_size)
@@ -548,7 +540,7 @@ class TestLocalUpdate:
             order = rng.permutation(len(data))
             for start in range(0, len(data), sgd.batch_size):
                 idx = np.sort(order[start : start + sgd.batch_size])
-                grads = grad(model, [data[i] for i in idx])
+                grads = grad(model, data.take(idx))
                 layers = {
                     key: AdapterPair(
                         pair.b - sgd.learning_rate * grads[key][0],
@@ -592,10 +584,9 @@ class TestLocalUpdate:
         for seed in range(10):
             model = ToyModel.build(SMALL, adapter_seed=seed)
             rng = np.random.default_rng(100 + seed)
-            data = [
-                tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes)
-                for _ in range(40)
-            ]
+            data = packed([
+                tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes) for _ in range(40)
+            ])
             before = loss(model, data)
             trained = train_alone(model, data, SgdConfig(0.3, 2, 8), seed=seed)
             after = loss(model.with_adapters(trained), data)
@@ -604,15 +595,15 @@ class TestLocalUpdate:
         assert wins >= 9
 
 
-def lane_data(rng, n, mix):
+def lane_data(rng, n, mix) -> Pack:
     """``n`` examples of the tasks in ``mix``, of drawn lengths."""
-    return [
+    return packed([
         tagging_example(rng, SMALL.vocab_size, SMALL.tag_classes, int(rng.integers(1, 9)))
         if mix[rng.integers(len(mix))] is Task.TAGGING
         else relation_example(rng, SMALL.vocab_size, SMALL.relation_classes,
                               int(rng.integers(2, 9)))
         for _ in range(n)
-    ]
+    ])
 
 
 def own_b(model: ToyModel, start: AdapterSet, seed: int) -> AdapterSet:
@@ -646,7 +637,7 @@ class TestLanes:
         data = [lane_data(np.random.default_rng(seed), n, mix) for n, mix, seed, _ in lanes]
         seeds = [seed for _, _, seed, _ in lanes]
         sgd = SgdConfig(0.05, epochs, batch_size)
-        outs = local_update(models, Lanes.of(data), sgd, seeds)
+        outs = local_update(models, Lanes(tuple(data)), sgd, seeds)
         for out, start, examples, seed in zip(outs, models, data, seeds):
             assert out.checksum() == train_alone(start, examples, sgd, seed).checksum()
 
@@ -666,7 +657,7 @@ class TestLanes:
         # and the per-token tables are built a few steps at a time
         model = ToyModel.build(SMALL)
         rng = np.random.default_rng(data_seed)
-        packs = [Pack.of(lane_data(rng, int(rng.integers(1, 14)), tuple(Task))) for _ in range(3)]
+        packs = [lane_data(rng, int(rng.integers(1, 14)), tuple(Task)) for _ in range(3)]
         models = [model.with_adapters(randomized_adapters(model, seed)) for _, seed, _ in lanes]
         data = [packs[p] for p, _, _ in lanes]
         seeds = [seed for _, _, seed in lanes]
@@ -678,13 +669,13 @@ class TestLanes:
         assert [out.checksum() for out in outs] == alone
 
     def test_length_counts_every_lane(self):
-        lanes = Lanes.of([mixed_batch(1, n=3), mixed_batch(2, n=5)])
+        lanes = Lanes((mixed_batch(1, n=3), mixed_batch(2, n=5)))
         assert len(lanes) == 8
 
     def test_lanes_share_one_backbone(self):
         one, two = ToyModel.build(SMALL), ToyModel.build(SMALL)
         with pytest.raises(ValueError, match="one backbone"):
-            local_update([one, two], Lanes.of([mixed_batch(1), mixed_batch(2)]),
+            local_update([one, two], Lanes((mixed_batch(1), mixed_batch(2))),
                          SgdConfig(0.1, 1, 2), [0, 0])
 
 
@@ -718,7 +709,7 @@ class TestLaneDivergence:
             assert alone[-1] == (None if step is None else (
                 "layer 'trunk' has non-finite adapter factors", [f"step {step}"]))
         with pytest.raises(Diverged) as raised:
-            local_update([m for m, _ in lanes], Lanes.of([d for _, d in lanes]), DIVERGING_SGD,
+            local_update([m for m, _ in lanes], Lanes(tuple(d for _, d in lanes)), DIVERGING_SGD,
                          [seed for seed, _, _ in (first, second)])
         assert raised.value.lane == named
         assert (str(raised.value), raised.value.__notes__) == alone[named]
