@@ -17,7 +17,7 @@ from fedlora.aggregation import (
 )
 from fedlora.datasim import PlantedRule, make_validation_set
 from fedlora.lora import AdapterPair, AdapterSet
-from fedlora.model import Backbone, ModelConfig, ToyModel, loss
+from fedlora.model import Backbone, EmptyBatchError, ModelConfig, ToyModel, loss
 from packing import packed
 
 RULE = PlantedRule(vocab_size=60)
@@ -86,6 +86,12 @@ class TestValidationLoss:
         assert validation_loss(model, model.adapters, val) == pytest.approx(
             math.log(5), abs=1e-12
         )
+
+    def test_empty_validation_set_rejected(self):
+        # an empty set fails to pack, so it never reaches validation_loss
+        model = ToyModel.build(CFG)
+        with pytest.raises(EmptyBatchError):
+            validation_loss(model, model.adapters, packed([]))
 
 
 class TestInfluenceScores:

@@ -320,6 +320,12 @@ class TestLoss:
         model = ToyModel.build(SMALL)
         assert loss(model, mixed_batch(7)) >= 0.0
 
+    def test_empty_batch_raises(self):
+        # no rows of a pack fail to pack, so an empty batch never reaches loss
+        model = ToyModel.build(SMALL)
+        with pytest.raises(EmptyBatchError):
+            loss(model, mixed_batch(7).take([]))
+
 
 def finite_difference_grads(model: ToyModel, batch, step=1e-5):
     """Central-difference oracle over every adapter entry."""
@@ -375,6 +381,12 @@ class TestGrad:
         before = fingerprint(model.frozen)
         grad(model, mixed_batch(14))
         assert fingerprint(model.frozen) == before
+
+    def test_empty_batch_raises(self):
+        # no rows of a pack fail to pack, so an empty batch never reaches grad
+        model = ToyModel.build(SMALL)
+        with pytest.raises(EmptyBatchError):
+            grad(model, mixed_batch(7).take([]))
 
 
 # ---------------------------------------------------------------------------
