@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -119,6 +120,11 @@ class AdapterSet:
         return sum(a.size for _, a in self.layers.values())
 
     def checksum(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        """SHA-256 of the serialized set, memoized: the factors are read-only."""
         return hashlib.sha256(serialize_adapters(self)).hexdigest()
 
 

@@ -14,28 +14,26 @@ Per-token pipeline (no attention, tokens are independent):
     relation logits = (H_rel + s * B A)^T [z_head ; z_tail]
 
 Data lives only in flat arrays (``Pack``), a site's as one pack, and every
-entry point takes packs.  Training (``local_update`` and ``grad``), scoring
-(``loss``) and evaluation (``forward``) all run one kernel.  As tokens are
-independent, it runs the trunk and both heads over every token id of the
-vocabulary, and a mini-batch reaches it as its tagging loss weights per
-(token id, gold tag) plus its marked pairs (``Batch``): no batch needs its
-own gather, and a step's cost grows with V * h rather than with the tokens
-the batch reads.
+entry point takes packs.  As tokens are independent, every pass runs the
+trunk and both heads over every token id of the vocabulary, and a
+mini-batch reaches it as its tagging loss weights per (token id, gold tag)
+plus its marked pairs (``Batch``): no batch needs its own gather.  Scoring
+(``loss``) and evaluation (``forward``) read the merged weights; training
+(``local_update`` and ``grad``) never merges the trunk, as unmerged LoRA.
 
-The kernel trains k clients in lockstep, one lane each (``Lanes``).  Every
-array it reads or writes carries a leading lane axis: factors stack as
-(k, d, r) and (k, r, l), a batch's weights as (k, V, C_tag), and a pair
-names its lane, so its token row in the stacked vocabulary is
-lane * V + token id.  ``np.matmul`` runs each lane's slice through the same
-gemm as a lane alone, so a lane's result does not depend on the others.
-Scoring, evaluation and ``grad`` run the kernel with one lane.
+Training runs k clients in lockstep, one lane each (``Lanes``); ``grad``,
+scoring and evaluation run one lane.  Every array carries a leading lane
+axis: factors stack as (k, d, r) and (k, r, l), a batch's weights as
+(k, V, C_tag), and a pair names its lane, so its token row in the stacked
+vocabulary is lane * V + token id.  ``np.matmul`` runs each lane's slice
+through the same gemm as a lane alone, so lanes do not affect each other.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -319,12 +317,15 @@ class Backbone:
     trunk: np.ndarray  # h x h
     tag_head: np.ndarray  # h x C_tag
     rel_head: np.ndarray  # 2h x C_rel
+    base_hidden: np.ndarray = field(init=False, repr=False)  # V x h, E W0, cached
 
     def __post_init__(self):
         for name in ("embedding", "trunk", "tag_head", "rel_head"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "base_hidden", self.embedding @ self.trunk)
+        self.base_hidden.flags.writeable = False
 
     @classmethod
     def build(cls, config: ModelConfig) -> "Backbone":
@@ -389,17 +390,13 @@ class ToyModel:
 
 
 # ---------------------------------------------------------------------------
-# Forward / loss / gradients.  A model merges its weights once (``merged``);
-# the training loop re-merges from its raw factor arrays every step.  One
-# kernel, ``_forward``, runs the whole vocabulary for training, scoring and
-# evaluation alike, every array with a leading lane axis.
+# Forward / loss / gradients, every array with a leading lane axis.
 # ---------------------------------------------------------------------------
 
 
 def _effective(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]],
                scale: float) -> dict[str, np.ndarray]:
-    """W0 + s * B A per layer, for factors of one set (d, l) or of k lanes
-    (k, d, l)."""
+    """W0 + s * B A per layer."""
     merged = {}
     for key, (b, a) in factors.items():
         # in place, W0 + s * (B A) in the same rounding, with no temporaries
@@ -410,32 +407,30 @@ def _effective(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray
     return merged
 
 
-def _one_lane(model: ToyModel) -> dict[str, np.ndarray]:
-    """``model``'s merged weights as a stack of one lane."""
-    return {key: w[None] for key, w in model.merged.items()}
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _forward(frozen: Backbone, eff: dict[str, np.ndarray], heads: np.ndarray,
-             tails: np.ndarray):
-    """One pass over the whole vocabulary in every lane: the hidden rows
-    ``z`` (k, V, h) of every token id, their tag log-distributions
-    (k, V, C_tag), and the relation log-distributions of the pairs whose
-    rows in the stacked vocabulary are ``heads``/``tails``.  A pair's logits
-    are the head half of its lane's relation head applied to the head token
-    plus the tail half applied to the tail token."""
-    h = frozen.config.hidden
-    z = frozen.embedding @ eff["trunk"]
+def _forward(z: np.ndarray, eff: dict[str, np.ndarray], heads: np.ndarray, tails: np.ndarray):
+    """One pass over the whole vocabulary in every lane: relu turns the
+    trunk's pre-activations ``z`` (k, V, h) into hidden rows in place; the
+    merged heads ``eff`` give their tag log-distributions (k, V, C_tag) and
+    those of the pairs at stacked rows ``heads``/``tails``, the relation
+    head's head half on the head token plus its tail half on the tail."""
     np.maximum(z, 0.0, out=z)
+    h = z.shape[2]
     rel = eff["rel_head"]
     rows = z.shape[0] * z.shape[1]
     rel_logits = ((z @ rel[:, :h]).reshape(rows, -1)[heads]
                   + (z @ rel[:, h:]).reshape(rows, -1)[tails])
-    return z, _log_softmax(z @ eff["tag_head"]), _log_softmax(rel_logits)
+    return _log_softmax(z @ eff["tag_head"]), _log_softmax(rel_logits)
+
+
+def _merged_pass(model: ToyModel, heads: np.ndarray, tails: np.ndarray):
+    """``_forward`` through ``model``'s merged weights, as a stack of one lane."""
+    eff = {key: w[None] for key, w in model.merged.items()}
+    return _forward(model.frozen.embedding @ eff["trunk"], eff, heads, tails)
 
 
 def forward(model: ToyModel, pack: Pack) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +438,7 @@ def forward(model: ToyModel, pack: Pack) -> tuple[np.ndarray, np.ndarray]:
     tagging tokens and (R, C_rel) for the marked pairs, each in pack order."""
     model.frozen.check_ranges(pack)
     # in lane 0 a pair's row in the stacked vocabulary is its token id
-    _, tag_logp, rel_logp = _forward(model.frozen, _one_lane(model), pack.heads, pack.tails)
+    tag_logp, rel_logp = _merged_pass(model, pack.heads, pack.tails)
     return np.exp(tag_logp[0])[pack.tokens], np.exp(rel_logp)
 
 
@@ -460,7 +455,7 @@ def _whole(frozen: Backbone, pack: Pack) -> Batch:
 def loss(model: ToyModel, batch: Pack) -> float:
     """Mean over the batch of per-example mean negative log-likelihood."""
     whole = _whole(model.frozen, batch)
-    _, tag_logp, rel_logp = _forward(model.frozen, _one_lane(model), *whole.rows())
+    tag_logp, rel_logp = _merged_pass(model, *whole.rows())
     rel_nll = -rel_logp[np.arange(len(whole.relations)), whole.relations]
     return float(-(whole.weights * tag_logp).sum() + rel_nll.sum()) / int(whole.sizes[0])
 
@@ -472,16 +467,26 @@ def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.reshape(-1), minlength=n * c).reshape(n, c)
 
 
-def _weight_grads(frozen: Backbone, eff: dict[str, np.ndarray], batch: Batch):
-    """Gradients of each lane's batch loss w.r.t. its three effective weight
-    matrices, stacked (k, d, l).
-
-    The tag-logit gradient of token id v is (m_v softmax_v - weights_v) / B,
-    where m_v sums the row ``weights_v`` and B is the lane's batch size; the
-    pairs' logit gradients are summed into their head and tail token rows.
-    The chain rule then runs once per token id, like the forward pass."""
+def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], s: float,
+           batch: Batch) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Gradients of each lane's batch loss w.r.t. its factors (B, A),
+    stacked (k, d, r) and (k, r, l).  The trunk is never merged: with
+    EB = E B, z = relu(E W0 + s * EB A), dB = s * E^T (dz A^T) and
+    dA = s * EB^T dz.  The heads are merged (h x r x C) and their weight
+    gradients dW give dB = s * dW A^T and dA = s * B^T dW.  The tag-logit
+    gradient of token id v is (m_v softmax_v - weights_v) / B, where m_v
+    sums the row ``weights_v`` and B is the lane's batch size; the pairs'
+    logit gradients are summed into their head and tail token rows.  The
+    chain rule then runs once per token id, like the forward pass."""
+    b, a = factors["trunk"]
+    eb = frozen.embedding @ b
+    z = eb @ a
+    z *= s
+    z += frozen.base_hidden
+    head_factors = {key: pair for key, pair in factors.items() if key != "trunk"}
+    eff = _effective(frozen, head_factors, s)
     heads, tails = batch.rows()
-    z, tag_logp, rel_logp = _forward(frozen, eff, heads, tails)
+    tag_logp, rel_logp = _forward(z, eff, heads, tails)
     inv_b = 1.0 / batch.sizes
     weights = batch.weights
     g_tag = weights.sum(axis=-1, keepdims=True) * np.exp(tag_logp) - weights
@@ -497,30 +502,20 @@ def _weight_grads(frozen: Backbone, eff: dict[str, np.ndarray], batch: Batch):
     dz += g_head @ rel[:, :h].mT
     dz += g_tail @ rel[:, h:].mT
     dz *= z > 0
-    return {
-        "trunk": frozen.embedding.T @ dz,
-        "tag_head": z.mT @ g_tag,
-        "rel_head": np.concatenate([z.mT @ g_head, z.mT @ g_tail], axis=1),
-    }
-
-
-def _factor_grads(weight_grads, factors, s: float):
-    """Chain rule through W = W0 + s * B @ A: dB = s * dW A^T, dA = s * B^T dW."""
-    out = {}
-    for key, (b, a) in factors.items():
-        dw = weight_grads[key]
-        out[key] = (s * (dw @ a.mT), s * (b.mT @ dw))
-    return out
+    dw = {"tag_head": z.mT @ g_tag,
+          "rel_head": np.concatenate([z.mT @ g_head, z.mT @ g_tail], axis=1)}
+    grads = {key: (s * (dw[key] @ ha.mT), s * (hb.mT @ dw[key]))
+             for key, (hb, ha) in head_factors.items()}
+    grads["trunk"] = (s * (frozen.embedding.T @ (dz @ a.mT)), s * (eb.mT @ dz))
+    return grads
 
 
 def grad(model: ToyModel, batch: Pack) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Analytic gradients of loss(model, batch) w.r.t. each adapter's (B, A).
-
-    Frozen parameters receive no gradient by construction.
-    """
-    weight_grads = _weight_grads(model.frozen, _one_lane(model), _whole(model.frozen, batch))
+    """Analytic gradients of loss(model, batch) w.r.t. each adapter's (B, A),
+    by ``local_update``'s kernel with one lane.  Frozen parameters receive
+    no gradient by construction."""
     factors = {key: (b[None], a[None]) for key, (b, a) in model.adapters.layers.items()}
-    grads = _factor_grads(weight_grads, factors, model.adapters.scale)
+    grads = _grads(model.frozen, factors, model.adapters.scale, _whole(model.frozen, batch))
     return {key: (db[0], da[0]) for key, (db, da) in grads.items()}
 
 
@@ -582,8 +577,7 @@ def local_update(
         for step, batch in enumerate(batches):
             if len(stack) < k:
                 batch = batch.of_lanes(stack)
-            eff = _effective(frozen, factors, scale)
-            grads = _factor_grads(_weight_grads(frozen, eff, batch), factors, scale)
+            grads = _grads(frozen, factors, scale, batch)
             broken = []  # (finite per slot, layer) of each layer gone non-finite
             for key, (b, a) in factors.items():
                 db, da = grads[key]

@@ -314,6 +314,24 @@ class TestAdapterSet:
         zeroed = adapters.layers["w"]._replace(b=np.zeros((4, 2)))
         assert adapters.checksum() != adapters.with_layers({"w": zeroed}).checksum()
 
+    def test_checksum_serializes_each_set_once(self, monkeypatch):
+        import fedlora.lora
+
+        rng = np.random.default_rng(11)
+        adapters = make_set(rng, {"w": (4, 4), "v": (3, 5)}, rank=2, alpha=2.0)
+        calls = []
+
+        def counting(adapter_set):
+            calls.append(adapter_set)
+            return serialize_adapters(adapter_set)
+
+        monkeypatch.setattr(fedlora.lora, "serialize_adapters", counting)
+        first = adapters.checksum()
+        assert adapters.checksum() == first and calls == [adapters]
+        copy = adapters.with_layers({key: (b.copy(), a.copy())
+                                     for key, (b, a) in adapters.layers.items()})
+        assert copy.checksum() == first and calls == [adapters, copy]
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             AdapterSet(1, 1.0, {"w": AdapterPair(np.array([[np.nan]]), np.array([[1.0]]))})

@@ -587,6 +587,9 @@ class TestLocalUpdate:
         before = fingerprint(model.frozen)
         train_alone(model, mixed_batch(26), SgdConfig(0.1, 1, 4), seed=2)
         assert fingerprint(model.frozen) == before
+        ew0 = model.frozen.base_hidden
+        assert not ew0.flags.writeable
+        assert np.array_equal(ew0, model.frozen.embedding @ model.frozen.trunk)
         for key, (b, a) in snapshot.items():
             assert np.array_equal(model.adapters.layers[key].b, b)
             assert np.array_equal(model.adapters.layers[key].a, a)
