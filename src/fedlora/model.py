@@ -14,19 +14,25 @@ Per-token pipeline (no attention, tokens are independent):
     relation logits = (H_rel + s * B A)^T [z_head ; z_tail]
 
 Data lives only in flat arrays (``Pack``), a site's as one pack, and every
-entry point takes packs.  As tokens are independent, every pass runs the
-trunk and both heads over every token id of the vocabulary, and a
-mini-batch reaches it as its tagging loss weights per (token id, gold tag)
-plus its marked pairs (``Batch``): no batch needs its own gather.  Scoring
-(``loss``) and evaluation (``forward``) read the merged weights; training
-(``local_update`` and ``grad``) never merges the trunk, as unmerged LoRA.
+entry point takes packs.  As tokens are independent, a pass runs the trunk
+and both heads once per token id, not per token.  Scoring (``loss``) and
+evaluation (``forward``) run over every token id of the vocabulary through
+the merged weights.  Training (``local_update`` and ``grad``) never merges
+the trunk, as unmerged LoRA, and runs each lane over its own tokens only:
+a mini-batch (``Batch``) reaches the kernel as the token ids a lane reads,
+its tagging loss weights per (row, gold tag) and its marked pairs, whose
+head and tail name rows.
 
 Training runs k clients in lockstep, one lane each (``Lanes``); ``grad``,
 scoring and evaluation run one lane.  Every array carries a leading lane
-axis: factors stack as (k, d, r) and (k, r, l), a batch's weights as
-(k, V, C_tag), and a pair names its lane, so its token row in the stacked
-vocabulary is lane * V + token id.  ``np.matmul`` runs each lane's slice
-through the same gemm as a lane alone, so lanes do not affect each other.
+axis: factors stack as (k, d, r) and (k, r, l), a batch's rows as (k, U)
+and its weights as (k, U, C_tag), and a pair names its lane, so its row in
+the stacked rows is lane * U + row.  Every lane of a step has U rows, its
+read ids ascending and then unread ids as padding.  A padding row weighs
+zero, so it adds exact zeros to every sum over rows, and a gemm row's
+result does not depend on the rows beside it while U is a whole number of
+``ROW_BLOCK``s.  So ``np.matmul`` gives each lane's rows what the lane
+alone gets, and lanes do not affect each other.
 """
 
 from __future__ import annotations
@@ -121,21 +127,23 @@ class SgdConfig:
 
 
 class Batch(NamedTuple):
-    """A lockstep mini-batch as the compute kernel reads it: each lane's
-    tagging loss weights per (token id, gold tag), and every lane's marked
-    pairs, each with its lane."""
+    """A lockstep mini-batch as the compute kernel reads it: the U token
+    ids each lane runs over, each lane's tagging loss weights per (row,
+    gold tag), and every lane's marked pairs, each with its lane and the
+    rows of its head and tail tokens."""
 
-    weights: np.ndarray  # (k, V, C_tag) summed 1/n_i of a lane's tagging tokens of that id and tag
+    tokens: np.ndarray  # (k, U) a lane's read token ids ascending, then unread ones as padding
+    weights: np.ndarray  # (k, U, C_tag) summed 1/n_i of a lane's tagging tokens of that row and tag
     lanes: np.ndarray  # (R,) lane of each pair
-    heads: np.ndarray  # (R,) marked head token of each pair
-    tails: np.ndarray  # (R,) marked tail token of each pair
+    heads: np.ndarray  # (R,) row of each pair's marked head token in its lane's tokens
+    tails: np.ndarray  # (R,) row of each pair's marked tail token in its lane's tokens
     relations: np.ndarray  # (R,) relation labels
     sizes: np.ndarray  # (k,) examples per lane; a lane's loss averages over its own
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The head and tail rows of the pairs in the lanes' stacked
-        vocabulary, lane * V + token id."""
-        base = self.lanes * self.weights.shape[1]
+        """The head and tail rows of the pairs in the lanes' stacked rows,
+        lane * U + row."""
+        base = self.lanes * self.tokens.shape[1]
         return base + self.heads, base + self.tails
 
     def of_lanes(self, keep: np.ndarray) -> "Batch":
@@ -144,8 +152,8 @@ class Batch(NamedTuple):
         slot[keep] = np.arange(len(keep))
         lanes = slot[self.lanes]
         live = lanes >= 0
-        return Batch(self.weights[keep], lanes[live], self.heads[live], self.tails[live],
-                     self.relations[live], self.sizes[keep])
+        return Batch(self.tokens[keep], self.weights[keep], lanes[live], self.heads[live],
+                     self.tails[live], self.relations[live], self.sizes[keep])
 
 
 def _cat(arrays) -> np.ndarray:
@@ -259,7 +267,8 @@ class Lanes:
         examples packed alone.  A pack that several lanes train on is
         joined once, and the per-token tables are built ``TABLE_STEPS``
         steps at a time, so they hold a few steps' tokens, not every
-        pass's."""
+        pass's.  Every step of such a chunk runs each lane over U rows
+        (``_slots``), U set by the lane and step that read the most ids."""
         v, c, k = config.vocab_size, config.tag_classes, len(self.packs)
         distinct = list({id(pack): pack for pack in self.packs}.values())
         whole = distinct[0] if len(distinct) == 1 else Pack.concat(distinct)
@@ -280,37 +289,80 @@ class Lanes:
         pair_ex = index[row[marked]]
         pairs = (ex_lane[marked], whole.heads[pair_ex], whole.tails[pair_ex],
                  whole.relations[pair_ex])
-        p_bounds = np.searchsorted(step[marked], bounds).tolist()
+        p_bounds = np.searchsorted(step[marked], bounds)
         # the tagging examples in step order, and where each step's begin among them
         tag_ex, tag_lane = index[row[~marked]], ex_lane[~marked]
         counts = np.diff(whole.starts)[tag_ex]
         e_bounds = np.searchsorted(step[~marked], bounds)
 
+        def tables(g0: int, g1: int):
+            """Steps g0 to g1's read ids per (step, lane) cell, U, the
+            tagging tokens' bincount keys and shares, and the pairs with
+            their head and tail rows.  A function of its own, so the
+            per-token temporaries die before the steps run."""
+            e0, e1, p0, p1 = e_bounds[g0], e_bounds[g1], p_bounds[g0], p_bounds[g1]
+            first_cell = np.arange(0, (g1 - g0) * k, k)
+            # every token of these steps' tagging examples, each example's in order
+            tok = _token_positions(whole.starts, tag_ex[e0:e1])
+            cell = np.repeat(np.repeat(first_cell, np.diff(e_bounds[g0:g1 + 1])) + tag_lane[e0:e1],
+                             counts[e0:e1])
+            ids = whole.tokens[tok]
+            lanes, heads, tails, relations = (a[p0:p1] for a in pairs)
+            p_cell = np.repeat(first_cell, np.diff(p_bounds[g0:g1 + 1])) + lanes
+            read = np.zeros(((g1 - g0) * k, v), dtype=bool)
+            for cells, read_ids in ((cell, ids), (p_cell, heads), (p_cell, tails)):
+                read[cells, read_ids] = True
+            u, slot = _slots(read)
+            keys = (cell % k * u + slot[cell, ids]) * c + whole.tags[tok]
+            pairs_of = (lanes, slot[p_cell, heads], slot[p_cell, tails], relations)
+            return read, u, keys, whole.shares[tok], pairs_of
+
         # the per-example sort dies here; the steps keep what they read
         def steps() -> Iterator[Batch]:
             for g0 in range(0, n_steps, TABLE_STEPS):
                 g1 = min(g0 + TABLE_STEPS, n_steps)
-                e0, e1 = e_bounds[g0], e_bounds[g1]
-                # every token of these steps' tagging examples, each example's in order
-                tok = _token_positions(whole.starts, tag_ex[e0:e1])
-                keys = np.repeat(tag_lane[e0:e1], counts[e0:e1]) * v + whole.tokens[tok]
-                keys = keys * c + whole.tags[tok]
-                shares = whole.shares[tok]
-                ends = np.concatenate([[0], np.cumsum(counts[e0:e1])])
-                t_bounds = ends[e_bounds[g0:g1 + 1] - e0].tolist()
-                for g in range(g0, g1):
-                    t0, t1 = t_bounds[g - g0], t_bounds[g - g0 + 1]
-                    p0, p1 = p_bounds[g], p_bounds[g + 1]
+                read, u, keys, shares, pairs_of = tables(g0, g1)
+                ends = np.concatenate([[0], np.cumsum(counts[e_bounds[g0]:e_bounds[g1]])])
+                t_bounds = ends[e_bounds[g0:g1 + 1] - e_bounds[g0]].tolist()
+                q_bounds = (p_bounds[g0:g1 + 1] - p_bounds[g0]).tolist()
+                for g in range(g1 - g0):
+                    t0, t1, q0, q1 = t_bounds[g], t_bounds[g + 1], q_bounds[g], q_bounds[g + 1]
                     weights = np.bincount(keys[t0:t1], weights=shares[t0:t1],
-                                          minlength=k * v * c)
-                    yield Batch(weights.reshape(k, v, c), *(a[p0:p1] for a in pairs), sizes[g])
+                                          minlength=k * u * c)
+                    yield Batch(_rows(read[g * k:(g + 1) * k], u), weights.reshape(k, u, c),
+                                *(a[q0:q1] for a in pairs_of), sizes[g0 + g])
 
         return steps()
 
 
-@dataclass(frozen=True)
+# The row block of the kernel's gemms.  A gemm row's result must not depend
+# on how many rows run with it, and OpenBLAS computes the (h, C_tag) tag
+# logits of the rows past the last full block of 4 differently at h = 64.
+ROW_BLOCK = 4
+
+
+def _slots(read: np.ndarray) -> tuple[int, np.ndarray]:
+    """U for the cells of ``read`` (n, V), whose True entries mark the
+    token ids a lane reads in a step: the most ids any cell reads, rounded
+    up to whole ``ROW_BLOCK``s, at most V.  Also the (n, V) table of each
+    read id's row among its cell's read ids, ascending."""
+    most = max(int(read.sum(axis=1).max()), 1)
+    u = min(-(-most // ROW_BLOCK) * ROW_BLOCK, read.shape[1])
+    slot = np.cumsum(read, axis=1, dtype=np.int32)
+    slot -= 1
+    return u, slot
+
+
+def _rows(read: np.ndarray, u: int) -> np.ndarray:
+    """The U token ids the kernel runs each cell of ``read`` over: its read
+    ids ascending, then its unread ids as padding."""
+    return np.argsort(~read, axis=1, kind="stable")[:, :u]
+
+
+@dataclass(frozen=True, eq=False)
 class Backbone:
-    """Frozen parameters, identical across clients and rounds."""
+    """Frozen parameters, identical across clients and rounds.  ``==`` is
+    identity, as its arrays would make a field-wise comparison raise."""
 
     config: ModelConfig
     embedding: np.ndarray  # V x h
@@ -443,21 +495,31 @@ def forward(model: ToyModel, pack: Pack) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _whole(frozen: Backbone, pack: Pack) -> Batch:
-    """Every example of ``pack`` as one mini-batch of one lane, its tokens
-    and pairs in pack order as ``Lanes.batches`` orders a step's."""
+    """Every example of ``pack`` as one mini-batch of one lane, over the
+    token ids it reads, its tokens and pairs in pack order as
+    ``Lanes.batches`` orders a step's."""
     frozen.check_ranges(pack)
-    v, c = frozen.config.vocab_size, frozen.config.tag_classes
-    weights = np.bincount(pack.tokens * c + pack.tags, weights=pack.shares, minlength=v * c)
-    return Batch(weights.reshape(1, v, c), np.zeros(len(pack.heads), dtype=np.int64),
-                 pack.heads, pack.tails, pack.relations, np.array([len(pack)]))
+    read = np.zeros((1, frozen.config.vocab_size), dtype=bool)
+    for ids in (pack.tokens, pack.heads, pack.tails):
+        read[0, ids] = True
+    u, (slot,) = _slots(read)
+    c = frozen.config.tag_classes
+    weights = np.bincount(slot[pack.tokens] * c + pack.tags, weights=pack.shares,
+                          minlength=u * c)
+    return Batch(_rows(read, u), weights.reshape(1, u, c),
+                 np.zeros(len(pack.heads), dtype=np.int64), slot[pack.heads], slot[pack.tails],
+                 pack.relations, np.array([len(pack)]))
 
 
 def loss(model: ToyModel, batch: Pack) -> float:
     """Mean over the batch of per-example mean negative log-likelihood."""
-    whole = _whole(model.frozen, batch)
-    tag_logp, rel_logp = _merged_pass(model, *whole.rows())
-    rel_nll = -rel_logp[np.arange(len(whole.relations)), whole.relations]
-    return float(-(whole.weights * tag_logp).sum() + rel_nll.sum()) / int(whole.sizes[0])
+    model.frozen.check_ranges(batch)
+    v, c = model.frozen.config.vocab_size, model.frozen.config.tag_classes
+    weights = np.bincount(batch.tokens * c + batch.tags, weights=batch.shares, minlength=v * c)
+    # in lane 0 a pair's row in the stacked vocabulary is its token id
+    tag_logp, rel_logp = _merged_pass(model, batch.heads, batch.tails)
+    rel_nll = -rel_logp[np.arange(len(batch.relations)), batch.relations]
+    return float(-(weights.reshape(1, v, c) * tag_logp).sum() + rel_nll.sum()) / len(batch)
 
 
 def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -470,19 +532,21 @@ def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], s: float,
            batch: Batch) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Gradients of each lane's batch loss w.r.t. its factors (B, A),
-    stacked (k, d, r) and (k, r, l).  The trunk is never merged: with
-    EB = E B, z = relu(E W0 + s * EB A), dB = s * E^T (dz A^T) and
+    stacked (k, d, r) and (k, r, l), over each lane's rows ``batch.tokens``.
+    The trunk is never merged: with E the embedding rows of those tokens
+    and EB = E B, z = relu(E W0 + s * EB A), dB = s * E^T (dz A^T) and
     dA = s * EB^T dz.  The heads are merged (h x r x C) and their weight
     gradients dW give dB = s * dW A^T and dA = s * B^T dW.  The tag-logit
-    gradient of token id v is (m_v softmax_v - weights_v) / B, where m_v
-    sums the row ``weights_v`` and B is the lane's batch size; the pairs'
-    logit gradients are summed into their head and tail token rows.  The
-    chain rule then runs once per token id, like the forward pass."""
+    gradient of row v is (m_v softmax_v - weights_v) / B, where m_v sums
+    the row ``weights_v`` and B is the lane's batch size; the pairs' logit
+    gradients are summed into their head and tail rows.  The chain rule
+    then runs once per row, like the forward pass."""
     b, a = factors["trunk"]
-    eb = frozen.embedding @ b
+    x = frozen.embedding[batch.tokens]
+    eb = x @ b
     z = eb @ a
     z *= s
-    z += frozen.base_hidden
+    z += frozen.base_hidden[batch.tokens]
     head_factors = {key: pair for key, pair in factors.items() if key != "trunk"}
     eff = _effective(frozen, head_factors, s)
     heads, tails = batch.rows()
@@ -494,9 +558,9 @@ def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], 
     d_rel = np.exp(rel_logp)
     d_rel[np.arange(len(batch.relations)), batch.relations] -= 1.0
     d_rel *= inv_b[batch.lanes][:, None]
-    (k, v, h), c = z.shape, d_rel.shape[1]
-    g_head = _by_token(heads, d_rel, k * v).reshape(k, v, c)
-    g_tail = _by_token(tails, d_rel, k * v).reshape(k, v, c)
+    (k, u, h), c = z.shape, d_rel.shape[1]
+    g_head = _by_token(heads, d_rel, k * u).reshape(k, u, c)
+    g_tail = _by_token(tails, d_rel, k * u).reshape(k, u, c)
     rel = eff["rel_head"]
     dz = g_tag @ eff["tag_head"].mT
     dz += g_head @ rel[:, :h].mT
@@ -506,7 +570,7 @@ def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], 
           "rel_head": np.concatenate([z.mT @ g_head, z.mT @ g_tail], axis=1)}
     grads = {key: (s * (dw[key] @ ha.mT), s * (hb.mT @ dw[key]))
              for key, (hb, ha) in head_factors.items()}
-    grads["trunk"] = (s * (frozen.embedding.T @ (dz @ a.mT)), s * (eb.mT @ dz))
+    grads["trunk"] = (s * (x.mT @ (dz @ a.mT)), s * (eb.mT @ dz))
     return grads
 
 

@@ -130,6 +130,31 @@ class TestPack:
             Pack.build([], [], [], [], [], [], [])
 
 
+class Untouchable:
+    """Stands in for a frozen array: comparing or hashing it fails."""
+
+    def __eq__(self, other):
+        raise AssertionError("compared a frozen array")
+
+    __ne__ = __eq__
+
+    def __hash__(self):
+        raise AssertionError("hashed a frozen array")
+
+
+class TestBackbone:
+    def test_equality_is_identity_and_never_reads_the_arrays(self):
+        one, two = Backbone.build(SMALL), Backbone.build(SMALL)
+        # field-wise equality would compare the arrays and raise ValueError
+        assert one != two and not one == two
+        for backbone in (one, two):
+            for name in ("embedding", "trunk", "tag_head", "rel_head", "base_hidden"):
+                object.__setattr__(backbone, name, Untouchable())
+        assert one == one and not one != one
+        assert one != two and not one == two
+        assert {one: 1}[one] == 1 and two not in {one: 1}
+
+
 class TestToyModel:
     def test_adapter_shape_must_match_backbone_layer(self):
         # a trunk pair of the set's rank but one row short is a valid set,
@@ -630,6 +655,26 @@ def own_b(model: ToyModel, start: AdapterSet, seed: int) -> AdapterSet:
 
 MIXES = [(Task.TAGGING,), (Task.RELATION,), tuple(Task)]
 
+# the dimensions of configs/two_site.yaml, where gemms block as at full size
+HEADLINE = ModelConfig(
+    vocab_size=60, hidden=64, tag_classes=9, relation_classes=16, rank=8, alpha=16.0, seed=5
+)
+
+
+def alphabet_data(rng, n, mix, width, cfg) -> Pack:
+    """``n`` examples of the tasks in ``mix`` whose tokens all come from
+    ``width`` token ids of ``cfg``'s vocabulary, drawn once."""
+    alphabet = rng.choice(cfg.vocab_size, size=width, replace=False)
+    examples = []
+    for _ in range(n):
+        if mix[rng.integers(len(mix))] is Task.TAGGING:
+            tokens = rng.choice(alphabet, size=int(rng.integers(1, 9)))
+            examples.append((tokens, rng.integers(0, cfg.tag_classes, size=len(tokens))))
+        else:
+            head, tail = rng.choice(alphabet, size=2)
+            examples.append((int(head), int(tail), int(rng.integers(cfg.relation_classes))))
+    return packed(examples)
+
 
 class TestLanes:
     @settings(max_examples=60, deadline=None)
@@ -682,6 +727,93 @@ class TestLanes:
         with mock.patch.object(fedlora.model, "TABLE_STEPS", table_steps):
             outs = local_update(models, Lanes(tuple(data)), sgd, seeds)
         assert [out.checksum() for out in outs] == alone
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(st.integers(1, 12), st.sampled_from(MIXES), st.sampled_from([2, 5, 16, 60]),
+                      st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=4,
+        ),
+        single=st.tuples(st.integers(1, 12), st.sampled_from(MIXES), st.just(1),
+                         st.integers(0, 2**32 - 1)),
+        position=st.integers(0, 4),
+        epochs=st.integers(1, 2),
+        batch_size=st.integers(1, 6),
+        table_steps=st.sampled_from([1, 2, 5, 32]),
+    )
+    def test_lockstep_equals_each_lane_alone_at_headline_dimensions(
+        self, lanes, single, position, epochs, batch_size, table_steps
+    ):
+        # lanes read from 1 to 60 token ids, so a lane alone runs over as
+        # few as 2 rows (one read id and one padding row) and in lockstep
+        # over up to 60, under h = 64 and r = 8 gemms
+        lanes.insert(position, single)
+        model = ToyModel.build(HEADLINE)
+        models = [model.with_adapters(randomized_adapters(model, seed)) for *_, seed in lanes]
+        data = [alphabet_data(np.random.default_rng(seed), n, mix, width, HEADLINE)
+                for n, mix, width, seed in lanes]
+        seeds = [seed for *_, seed in lanes]
+        sgd = SgdConfig(0.05, epochs, batch_size)
+        alone = [train_alone(m, pack, sgd, seed).checksum()
+                 for m, pack, seed in zip(models, data, seeds)]
+        with mock.patch.object(fedlora.model, "TABLE_STEPS", table_steps):
+            outs = local_update(models, Lanes(tuple(data)), sgd, seeds)
+        assert [out.checksum() for out in outs] == alone
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lanes=st.lists(st.tuples(st.integers(1, 14), st.sampled_from(MIXES),
+                                 st.integers(0, 2**32 - 1)), min_size=1, max_size=5),
+        batch_size=st.integers(1, 6),
+        table_steps=st.integers(1, 4),
+    )
+    def test_compact_batches_run_each_lane_over_its_read_ids(
+        self, lanes, batch_size, table_steps
+    ):
+        # example j of a lane joins step j // batch_size
+        v, c = SMALL.vocab_size, SMALL.tag_classes
+        data = [lane_data(np.random.default_rng(seed), n, mix) for n, mix, seed in lanes]
+        step_of = np.concatenate([np.arange(len(pack)) // batch_size for pack in data])[None]
+        with mock.patch.object(fedlora.model, "TABLE_STEPS", table_steps):
+            batches = list(Lanes(tuple(data)).batches(step_of, SMALL))
+        read = [[np.zeros(0, dtype=np.int64)] * len(data) for _ in batches]
+        for g, batch in enumerate(batches):
+            u = batch.tokens.shape[1]
+            assert batch.weights.shape == (len(data), u, c)
+            for lane, pack in enumerate(data):
+                picked = np.flatnonzero(np.arange(len(pack)) // batch_size == g)
+                assert batch.sizes[lane] == len(picked)
+                mine = batch.lanes == lane
+                tokens, weights = batch.tokens[lane], batch.weights[lane]
+                # every id once: the read ids ascending, then the unread ones
+                ids = np.zeros(0, dtype=np.int64)
+                want = np.zeros((v, c))
+                if len(picked):
+                    step = pack.take(picked)
+                    ids = np.unique(np.concatenate([step.tokens, step.heads, step.tails]))
+                    want = np.bincount(step.tokens * c + step.tags, weights=step.shares,
+                                       minlength=v * c).reshape(v, c)
+                    assert np.array_equal(tokens[batch.heads[mine]], step.heads)
+                    assert np.array_equal(tokens[batch.tails[mine]], step.tails)
+                    assert np.array_equal(batch.relations[mine], step.relations)
+                else:
+                    assert not mine.any()
+                read[g][lane] = ids
+                unread = np.setdiff1d(np.arange(v), ids)
+                assert np.array_equal(tokens, np.concatenate([ids, unread])[:u])
+                assert not weights[len(ids):].any()
+                scattered = np.zeros((v, c))
+                scattered[tokens] = weights
+                assert scattered.tobytes() == want.tobytes()
+        # U is the most ids a lane reads in the steps of its table chunk, in
+        # whole row blocks, at most V
+        block = fedlora.model.ROW_BLOCK
+        for g0 in range(0, len(batches), table_steps):
+            chunk = range(g0, min(g0 + table_steps, len(batches)))
+            most = max(len(ids) for g in chunk for ids in read[g])
+            u = min(-(-most // block) * block, v)
+            assert {batches[g].tokens.shape[1] for g in chunk} == {u}
 
     def test_length_counts_every_lane(self):
         lanes = Lanes((mixed_batch(1, n=3), mixed_batch(2, n=5)))
