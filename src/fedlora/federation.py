@@ -175,8 +175,7 @@ def _round_loop(
 ) -> RoundLoop:
     """The round protocol of ``config`` over ``sites``.  Each round yields
     its lanes, one per sampled client in ascending id, and is sent their
-    updates in that order; an error thrown in at the yield is that round's
-    local update's."""
+    updates in that order."""
     share_a = config.strategy is Strategy.SHARE_A
     by_id = {site.spec.site_id: site for site in sites}
     ids = sorted(by_id)
@@ -297,10 +296,9 @@ def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[
 
     The run stops at the first error it meets.  A loop's own error is
     noted with its strategy ``names[i]``.  A ``Diverged`` of the call is
-    noted with the client of its lane and thrown into that lane's loop,
-    which notes its round, and then with the loop's strategy.  Any other
-    error of the call is noted with the round alone, as the call holds the
-    lanes of every live loop."""
+    noted with the client of its lane, the round and then the strategy of
+    the lane's loop.  Any other error of the call is noted with the round
+    alone, as the call holds the lanes of every live loop."""
     results: list[FederationResult] = [None] * len(loops)
     updates: list[list[AdapterSet] | None] = [None] * len(loops)
     live = range(len(loops))
@@ -326,10 +324,11 @@ def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[
         except Diverged as err:
             # the first lane that trains like the diverging one is its loop's
             j = firsts[err.lane]
-            err.add_note(f"client {lanes[j].site.spec.site_id!r}")
             pos = [pos for pos, its in asks for _ in its][j]
-            with located(f"strategy {names[pos]}"):
-                loops[pos].throw(err)  # the loop notes its round and raises it on
+            for note in (f"client {lanes[j].site.spec.site_id!r}", f"round {t}",
+                         f"strategy {names[pos]}"):
+                err.add_note(note)
+            raise
         except Exception as err:
             err.add_note(f"round {t}")
             raise

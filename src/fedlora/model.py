@@ -21,7 +21,8 @@ the merged weights.  Training (``local_update`` and ``grad``) never merges
 the trunk, as unmerged LoRA, and runs each lane over its own tokens only:
 a mini-batch (``Batch``) reaches the kernel as the token ids a lane reads,
 its tagging loss weights per (row, gold tag) and its marked pairs, whose
-head and tail name rows.
+head and tail name rows.  ``Lanes.batches`` builds every such batch, with
+``Pack.take`` picking its examples, and ``grad``'s batch is one step of it.
 
 Training runs k clients in lockstep, one lane each (``Lanes``); ``grad``,
 scoring and evaluation run one lane.  Every array carries a leading lane
@@ -161,19 +162,6 @@ def _cat(arrays) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
 
 
-def _task_rows(tagging: np.ndarray) -> np.ndarray:
-    """Each example's row among the tagging examples or among the pairs."""
-    return np.where(tagging, np.cumsum(tagging), np.cumsum(~tagging)) - 1
-
-
-def _token_positions(starts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The token positions of tagging examples ``rows`` in order, where
-    example i holds positions ``starts[i]`` up to ``starts[i + 1]``."""
-    counts = starts[rows + 1] - starts[rows]
-    ends = np.cumsum(counts)
-    return np.repeat(starts[rows] - ends + counts, counts) + np.arange(int(counts.sum()))
-
-
 @dataclass(frozen=True, eq=False)
 class Pack:
     """Examples as flat arrays, each task's in example order; all data is
@@ -225,12 +213,16 @@ class Pack:
     def take(self, rows: np.ndarray) -> "Pack":
         """Examples ``rows`` of this pack, in that order."""
         tagging = self.tagging[rows]
-        index = _task_rows(self.tagging)[rows]
+        # each example's row among the tagging examples or among the pairs
+        index = np.where(self.tagging, np.cumsum(self.tagging), np.cumsum(~self.tagging))[rows] - 1
         tag_rows, pairs = index[tagging], index[~tagging]
-        tok = _token_positions(self.starts, tag_rows)
-        return Pack.build(tagging, self.tokens[tok], np.diff(self.starts)[tag_rows],
-                          self.tags[tok], self.heads[pairs], self.tails[pairs],
-                          self.relations[pairs])
+        # the taken tagging examples' token positions: example i's run from
+        # starts[i], and land after the tokens of those taken before it
+        counts = np.diff(self.starts)[tag_rows]
+        shift = self.starts[tag_rows] - np.cumsum(counts) + counts
+        tok = np.repeat(shift, counts) + np.arange(int(counts.sum()))
+        return Pack.build(tagging, self.tokens[tok], counts, self.tags[tok], self.heads[pairs],
+                          self.tails[pairs], self.relations[pairs])
 
     @cached_property
     def ranges(self) -> dict[str, tuple[int, int]]:
@@ -262,11 +254,11 @@ class Lanes:
         """The lockstep mini-batches, in step order, that put example j of
         the lanes' examples (lane after lane) in step ``step_of[e, j]`` on
         pass e over the data; a step may hold only one pass of a lane.  One
-        stable sort by step keeps each lane's tokens and pairs of a step in
-        list order, so its weights sum in the same order as the same
-        examples packed alone.  A pack that several lanes train on is
-        joined once, and the per-token tables are built ``TABLE_STEPS``
-        steps at a time, so they hold a few steps' tokens, not every
+        stable sort by step keeps each lane's examples of a step in list
+        order, so its weights sum in the same order as the same examples
+        packed alone.  A pack that several lanes train on is joined once,
+        and ``Pack.take`` picks the examples ``TABLE_STEPS`` steps at a
+        time, so the per-token tables hold a few steps' tokens, not every
         pass's.  Every step of such a chunk runs each lane over U rows
         (``_slots``), U set by the lane and step that read the most ids."""
         v, c, k = config.vocab_size, config.tag_classes, len(self.packs)
@@ -276,61 +268,40 @@ class Lanes:
         # the row in ``whole`` of each example, lane after lane
         source = _cat(first[id(pack)] + np.arange(len(pack)) for pack in self.packs)
         lane = np.repeat(np.arange(k), [len(pack) for pack in self.packs])
-
         flat = step_of.reshape(-1)
         n_steps = int(flat.max()) + 1
-        bounds = np.arange(n_steps + 1)
         order = np.argsort(flat, kind="stable")
-        step, ex = flat[order], order % len(lane)
-        sizes = np.bincount(step * k + lane[ex], minlength=n_steps * k).reshape(n_steps, k)
-        ex_lane, row = lane[ex], source[ex]
-        marked = ~whole.tagging[row]
-        index = _task_rows(whole.tagging)
-        pair_ex = index[row[marked]]
-        pairs = (ex_lane[marked], whole.heads[pair_ex], whole.tails[pair_ex],
-                 whole.relations[pair_ex])
-        p_bounds = np.searchsorted(step[marked], bounds)
-        # the tagging examples in step order, and where each step's begin among them
-        tag_ex, tag_lane = index[row[~marked]], ex_lane[~marked]
-        counts = np.diff(whole.starts)[tag_ex]
-        e_bounds = np.searchsorted(step[~marked], bounds)
-
-        def tables(g0: int, g1: int):
-            """Steps g0 to g1's read ids per (step, lane) cell, U, the
-            tagging tokens' bincount keys and shares, and the pairs with
-            their head and tail rows.  A function of its own, so the
-            per-token temporaries die before the steps run."""
-            e0, e1, p0, p1 = e_bounds[g0], e_bounds[g1], p_bounds[g0], p_bounds[g1]
-            first_cell = np.arange(0, (g1 - g0) * k, k)
-            # every token of these steps' tagging examples, each example's in order
-            tok = _token_positions(whole.starts, tag_ex[e0:e1])
-            cell = np.repeat(np.repeat(first_cell, np.diff(e_bounds[g0:g1 + 1])) + tag_lane[e0:e1],
-                             counts[e0:e1])
-            ids = whole.tokens[tok]
-            lanes, heads, tails, relations = (a[p0:p1] for a in pairs)
-            p_cell = np.repeat(first_cell, np.diff(p_bounds[g0:g1 + 1])) + lanes
-            read = np.zeros(((g1 - g0) * k, v), dtype=bool)
-            for cells, read_ids in ((cell, ids), (p_cell, heads), (p_cell, tails)):
-                read[cells, read_ids] = True
-            u, slot = _slots(read)
-            keys = (cell % k * u + slot[cell, ids]) * c + whole.tags[tok]
-            pairs_of = (lanes, slot[p_cell, heads], slot[p_cell, tails], relations)
-            return read, u, keys, whole.shares[tok], pairs_of
+        ex = order % len(lane)
+        # each example's row in ``whole`` and its (step, lane) cell, in step order
+        row, cell = source[ex], flat[order] * k + lane[ex]
+        sizes = np.bincount(cell, minlength=n_steps * k).reshape(n_steps, k)
+        cuts = np.searchsorted(cell // k, np.arange(0, n_steps + TABLE_STEPS, TABLE_STEPS))
 
         # the per-example sort dies here; the steps keep what they read
         def steps() -> Iterator[Batch]:
-            for g0 in range(0, n_steps, TABLE_STEPS):
-                g1 = min(g0 + TABLE_STEPS, n_steps)
-                read, u, keys, shares, pairs_of = tables(g0, g1)
-                ends = np.concatenate([[0], np.cumsum(counts[e_bounds[g0]:e_bounds[g1]])])
-                t_bounds = ends[e_bounds[g0:g1 + 1] - e_bounds[g0]].tolist()
-                q_bounds = (p_bounds[g0:g1 + 1] - p_bounds[g0]).tolist()
-                for g in range(g1 - g0):
+            for g0, x0, x1 in zip(range(0, n_steps, TABLE_STEPS), cuts, cuts[1:]):
+                n = min(TABLE_STEPS, n_steps - g0)
+                chunk = whole.take(row[x0:x1])
+                # the cell in the chunk of each tagging token and of each pair
+                at = cell[x0:x1] - g0 * k
+                tag_cell = np.repeat(at[chunk.tagging], np.diff(chunk.starts))
+                pair_cell = at[~chunk.tagging]
+                read = np.zeros((n * k, v), dtype=bool)
+                for cells, ids in ((tag_cell, chunk.tokens), (pair_cell, chunk.heads),
+                                   (pair_cell, chunk.tails)):
+                    read[cells, ids] = True
+                u, slot = _slots(read)
+                keys = (tag_cell % k * u + slot[tag_cell, chunk.tokens]) * c + chunk.tags
+                pairs = (pair_cell % k, slot[pair_cell, chunk.heads], slot[pair_cell, chunk.tails],
+                         chunk.relations)
+                t_bounds, q_bounds = (np.searchsorted(cells // k, np.arange(n + 1)).tolist()
+                                      for cells in (tag_cell, pair_cell))
+                for g in range(n):
                     t0, t1, q0, q1 = t_bounds[g], t_bounds[g + 1], q_bounds[g], q_bounds[g + 1]
-                    weights = np.bincount(keys[t0:t1], weights=shares[t0:t1],
+                    weights = np.bincount(keys[t0:t1], weights=chunk.shares[t0:t1],
                                           minlength=k * u * c)
                     yield Batch(_rows(read[g * k:(g + 1) * k], u), weights.reshape(k, u, c),
-                                *(a[q0:q1] for a in pairs_of), sizes[g0 + g])
+                                *(a[q0:q1] for a in pairs), sizes[g0 + g])
 
         return steps()
 
@@ -494,23 +465,6 @@ def forward(model: ToyModel, pack: Pack) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(tag_logp[0])[pack.tokens], np.exp(rel_logp)
 
 
-def _whole(frozen: Backbone, pack: Pack) -> Batch:
-    """Every example of ``pack`` as one mini-batch of one lane, over the
-    token ids it reads, its tokens and pairs in pack order as
-    ``Lanes.batches`` orders a step's."""
-    frozen.check_ranges(pack)
-    read = np.zeros((1, frozen.config.vocab_size), dtype=bool)
-    for ids in (pack.tokens, pack.heads, pack.tails):
-        read[0, ids] = True
-    u, (slot,) = _slots(read)
-    c = frozen.config.tag_classes
-    weights = np.bincount(slot[pack.tokens] * c + pack.tags, weights=pack.shares,
-                          minlength=u * c)
-    return Batch(_rows(read, u), weights.reshape(1, u, c),
-                 np.zeros(len(pack.heads), dtype=np.int64), slot[pack.heads], slot[pack.tails],
-                 pack.relations, np.array([len(pack)]))
-
-
 def loss(model: ToyModel, batch: Pack) -> float:
     """Mean over the batch of per-example mean negative log-likelihood."""
     model.frozen.check_ranges(batch)
@@ -576,10 +530,14 @@ def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], 
 
 def grad(model: ToyModel, batch: Pack) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Analytic gradients of loss(model, batch) w.r.t. each adapter's (B, A),
-    by ``local_update``'s kernel with one lane.  Frozen parameters receive
-    no gradient by construction."""
+    by ``local_update``'s kernel with one lane, on ``batch`` as one step of
+    ``Lanes.batches`` in pack order.  Frozen parameters receive no gradient
+    by construction."""
+    model.frozen.check_ranges(batch)
+    (step,) = Lanes((batch,)).batches(np.zeros((1, len(batch)), dtype=np.int64),
+                                      model.frozen.config)
     factors = {key: (b[None], a[None]) for key, (b, a) in model.adapters.layers.items()}
-    grads = _grads(model.frozen, factors, model.adapters.scale, _whole(model.frozen, batch))
+    grads = _grads(model.frozen, factors, model.adapters.scale, step)
     return {key: (db[0], da[0]) for key, (db, da) in grads.items()}
 
 

@@ -767,14 +767,21 @@ class TestLanes:
                                  st.integers(0, 2**32 - 1)), min_size=1, max_size=5),
         batch_size=st.integers(1, 6),
         table_steps=st.integers(1, 4),
+        epochs=st.integers(1, 3),
     )
     def test_compact_batches_run_each_lane_over_its_read_ids(
-        self, lanes, batch_size, table_steps
+        self, lanes, batch_size, table_steps, epochs
     ):
-        # example j of a lane joins step j // batch_size
+        # on pass e, example j of an n-example lane joins step
+        # j // batch_size + e * ceil(n / batch_size), so a step may hold
+        # lanes on different passes, a later lane's before an earlier one's
         v, c = SMALL.vocab_size, SMALL.tag_classes
         data = [lane_data(np.random.default_rng(seed), n, mix) for n, mix, seed in lanes]
-        step_of = np.concatenate([np.arange(len(pack)) // batch_size for pack in data])[None]
+        step_of = np.array([
+            np.concatenate([np.arange(len(pack)) // batch_size
+                            + e * -(-len(pack) // batch_size) for pack in data])
+            for e in range(epochs)])
+        first = np.cumsum([0] + [len(pack) for pack in data])
         with mock.patch.object(fedlora.model, "TABLE_STEPS", table_steps):
             batches = list(Lanes(tuple(data)).batches(step_of, SMALL))
         read = [[np.zeros(0, dtype=np.int64)] * len(data) for _ in batches]
@@ -782,7 +789,8 @@ class TestLanes:
             u = batch.tokens.shape[1]
             assert batch.weights.shape == (len(data), u, c)
             for lane, pack in enumerate(data):
-                picked = np.flatnonzero(np.arange(len(pack)) // batch_size == g)
+                # a step holds one pass of a lane, so its examples ascend
+                picked = np.nonzero(step_of[:, first[lane]:first[lane + 1]] == g)[1]
                 assert batch.sizes[lane] == len(picked)
                 mine = batch.lanes == lane
                 tokens, weights = batch.tokens[lane], batch.weights[lane]
