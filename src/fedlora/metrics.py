@@ -211,12 +211,13 @@ def _lenient_hits(gold: Spans, pred: Spans) -> np.ndarray:
 
     def padded(side: np.ndarray):
         """(start, end) of the sorted spans where ``side`` holds, one row per
-        group in order of end; padding overlaps nothing."""
+        group in order of end; padding overlaps nothing.  Token positions
+        fit 32 bits, which halves tables that may span many splits."""
         row, at = group[side], order[side]
         column = np.arange(len(row)) - np.searchsorted(row, row)
         shape = (len(groups), int(column.max(initial=0)) + 1)
-        start = np.full(shape, np.iinfo(np.int64).max)
-        end = np.full(shape, np.iinfo(np.int64).min)
+        start = np.full(shape, np.iinfo(np.int32).max, dtype=np.int32)
+        end = np.full(shape, np.iinfo(np.int32).min, dtype=np.int32)
         start[row, column], end[row, column] = both.start[at], both.end[at]
         return start, end
 

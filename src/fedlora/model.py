@@ -202,7 +202,9 @@ class Pack:
 
     @classmethod
     def concat(cls, packs: Sequence["Pack"]) -> "Pack":
-        """``packs`` end to end."""
+        """``packs`` end to end; one pack is itself."""
+        if len(packs) == 1:
+            return packs[0]
         tokens, tags, heads, tails, relations = (
             _cat(getattr(pack, name) for pack in packs)
             for name in ("tokens", "tags", "heads", "tails", "relations"))
@@ -263,7 +265,7 @@ class Lanes:
         (``_slots``), U set by the lane and step that read the most ids."""
         v, c, k = config.vocab_size, config.tag_classes, len(self.packs)
         distinct = list({id(pack): pack for pack in self.packs}.values())
-        whole = distinct[0] if len(distinct) == 1 else Pack.concat(distinct)
+        whole = Pack.concat(distinct)
         first = dict(zip(map(id, distinct), np.cumsum([0] + [len(pack) for pack in distinct])))
         # the row in ``whole`` of each example, lane after lane
         source = _cat(first[id(pack)] + np.arange(len(pack)) for pack in self.packs)
@@ -544,21 +546,22 @@ def grad(model: ToyModel, batch: Pack) -> dict[str, tuple[np.ndarray, np.ndarray
 def _step_of(sizes: list[int], seeds: Sequence[int], sgd: SgdConfig) -> np.ndarray:
     """step_of[e, j]: the step of epoch e that example j (lane after lane,
     lane i holding ``sizes[i]``) joins; a lane counts its steps on across
-    epochs."""
+    epochs.  Lanes of one size and one seed draw the same permutations, so
+    each such pair is drawn once."""
     bs = sgd.batch_size
-    step_of = np.empty((sgd.epochs, sum(sizes)), dtype=np.int64)
-    starts = np.cumsum([0] + sizes)
-    for lane, (n, seed) in enumerate(zip(sizes, seeds)):
+    drawn = {}
+    for n, seed in zip(sizes, seeds):
+        if (n, seed) in drawn:
+            continue
         rng = np.random.default_rng(seed)
         per_epoch = -(-n // bs)
+        steps = drawn[(n, seed)] = np.empty((sgd.epochs, n), dtype=np.int64)
         for epoch in range(sgd.epochs):
             # batch membership is shuffled; summation order inside a batch
             # is list order, so the result is independent of how members
             # were drawn
-            step_of[epoch, starts[lane] + rng.permutation(n)] = (
-                np.arange(n) // bs + epoch * per_epoch
-            )
-    return step_of
+            steps[epoch, rng.permutation(n)] = np.arange(n) // bs + epoch * per_epoch
+    return np.concatenate([drawn[key] for key in zip(sizes, seeds)], axis=1)
 
 
 def local_update(

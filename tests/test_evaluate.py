@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedlora.datasim import PlantedRule, SiteSpec, generate_site, make_validation_set
+from fedlora.datasim import PlantedRule, SiteSpec, generate_site, make_validation_set, shard
 from fedlora.evaluate import (
     BootstrapConfig,
     MetricRow,
@@ -22,6 +21,8 @@ from span_oracle import decode_bio, span_counts
 from test_metrics import oracle_bootstrap_ci
 
 RULE = PlantedRule(vocab_size=60)
+# a metric's place in ``Scores.metrics``: precision, recall, F1, CI bounds
+F1 = 2
 CFG = ModelConfig(60, 16, 9, 16, rank=4, alpha=8.0, seed=2)
 
 
@@ -141,31 +142,30 @@ class TestEvaluateModel:
     def test_gold_model_scores_one(self):
         model = gold_tagging_model()
         test = make_test_split(SiteSpec("a", 80, seed=6), 80, RULE)
-        (reports,) = evaluate_model([model], test)
-        tag_strict = reports[(Task.TAGGING, Scheme.STRICT)]
-        assert tag_strict.f1 == 1.0
-        assert tag_strict.fp == 0 and tag_strict.fn == 0
+        tag_strict = evaluate_model([model], [test])[(Task.TAGGING, Scheme.STRICT)]
+        assert tag_strict.metrics[F1, 0, 0] == 1.0
+        assert tag_strict.counts[0, 0, 1:].tolist() == [0, 0]
 
     def test_lenient_dominates_strict(self):
         model = ToyModel.build(CFG)
         test = make_test_split(SiteSpec("a", 60, seed=7), 60, RULE)
-        (reports,) = evaluate_model([model], test)
+        scores = evaluate_model([model], [test])
         assert (
-            reports[(Task.TAGGING, Scheme.LENIENT)].f1
-            >= reports[(Task.TAGGING, Scheme.STRICT)].f1
+            scores[(Task.TAGGING, Scheme.LENIENT)].metrics[F1]
+            >= scores[(Task.TAGGING, Scheme.STRICT)].metrics[F1]
         )
 
     def test_bootstrap_ci_attached_and_deterministic(self):
         model = ToyModel.build(CFG)
         test = make_test_split(SiteSpec("a", 60, seed=8), 60, RULE)
         bs = BootstrapConfig(sample_size=50, reps=10)
-        (one,) = evaluate_model([model], test, bs, seed=9)
-        (two,) = evaluate_model([model], test, bs, seed=9)
+        one = evaluate_model([model], [test], bs, seed=9)
+        two = evaluate_model([model], [test], bs, seed=9)
         for key in one:
-            assert one[key].ci == two[key].ci
-            lo, hi = one[key].ci
-            assert lo <= one[key].f1 + 1e-9
-            assert hi >= one[key].f1 - 1e-9
+            assert np.array_equal(one[key].metrics, two[key].metrics)
+            f1, lo, hi = one[key].metrics[F1:, 0, 0]
+            assert lo <= f1 + 1e-9
+            assert hi >= f1 - 1e-9
 
 
     def test_one_forward_pass_per_split(self, monkeypatch):
@@ -179,8 +179,8 @@ class TestEvaluateModel:
 
         monkeypatch.setattr(fedlora.evaluate, "forward", counting_forward)
         test = make_test_split(SiteSpec("a", 40, seed=10), 40, RULE)
-        (reports,) = evaluate_model([ToyModel.build(CFG)], test)
-        assert len(reports) == 4
+        scores = evaluate_model([ToyModel.build(CFG)], [test])
+        assert len(scores) == 4
         assert calls == [test.packed]
 
     def test_one_span_match_per_scheme_per_split(self, monkeypatch):
@@ -195,8 +195,8 @@ class TestEvaluateModel:
         span_counts_of_split = fedlora.evaluate.span_counts
         monkeypatch.setattr(fedlora.evaluate, "span_counts", counting_span_counts)
         test = make_test_split(SiteSpec("a", 40, seed=10), 40, RULE)
-        (reports,) = evaluate_model([ToyModel.build(CFG)], test, BootstrapConfig(10, 2))
-        assert len(reports) == 4
+        scores = evaluate_model([ToyModel.build(CFG)], [test], BootstrapConfig(10, 2))
+        assert len(scores) == 4
         assert sorted(scheme.value for scheme in schemes) == ["lenient", "strict"]
 
 
@@ -213,17 +213,18 @@ class TestDocCounts:
                                                     model_seed, scale):
         test = generate_site(SiteSpec("a", size, seed=data_seed, tasks=tasks), RULE)
         model = random_b_model(model_seed, scale)
-        tables = _doc_counts([model], test)
+        tables = _doc_counts([model], [test])
         expected = oracle_doc_counts(model, RULE, test)
         assert list(tables) == list(expected)
         for key, table in expected.items():
-            assert tables[key].dtype == np.int64
-            assert np.array_equal(tables[key], table[None])
+            assert tables[key][0].dtype == np.int64
+            assert np.array_equal(tables[key][0], table[None])
+            assert tables[key][1] == [0, len(table)]
 
     def test_relation_labels_both_hit_and_miss(self):
         # the property's models put some relation documents on each side
         test = generate_site(SiteSpec("a", 400, seed=1, tasks=(Task.RELATION,)), RULE)
-        (table,) = _doc_counts([random_b_model(2, 1.0)], test)[(Task.RELATION, Scheme.STRICT)]
+        (table,), _ = _doc_counts([random_b_model(2, 1.0)], [test])[(Task.RELATION, Scheme.STRICT)]
         assert 0 < table[:, 0].sum() < len(table)
 
 
@@ -264,15 +265,15 @@ class TestEvaluateResult:
         per_model = []
         for cid in sorted(result.client_adapters):
             model = ToyModel(backbone, result.client_adapters[cid])
-            per_model.extend(evaluate_model([model], tests[0]))
+            per_model.append(evaluate_model([model], [tests[0]]))
         row = next(
             r for r in rows
             if r.testset == "s0" and r.task == "tagging" and r.scheme == "strict"
         )
         expected = np.mean(
-            [m[(Task.TAGGING, Scheme.STRICT)].f1 for m in per_model]
+            [m[(Task.TAGGING, Scheme.STRICT)].metrics[F1, 0, 0] for m in per_model]
         )
-        assert row.f1 == pytest.approx(expected, abs=1e-12)
+        assert row.f1 == expected
 
     def test_one_merge_per_scored_model(self, monkeypatch):
         # single_site scores one model per site; each merges its weights once,
@@ -311,6 +312,63 @@ class TestEvaluateResult:
         for result, rows in zip(results, scored):
             assert len(rows) == 8
             assert rows == oracle_rows(result, backbone, tests, bootstrap, seed=4)
+
+    def uneven_splits(self, sites):
+        """Three test splits of 40, 1 and 17 examples; the one-example split
+        holds one tagging document and no relation rows."""
+        specs = [site.spec for site in sites] + [SiteSpec("x", 40, dirichlet_alpha=5.0, seed=30)]
+        tests = [make_test_split(spec, size, RULE) for spec, size in zip(specs, (40, 1, 17))]
+        assert tests[1].packed.tagging.tolist() == [True] and not len(tests[1].packed.relations)
+        return tests
+
+    def test_splits_scored_together_equal_each_scored_alone(self):
+        sites = self.make_sites()
+        backbone = Backbone.build(CFG)
+        configs = [FederationConfig(s, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
+                   for s in (Strategy.FEDAVG, Strategy.SINGLE_SITE)]
+        results = run_federation(configs, sites, None, backbone)
+        tests = self.uneven_splits(sites)
+        bootstrap = BootstrapConfig(sample_size=30, reps=7, level=0.9)
+        scored = evaluate_result(results, backbone, tests, bootstrap, seed=4)
+        alone = [evaluate_result(results, backbone, [test], bootstrap, seed=4) for test in tests]
+        for n, (result, rows) in enumerate(zip(results, scored)):
+            # 2 tasks x 2 schemes on the 40- and 17-example splits, tagging alone on the other
+            assert [row.testset for row in rows] == ["s0"] * 4 + ["s1"] * 2 + ["x"] * 4
+            assert rows == oracle_rows(result, backbone, tests, bootstrap, seed=4)
+            assert rows == [row for split in alone for row in split[n]]
+
+    def test_one_forward_and_span_match_per_model_however_many_splits(self, monkeypatch):
+        import fedlora.evaluate
+
+        calls = {"forward": 0, "span_counts": 0}
+        for name in calls:
+            def counting(*args, name=name, counted=getattr(fedlora.evaluate, name)):
+                calls[name] += 1
+                return counted(*args)
+
+            monkeypatch.setattr(fedlora.evaluate, name, counting)
+        sites = self.make_sites()
+        backbone = Backbone.build(CFG)
+        configs = [FederationConfig(s, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
+                   for s in (Strategy.FEDAVG, Strategy.SINGLE_SITE)]
+        results = run_federation(configs, sites, None, backbone)
+        evaluate_result(results, backbone, self.uneven_splits(sites), BootstrapConfig(10, 2))
+        # fedavg's model and single_site's two, each matched under 2 schemes
+        assert calls == {"forward": 3, "span_counts": 6}
+
+    def test_nine_per_site_models_average_as_a_list_mean(self):
+        # numpy's pairwise sum adds 8 or more values in another order than
+        # fewer, so the mean over 9 models must be the mean of their list
+        pool = generate_site(SiteSpec("pool", 90, dirichlet_alpha=5.0, seed=31), RULE)
+        backbone = Backbone.build(CFG)
+        config = FederationConfig(Strategy.SINGLE_SITE, 9, 1, SgdConfig(0.1, 1, 8), seed=1)
+        result = run_alone(config, shard(pool, 9, seed=3), None, backbone)
+        assert len(result.client_adapters) == 9
+        tests = [make_test_split(pool.spec, 30, RULE)]
+        bootstrap = BootstrapConfig(sample_size=30, reps=7, level=0.9)
+        (rows,) = evaluate_result([result], backbone, tests, bootstrap, seed=4)
+        assert len(rows) == 4
+        assert rows == oracle_rows(result, backbone, tests, bootstrap, seed=4)
 
     def test_one_bootstrap_per_split_task_and_scheme(self, monkeypatch):
         import fedlora.evaluate
