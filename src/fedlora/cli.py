@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 from .comm import PRESETS, CommEntry, PresetRow, entries_from_transcripts, preset_summary
 from .config import ConfigError, ExperimentConfig, load_config
@@ -58,6 +58,14 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
+
+
+def _record(obj) -> dict:
+    """``json.dumps``'s ``default`` hook: a dataclass record as its declared
+    fields, leaving out those that are ``None``; any other object is a TypeError."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
@@ -107,27 +115,21 @@ def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int]) -> int:
         fed_cfgs = [replace(cfg.federation, strategy=strategy) for strategy in cfg.strategies()]
         for result, metric_rows in train_and_score(fed_cfgs, sites):
             strategy = result.config.strategy
-            all_rows.extend({**asdict(r), "seed": seed} for r in metric_rows)
-            all_runs.append(
-                {
-                    "seed": seed,
-                    "strategy": strategy.value,
-                    # sort_keys orders every nested mapping when the transcript is written
-                    "rounds": [
-                        {k: v for k, v in asdict(t).items() if v is not None}
-                        for t in result.transcripts
-                    ],
-                    "final_checksum": result.adapters.checksum() if result.adapters else None,
-                }
-            )
+            # each row is its record's own field dict plus the seed; nothing is deep-copied
+            all_rows.extend(vars(r) | {"seed": seed} for r in metric_rows)
+            # ``_record`` writes the round records; sort_keys orders every mapping
+            all_runs.append({
+                "seed": seed, "strategy": strategy.value, "rounds": result.transcripts,
+                "final_checksum": result.adapters.checksum() if result.adapters else None,
+            })
             all_comm.extend(
-                {"seed": seed, "strategy": strategy.value, **asdict(entry)}
+                vars(entry) | {"seed": seed, "strategy": strategy.value}
                 for entry in entries_from_transcripts(result.transcripts, cfg.comm.bytes_per_param)
             )
     _write_csv(os.path.join(out_dir, "results.csv"), RESULT_FIELDS, all_rows)
     _atomic_write(
         os.path.join(out_dir, "transcript.json"),
-        json.dumps({"runs": all_runs}, sort_keys=True, indent=2) + "\n",
+        json.dumps({"runs": all_runs}, sort_keys=True, indent=2, default=_record) + "\n",
     )
     _write_csv(os.path.join(out_dir, "comm.csv"), COMM_FIELDS, all_comm)
     if config.comm.preset:
@@ -157,7 +159,7 @@ def cmd_scale_study(config: ExperimentConfig, out_dir: str, seeds: list[int],
             fed_cfgs = [replace(cfg.federation, strategy=strategy, clients_per_round=k)
                         for strategy in SCALE_STRATEGIES]
             for _, metric_rows in train_and_score(fed_cfgs, shards):
-                rows.extend({"k": k, **asdict(r), "seed": seed} for r in metric_rows)
+                rows.extend(vars(r) | {"k": k, "seed": seed} for r in metric_rows)
     _write_csv(os.path.join(out_dir, "scale.csv"), SCALE_FIELDS, rows)
     print(f"wrote {len(rows)} scale rows to {os.path.join(out_dir, 'scale.csv')}")
     return 0
@@ -253,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="YAML experiment config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--seeds", default=None, help="comma-separated master seeds")
 

@@ -15,7 +15,7 @@ other accounting conventions for the same model class will differ.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .federation import RoundTranscript
@@ -111,7 +111,7 @@ def preset_summary(
     preset: CommPreset, rounds: int = 2, site_counts: tuple[int, ...] = (2, 3)
 ) -> list[dict]:
     """Headline table for a named preset: adapter vs full-model traffic, one
-    ``asdict(PresetRow)`` per site count."""
+    ``PresetRow``'s fields (its ``vars``) per site count."""
     per_site_round = preset.full_params * preset.bytes_per_param
     rows = []
     for clients in site_counts:
@@ -130,5 +130,5 @@ def preset_summary(
             full_per_site_round_gb=format_gb(per_site_round, 2),
             reduction_pct=reduction_pct(preset.full_params, preset.lora_params),
         )
-        rows.append(asdict(row))
+        rows.append(vars(row))
     return rows

@@ -87,28 +87,6 @@ def precision_recall_f1(tp, fp, fn):
     return precision, recall, _share(2 * precision * recall, precision + recall)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    task: str
-    scheme: Scheme
-    tp: int
-    fp: int
-    fn: int
-    ci: tuple[float, float] | None = None
-
-    @property
-    def precision(self) -> float:
-        return float(precision_recall_f1(self.tp, self.fp, self.fn)[0])
-
-    @property
-    def recall(self) -> float:
-        return float(precision_recall_f1(self.tp, self.fp, self.fn)[1])
-
-    @property
-    def f1(self) -> float:
-        return float(precision_recall_f1(self.tp, self.fp, self.fn)[2])
-
-
 # ---------------------------------------------------------------------------
 # BIO decoding.  Tag ids follow the layout 0 = outside, 1 + 2*(k-1) + role
 # for entity type k (role 0 opens, role 1 continues).  A continuation tag

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import fedlora.cli
 import fedlora.federation
-from fedlora.cli import _seed_run, cmd_run, main
+from fedlora.cli import _record, _seed_run, cmd_run, main
 from fedlora.config import ConfigError, load_config, parse_config
 from fedlora.datasim import SiteDataset
+from fedlora.federation import Strategy
 from fedlora.model import Diverged, LabelRangeError, Pack, TokenRangeError
 
 BASE_CONFIG = {
@@ -508,6 +509,54 @@ class TestCmdUneven:
         assert main(["run", "--config", config, "--out-dir", str(out_run)]) == 0
         for name in ("results.csv", "transcript.json", "comm.csv"):
             assert (out / name).read_bytes() == (out_run / name).read_bytes()
+
+
+@dataclass(frozen=True)
+class Inner:
+    a: int
+    b: int | None = None
+
+
+@dataclass(frozen=True)
+class Outer:
+    inner: Inner
+    items: tuple[Inner, ...]
+    note: str | None = None
+
+
+class Plain:
+    def __init__(self):
+        self.a = 1
+
+
+class TestTranscriptRecords:
+    """``transcript.json`` writes its records through ``_record``, json's
+    ``default`` hook, instead of copying them into dicts first."""
+
+    def test_none_fields_of_nested_records_are_left_out(self):
+        record = Outer(Inner(1), (Inner(2, 3), Inner(4, None)))
+        text = json.dumps({"rounds": [record]}, default=_record, sort_keys=True)
+        assert json.loads(text) == {
+            "rounds": [{"inner": {"a": 1}, "items": [{"a": 2, "b": 3}, {"a": 4}]}]
+        }
+
+    def test_round_records_write_as_their_asdict_copies_did(self):
+        cfg, sites, train_and_score = _seed_run(parse_config(json_roundtrip(BASE_CONFIG)), 3)
+        fed_cfgs = [replace(cfg.federation, strategy=s) for s in cfg.strategies()]
+        rounds = [t for result, _ in train_and_score(fed_cfgs, sites) for t in result.transcripts]
+        # influence rounds carry nested records; fedavg rounds leave two fields None
+        assert any(t.influence for t in rounds) and any(t.val_losses is None for t in rounds)
+        copies = [{k: v for k, v in asdict(t).items() if v is not None} for t in rounds]
+        assert json.dumps(rounds, sort_keys=True, indent=2, default=_record) == json.dumps(
+            copies, sort_keys=True, indent=2
+        )
+
+    @pytest.mark.parametrize("value", [np.int64(1), Strategy.FEDAVG, Plain(), Inner],
+                             ids=["numpy_int", "enum_member", "plain_object", "record_type"])
+    def test_any_other_object_raises_naming_its_type(self, value):
+        name = type(value).__name__
+        with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
+            json.dumps({"rounds": [value]}, default=_record)
 
 
 class TestCommPreset:

@@ -12,7 +12,7 @@ from fedlora.evaluate import (
     make_test_split,
 )
 from fedlora.federation import FederationConfig, Strategy, run_federation
-from fedlora.metrics import EvalReport, RelationInstance, Scheme, Span, relation_counts
+from fedlora.metrics import RelationInstance, Scheme, Span, precision_recall_f1, relation_counts
 from fedlora.model import Backbone, ModelConfig, SgdConfig, Task, ToyModel, forward
 from fedlora.seeding import derive_seed
 from one_lane import run_alone
@@ -79,17 +79,17 @@ def oracle_rows(result, backbone, tests, bootstrap, seed):
         per_model = [oracle_doc_counts(model, RULE, test) for model in models]
         for task, scheme in per_model[0]:
             draw = derive_seed(seed, test.spec.site_id, task.value, scheme.value)
-            reports = []
+            # one (precision, recall, F1, CI low, CI high) row per model
+            scores = []
             for tables in per_model:
                 table = tables[(task, scheme)]
                 ci = oracle_bootstrap_ci(table.tolist(), bootstrap.sample_size, bootstrap.reps,
                                          bootstrap.level, draw)
-                reports.append(EvalReport(task.value, scheme, *table.sum(axis=0).tolist(), ci))
+                prf = precision_recall_f1(*table.sum(axis=0).tolist())
+                scores.append([float(x) for x in prf] + list(ci))
             rows.append(MetricRow(
                 result.config.strategy.value, test.spec.site_id, task.value, scheme.value,
-                mean([r.precision for r in reports]), mean([r.recall for r in reports]),
-                mean([r.f1 for r in reports]), mean([r.ci[0] for r in reports]),
-                mean([r.ci[1] for r in reports]),
+                *(mean(column) for column in zip(*scores)),
             ))
     return rows
 

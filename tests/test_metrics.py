@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from fedlora.datasim import PlantedRule, SiteSpec
 from fedlora.evaluate import evaluate_model, make_test_split
 from fedlora.metrics import (
-    EvalReport,
     RelationInstance,
     Scheme,
     Span,
     _percentile,
     bootstrap_metric_ci,
     decode_bio,
+    precision_recall_f1,
     relation_counts,
     span_counts,
     wilcoxon_rank_sum,
@@ -25,9 +25,9 @@ from span_oracle import span_counts as list_span_counts
 from span_oracle import to_lists, to_spans
 
 
-def report(count, gold, pred, scheme: Scheme) -> EvalReport:
-    """Micro P/R/F1 of one document's ``count(gold, pred, scheme)``."""
-    return EvalReport("test", scheme, *count(gold, pred, scheme))
+def scores(counts) -> tuple[float, float, float]:
+    """Micro precision, recall and F1 of one (tp, fp, fn) row."""
+    return tuple(float(x) for x in precision_recall_f1(*counts))
 
 
 def decode_doc(tags) -> list[Span]:
@@ -141,27 +141,23 @@ def random_spans(rng, max_spans=6, max_pos=10, n_types=3):
 class TestSpanF1:
     def test_perfect_prediction(self):
         gold = [Span(0, 2, 1), Span(4, 6, 2)]
-        got = report(doc_counts, gold, list(gold), Scheme.STRICT)
-        assert (got.precision, got.recall, got.f1) == (1.0, 1.0, 1.0)
+        assert scores(doc_counts(gold, list(gold), Scheme.STRICT)) == (1.0, 1.0, 1.0)
 
     def test_empty_prediction(self):
-        got = report(doc_counts, [Span(0, 2, 1)], [], Scheme.STRICT)
-        assert (got.precision, got.recall, got.f1) == (0.0, 0.0, 0.0)
+        assert scores(doc_counts([Span(0, 2, 1)], [], Scheme.STRICT)) == (0.0, 0.0, 0.0)
 
     def test_hand_scored_instance(self):
         gold = [Span(0, 2, 1), Span(5, 7, 2)]
         pred = [Span(0, 2, 1), Span(5, 6, 2), Span(8, 9, 1)]
-        got = report(doc_counts, gold, pred, Scheme.STRICT)
-        assert (got.tp, got.fp, got.fn) == (1, 2, 1)
-        assert got.precision == pytest.approx(1 / 3)
-        assert got.recall == pytest.approx(1 / 2)
-        assert got.f1 == pytest.approx(0.4)
+        counts = doc_counts(gold, pred, Scheme.STRICT)
+        assert counts == (1, 2, 1)
+        assert scores(counts) == pytest.approx((1 / 3, 1 / 2, 0.4))
 
     def test_lenient_overlap_counts(self):
-        assert report(doc_counts, [Span(0, 3, 1)], [Span(1, 2, 1)], Scheme.LENIENT).f1 == 1.0
+        assert scores(doc_counts([Span(0, 3, 1)], [Span(1, 2, 1)], Scheme.LENIENT))[2] == 1.0
 
     def test_lenient_requires_matching_type(self):
-        assert report(doc_counts, [Span(0, 3, 1)], [Span(1, 2, 2)], Scheme.LENIENT).tp == 0
+        assert doc_counts([Span(0, 3, 1)], [Span(1, 2, 2)], Scheme.LENIENT)[0] == 0
 
     def test_crossing_overlaps_match_exhaustive_oracle(self):
         gold = [Span(0, 4, 1), Span(2, 6, 1), Span(5, 8, 1), Span(7, 9, 1)]
@@ -199,8 +195,8 @@ class TestSpanF1:
         for _ in range(1000):
             gold = random_spans(rng)
             pred = random_spans(rng)
-            lenient = report(doc_counts, gold, pred, Scheme.LENIENT)
-            assert lenient.f1 >= report(doc_counts, gold, pred, Scheme.STRICT).f1
+            lenient = scores(doc_counts(gold, pred, Scheme.LENIENT))[2]
+            assert lenient >= scores(doc_counts(gold, pred, Scheme.STRICT))[2]
 
     def test_micro_pooling_is_exact_integer_identity(self):
         rule = PlantedRule(vocab_size=60)
@@ -270,12 +266,12 @@ class TestRelationF1:
 
     def test_perfect(self):
         gold = [self.make_rel(0, 2, 4, 6, 3)]
-        assert report(relation_counts, gold, list(gold), Scheme.STRICT).f1 == 1.0
+        assert scores(relation_counts(gold, list(gold), Scheme.STRICT))[2] == 1.0
 
     def test_wrong_type_is_miss(self):
         gold = [self.make_rel(0, 2, 4, 6, 3)]
         pred = [self.make_rel(0, 2, 4, 6, 5)]
-        assert report(relation_counts, gold, pred, Scheme.STRICT).tp == 0
+        assert relation_counts(gold, pred, Scheme.STRICT)[0] == 0
 
     def test_hand_scored_three_relation_instance(self):
         gold = [
@@ -288,14 +284,13 @@ class TestRelationF1:
             self.make_rel(2, 3, 7, 8, 4),  # wrong relation type -> fp
             self.make_rel(5, 6, 9, 10, 3),  # wrong head span -> fp
         ]
-        got = report(relation_counts, gold, pred, Scheme.STRICT)
-        assert (got.tp, got.fp, got.fn) == (1, 2, 2)
+        assert relation_counts(gold, pred, Scheme.STRICT) == (1, 2, 2)
 
     def test_lenient_overlapping_heads(self):
         gold = [self.make_rel(0, 3, 5, 8, 1)]
         pred = [self.make_rel(1, 2, 6, 7, 1)]
-        assert report(relation_counts, gold, pred, Scheme.LENIENT).f1 == 1.0
-        assert report(relation_counts, gold, pred, Scheme.STRICT).f1 == 0.0
+        assert scores(relation_counts(gold, pred, Scheme.LENIENT))[2] == 1.0
+        assert scores(relation_counts(gold, pred, Scheme.STRICT))[2] == 0.0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
@@ -334,10 +329,9 @@ class TestRelationF1:
                 assert tp == exhaustive_matching(gold, pred, compat)
 
 
-class TestEvalReport:
+class TestPrecisionRecallF1:
     def test_zero_denominators(self):
-        report = EvalReport("tagging", Scheme.STRICT, 0, 0, 0)
-        assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
+        assert scores((0, 0, 0)) == (0.0, 0.0, 0.0)
 
 
 def oracle_bootstrap_ci(rows, sample_size, reps, level, seed):
@@ -366,7 +360,7 @@ def table(rows):
 class TestBootstrap:
     def test_constant_scores_give_degenerate_interval(self):
         lo, hi = bootstrap_metric_ci(table([(3, 1, 2)] * 50), seed=0)
-        assert lo == hi == EvalReport("tagging", Scheme.STRICT, 3, 1, 2).f1
+        assert lo == hi == scores((3, 1, 2))[2]
 
     def test_single_rep(self):
         counts = table([(0, 1, 1), (1, 0, 0), (1, 0, 0)])
@@ -557,8 +551,8 @@ class TestWilcoxon:
 def test_lenient_ge_strict_property(gold_tags, pred_tags):
     gold = decode_doc(gold_tags)
     pred = decode_doc(pred_tags)
-    lenient = report(doc_counts, gold, pred, Scheme.LENIENT)
-    assert lenient.f1 >= report(doc_counts, gold, pred, Scheme.STRICT).f1
+    lenient = scores(doc_counts(gold, pred, Scheme.LENIENT))[2]
+    assert lenient >= scores(doc_counts(gold, pred, Scheme.STRICT))[2]
 
 
 @settings(max_examples=200, deadline=None)
