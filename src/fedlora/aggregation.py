@@ -60,16 +60,17 @@ def validation_loss(model: ToyModel, adapters: AdapterSet, val_set: Pack) -> flo
 def influence_scores(val_losses) -> tuple[list[float], float]:
     """Softmax of negated validation losses, plus the stability shift used.
 
-    Exponents are shifted by c = min_i(-l_i) before exponentiation; the
-    result is shift-invariant, strictly decreasing in the loss, and sums
-    to one.
+    Exponents are shifted by c = max_i(-l_i) before exponentiation, so the
+    largest is exp(0) = 1 and none can overflow, however far apart the
+    losses; the result is shift-invariant, strictly decreasing in the loss
+    until an exponent underflows, and sums to one.
     """
     losses = [float(l) for l in val_losses]
     if not losses:
         raise ValueError("need at least one loss")
     if any(math.isnan(l) or math.isinf(l) for l in losses):
         raise ValueError("losses must be finite")
-    shift = min(-l for l in losses)
+    shift = max(-l for l in losses)
     exps = [math.exp(-l - shift) for l in losses]
     total = math.fsum(exps)
     return [e / total for e in exps], shift

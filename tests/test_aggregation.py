@@ -128,9 +128,20 @@ class TestInfluenceScores:
             influences, _ = influence_scores(rng.random(int(rng.integers(1, 10))) * 5)
             assert math.fsum(influences) == pytest.approx(1.0, abs=1e-12)
 
-    def test_stability_shift_is_min_negated_loss(self):
-        _, shift = influence_scores([0.5, 1.0, 0.2])
-        assert shift == -1.0
+    def test_stability_shift_is_max_negated_loss(self):
+        influences, shift = influence_scores([0.5, 1.0, 0.2])
+        assert shift == -0.2
+        # the lowest loss takes the exponent 0
+        assert influences[2] == 1 / math.fsum(math.exp(-l - shift) for l in [0.5, 1.0, 0.2])
+
+    @pytest.mark.parametrize("losses", [[1.0, 711.0], [711.0, 1.0], [0.0, 710.0, 5e3, 1e300]])
+    def test_loss_gap_beyond_exp_range_gives_finite_weights(self, losses):
+        # a gap above 709 overflows exp() when the highest loss sets the shift
+        influences, shift = influence_scores(losses)
+        assert shift == -min(losses)
+        assert all(math.isfinite(i) for i in influences)
+        assert math.fsum(influences) == 1.0
+        assert influences == [math.exp(min(losses) - l) for l in losses]
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
