@@ -60,10 +60,9 @@ def validation_loss(model: ToyModel, adapters: AdapterSet, val_set: Pack) -> flo
 def influence_scores(val_losses) -> tuple[list[float], float]:
     """Softmax of negated validation losses, plus the stability shift used.
 
-    Exponents are shifted by c = max_i(-l_i) before exponentiation, so the
-    largest is exp(0) = 1 and none can overflow, however far apart the
-    losses; the result is shift-invariant, strictly decreasing in the loss
-    until an exponent underflows, and sums to one.
+    Exponents are shifted by c = max_i(-l_i), so the largest is exp(0) and
+    none overflows; the result is shift-invariant, decreasing in the loss
+    (strictly until an exponent underflows) and sums to one.
     """
     losses = [float(l) for l in val_losses]
     if not losses:

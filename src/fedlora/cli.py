@@ -115,7 +115,6 @@ def cmd_run(config: ExperimentConfig, out_dir: str, seeds: list[int]) -> int:
         fed_cfgs = [replace(cfg.federation, strategy=strategy) for strategy in cfg.strategies()]
         for result, metric_rows in train_and_score(fed_cfgs, sites):
             strategy = result.config.strategy
-            # each row is its record's own field dict plus the seed; nothing is deep-copied
             all_rows.extend(vars(r) | {"seed": seed} for r in metric_rows)
             # ``_record`` writes the round records; sort_keys orders every mapping
             all_runs.append({
