@@ -13,14 +13,15 @@ Sites differ only in their input distribution, through four orthogonal knobs:
 * ``token_shift`` — each site samples from a rotated half-window of every
   token group, modeling site-specific vocabulary/documentation style.
 
-A site is one ``Pack``: ``generate_site`` and ``make_validation_set`` draw
-its arrays directly, each draw one numpy call for the whole site, so no
+A site is its id and one ``Pack``.  ``SiteSpec`` is the config schema a site
+is drawn from: ``generate_site`` and ``make_validation_set`` draw the pack's
+arrays directly, each draw one numpy call for the whole site, so no
 per-example object is ever built.  ``shard`` takes a pack's rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,18 +118,10 @@ class SiteSpec:
 
 @dataclass(frozen=True)
 class SiteDataset:
-    """One site's data: its spec and its examples as one pack."""
+    """One site's data: its id and its examples as one pack."""
 
-    spec: SiteSpec
+    site_id: str
     packed: Pack
-
-    def __post_init__(self):
-        if len(self.packed) != self.spec.n_examples:
-            raise ValueError("example count does not match spec")
-        tagging = self.packed.tagging
-        for task, held in ((Task.TAGGING, tagging.any()), (Task.RELATION, not tagging.all())):
-            if held and task not in self.spec.tasks:
-                raise ValueError(f"task {task} not declared by site {self.spec.site_id}")
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -185,8 +178,8 @@ def generate_site(spec: SiteSpec, rule: PlantedRule) -> SiteDataset:
     relations = rule.relation_of(*rule.group(marked).T, (second - first) % 2)
     tags = _with_noise(rule.tags_of(tokens), rule.num_tags, spec.noise_rate, rng)
     relations = _with_noise(relations, rule.num_relations, spec.noise_rate, rng)
-    return SiteDataset(spec, Pack.build(tagging, tokens, counts, tags, marked[:, 0],
-                                        marked[:, 1], relations))
+    return SiteDataset(spec.site_id, Pack.build(tagging, tokens, counts, tags, marked[:, 0],
+                                                marked[:, 1], relations))
 
 
 def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
@@ -198,12 +191,8 @@ def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
     an even distance.  Only tagging examples draw (full window): group mix,
     lengths, tokens.
     """
-    spec = SiteSpec(
-        site_id="validation", n_examples=n_v, dirichlet_alpha=1e6, noise_rate=0.0,
-        tasks=(Task.TAGGING, Task.RELATION), seed=seed,
-    )
     rng = np.random.default_rng(seed)
-    probs = rng.dirichlet([spec.dirichlet_alpha] * rule.num_groups)
+    probs = rng.dirichlet([1e6] * rule.num_groups)
     tagging = np.arange(n_v) % 2 == 0
     counts = rng.integers(MIN_LEN, MAX_LEN + 1, size=int(tagging.sum()))
     tokens = _tokens(rule, rng, probs, int(counts.sum()), rule.tokens_per_group, 0)
@@ -213,7 +202,7 @@ def make_validation_set(rule: PlantedRule, n_v: int, seed: int) -> SiteDataset:
     cycle = np.arange(n_v - len(counts))
     e = rule.num_entity_types
     head_groups, tail_groups = (cycle // e) % e + 1, cycle % e + 1
-    return SiteDataset(spec, Pack.build(
+    return SiteDataset("validation", Pack.build(
         tagging, tokens, counts, rule.tags_of(tokens), rule.token_id(head_groups, 0),
         rule.token_id(tail_groups, 0), rule.relation_of(head_groups, tail_groups, 0)))
 
@@ -226,8 +215,5 @@ def shard(pool: SiteDataset, k: int, seed: int) -> list[SiteDataset]:
         raise ValueError(f"cannot cut {len(pool)} examples into {k} shards")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
-    return [
-        SiteDataset(replace(pool.spec, site_id=f"{pool.spec.site_id}_shard{i}",
-                            n_examples=len(rows)), pool.packed.take(rows))
-        for i, rows in enumerate(np.array_split(order, k))
-    ]
+    return [SiteDataset(f"{pool.site_id}_shard{i}", pool.packed.take(rows))
+            for i, rows in enumerate(np.array_split(order, k))]

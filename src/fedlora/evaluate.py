@@ -161,7 +161,7 @@ def evaluate_model(
                 sample_size=bootstrap.sample_size,
                 reps=bootstrap.reps,
                 level=bootstrap.level,
-                seed=derive_seed(seed, test[i].spec.site_id, task.value, scheme.value),
+                seed=derive_seed(seed, test[i].site_id, task.value, scheme.value),
             ) for i in splits]
             metrics.extend(np.array(cis).swapaxes(0, 1))
         scores[(task, scheme)] = Scores(splits, counts, np.stack(metrics))
@@ -194,7 +194,7 @@ def evaluate_result(
         means = {key: dict(zip(s.splits, zip(*s.metrics[..., lo:hi].mean(axis=-1).tolist())))
                  for key, s in scores.items()}
         rows.append([
-            MetricRow(result.config.strategy.value, test.spec.site_id, task.value,
+            MetricRow(result.config.strategy.value, test.site_id, task.value,
                       scheme.value, *by_split[i])
             for i, test in enumerate(test_sets)
             for (task, scheme), by_split in means.items() if i in by_split

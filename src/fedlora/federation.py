@@ -37,7 +37,7 @@ from .aggregation import (
     size_weights,
     validation_loss,
 )
-from .datasim import SiteDataset, SiteSpec
+from .datasim import SiteDataset
 from .lora import AdapterSet, serialized_a_size, serialized_size
 from .model import (
     Backbone,
@@ -120,12 +120,8 @@ def sample_clients(total: int, per_round: int, seed: int, round_index: int) -> l
 def pool_sites(sites: list[SiteDataset]) -> SiteDataset:
     """All sites' examples as one dataset, in ascending site id like the
     round loop, so the order ``sites`` come in never matters."""
-    sites = sorted(sites, key=lambda site: site.spec.site_id)
-    packed = Pack.concat([site.packed for site in sites])
-    tasks = tuple(dict.fromkeys(task for site in sites for task in site.spec.tasks))
-    spec = SiteSpec(site_id="pooled", n_examples=len(packed), tasks=tasks,
-                    seed=sites[0].spec.seed)
-    return SiteDataset(spec, packed)
+    sites = sorted(sites, key=lambda site: site.site_id)
+    return SiteDataset("pooled", Pack.concat([site.packed for site in sites]))
 
 
 def _comm_volume(adapters: AdapterSet, share_a: bool) -> CommVolume:
@@ -177,7 +173,7 @@ def _round_loop(
     its lanes, one per sampled client in ascending id, and is sent their
     updates in that order."""
     share_a = config.strategy is Strategy.SHARE_A
-    by_id = {site.spec.site_id: site for site in sites}
+    by_id = {site.site_id: site for site in sites}
     ids = sorted(by_id)
     sizes = {cid: len(by_id[cid]) for cid in ids}
     model = ToyModel(backbone, initial)
@@ -275,7 +271,7 @@ def _plan(
     if config.strategy is Strategy.SINGLE_SITE:
         loops = [_round_loop(solo, [site], val_set, backbone, initial) for site in sites]
         return loops, lambda results: FederationResult(config, None, [], {
-            site.spec.site_id: result.adapters for site, result in zip(sites, results)})
+            site.site_id: result.adapters for site, result in zip(sites, results)})
     return [_round_loop(config, sites, val_set, backbone, initial)], itemgetter(0)
 
 
@@ -325,7 +321,7 @@ def _lockstep(loops: list[RoundLoop], names: list[str], sgd: SgdConfig) -> list[
             # the first lane that trains like the diverging one is its loop's
             j = firsts[err.lane]
             pos = [pos for pos, its in asks for _ in its][j]
-            for note in (f"client {lanes[j].site.spec.site_id!r}", f"round {t}",
+            for note in (f"client {lanes[j].site.site_id!r}", f"round {t}",
                          f"strategy {names[pos]}"):
                 err.add_note(note)
             raise
@@ -357,7 +353,7 @@ def run_federation(
     """
     if not sites:
         raise ValueError("no sites")
-    ids = [site.spec.site_id for site in sites]
+    ids = [site.site_id for site in sites]
     if len(set(ids)) != len(ids):
         raise ValueError("site ids must be unique")
     if any(config.sgd != configs[0].sgd for config in configs):

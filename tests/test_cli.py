@@ -452,8 +452,8 @@ def corrupt_first_split(monkeypatch, maker, field, value):
         arrays = {"tokens": p.tokens, "tags": p.tags, "relations": p.relations}
         arrays[field] = arrays[field].copy()
         arrays[field][-1] = value
-        corrupted.append(split.spec.site_id)
-        return SiteDataset(split.spec, Pack.build(p.tagging, arrays["tokens"], np.diff(p.starts),
+        corrupted.append(split.site_id)
+        return SiteDataset(split.site_id, Pack.build(p.tagging, arrays["tokens"], np.diff(p.starts),
                                                   arrays["tags"], p.heads, p.tails,
                                                   arrays["relations"]))
 

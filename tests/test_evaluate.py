@@ -78,7 +78,7 @@ def oracle_rows(result, backbone, tests, bootstrap, seed):
     for test in tests:
         per_model = [oracle_doc_counts(model, RULE, test) for model in models]
         for task, scheme in per_model[0]:
-            draw = derive_seed(seed, test.spec.site_id, task.value, scheme.value)
+            draw = derive_seed(seed, test.site_id, task.value, scheme.value)
             # one (precision, recall, F1, CI low, CI high) row per model
             scores = []
             for tables in per_model:
@@ -88,7 +88,7 @@ def oracle_rows(result, backbone, tests, bootstrap, seed):
                 prf = precision_recall_f1(*table.sum(axis=0).tolist())
                 scores.append([float(x) for x in prf] + list(ci))
             rows.append(MetricRow(
-                result.config.strategy.value, test.spec.site_id, task.value, scheme.value,
+                result.config.strategy.value, test.site_id, task.value, scheme.value,
                 *(mean(column) for column in zip(*scores)),
             ))
     return rows
@@ -229,18 +229,17 @@ class TestDocCounts:
 
 
 class TestEvaluateResult:
+    SPECS = [SiteSpec(f"s{i}", 40, dirichlet_alpha=5.0, seed=20 + i) for i in range(2)]
+
     def make_sites(self):
-        return [
-            generate_site(SiteSpec(f"s{i}", 40, dirichlet_alpha=5.0, seed=20 + i), RULE)
-            for i in range(2)
-        ]
+        return [generate_site(spec, RULE) for spec in self.SPECS]
 
     def test_row_schema(self):
         sites = self.make_sites()
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.FEDAVG, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_alone(config, sites, None, backbone)
-        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        tests = [make_test_split(spec, 40, RULE) for spec in self.SPECS]
         (rows,) = evaluate_result([result], backbone, tests)
         # 2 testsets x 2 tasks x 2 schemes
         assert len(rows) == 8
@@ -255,7 +254,7 @@ class TestEvaluateResult:
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.SINGLE_SITE, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_alone(config, sites, None, backbone)
-        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        tests = [make_test_split(spec, 40, RULE) for spec in self.SPECS]
         (rows,) = evaluate_result([result], backbone, tests)
         assert len(rows) == 8
 
@@ -284,7 +283,7 @@ class TestEvaluateResult:
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.SINGLE_SITE, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_alone(config, sites, None, backbone)
-        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        tests = [make_test_split(spec, 40, RULE) for spec in self.SPECS]
         merges = []
 
         def counting_effective(*args):
@@ -305,7 +304,7 @@ class TestEvaluateResult:
                       Strategy.SHARE_A)
         configs = [FederationConfig(s, 2, 1, SgdConfig(0.1, 1, 8), seed=1) for s in strategies]
         results = run_federation(configs, sites, val, backbone)
-        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        tests = [make_test_split(spec, 40, RULE) for spec in self.SPECS]
         bootstrap = BootstrapConfig(sample_size=30, reps=7, level=0.9)
         scored = evaluate_result(results, backbone, tests, bootstrap, seed=4)
         assert len(scored) == len(results)
@@ -313,10 +312,10 @@ class TestEvaluateResult:
             assert len(rows) == 8
             assert rows == oracle_rows(result, backbone, tests, bootstrap, seed=4)
 
-    def uneven_splits(self, sites):
+    def uneven_splits(self):
         """Three test splits of 40, 1 and 17 examples; the one-example split
         holds one tagging document and no relation rows."""
-        specs = [site.spec for site in sites] + [SiteSpec("x", 40, dirichlet_alpha=5.0, seed=30)]
+        specs = self.SPECS + [SiteSpec("x", 40, dirichlet_alpha=5.0, seed=30)]
         tests = [make_test_split(spec, size, RULE) for spec, size in zip(specs, (40, 1, 17))]
         assert tests[1].packed.tagging.tolist() == [True] and not len(tests[1].packed.relations)
         return tests
@@ -327,7 +326,7 @@ class TestEvaluateResult:
         configs = [FederationConfig(s, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
                    for s in (Strategy.FEDAVG, Strategy.SINGLE_SITE)]
         results = run_federation(configs, sites, None, backbone)
-        tests = self.uneven_splits(sites)
+        tests = self.uneven_splits()
         bootstrap = BootstrapConfig(sample_size=30, reps=7, level=0.9)
         scored = evaluate_result(results, backbone, tests, bootstrap, seed=4)
         alone = [evaluate_result(results, backbone, [test], bootstrap, seed=4) for test in tests]
@@ -352,19 +351,20 @@ class TestEvaluateResult:
         configs = [FederationConfig(s, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
                    for s in (Strategy.FEDAVG, Strategy.SINGLE_SITE)]
         results = run_federation(configs, sites, None, backbone)
-        evaluate_result(results, backbone, self.uneven_splits(sites), BootstrapConfig(10, 2))
+        evaluate_result(results, backbone, self.uneven_splits(), BootstrapConfig(10, 2))
         # fedavg's model and single_site's two, each matched under 2 schemes
         assert calls == {"forward": 3, "span_counts": 6}
 
     def test_nine_per_site_models_average_as_a_list_mean(self):
         # numpy's pairwise sum adds 8 or more values in another order than
         # fewer, so the mean over 9 models must be the mean of their list
-        pool = generate_site(SiteSpec("pool", 90, dirichlet_alpha=5.0, seed=31), RULE)
+        pool_spec = SiteSpec("pool", 90, dirichlet_alpha=5.0, seed=31)
+        pool = generate_site(pool_spec, RULE)
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.SINGLE_SITE, 9, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_alone(config, shard(pool, 9, seed=3), None, backbone)
         assert len(result.client_adapters) == 9
-        tests = [make_test_split(pool.spec, 30, RULE)]
+        tests = [make_test_split(pool_spec, 30, RULE)]
         bootstrap = BootstrapConfig(sample_size=30, reps=7, level=0.9)
         (rows,) = evaluate_result([result], backbone, tests, bootstrap, seed=4)
         assert len(rows) == 4
@@ -386,7 +386,7 @@ class TestEvaluateResult:
         configs = [FederationConfig(s, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
                    for s in (Strategy.FEDAVG, Strategy.SINGLE_SITE)]
         results = run_federation(configs, sites, None, backbone)
-        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        tests = [make_test_split(spec, 40, RULE) for spec in self.SPECS]
         evaluate_result(results, backbone, tests, BootstrapConfig(10, 2))
         # 2 test sets x 2 tasks x 2 schemes, each over fedavg's model and
         # single_site's two
@@ -398,7 +398,7 @@ class TestEvaluateResult:
         backbone = Backbone.build(CFG)
         config = FederationConfig(Strategy.ZERO_SHOT, 2, 1, SgdConfig(0.1, 1, 8), seed=1)
         result = run_alone(config, sites, None, backbone)
-        tests = [make_test_split(s.spec, 40, RULE) for s in sites]
+        tests = [make_test_split(spec, 40, RULE) for spec in self.SPECS]
         (rows,) = evaluate_result([result], backbone, tests)
         for row in rows:
             assert row.f1 < 0.6

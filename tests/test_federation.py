@@ -138,11 +138,7 @@ class TestInfluenceReduction:
         # updates (the shuffle seed is shared per round), hence equal
         # validation losses, hence the exact FedAvg reduction
         site = make_sites(1, n_examples=30)[0]
-        from fedlora.datasim import SiteDataset
-        from dataclasses import replace
-
-        twins = [SiteDataset(replace(site.spec, site_id=cid), site.packed)
-                 for cid in ("site0", "site1")]
+        twins = [SiteDataset(cid, site.packed) for cid in ("site0", "site1")]
         backbone = Backbone.build(MODEL_CFG)
         val = make_validation_set(RULE, 10, seed=5).packed
         plain = run_alone(fed_config(Strategy.FEDAVG, 2), twins, val, backbone)
@@ -233,7 +229,7 @@ class TestShareA:
         result = run_alone(
             fed_config(Strategy.SHARE_A, 2, rounds=3), sites, None, Backbone.build(MODEL_CFG)
         )
-        sizes = {site.spec.site_id: len(site) for site in sites}
+        sizes = {site.site_id: len(site) for site in sites}
         assert len(uploads) == len(result.transcripts) == 3
         for round_uploads, transcript in zip(uploads, result.transcripts):
             ids = sorted(round_uploads)
@@ -295,21 +291,6 @@ class TestSingleSite:
 
 
 class TestUnevenTasks:
-    def test_all_tasks_everywhere_matches_plain_run(self):
-        # a declared task set only gates which examples a site may hold;
-        # declaring every task on a tagging-only site changes nothing
-        sites = make_sites(2, seed=600, tasks=(Task.TAGGING,))
-        declared_all = [
-            SiteDataset(replace(site.spec, tasks=(Task.TAGGING, Task.RELATION)),
-                        site.packed)
-            for site in sites
-        ]
-        backbone = Backbone.build(MODEL_CFG)
-        config = fed_config(Strategy.FEDAVG, 2)
-        plain = run_alone(config, sites, None, backbone)
-        everywhere = run_alone(config, declared_all, None, backbone)
-        assert adapters_equal(plain.adapters, everywhere.adapters)
-
     def test_tagging_only_site_still_contributes_to_relation_head(self):
         full = make_sites(1, n_examples=40, seed=610)[0]
         tagging_only = generate_site(
@@ -326,12 +307,6 @@ class TestUnevenTasks:
         assert not np.array_equal(
             result.adapters.layers["rel_head"].a, initial.layers["rel_head"].a
         )
-
-    def test_undeclared_task_rejected(self):
-        site = make_sites(1, seed=620)[0]
-        bad_spec = replace(site.spec, tasks=(Task.TAGGING,))
-        with pytest.raises(ValueError):
-            SiteDataset(bad_spec, site.packed)
 
 
 class TestValidationErrors:
@@ -370,7 +345,7 @@ class TestValidationErrors:
 def site_of(sites):
     """A function from a lane's pack to the id of the site that holds it;
     any other pack is the pooled one."""
-    ids = {id(site.packed): site.spec.site_id for site in sites}
+    ids = {id(site.packed): site.site_id for site in sites}
     return lambda pack: ids.get(id(pack), "pooled")
 
 
