@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -69,8 +70,6 @@ def _record(obj) -> dict:
 
 
 def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
-    import io
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(fields)

@@ -266,9 +266,21 @@ def parse_config(raw: dict, path: str = "<config>") -> ExperimentConfig:
     )
 
 
-# libyaml's parser, where PyYAML was built with it, builds the same safe
-# data about seven times faster and marks a parse error at the same place
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# libyaml's parser, where PyYAML was built with it, builds the same safe data
+# about seven times faster and marks a parse error at the same place.  A key
+# repeated in one mapping is an error at its second place, merge keys (<<) aside.
+class _LOADER(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    def construct_mapping(self, node, deep=False):
+        seen = []
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep)
 
 
 def load_config(path: str) -> ExperimentConfig:

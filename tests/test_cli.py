@@ -195,6 +195,28 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {config}: YAML parse error at line 3, column 9: "), err
 
+    @pytest.mark.parametrize("after, repeat, key", [
+        ("seed: 1\n", "seed: 2\n", "seed"),
+        ("  rounds: 2\n", "  rounds: 5\n", "rounds"),
+        ("    n_examples: 2000\n", "    n_examples: 30\n", "n_examples"),
+    ], ids=["top level", "federation", "site"])
+    def test_repeated_key_exits_2_naming_line_and_key(self, tmp_path, capsys, after, repeat,
+                                                       key):
+        # PyYAML alone keeps the last of two equal keys of one mapping
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", "two_site.yaml")) as f:
+            text = f.read()
+        head, tail = text.split(after, 1)
+        config = tmp_path / "repeated.yaml"
+        config.write_text(head + after + repeat + tail)
+        line = (head + after).count("\n") + 1
+        column = len(repeat) - len(repeat.lstrip()) + 1
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: {config}: YAML parse error at line {line}, column {column}: "), err
+        assert f"duplicate key '{key}'" in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_run_never_imports_numpy_ma(self, tmp_path):
         # np.percentile imports numpy.ma (about 12 ms and 1 MB) on first use;
         # the bootstrap reproduces its rule without it

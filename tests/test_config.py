@@ -168,6 +168,18 @@ class TestLoadFile:
             load_config(str(path))
         assert "line" in str(err.value)
 
+    def test_merged_key_set_again_is_an_override_not_a_repeat(self, tmp_path):
+        raw = clone()
+        del raw["sites"]
+        path = tmp_path / "merged.yaml"
+        path.write_text(yaml.safe_dump(raw) + (
+            "sites:\n"
+            "  - &a {site_id: a, n_examples: 100, dirichlet_alpha: 0.5}\n"
+            "  - {<<: *a, site_id: b, noise_rate: 0.1}\n"))
+        a, b = load_config(str(path)).sites
+        assert (b.site_id, b.n_examples, b.dirichlet_alpha, b.noise_rate) == ("b", 100, 0.5, 0.1)
+        assert a.site_id == "a" and a.noise_rate == 0.0
+
 
 # GOOD's keys by what a malformed value must be refused for
 REQUIRED = [

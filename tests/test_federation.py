@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,14 @@ from fedlora.datasim import (
     SiteSpec,
     generate_site,
     make_validation_set,
+    shard,
 )
+from fedlora.evaluate import evaluate_result
 from fedlora.federation import (
     FederationConfig,
+    FederationResult,
     Strategy,
+    pool_sites,
     run_federation,
     sample_clients,
 )
@@ -307,6 +312,42 @@ class TestUnevenTasks:
         assert not np.array_equal(
             result.adapters.layers["rel_head"].a, initial.layers["rel_head"].a
         )
+
+
+class TestRunTimeSiteIds:
+    """The ids that evaluation rows and the round loop read off each kind
+    of site the program builds."""
+
+    @staticmethod
+    def scored_ids(splits):
+        """The test set names, in row order, of the zero-shot model's rows on ``splits``."""
+        backbone = Backbone.build(MODEL_CFG)
+        result = FederationResult(fed_config(Strategy.ZERO_SHOT, 1), backbone.init_adapters(0), [])
+        (rows,) = evaluate_result([result], backbone, splits)
+        return list(dict.fromkeys(row.testset for row in rows))
+
+    def test_generated_site_keeps_its_spec_id(self):
+        specs = [SiteSpec(cid, 10, seed=140 + i) for i, cid in enumerate(("clinic_b", "clinic_a"))]
+        assert self.scored_ids([generate_site(spec, RULE) for spec in specs]) == [
+            "clinic_b", "clinic_a"]
+
+    def test_pooled_site_is_named_pooled_whatever_the_order(self):
+        sites = make_sites(3, n_examples=10, seed=141)
+        for order in itertools.permutations(sites):
+            assert self.scored_ids([pool_sites(list(order))]) == ["pooled"]
+
+    def test_shard_i_is_named_pool_id_shard_i(self):
+        pool = pool_sites(make_sites(2, n_examples=24, seed=142))
+        shards = shard(pool, 12, seed=3)
+        ids = [f"pooled_shard{i}" for i in range(12)]
+        assert self.scored_ids(shards) == ids
+        result = run_alone(fed_config(Strategy.FEDAVG, 12, rounds=1), shards, None,
+                           Backbone.build(MODEL_CFG))
+        # the round loop orders clients by id as strings: shard10 before shard2
+        assert result.transcripts[0].sampled == tuple(sorted(ids))
+
+    def test_validation_set_is_named_validation(self):
+        assert self.scored_ids([make_validation_set(RULE, 10, seed=5)]) == ["validation"]
 
 
 class TestValidationErrors:
