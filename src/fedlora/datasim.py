@@ -13,9 +13,9 @@ Sites differ only in their input distribution, through four orthogonal knobs:
 * ``token_shift`` — each site samples from a rotated half-window of every
   token group, modeling site-specific vocabulary/documentation style.
 
-A site is its id and one ``Pack``.  ``SiteSpec`` is the config schema a site
-is drawn from: ``generate_site`` and ``make_validation_set`` draw the pack's
-arrays directly, each draw one numpy call for the whole site, so no
+A site is its id and one ``Pack``, drawn by ``generate_site`` from its
+``SiteSpec``, the config schema.  It and ``make_validation_set`` draw the
+pack's arrays directly, each draw one numpy call for the whole site, so no
 per-example object is ever built.  ``shard`` takes a pack's rows.
 """
 

@@ -475,9 +475,9 @@ def corrupt_first_split(monkeypatch, maker, field, value):
         arrays[field] = arrays[field].copy()
         arrays[field][-1] = value
         corrupted.append(split.site_id)
-        return SiteDataset(split.site_id, Pack.build(p.tagging, arrays["tokens"], np.diff(p.starts),
-                                                  arrays["tags"], p.heads, p.tails,
-                                                  arrays["relations"]))
+        return SiteDataset(split.site_id, Pack.build(p.tagging, arrays["tokens"],
+                                                     np.diff(p.starts), arrays["tags"], p.heads,
+                                                     p.tails, arrays["relations"]))
 
     monkeypatch.setattr(fedlora.cli, maker, make_corrupted)
     return corrupted
