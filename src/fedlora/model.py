@@ -34,6 +34,14 @@ zero, so it adds exact zeros to every sum over rows, and a gemm row's
 result does not depend on the rows beside it while U is a whole number of
 ``ROW_BLOCK``s.  So ``np.matmul`` gives each lane's rows what the lane
 alone gets, and lanes do not affect each other.
+
+A call allocates its big arrays once.  Every lane's factors are a row of
+one (k, P) buffer, P = sum of d * r + r * l over the layers, whose
+``_split`` views are each layer's (B, A) stacks; ``_grads`` writes a
+matching (k, P) gradient buffer and its rows, merged heads and weight
+gradients into a ``_Workspace``.  A step updates the whole buffer in
+place and checks it with one ``np.isfinite``; a finished lane leaves with
+a copy of its row.
 """
 
 from __future__ import annotations
@@ -420,12 +428,12 @@ class ToyModel:
 
 
 def _effective(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]],
-               scale: float) -> dict[str, np.ndarray]:
-    """W0 + s * B A per layer."""
+               scale: float, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """W0 + s * B A per layer, written into ``out``'s arrays if given."""
     merged = {}
     for key, (b, a) in factors.items():
         # in place, W0 + s * (B A) in the same rounding, with no temporaries
-        w = b @ a
+        w = np.matmul(b, a, out=None if out is None else out[key])
         w *= scale
         w += getattr(frozen, key)
         merged[key] = w
@@ -485,26 +493,68 @@ def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.reshape(-1), minlength=n * c).reshape(n, c)
 
 
+def _split(flat: np.ndarray, like: dict[str, tuple[np.ndarray, np.ndarray]]
+           ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Views of the last axis of ``flat`` as each layer's (B, A), one after
+    the other in the key order and the trailing shapes of ``like``'s pairs;
+    the leading axes of ``flat`` lead every view."""
+    views, at = {}, 0
+    lead = flat.shape[:-1]
+    for key, (b, a) in like.items():
+        (d, r), l = b.shape[-2:], a.shape[-1]
+        views[key] = (flat[..., at:at + d * r].reshape(*lead, d, r),
+                      flat[..., at + d * r:at + d * r + r * l].reshape(*lead, r, l))
+        at += d * r + r * l
+    return views
+
+
+class _Workspace:
+    """The arrays ``_grads`` writes every step, allocated once per call for
+    up to k lanes of P factor entries: the (k, P) gradients, which
+    ``_split`` lays out as the factors; each head's merged weights and
+    weight gradient; and four (k, V, h) row tables, x, z, dz and the E W0
+    gather, whose rows dz's later products reuse.  A step of fewer lanes or
+    rows writes a leading part of each."""
+
+    def __init__(self, frozen: Backbone, k: int, width: int):
+        self.hidden = frozen.config.hidden
+        self.grads = np.empty((k, width))
+        self.heads = {key: np.empty((2, k, *getattr(frozen, key).shape))
+                      for key in ("tag_head", "rel_head")}
+        self.table = np.empty((4, k * frozen.config.vocab_size * self.hidden))
+
+    def rows(self, k: int, u: int) -> list[np.ndarray]:
+        """x, z, dz and the gather, each (k, U, h)."""
+        return [t[:k * u * self.hidden].reshape(k, u, self.hidden) for t in self.table]
+
+
 def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], s: float,
-           batch: Batch) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+           batch: Batch, work: _Workspace) -> np.ndarray:
     """Gradients of each lane's batch loss w.r.t. its factors (B, A),
-    stacked (k, d, r) and (k, r, l), over each lane's rows ``batch.tokens``.
-    The trunk is never merged: with E the embedding rows of those tokens
-    and EB = E B, z = relu(E W0 + s * EB A), dB = s * E^T (dz A^T) and
-    dA = s * EB^T dz.  The heads are merged (h x r x C) and their weight
-    gradients dW give dB = s * dW A^T and dA = s * B^T dW.  The tag-logit
-    gradient of row v is (m_v softmax_v - weights_v) / B, where m_v sums
-    the row ``weights_v`` and B is the lane's batch size; the pairs' logit
-    gradients are summed into their head and tail rows.  The chain rule
-    then runs once per row, like the forward pass."""
+    stacked (k, d, r) and (k, r, l), over each lane's rows ``batch.tokens``,
+    written into ``work``: the result is its (k, P) gradient buffer, whose
+    ``_split`` by ``factors`` is each layer's (dB, dA).  Every product is a
+    ``np.matmul`` into a view of ``work``, so a step allocates nothing of
+    the factors' or the rows' size.  The trunk is never merged: with E the
+    embedding rows of those tokens and EB = E B, z = relu(E W0 + s * EB A),
+    dB = s * E^T (dz A^T) and dA = s * EB^T dz.  The heads are merged
+    (h x r x C) and their weight gradients dW give dB = s * dW A^T and
+    dA = s * B^T dW.  The tag-logit gradient of row v is
+    (m_v softmax_v - weights_v) / B, where m_v sums the row ``weights_v``
+    and B is the lane's batch size; the pairs' logit gradients are summed
+    into their head and tail rows.  The chain rule then runs once per row,
+    like the forward pass."""
     b, a = factors["trunk"]
-    x = frozen.embedding[batch.tokens]
+    (k, u), h = batch.tokens.shape, work.hidden
+    x, z, dz, rows = work.rows(k, u)
+    # mode="raise" would buffer ``out``; every token id is checked in range
+    np.take(frozen.embedding, batch.tokens, axis=0, out=x, mode="clip")
     eb = x @ b
-    z = eb @ a
+    np.matmul(eb, a, out=z)
     z *= s
-    z += frozen.base_hidden[batch.tokens]
+    z += np.take(frozen.base_hidden, batch.tokens, axis=0, out=rows, mode="clip")
     head_factors = {key: pair for key, pair in factors.items() if key != "trunk"}
-    eff = _effective(frozen, head_factors, s)
+    eff = _effective(frozen, head_factors, s, {key: w[0, :k] for key, w in work.heads.items()})
     heads, tails = batch.rows()
     tag_logp, rel_logp = _forward(z, eff, heads, tails)
     inv_b = 1.0 / batch.sizes
@@ -514,33 +564,42 @@ def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], 
     d_rel = np.exp(rel_logp)
     d_rel[np.arange(len(batch.relations)), batch.relations] -= 1.0
     d_rel *= inv_b[batch.lanes][:, None]
-    (k, u, h), c = z.shape, d_rel.shape[1]
+    c = d_rel.shape[1]
     g_head = _by_token(heads, d_rel, k * u).reshape(k, u, c)
     g_tail = _by_token(tails, d_rel, k * u).reshape(k, u, c)
     rel = eff["rel_head"]
-    dz = g_tag @ eff["tag_head"].mT
-    dz += g_head @ rel[:, :h].mT
-    dz += g_tail @ rel[:, h:].mT
+    np.matmul(g_tag, eff["tag_head"].mT, out=dz)
+    dz += np.matmul(g_head, rel[:, :h].mT, out=rows)
+    dz += np.matmul(g_tail, rel[:, h:].mT, out=rows)
     dz *= z > 0
-    dw = {"tag_head": z.mT @ g_tag,
-          "rel_head": np.concatenate([z.mT @ g_head, z.mT @ g_tail], axis=1)}
-    grads = {key: (s * (dw[key] @ ha.mT), s * (hb.mT @ dw[key]))
-             for key, (hb, ha) in head_factors.items()}
-    grads["trunk"] = (s * (x.mT @ (dz @ a.mT)), s * (eb.mT @ dz))
-    return grads
+    dw = {key: w[1, :k] for key, w in work.heads.items()}
+    np.matmul(z.mT, g_tag, out=dw["tag_head"])
+    np.matmul(z.mT, g_head, out=dw["rel_head"][:, :h])
+    np.matmul(z.mT, g_tail, out=dw["rel_head"][:, h:])
+    flat = work.grads[:k]
+    grads = _split(flat, factors)
+    for key, (hb, ha) in head_factors.items():
+        np.matmul(dw[key], ha.mT, out=grads[key][0])
+        np.matmul(hb.mT, dw[key], out=grads[key][1])
+    np.matmul(x.mT, dz @ a.mT, out=grads["trunk"][0])
+    np.matmul(eb.mT, dz, out=grads["trunk"][1])
+    flat *= s
+    return flat
 
 
 def grad(model: ToyModel, batch: Pack) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Analytic gradients of loss(model, batch) w.r.t. each adapter's (B, A),
-    by ``local_update``'s kernel with one lane, on ``batch`` as one step of
-    ``Lanes.batches`` in pack order.  Frozen parameters receive no gradient
-    by construction."""
+    by ``local_update``'s kernel with one lane and its own one-lane
+    ``_Workspace``, on ``batch`` as one step of ``Lanes.batches`` in pack
+    order; each (dB, dA) is a view of that workspace's gradient buffer.
+    Frozen parameters receive no gradient by construction."""
     model.frozen.check_ranges(batch)
     (step,) = Lanes((batch,)).batches(np.zeros((1, len(batch)), dtype=np.int64),
                                       model.frozen.config)
-    factors = {key: (b[None], a[None]) for key, (b, a) in model.adapters.layers.items()}
-    grads = _grads(model.frozen, factors, model.adapters.scale, step)
-    return {key: (db[0], da[0]) for key, (db, da) in grads.items()}
+    layers = model.adapters.layers
+    factors = {key: (b[None], a[None]) for key, (b, a) in layers.items()}
+    work = _Workspace(model.frozen, 1, model.adapters.param_count())
+    return _split(_grads(model.frozen, factors, model.adapters.scale, step, work)[0], layers)
 
 
 def _step_of(sizes: list[int], seeds: Sequence[int], sgd: SgdConfig) -> np.ndarray:
@@ -574,9 +633,15 @@ def local_update(
     The lanes share one backbone and one adapter scale.  Each lane draws
     its own permutation per epoch and runs its own steps; a lane leaves the
     stack when its steps run out, and its result is bit for bit that of the
-    lane trained alone.  The input models are left untouched.  The first
-    step that leaves any lane's factor non-finite raises ``Diverged`` at
-    once, naming the lowest such lane and its first non-finite layer.
+    lane trained alone.  The input models are left untouched.
+
+    The lanes' factors are the rows of one (k, P) buffer, whose ``_split``
+    views are each layer's (B, A).  A step is ``g *= eta`` and ``buf -= g``
+    on ``_grads``' buffer, b - eta * (s * m) in two roundings, and one
+    ``np.isfinite`` checks it; only a failed check scans by lane and layer,
+    for the lowest lane left non-finite and its first non-finite layer,
+    which ``Diverged`` names at once.  A finished lane's set holds a copy of
+    its row, and the lanes left go on in ``buf[~finished]``.
     """
     frozen = models[0].frozen
     scale = models[0].adapters.scale
@@ -590,9 +655,12 @@ def local_update(
     sizes = [len(pack) for pack in dataset.packs]
     batches = dataset.batches(_step_of(sizes, seeds, sgd), frozen.config)
     total = np.array([sgd.epochs * -(-n // bs) for n in sizes])
-    factors = {key: (np.stack([m.adapters.layers[key].b for m in models]),
-                     np.stack([m.adapters.layers[key].a for m in models]))
-               for key in models[0].adapters.layers}
+    like = models[0].adapters.layers
+    # every lane's factors, one row each, and each layer's (B, A) as views
+    buf = np.array([np.concatenate([f.reshape(-1) for key in like for f in m.adapters.layers[key]])
+                    for m in models])
+    factors = _split(buf, like)
+    work = _Workspace(frozen, k, buf.shape[1])
     stack = np.arange(k)  # the lanes still training, in stack order
     done: dict[int, dict] = {}
     eta = sgd.learning_rate
@@ -602,28 +670,25 @@ def local_update(
         for step, batch in enumerate(batches):
             if len(stack) < k:
                 batch = batch.of_lanes(stack)
-            grads = _grads(frozen, factors, scale, batch)
-            broken = []  # (finite per slot, layer) of each layer gone non-finite
-            for key, (b, a) in factors.items():
-                db, da = grads[key]
-                b -= eta * db
-                a -= eta * da
-                if not (np.isfinite(b).all() and np.isfinite(a).all()):
-                    ok = np.isfinite(b).all(axis=(1, 2)) & np.isfinite(a).all(axis=(1, 2))
-                    broken.append((ok, key))
-            if broken:
-                slot = min(int(np.argmin(ok)) for ok, _ in broken)
-                key = next(key for ok, key in broken if not ok[slot])
+            # b - eta * (s * m): two roundings, as eta * s folded in would move bits
+            g = _grads(frozen, factors, scale, batch, work)
+            g *= eta
+            buf -= g
+            if not np.isfinite(buf).all():
+                slot = int(np.argmin(np.isfinite(buf).all(axis=1)))
+                key = next(key for key, (b, a) in factors.items()
+                           if not (np.isfinite(b[slot]).all() and np.isfinite(a[slot]).all()))
                 err = Diverged(f"layer {key!r} has non-finite adapter factors", int(stack[slot]))
                 err.add_note(f"step {step}")
                 raise err
             finished = total[stack] == step + 1
             if finished.any():
+                # a returned set holds its own row, not the stack the call still writes
                 for slot in np.flatnonzero(finished).tolist():
-                    done[int(stack[slot])] = {key: (b[slot], a[slot])
-                                              for key, (b, a) in factors.items()}
+                    done[int(stack[slot])] = _split(buf[slot].copy(), like)
                 stack = stack[~finished]
-                factors = {key: (b[~finished], a[~finished]) for key, (b, a) in factors.items()}
                 if not len(stack):
                     break
+                buf = buf[~finished]
+                factors = _split(buf, like)
     return [model.adapters.with_layers(done[lane]) for lane, model in enumerate(models)]

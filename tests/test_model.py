@@ -592,6 +592,23 @@ class TestLocalUpdate:
             assert np.array_equal(out.layers[key].b, pair.b)
             assert np.array_equal(out.layers[key].a, pair.a)
 
+    def test_returned_sets_hold_their_own_read_only_rows(self):
+        # lanes end at steps 2, 4, 4 and 6; two of them on the same step
+        model = ToyModel.build(SMALL)
+        models = [model.with_adapters(randomized_adapters(model, 30 + i)) for i in range(4)]
+        data = [mixed_batch(30 + i, n=n) for i, n in enumerate((3, 7, 8, 12))]
+        outs = local_update(models, Lanes(tuple(data)), SgdConfig(0.05, 1, 2), [1, 2, 3, 4])
+        arrays = [(lane, f) for lane, out in enumerate(outs)
+                  for pair in out.layers.values() for f in pair]
+        for lane, f in arrays:
+            assert not f.flags.writeable
+            # the memory behind each array is one lane's factors, not the stack's
+            owner = f if f.base is None else f.base
+            assert owner.size == outs[lane].param_count()
+        for i, (lane, f) in enumerate(arrays):
+            for other, g in arrays[i + 1:]:
+                assert lane == other or not np.shares_memory(f, g)
+
     def test_deterministic_under_seed(self):
         model = ToyModel.build(SMALL)
         data = mixed_batch(25, n=10)
@@ -759,6 +776,22 @@ class TestLanes:
                  for m, pack, seed in zip(models, data, seeds)]
         with mock.patch.object(fedlora.model, "TABLE_STEPS", table_steps):
             outs = local_update(models, Lanes(tuple(data)), sgd, seeds)
+        assert [out.checksum() for out in outs] == alone
+
+    def test_sixteen_lanes_at_many_clients_dimensions_equal_each_lane_alone(self):
+        # the headline model, batch 8 and one epoch as in many_clients, at
+        # the stack size where a step's arrays cross the allocator's mmap
+        # threshold; packs of 40 examples and fewer end lanes at steps 1-5
+        model = ToyModel.build(HEADLINE)
+        rng = np.random.default_rng(16)
+        sizes = [40] * 8 + [36, 31, 25, 20, 16, 11, 6, 1]
+        models = [model.with_adapters(randomized_adapters(model, 40 + i)) for i in range(16)]
+        data = [alphabet_data(rng, n, tuple(Task), HEADLINE.vocab_size, HEADLINE) for n in sizes]
+        seeds = list(range(16))
+        sgd = SgdConfig(0.2, 1, 8)
+        alone = [train_alone(m, pack, sgd, seed).checksum()
+                 for m, pack, seed in zip(models, data, seeds)]
+        outs = local_update(models, Lanes(tuple(data)), sgd, seeds)
         assert [out.checksum() for out in outs] == alone
 
     @settings(max_examples=40, deadline=None)
