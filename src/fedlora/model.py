@@ -493,8 +493,7 @@ def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.reshape(-1), minlength=n * c).reshape(n, c)
 
 
-def _split(flat: np.ndarray, like: dict[str, tuple[np.ndarray, np.ndarray]]
-           ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def _split(flat: np.ndarray, like: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Views of the last axis of ``flat`` as each layer's (B, A), one after
     the other in the key order and the trailing shapes of ``like``'s pairs;
     the leading axes of ``flat`` lead every view."""
@@ -512,20 +511,19 @@ class _Workspace:
     """The arrays ``_grads`` writes every step, allocated once per call for
     up to k lanes of P factor entries: the (k, P) gradients, which
     ``_split`` lays out as the factors; each head's merged weights and
-    weight gradient; and four (k, V, h) row tables, x, z, dz and the E W0
-    gather, whose rows dz's later products reuse.  A step of fewer lanes or
-    rows writes a leading part of each."""
+    weight gradient; and four row tables of k * V * h entries, which a step
+    views as its (k, U, h) x, z, dz and E W0 gather, whose rows dz's later
+    products reuse.  A step of fewer lanes or rows writes a leading part of
+    each."""
 
     def __init__(self, frozen: Backbone, k: int, width: int):
-        self.hidden = frozen.config.hidden
         self.grads = np.empty((k, width))
         self.heads = {key: np.empty((2, k, *getattr(frozen, key).shape))
                       for key in ("tag_head", "rel_head")}
-        self.table = np.empty((4, k * frozen.config.vocab_size * self.hidden))
-
-    def rows(self, k: int, u: int) -> list[np.ndarray]:
-        """x, z, dz and the gather, each (k, U, h)."""
-        return [t[:k * u * self.hidden].reshape(k, u, self.hidden) for t in self.table]
+        # four arrays, not one block of four: on many_clients the one block
+        # left the process about 1 MB more resident at its peak
+        n = k * frozen.config.vocab_size * frozen.config.hidden
+        self.tables = [np.empty(n) for _ in range(4)]
 
 
 def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], s: float,
@@ -545,14 +543,14 @@ def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], 
     into their head and tail rows.  The chain rule then runs once per row,
     like the forward pass."""
     b, a = factors["trunk"]
-    (k, u), h = batch.tokens.shape, work.hidden
-    x, z, dz, rows = work.rows(k, u)
+    (k, u), h = batch.tokens.shape, frozen.config.hidden
+    x, z, dz, spare = (t[:k * u * h].reshape(k, u, h) for t in work.tables)
     # mode="raise" would buffer ``out``; every token id is checked in range
     np.take(frozen.embedding, batch.tokens, axis=0, out=x, mode="clip")
     eb = x @ b
     np.matmul(eb, a, out=z)
     z *= s
-    z += np.take(frozen.base_hidden, batch.tokens, axis=0, out=rows, mode="clip")
+    z += np.take(frozen.base_hidden, batch.tokens, axis=0, out=spare, mode="clip")
     head_factors = {key: pair for key, pair in factors.items() if key != "trunk"}
     eff = _effective(frozen, head_factors, s, {key: w[0, :k] for key, w in work.heads.items()})
     heads, tails = batch.rows()
@@ -569,8 +567,8 @@ def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], 
     g_tail = _by_token(tails, d_rel, k * u).reshape(k, u, c)
     rel = eff["rel_head"]
     np.matmul(g_tag, eff["tag_head"].mT, out=dz)
-    dz += np.matmul(g_head, rel[:, :h].mT, out=rows)
-    dz += np.matmul(g_tail, rel[:, h:].mT, out=rows)
+    dz += np.matmul(g_head, rel[:, :h].mT, out=spare)
+    dz += np.matmul(g_tail, rel[:, h:].mT, out=spare)
     dz *= z > 0
     dw = {key: w[1, :k] for key, w in work.heads.items()}
     np.matmul(z.mT, g_tag, out=dw["tag_head"])
@@ -655,11 +653,11 @@ def local_update(
     sizes = [len(pack) for pack in dataset.packs]
     batches = dataset.batches(_step_of(sizes, seeds, sgd), frozen.config)
     total = np.array([sgd.epochs * -(-n // bs) for n in sizes])
-    like = models[0].adapters.layers
+    layers = models[0].adapters.layers
     # every lane's factors, one row each, and each layer's (B, A) as views
-    buf = np.array([np.concatenate([f.reshape(-1) for key in like for f in m.adapters.layers[key]])
-                    for m in models])
-    factors = _split(buf, like)
+    buf = np.array([np.concatenate([f.reshape(-1) for key in layers
+                                    for f in m.adapters.layers[key]]) for m in models])
+    factors = _split(buf, layers)
     work = _Workspace(frozen, k, buf.shape[1])
     stack = np.arange(k)  # the lanes still training, in stack order
     done: dict[int, dict] = {}
@@ -685,10 +683,10 @@ def local_update(
             if finished.any():
                 # a returned set holds its own row, not the stack the call still writes
                 for slot in np.flatnonzero(finished).tolist():
-                    done[int(stack[slot])] = _split(buf[slot].copy(), like)
+                    done[int(stack[slot])] = _split(buf[slot].copy(), layers)
                 stack = stack[~finished]
                 if not len(stack):
                     break
                 buf = buf[~finished]
-                factors = _split(buf, like)
+                factors = _split(buf, layers)
     return [model.adapters.with_layers(done[lane]) for lane, model in enumerate(models)]
