@@ -26,22 +26,26 @@ head and tail name rows.  ``Lanes.batches`` builds every such batch, with
 
 Training runs k clients in lockstep, one lane each (``Lanes``); ``grad``,
 scoring and evaluation run one lane.  Every array carries a leading lane
-axis: factors stack as (k, d, r) and (k, r, l), a batch's rows as (k, U)
-and its weights as (k, U, C_tag), and a pair names its lane, so its row in
-the stacked rows is lane * U + row.  Every lane of a step has U rows, its
-read ids ascending and then unread ids as padding.  A padding row weighs
-zero, so it adds exact zeros to every sum over rows, and a gemm row's
-result does not depend on the rows beside it while U is a whole number of
-``ROW_BLOCK``s.  So ``np.matmul`` gives each lane's rows what the lane
-alone gets, and lanes do not affect each other.
+axis over the lanes still training, ascending; a lane past its last step
+is left out of the batch and the stack.  Factors stack as (k, d, r) and
+(k, r, l), a batch's rows as (k, U) and its weights as (k, U, C_tag), and
+a pair carries its row in the stacked rows, slot * U + row, slot being its
+lane's place in the batch.  ``Lanes.batches`` builds every index table of
+a chunk of ``TABLE_STEPS`` steps at once, so a step's batch is slices of
+them and one ``np.bincount`` of tagging weights.  Every lane of a step has
+U rows, its read ids ascending and then unread ids as padding.  A padding
+row weighs zero, so it adds exact zeros to every sum over rows, and a gemm
+row's result does not depend on the rows beside it while U is a whole
+number of ``ROW_BLOCK``s.  So ``np.matmul`` gives each lane's rows what
+the lane alone gets, and lanes do not affect each other.
 
 A call allocates its big arrays once.  Every lane's factors are a row of
 one (k, P) buffer, P = sum of d * r + r * l over the layers, whose
 ``_split`` views are each layer's (B, A) stacks; ``_grads`` writes a
 matching (k, P) gradient buffer and its rows, merged heads and weight
-gradients into a ``_Workspace``.  A step updates the whole buffer in
-place and checks it with one ``np.isfinite``; a finished lane leaves with
-a copy of its row.
+gradients into a ``_Workspace``, through views rebuilt only when the
+lanes or U change.  A step updates the whole buffer in place and checks it
+with one ``np.isfinite``; a lane leaves with a copy of its row.
 """
 
 from __future__ import annotations
@@ -136,33 +140,26 @@ class SgdConfig:
 
 
 class Batch(NamedTuple):
-    """A lockstep mini-batch as the compute kernel reads it: the U token
-    ids each lane runs over, each lane's tagging loss weights per (row,
-    gold tag), and every lane's marked pairs, each with its lane and the
-    rows of its head and tail tokens."""
+    """A lockstep mini-batch as the compute kernel reads it, over the lanes
+    still training: slot i of every per-lane field is lane ``lanes[i]``.
+    It holds the U token ids each slot runs over, each slot's tagging loss
+    weights per (row, gold tag), and the marked pairs, each with the
+    stacked rows slot * U + row of its head and tail tokens and their keys
+    into a (k * U, C_rel) table of the pairs' logit gradients.
+    ``Lanes.batches`` builds every field but ``weights`` once per chunk of
+    steps, so a step's are slices."""
 
-    tokens: np.ndarray  # (k, U) a lane's read token ids ascending, then unread ones as padding
-    weights: np.ndarray  # (k, U, C_tag) summed 1/n_i of a lane's tagging tokens of that row and tag
-    lanes: np.ndarray  # (R,) lane of each pair
-    heads: np.ndarray  # (R,) row of each pair's marked head token in its lane's tokens
-    tails: np.ndarray  # (R,) row of each pair's marked tail token in its lane's tokens
+    lanes: np.ndarray  # (k,) the lanes still training, ascending
+    tokens: np.ndarray  # (k, U) a slot's read token ids ascending, then unread ones as padding
+    weights: np.ndarray  # (k, U, C_tag) summed 1/n_i of a slot's tagging tokens of that row and tag
+    heads: np.ndarray  # (R,) stacked row slot * U + row of each pair's marked head token
+    tails: np.ndarray  # (R,) stacked row of each pair's marked tail token
     relations: np.ndarray  # (R,) relation labels
-    sizes: np.ndarray  # (k,) examples per lane; a lane's loss averages over its own
-
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The head and tail rows of the pairs in the lanes' stacked rows,
-        lane * U + row."""
-        base = self.lanes * self.tokens.shape[1]
-        return base + self.heads, base + self.tails
-
-    def of_lanes(self, keep: np.ndarray) -> "Batch":
-        """The lanes ``keep`` (ascending) alone, renumbered from 0."""
-        slot = np.full(len(self.sizes), -1)
-        slot[keep] = np.arange(len(keep))
-        lanes = slot[self.lanes]
-        live = lanes >= 0
-        return Batch(self.tokens[keep], self.weights[keep], lanes[live], self.heads[live],
-                     self.tails[live], self.relations[live], self.sizes[keep])
+    head_keys: np.ndarray  # (R * C_rel,) heads[i] * C_rel + j, entry j of pair i's head row
+    tail_keys: np.ndarray  # (R * C_rel,) tails[i] * C_rel + j
+    sizes: np.ndarray  # (k,) examples per slot; a lane's loss averages over its own
+    scales: np.ndarray  # (k,) 1 / sizes
+    pair_scales: np.ndarray  # (R,) 1 / size of each pair's lane
 
 
 def _cat(arrays) -> np.ndarray:
@@ -263,55 +260,84 @@ class Lanes:
     def batches(self, step_of: np.ndarray, config: ModelConfig) -> Iterator[Batch]:
         """The lockstep mini-batches, in step order, that put example j of
         the lanes' examples (lane after lane) in step ``step_of[e, j]`` on
-        pass e over the data; a step may hold only one pass of a lane.  One
-        stable sort by step keeps each lane's examples of a step in list
-        order, so its weights sum in the same order as the same examples
-        packed alone.  A pack that several lanes train on is joined once,
-        and ``Pack.take`` picks the examples ``TABLE_STEPS`` steps at a
-        time, so the per-token tables hold a few steps' tokens, not every
-        pass's.  Every step of such a chunk runs each lane over U rows
-        (``_slots``), U set by the lane and step that read the most ids."""
-        v, c, k = config.vocab_size, config.tag_classes, len(self.packs)
+        pass e over the data; a step may hold only one pass of a lane.  A
+        lane trains through the last step it has examples in and is left
+        out of every step after it, so a step's batch holds the lanes still
+        training, ascending.  One stable sort by step keeps each lane's
+        examples of a step in list order, so its weights sum in the same
+        order as the same examples packed alone.  A pack that several lanes
+        train on is joined once, and ``Pack.take`` picks the examples
+        ``TABLE_STEPS`` steps at a time.  Such a chunk's index tables (rows,
+        pair rows and keys, 1/size scales) are built at once over its
+        (step, live lane) cells, and a step's batch slices them; only its
+        tagging weights are one ``np.bincount`` per step, so the per-token
+        tables hold a few steps' tokens, not every pass's.  Every step of a
+        chunk runs each lane over U rows (``_slots``), U set by the lane and
+        step that read the most ids."""
+        v, c, rel = config.vocab_size, config.tag_classes, config.relation_classes
+        counts = [len(pack) for pack in self.packs]
+        k = len(counts)
         distinct = list({id(pack): pack for pack in self.packs}.values())
         whole = Pack.concat(distinct)
         first = dict(zip(map(id, distinct), np.cumsum([0] + [len(pack) for pack in distinct])))
         # the row in ``whole`` of each example, lane after lane
         source = _cat(first[id(pack)] + np.arange(len(pack)) for pack in self.packs)
-        lane = np.repeat(np.arange(k), [len(pack) for pack in self.packs])
+        lane = np.repeat(np.arange(k), counts)
         flat = step_of.reshape(-1)
         n_steps = int(flat.max()) + 1
+        # the live cells, (step, lane) up to each lane's last step, step
+        # after step: each one's step, lane and slot among its step's lanes
+        last = np.maximum.reduceat(step_of.max(axis=0), np.cumsum([0] + counts[:-1]))
+        live = np.arange(n_steps)[:, None] <= last
+        cell_step, cell_lane = np.nonzero(live)
+        bounds = np.searchsorted(cell_step, np.arange(n_steps + 1))
+        cell_slot = np.arange(len(cell_lane)) - bounds[cell_step]
         order = np.argsort(flat, kind="stable")
         ex = order % len(lane)
-        # each example's row in ``whole`` and its (step, lane) cell, in step order
-        row, cell = source[ex], flat[order] * k + lane[ex]
-        sizes = np.bincount(cell, minlength=n_steps * k).reshape(n_steps, k)
-        cuts = np.searchsorted(cell // k, np.arange(0, n_steps + TABLE_STEPS, TABLE_STEPS))
+        step = flat[order]
+        # each example's row in ``whole`` and its live cell, in step order
+        row, cell = source[ex], (np.cumsum(live.reshape(-1)) - 1)[step * k + lane[ex]]
+        sizes = np.bincount(cell, minlength=len(cell_lane))
+        scales = 1.0 / sizes
+        cuts = np.searchsorted(step, np.arange(0, n_steps + TABLE_STEPS, TABLE_STEPS))
 
         # the per-example sort dies here; the steps keep what they read
         def steps() -> Iterator[Batch]:
             for g0, x0, x1 in zip(range(0, n_steps, TABLE_STEPS), cuts, cuts[1:]):
-                n = min(TABLE_STEPS, n_steps - g0)
+                g1 = min(g0 + TABLE_STEPS, n_steps)
+                c0, c1 = int(bounds[g0]), int(bounds[g1])
                 chunk = whole.take(row[x0:x1])
                 # the cell in the chunk of each tagging token and of each pair
-                at = cell[x0:x1] - g0 * k
+                at = cell[x0:x1] - c0
                 tag_cell = np.repeat(at[chunk.tagging], np.diff(chunk.starts))
                 pair_cell = at[~chunk.tagging]
-                read = np.zeros((n * k, v), dtype=bool)
+                read = np.zeros((c1 - c0, v), dtype=bool)
                 for cells, ids in ((tag_cell, chunk.tokens), (pair_cell, chunk.heads),
                                    (pair_cell, chunk.tails)):
                     read[cells, ids] = True
-                u, slot = _slots(read)
-                keys = (tag_cell % k * u + slot[tag_cell, chunk.tokens]) * c + chunk.tags
-                pairs = (pair_cell % k, slot[pair_cell, chunk.heads], slot[pair_cell, chunk.tails],
-                         chunk.relations)
-                t_bounds, q_bounds = (np.searchsorted(cells // k, np.arange(n + 1)).tolist()
-                                      for cells in (tag_cell, pair_cell))
-                for g in range(n):
-                    t0, t1, q0, q1 = t_bounds[g], t_bounds[g + 1], q_bounds[g], q_bounds[g + 1]
+                u, rank = _slots(read)
+                # the read ids ascending, then the unread ones
+                tokens = np.ascontiguousarray(np.argsort(~read, axis=1, kind="stable")[:, :u])
+                base = cell_slot[c0:c1] * u  # each cell's first row in its step's stack
+                keys = (base[tag_cell] + rank[tag_cell, chunk.tokens]) * c + chunk.tags
+                heads = base[pair_cell] + rank[pair_cell, chunk.heads]
+                tails = base[pair_cell] + rank[pair_cell, chunk.tails]
+                head_keys, tail_keys = ((rows[:, None] * rel + np.arange(rel)).reshape(-1)
+                                        for rows in (heads, tails))
+                pair_scales = scales[c0:c1][pair_cell]
+                s_bounds = (bounds[g0:g1 + 1] - c0).tolist()
+                t_bounds, q_bounds = (np.searchsorted(cell_step[c0 + cells], np.arange(g0, g1 + 1))
+                                      .tolist() for cells in (tag_cell, pair_cell))
+                for g in range(g1 - g0):
+                    s0, s1, t0, t1 = s_bounds[g], s_bounds[g + 1], t_bounds[g], t_bounds[g + 1]
+                    q0, q1 = q_bounds[g], q_bounds[g + 1]
                     weights = np.bincount(keys[t0:t1], weights=chunk.shares[t0:t1],
-                                          minlength=k * u * c)
-                    yield Batch(_rows(read[g * k:(g + 1) * k], u), weights.reshape(k, u, c),
-                                *(a[q0:q1] for a in pairs), sizes[g0 + g])
+                                          minlength=(s1 - s0) * u * c)
+                    yield Batch(cell_lane[c0 + s0:c0 + s1], tokens[s0:s1],
+                                weights.reshape(s1 - s0, u, c), heads[q0:q1], tails[q0:q1],
+                                chunk.relations[q0:q1], head_keys[q0 * rel:q1 * rel],
+                                tail_keys[q0 * rel:q1 * rel], sizes[c0 + s0:c0 + s1],
+                                scales[c0 + s0:c0 + s1], pair_scales[q0:q1])
 
         return steps()
 
@@ -332,12 +358,6 @@ def _slots(read: np.ndarray) -> tuple[int, np.ndarray]:
     slot = np.cumsum(read, axis=1, dtype=np.int32)
     slot -= 1
     return u, slot
-
-
-def _rows(read: np.ndarray, u: int) -> np.ndarray:
-    """The U token ids the kernel runs each cell of ``read`` over: its read
-    ids ascending, then its unread ids as padding."""
-    return np.argsort(~read, axis=1, kind="stable")[:, :u]
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,13 +506,6 @@ def loss(model: ToyModel, batch: Pack) -> float:
     return float(-(weights.reshape(1, v, c) * tag_logp).sum() + rel_nll.sum()) / len(batch)
 
 
-def _by_token(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, C) table whose row i sums the ``rows`` whose ``index`` is i."""
-    c = rows.shape[1]
-    flat = (index[:, None] * c + np.arange(c)).reshape(-1)
-    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * c).reshape(n, c)
-
-
 def _split(flat: np.ndarray, like: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Views of the last axis of ``flat`` as each layer's (B, A), one after
     the other in the key order and the trailing shapes of ``like``'s pairs;
@@ -509,21 +522,39 @@ def _split(flat: np.ndarray, like: dict) -> dict[str, tuple[np.ndarray, np.ndarr
 
 class _Workspace:
     """The arrays ``_grads`` writes every step, allocated once per call for
-    up to k lanes of P factor entries: the (k, P) gradients, which
-    ``_split`` lays out as the factors; each head's merged weights and
-    weight gradient; and four row tables of k * V * h entries, which a step
-    views as its (k, U, h) x, z, dz and E W0 gather, whose rows dz's later
-    products reuse.  A step of fewer lanes or rows writes a leading part of
-    each."""
+    up to k lanes of ``layers``' factors: the (k, P) gradients, laid out as
+    the factors; each head's merged weights and weight gradient; and four
+    row tables of k * V * h entries, which a step views as its (k, U, h) x,
+    z, dz and E W0 gather, whose rows dz's later products reuse.  A step of
+    fewer lanes or rows writes a leading part of each, through views that
+    ``fit`` builds when the lanes or U change."""
 
-    def __init__(self, frozen: Backbone, k: int, width: int):
-        self.grads = np.empty((k, width))
+    def __init__(self, frozen: Backbone, layers: dict, k: int):
+        self.layers = layers
+        self.grads = np.empty((k, sum(b.size + a.size for b, a in layers.values())))
         self.heads = {key: np.empty((2, k, *getattr(frozen, key).shape))
                       for key in ("tag_head", "rel_head")}
         # four arrays, not one block of four: on many_clients the one block
         # left the process about 1 MB more resident at its peak
-        n = k * frozen.config.vocab_size * frozen.config.hidden
+        self.hidden = frozen.config.hidden
+        n = k * frozen.config.vocab_size * self.hidden
         self.tables = [np.empty(n) for _ in range(4)]
+        self.k = self.u = 0
+
+    def fit(self, k: int, u: int) -> None:
+        """Views for a step of k lanes of U rows: ``flat``, the leading k
+        rows of the gradients, and ``split``, their ``_split`` by layer;
+        ``merged`` and ``dw``, each head's merged weights and weight
+        gradients; and ``rows``, the four (k, U, h) tables."""
+        if k != self.k:
+            self.k, self.u = k, 0
+            self.flat = self.grads[:k]
+            self.split = _split(self.flat, self.layers)
+            self.merged = {key: w[0, :k] for key, w in self.heads.items()}
+            self.dw = {key: w[1, :k] for key, w in self.heads.items()}
+        if u != self.u:
+            self.u = u
+            self.rows = [t[:k * u * self.hidden].reshape(k, u, self.hidden) for t in self.tables]
 
 
 def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], s: float,
@@ -544,7 +575,8 @@ def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], 
     like the forward pass."""
     b, a = factors["trunk"]
     (k, u), h = batch.tokens.shape, frozen.config.hidden
-    x, z, dz, spare = (t[:k * u * h].reshape(k, u, h) for t in work.tables)
+    work.fit(k, u)
+    x, z, dz, spare = work.rows
     # mode="raise" would buffer ``out``; every token id is checked in range
     np.take(frozen.embedding, batch.tokens, axis=0, out=x, mode="clip")
     eb = x @ b
@@ -552,37 +584,34 @@ def _grads(frozen: Backbone, factors: dict[str, tuple[np.ndarray, np.ndarray]], 
     z *= s
     z += np.take(frozen.base_hidden, batch.tokens, axis=0, out=spare, mode="clip")
     head_factors = {key: pair for key, pair in factors.items() if key != "trunk"}
-    eff = _effective(frozen, head_factors, s, {key: w[0, :k] for key, w in work.heads.items()})
-    heads, tails = batch.rows()
-    tag_logp, rel_logp = _forward(z, eff, heads, tails)
-    inv_b = 1.0 / batch.sizes
+    eff = _effective(frozen, head_factors, s, work.merged)
+    tag_logp, rel_logp = _forward(z, eff, batch.heads, batch.tails)
     weights = batch.weights
     g_tag = weights.sum(axis=-1, keepdims=True) * np.exp(tag_logp) - weights
-    g_tag *= inv_b[:, None, None]
+    g_tag *= batch.scales[:, None, None]
     d_rel = np.exp(rel_logp)
     d_rel[np.arange(len(batch.relations)), batch.relations] -= 1.0
-    d_rel *= inv_b[batch.lanes][:, None]
+    d_rel *= batch.pair_scales[:, None]
     c = d_rel.shape[1]
-    g_head = _by_token(heads, d_rel, k * u).reshape(k, u, c)
-    g_tail = _by_token(tails, d_rel, k * u).reshape(k, u, c)
+    g_head, g_tail = (np.bincount(keys, weights=d_rel.reshape(-1), minlength=k * u * c)
+                      .reshape(k, u, c) for keys in (batch.head_keys, batch.tail_keys))
     rel = eff["rel_head"]
     np.matmul(g_tag, eff["tag_head"].mT, out=dz)
     dz += np.matmul(g_head, rel[:, :h].mT, out=spare)
     dz += np.matmul(g_tail, rel[:, h:].mT, out=spare)
     dz *= z > 0
-    dw = {key: w[1, :k] for key, w in work.heads.items()}
+    dw = work.dw
     np.matmul(z.mT, g_tag, out=dw["tag_head"])
     np.matmul(z.mT, g_head, out=dw["rel_head"][:, :h])
     np.matmul(z.mT, g_tail, out=dw["rel_head"][:, h:])
-    flat = work.grads[:k]
-    grads = _split(flat, factors)
+    grads = work.split
     for key, (hb, ha) in head_factors.items():
         np.matmul(dw[key], ha.mT, out=grads[key][0])
         np.matmul(hb.mT, dw[key], out=grads[key][1])
     np.matmul(x.mT, dz @ a.mT, out=grads["trunk"][0])
     np.matmul(eb.mT, dz, out=grads["trunk"][1])
-    flat *= s
-    return flat
+    work.flat *= s
+    return work.flat
 
 
 def grad(model: ToyModel, batch: Pack) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -596,7 +625,7 @@ def grad(model: ToyModel, batch: Pack) -> dict[str, tuple[np.ndarray, np.ndarray
                                       model.frozen.config)
     layers = model.adapters.layers
     factors = {key: (b[None], a[None]) for key, (b, a) in layers.items()}
-    work = _Workspace(model.frozen, 1, model.adapters.param_count())
+    work = _Workspace(model.frozen, layers, 1)
     return _split(_grads(model.frozen, factors, model.adapters.scale, step, work)[0], layers)
 
 
@@ -634,12 +663,14 @@ def local_update(
     lane trained alone.  The input models are left untouched.
 
     The lanes' factors are the rows of one (k, P) buffer, whose ``_split``
-    views are each layer's (B, A).  A step is ``g *= eta`` and ``buf -= g``
-    on ``_grads``' buffer, b - eta * (s * m) in two roundings, and one
+    views are each layer's (B, A); row i is the batch's slot i, lane
+    ``batch.lanes[i]``.  A step is ``g *= eta`` and ``buf -= g`` on
+    ``_grads``' buffer, b - eta * (s * m) in two roundings, and one
     ``np.isfinite`` checks it; only a failed check scans by lane and layer,
     for the lowest lane left non-finite and its first non-finite layer,
-    which ``Diverged`` names at once.  A finished lane's set holds a copy of
-    its row, and the lanes left go on in ``buf[~finished]``.
+    which ``Diverged`` names at once.  A lane that a batch leaves out has
+    run its last step: its set holds a copy of its row, and the lanes left
+    go on in the rows the batch keeps.
     """
     frozen = models[0].frozen
     scale = models[0].adapters.scale
@@ -649,25 +680,32 @@ def local_update(
         raise ValueError("lanes must share one backbone and one adapter scale")
     for pack in dataset.packs:
         frozen.check_ranges(pack)
-    k, bs = len(models), sgd.batch_size
     sizes = [len(pack) for pack in dataset.packs]
     batches = dataset.batches(_step_of(sizes, seeds, sgd), frozen.config)
-    total = np.array([sgd.epochs * -(-n // bs) for n in sizes])
     layers = models[0].adapters.layers
     # every lane's factors, one row each, and each layer's (B, A) as views
     buf = np.array([np.concatenate([f.reshape(-1) for key in layers
                                     for f in m.adapters.layers[key]]) for m in models])
     factors = _split(buf, layers)
-    work = _Workspace(frozen, k, buf.shape[1])
-    stack = np.arange(k)  # the lanes still training, in stack order
+    work = _Workspace(frozen, layers, len(models))
+    stack = np.arange(len(models))  # the lanes still training, in stack order
     done: dict[int, dict] = {}
+
+    def leave(slots) -> None:
+        # a returned set holds its own row, not the stack the call still writes
+        for slot in slots:
+            done[int(stack[slot])] = _split(buf[slot].copy(), layers)
+
     eta = sgd.learning_rate
     # a diverging step overflows before its factors turn non-finite; the
     # isfinite check below is what reports it, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for step, batch in enumerate(batches):
-            if len(stack) < k:
-                batch = batch.of_lanes(stack)
+            if len(batch.lanes) < len(stack):
+                kept = np.isin(stack, batch.lanes)
+                leave(np.flatnonzero(~kept).tolist())
+                stack, buf = batch.lanes, buf[kept]
+                factors = _split(buf, layers)
             # b - eta * (s * m): two roundings, as eta * s folded in would move bits
             g = _grads(frozen, factors, scale, batch, work)
             g *= eta
@@ -679,14 +717,5 @@ def local_update(
                 err = Diverged(f"layer {key!r} has non-finite adapter factors", int(stack[slot]))
                 err.add_note(f"step {step}")
                 raise err
-            finished = total[stack] == step + 1
-            if finished.any():
-                # a returned set holds its own row, not the stack the call still writes
-                for slot in np.flatnonzero(finished).tolist():
-                    done[int(stack[slot])] = _split(buf[slot].copy(), layers)
-                stack = stack[~finished]
-                if not len(stack):
-                    break
-                buf = buf[~finished]
-                factors = _split(buf, layers)
+    leave(range(len(stack)))
     return [model.adapters.with_layers(done[lane]) for lane, model in enumerate(models)]

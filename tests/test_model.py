@@ -808,7 +808,7 @@ class TestLanes:
         # on pass e, example j of an n-example lane joins step
         # j // batch_size + e * ceil(n / batch_size), so a step may hold
         # lanes on different passes, a later lane's before an earlier one's
-        v, c = SMALL.vocab_size, SMALL.tag_classes
+        v, c, rel = SMALL.vocab_size, SMALL.tag_classes, SMALL.relation_classes
         data = [lane_data(np.random.default_rng(seed), n, mix) for n, mix, seed in lanes]
         step_of = np.array([
             np.concatenate([np.arange(len(pack)) // batch_size
@@ -820,26 +820,34 @@ class TestLanes:
         read = [[np.zeros(0, dtype=np.int64)] * len(data) for _ in batches]
         for g, batch in enumerate(batches):
             u = batch.tokens.shape[1]
-            assert batch.weights.shape == (len(data), u, c)
-            for lane, pack in enumerate(data):
+            # a lane past its last step is left out, and the rest keep lane order
+            picks = [np.nonzero(step_of[:, first[lane]:first[lane + 1]] == g)[1]
+                     for lane in range(len(data))]
+            live = [lane for lane in range(len(data))
+                    if step_of[:, first[lane]:first[lane + 1]].max() >= g]
+            assert batch.lanes.tolist() == live
+            assert batch.weights.shape == (len(live), u, c)
+            assert batch.sizes.tolist() == [len(picks[lane]) for lane in live]
+            # a pair's rows are slot * U + the rows of its tokens in its slot
+            slots = batch.heads // u
+            assert np.array_equal(batch.tails // u, slots)
+            assert batch.scales.tobytes() == (1.0 / batch.sizes).tobytes()
+            assert batch.pair_scales.tobytes() == (1.0 / batch.sizes)[slots].tobytes()
+            for keys, rows in ((batch.head_keys, batch.heads), (batch.tail_keys, batch.tails)):
+                assert np.array_equal(keys, (rows[:, None] * rel + np.arange(rel)).reshape(-1))
+            assert np.isin(slots, np.arange(len(live))).all()
+            for slot, lane in enumerate(live):
                 # a step holds one pass of a lane, so its examples ascend
-                picked = np.nonzero(step_of[:, first[lane]:first[lane + 1]] == g)[1]
-                assert batch.sizes[lane] == len(picked)
-                mine = batch.lanes == lane
-                tokens, weights = batch.tokens[lane], batch.weights[lane]
+                step = data[lane].take(picks[lane])
+                mine = slots == slot
+                tokens, weights = batch.tokens[slot], batch.weights[slot]
                 # every id once: the read ids ascending, then the unread ones
-                ids = np.zeros(0, dtype=np.int64)
-                want = np.zeros((v, c))
-                if len(picked):
-                    step = pack.take(picked)
-                    ids = np.unique(np.concatenate([step.tokens, step.heads, step.tails]))
-                    want = np.bincount(step.tokens * c + step.tags, weights=step.shares,
-                                       minlength=v * c).reshape(v, c)
-                    assert np.array_equal(tokens[batch.heads[mine]], step.heads)
-                    assert np.array_equal(tokens[batch.tails[mine]], step.tails)
-                    assert np.array_equal(batch.relations[mine], step.relations)
-                else:
-                    assert not mine.any()
+                ids = np.unique(np.concatenate([step.tokens, step.heads, step.tails]))
+                want = np.bincount(step.tokens * c + step.tags, weights=step.shares,
+                                   minlength=v * c).reshape(v, c)
+                assert np.array_equal(tokens[batch.heads[mine] - slot * u], step.heads)
+                assert np.array_equal(tokens[batch.tails[mine] - slot * u], step.tails)
+                assert np.array_equal(batch.relations[mine], step.relations)
                 read[g][lane] = ids
                 unread = np.setdiff1d(np.arange(v), ids)
                 assert np.array_equal(tokens, np.concatenate([ids, unread])[:u])
@@ -901,3 +909,17 @@ class TestLaneDivergence:
                          [seed for seed, _, _ in (first, second)])
         assert raised.value.lane == named
         assert (str(raised.value), raised.value.__notes__) == alone[named]
+
+    def test_names_the_lane_not_its_stack_slot(self):
+        # lane 0 runs its 3 steps and leaves the stack, so lane 1, which
+        # diverges at step 5 alone, is stack slot 0 when it does
+        model = ToyModel.build(SMALL)
+        short = model.with_adapters(randomized_adapters(model, 0, 1e-4))
+        seed, scale, _ = EARLY
+        start, data = diverging_lane(model, seed, scale)
+        with pytest.raises(Diverged) as raised:
+            local_update([short, start], Lanes((mixed_batch(0, n=2), data)), DIVERGING_SGD,
+                         [0, seed])
+        assert raised.value.lane == 1
+        assert (str(raised.value), raised.value.__notes__) == (
+            "layer 'trunk' has non-finite adapter factors", ["step 5"])
